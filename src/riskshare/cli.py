@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -101,6 +102,9 @@ def solve(game: CoalitionGame, config: RunConfig, seed_override: Optional[int]) 
             raise DocumentError("monte-carlo solver needs a seed (config solver.seed or --seed)")
         if spec.samples is None:
             raise DocumentError("monte-carlo solver needs solver.samples")
+        issues = replace(spec, seed=seed).issues()
+        if issues:
+            raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
         return shapley_monte_carlo(game, spec.samples, seed, workers=spec.workers)
     raise DocumentError(f"unknown solver method {spec.method!r}")
 

@@ -29,6 +29,20 @@ class SolverSpec:
     seed: Optional[int] = None
     workers: int = 1
 
+    def issues(self) -> list[ValidationIssue]:
+        """Static checks of the solver settings; the CLI repeats them before solving."""
+        issues = []
+        if self.method not in SOLVER_METHODS:
+            issues.append(ValidationIssue("solver.method", f"unknown solver {self.method!r}"))
+        if self.method == "monte-carlo":
+            if self.samples is None or self.samples < 1:
+                issues.append(ValidationIssue("solver.samples", "monte-carlo needs samples >= 1"))
+            if self.seed is None:
+                issues.append(ValidationIssue("solver.seed", "monte-carlo needs an explicit seed"))
+        if self.workers < 1:
+            issues.append(ValidationIssue("solver.workers", "workers must be >= 1"))
+        return issues
+
 
 @dataclass(frozen=True)
 class BudgetSpec:
@@ -72,13 +86,7 @@ class RunConfig:
             issues.append(ValidationIssue("risk_model", f"file not found: {self.risk_model_path}"))
         if self.mode not in AGGREGATION_MODES:
             issues.append(ValidationIssue("mode", f"unknown mode {self.mode!r}"))
-        if self.solver.method not in SOLVER_METHODS:
-            issues.append(ValidationIssue("solver.method", f"unknown solver {self.solver.method!r}"))
-        if self.solver.method == "monte-carlo":
-            if self.solver.samples is None or self.solver.samples < 1:
-                issues.append(ValidationIssue("solver.samples", "monte-carlo needs samples >= 1"))
-            if self.solver.seed is None:
-                issues.append(ValidationIssue("solver.seed", "monte-carlo needs an explicit seed"))
+        issues.extend(self.solver.issues())
         if self.rounding not in ROUNDING_MODES:
             issues.append(ValidationIssue("rounding", f"unknown rounding mode {self.rounding!r}"))
         if self.output_format not in REPORT_FORMATS:
@@ -105,6 +113,24 @@ def _cycle_from_doc(doc: dict) -> Cycle:
         raise DocumentError(f"source.cycle: {exc}") from exc
 
 
+def _describe(value) -> str:
+    """A parsed JSON value, named by its JSON type."""
+    if isinstance(value, bool):
+        return f"boolean {str(value).lower()}"
+    if isinstance(value, Fraction):  # JSON floats are parsed as exact Fractions
+        return f"float {float(value)}"
+    kind = {str: "string", list: "array", dict: "object", int: "integer"}.get(type(value), "value")
+    return f"{kind} {value!r}"
+
+
+def _optional_int(doc: dict, key: str, where: str) -> Optional[int]:
+    """A JSON integer (not a bool, float or string), or None when absent or null."""
+    value = doc.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise DocumentError(f"{where}.{key}: expected an integer, got {_describe(value)}")
+    return value
+
+
 def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     src_doc = _expect(doc, "source", "config")
     src_type = str(_expect(src_doc, "type", "config.source"))
@@ -120,12 +146,18 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     )
 
     solver_doc = doc.get("solver", {})
+    workers = _optional_int(solver_doc, "workers", "config.solver")
     solver = SolverSpec(
         method=str(solver_doc.get("method", "exact")),
-        samples=None if solver_doc.get("samples") is None else int(solver_doc["samples"]),
-        seed=None if solver_doc.get("seed") is None else int(solver_doc["seed"]),
-        workers=int(solver_doc.get("workers", 1)),
+        samples=_optional_int(solver_doc, "samples", "config.solver"),
+        seed=_optional_int(solver_doc, "seed", "config.solver"),
+        workers=1 if workers is None else workers,
     )
+    normalized = doc.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise DocumentError(
+            f"config.normalized: expected true or false, got {_describe(normalized)}"
+        )
 
     budget = None
     if "budget" in doc:
@@ -144,7 +176,7 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
         source=source,
         risk_model_path=None if risk_model is None else base_dir / str(risk_model),
         mode=str(doc.get("mode", SUM)),
-        normalized=bool(doc.get("normalized", False)),
+        normalized=normalized,
         solver=solver,
         budget=budget,
         rounding=str(doc.get("rounding", PER_RECIPIENT)),

@@ -2,12 +2,22 @@
 
 A game is a total value function v over subsets of the player set with
 v(empty) = 0. Subsets are encoded canonically as bitmasks over the player
-ordering. Small games are materialized as full tables; larger ones stay
-rule-backed (e.g. sums of unanimity games) and are evaluated on demand.
+ordering. A game is backed in one of three ways:
+
+* a full table of ``2**n`` values (coalition tables, subset rebuild results);
+* Harsanyi-dividend terms: v(S) is the sum of the weights d_T of the terms
+  whose required set T lies inside S. Unanimity and leaf-coverage games come
+  in this basis, it stays closed under addition and scaling, and a game with
+  k terms costs O(k) per evaluation and O(k) memory at any team size;
+* an arbitrary rule (mask -> value), evaluated on demand.
+
+Any game within :data:`MATERIALIZATION_CAP` can also be materialized into a
+table on demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Set
@@ -17,7 +27,7 @@ from .intervals import Rationalish, as_fraction
 from .risk import ThreatTree
 
 #: Full value tables are only built up to this many players; beyond it games
-#: must stay rule-backed and be solved by sampling.
+#: must stay term- or rule-backed and be solved by sampling.
 MATERIALIZATION_CAP = 24
 
 
@@ -66,12 +76,22 @@ class PlayerSet:
 class CoalitionGame:
     """Immutable value function over subsets of a fixed player set.
 
-    Exactly one of ``table`` (length ``2**n``, indexed by subset mask) or
-    ``rule`` (mask -> Fraction) backs the game. ``label`` is a short
-    provenance string carried into reports.
+    Exactly one of three backings is given:
+
+    * ``table`` -- ``2**n`` values indexed by subset mask;
+    * ``terms`` -- ``(required_mask, weight)`` Harsanyi dividends, with
+      v(S) = sum of the weights whose required mask lies inside S. Duplicate
+      masks are merged and zero weights dropped; weights are held as integers
+      over one common denominator, so an evaluation costs one integer sum;
+    * ``rule`` -- any mask -> Fraction function.
+
+    :meth:`value_table` materializes any backing on demand (and caches it);
+    term-backed games keep their terms, which the exact solver and the axiom
+    audit prefer over a table. ``label`` is a short provenance string carried
+    into reports.
     """
 
-    __slots__ = ("players", "label", "_table", "_rule")
+    __slots__ = ("players", "label", "_table", "_rule", "_terms", "_den")
 
     def __init__(
         self,
@@ -79,13 +99,17 @@ class CoalitionGame:
         *,
         table: Optional[Iterable[Rationalish]] = None,
         rule: Optional[Callable[[int], Fraction]] = None,
+        terms: Optional[Iterable[tuple[int, Rationalish]]] = None,
         label: str = "custom",
     ):
-        if (table is None) == (rule is None):
-            raise GameDefinitionError("provide exactly one of table or rule")
+        if [table, rule, terms].count(None) != 2:
+            raise GameDefinitionError("provide exactly one of table, rule or terms")
         self.players = players
         self.label = label
         self._rule = rule
+        self._table = None
+        self._terms = None
+        self._den = 1
         if table is not None:
             values = tuple(as_fraction(v) for v in table)
             if len(values) != 1 << players.n:
@@ -95,8 +119,15 @@ class CoalitionGame:
             if values[0] != 0:
                 raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
             self._table = values
-        else:
-            self._table = None
+        elif terms is not None:
+            merged: dict[int, Fraction] = {}
+            for mask, weight in terms:
+                if not 0 < mask <= players.full_mask:
+                    raise GameDefinitionError(f"term mask {mask:#x} outside nonempty subset range")
+                merged[mask] = merged.get(mask, Fraction(0)) + as_fraction(weight)
+            kept = [(m, w) for m, w in merged.items() if w != 0]
+            self._den = math.lcm(*(w.denominator for _, w in kept))
+            self._terms = tuple((m, w.numerator * (self._den // w.denominator)) for m, w in kept)
 
     @property
     def n(self) -> int:
@@ -106,11 +137,20 @@ class CoalitionGame:
     def materialized(self) -> bool:
         return self._table is not None
 
+    @property
+    def terms(self) -> Optional[tuple[tuple[int, Fraction], ...]]:
+        """The ``(required_mask, weight)`` dividends of a term-backed game, else ``None``."""
+        if self._terms is None:
+            return None
+        return tuple((m, Fraction(w, self._den)) for m, w in self._terms)
+
     def value_of_mask(self, mask: int) -> Fraction:
         if mask < 0 or mask > self.players.full_mask:
             raise GameDefinitionError(f"mask {mask:#x} outside subset range")
         if self._table is not None:
             return self._table[mask]
+        if self._terms is not None:
+            return Fraction(sum(w for req, w in self._terms if mask & req == req), self._den)
         return as_fraction(self._rule(mask))
 
     def evaluate(self, subset: Iterable[str]) -> Fraction:
@@ -128,7 +168,7 @@ class CoalitionGame:
                     f"cannot materialize a {self.n}-player game "
                     f"(cap {MATERIALIZATION_CAP}); use the sampling solver"
                 )
-            self._table = tuple(as_fraction(self._rule(m)) for m in range(1 << self.n))
+            self._table = tuple(self.value_of_mask(m) for m in range(1 << self.n))
             if self._table[0] != 0:
                 raise GameDefinitionError(f"v(empty set) must be 0, got {self._table[0]}")
         return self._table
@@ -177,10 +217,9 @@ def unanimity_game(players: PlayerSet, required: Iterable[str]) -> CoalitionGame
     req_mask = players.mask_of(required)
     if req_mask == 0:
         raise GameDefinitionError("required set must be nonempty (v(empty) would be 1)")
-    one, zero = Fraction(1), Fraction(0)
     return CoalitionGame(
         players,
-        rule=lambda mask: one if mask & req_mask == req_mask else zero,
+        terms=[(req_mask, 1)],
         label=f"unanimity{sorted(players.ids_of(req_mask))}",
     )
 
@@ -196,28 +235,21 @@ def leaf_coverage_game(
     A leaf with required authors P is covered by S iff P is nonempty and
     P is a subset of S; a leaf nobody addressed counts for no coalition.
     With ``normalized`` the count is divided by the tree's total leaf count,
-    bounding v by 1. Equivalent to the (scaled) sum of one unanimity game
-    per addressed leaf.
+    bounding v by 1. The game is the (scaled) sum of one unanimity game per
+    addressed leaf and is built term-backed, one term per such leaf.
     """
     known = set(tree.leaf_ids())
     unknown = sorted(set(attribution) - known)
     if unknown:
         raise GameDefinitionError(f"attribution references unknown leaf ids: {unknown}")
-    leaf_masks = [
-        players.mask_of(authors) for authors in attribution.values() if authors
-    ]
-    denom = Fraction(1)
+    weight = Fraction(1)
     if normalized:
         if tree.leaf_count == 0:
             raise GameDefinitionError("cannot normalize over a tree with no leaves")
-        denom = Fraction(tree.leaf_count)
-
-    def rule(mask: int) -> Fraction:
-        count = sum(1 for req in leaf_masks if mask & req == req)
-        return Fraction(count) / denom
-
+        weight = Fraction(1, tree.leaf_count)
+    terms = [(players.mask_of(authors), weight) for authors in attribution.values() if authors]
     label = "leaf-coverage" + ("/normalized" if normalized else "")
-    return CoalitionGame(players, rule=rule, label=label)
+    return CoalitionGame(players, terms=terms, label=label)
 
 
 def _require_same_players(v: CoalitionGame, w: CoalitionGame):
@@ -228,22 +260,31 @@ def _require_same_players(v: CoalitionGame, w: CoalitionGame):
 
 
 def game_add(v: CoalitionGame, w: CoalitionGame) -> CoalitionGame:
-    """Pointwise sum; requires identical player sets (same ids, same order)."""
+    """Pointwise sum; requires identical player sets (same ids, same order).
+
+    The sum of two term-backed games is term-backed (dividends add).
+    """
     _require_same_players(v, w)
+    label = f"({v.label})+({w.label})"
+    if v.terms is not None and w.terms is not None:
+        return CoalitionGame(v.players, terms=v.terms + w.terms, label=label)
     return CoalitionGame(
         v.players,
         rule=lambda mask: v.value_of_mask(mask) + w.value_of_mask(mask),
-        label=f"({v.label})+({w.label})",
+        label=label,
     )
 
 
 def game_scale(v: CoalitionGame, c: Rationalish) -> CoalitionGame:
-    """Pointwise scaling by an exact rational factor."""
+    """Pointwise scaling by an exact rational factor; keeps a term backing."""
     c = as_fraction(c)
+    label = f"{c}*({v.label})"
+    if v.terms is not None:
+        return CoalitionGame(v.players, terms=[(m, c * d) for m, d in v.terms], label=label)
     return CoalitionGame(
         v.players,
         rule=lambda mask: c * v.value_of_mask(mask),
-        label=f"{c}*({v.label})",
+        label=label,
     )
 
 

@@ -2,8 +2,12 @@
 
 Three solvers share one result type:
 
-* :func:`shapley_exact` -- the subset-sum formula with exact big-integer
-  factorial weights; the reference method for desk-scale teams.
+* :func:`shapley_exact` -- exact values, one path per game shape. A
+  term-backed game (Harsanyi dividends d_T, as leaf-coverage and unanimity
+  games are) is solved in closed form, phi_i = sum of d_T / |T| over the
+  terms containing i, in O(terms * n) with no table. Any other game is
+  materialized and solved by the subset-sum formula in integers over one
+  common denominator, O(n * 2^n) integer work and one Fraction per player.
 * :func:`shapley_permutation_oracle` -- enumerates all n! orderings and
   averages marginal contributions. Mathematically the same quantity computed
   a different way, kept as an independent cross-check of the subset solver.
@@ -17,6 +21,7 @@ should be about the model, never about floating-point noise.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -28,7 +33,7 @@ from typing import Optional
 from .errors import CapacityError, GameDefinitionError
 from .games import MATERIALIZATION_CAP, CoalitionGame, game_add
 
-#: Exact subset-sum solver refuses larger teams (2^(n-1) terms per player).
+#: The exact solver refuses larger teams on both paths (the table path holds 2^n values).
 EXACT_PLAYER_CAP = MATERIALIZATION_CAP
 #: Full permutation enumeration refuses larger teams (n! orderings).
 ORACLE_PLAYER_CAP = 9
@@ -76,11 +81,20 @@ def _result(game: CoalitionGame, phi: list[Fraction], method: str, **extra) -> S
 
 
 def shapley_exact(game: CoalitionGame, cap: int = EXACT_PLAYER_CAP) -> ShapleyResult:
-    """Exact values via the weighted subset sum.
+    """Exact values; the path depends on how the game is backed.
 
-    For each player i, sums ``w(|S|) * (v(S + i) - v(S))`` over all subsets S
-    of the other players, with ``w(s) = s! (n-s-1)! / n!`` held as an exact
-    rational. Cost is ``n * 2^(n-1)`` evaluations.
+    * Term-backed (dividends d_T): ``phi_i = sum of d_T / |T|`` over the
+      terms T containing i, in O(terms * n). No table is built, even if one
+      is cached on the game.
+    * Otherwise the subset sum ``phi_i = sum over S not containing i of
+      w(|S|) * (v(S + i) - v(S))``, ``w(s) = s! (n-s-1)! / n!``, on the
+      materialized table. With the values scaled to integers over their
+      common denominator, each coalition M enters ``n! * phi_i`` once: with
+      weight ``W(|M|-1)`` if i is in M and ``-W(|M|)`` if not, where
+      ``W(s) = s! (n-s-1)!`` and ``W(n) = 0``. So ``n! * phi_i`` is the sum of
+      ``(W(|M|-1) + W(|M|)) * v(M)`` over the M containing i, minus the sum of
+      ``W(|M|) * v(M)`` over all M: integer sums over ``2^n`` entries, then one
+      Fraction per player.
 
     Raises
     ------
@@ -93,23 +107,36 @@ def shapley_exact(game: CoalitionGame, cap: int = EXACT_PLAYER_CAP) -> ShapleyRe
             f"exact solver capped at {cap} players, got {n}; "
             "use shapley_monte_carlo for teams this large"
         )
-    vals = game.value_table()
+    terms = game.terms
+    if terms is not None:
+        phi = [Fraction(0)] * n
+        for mask, dividend in terms:
+            share = dividend / mask.bit_count()
+            for i in range(n):
+                if mask >> i & 1:
+                    phi[i] += share
+        return _result(game, phi, METHOD_EXACT)
+
+    ivals, den = _integer_table(game)
     fact = [math.factorial(k) for k in range(n + 1)]
-    weight = [Fraction(fact[s] * fact[n - s - 1], fact[n]) for s in range(n)]
-    full = (1 << n) - 1
-    phi: list[Fraction] = []
+    weight = [fact[s] * fact[n - s - 1] for s in range(n)] + [0]  # W(s); W(n) = 0
+    sizes = [m.bit_count() for m in range(1 << n)]
+    with_i = [(weight[s - 1] + weight[s]) * v for s, v in zip(sizes, ivals)]
+    without = sum(weight[s] * v for s, v in zip(sizes, ivals))
+    scale = fact[n] * den
+    phi = []
     for i in range(n):
-        bit = 1 << i
-        rest = full ^ bit
-        total = Fraction(0)
-        sub = rest
-        while True:
-            total += weight[sub.bit_count()] * (vals[sub | bit] - vals[sub])
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        phi.append(total)
+        step = 1 << i
+        members = itertools.cycle([False] * step + [True] * step)  # bit i of 0, 1, 2, ...
+        phi.append(Fraction(sum(itertools.compress(with_i, members)) - without, scale))
     return _result(game, phi, METHOD_EXACT)
+
+
+def _integer_table(game: CoalitionGame) -> tuple[list[int], int]:
+    """The materialized values as integers over their common denominator."""
+    vals = game.value_table()
+    den = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
 
 
 def shapley_permutation_oracle(game: CoalitionGame, cap: int = ORACLE_PLAYER_CAP) -> ShapleyResult:
@@ -224,9 +251,7 @@ def shapley_monte_carlo(
     n = game.n
 
     if n <= MATERIALIZATION_CAP:
-        vals = game.value_table()
-        den = math.lcm(*(v.denominator for v in vals))
-        ivals = [v.numerator * (den // v.denominator) for v in vals]
+        ivals, den = _integer_table(game)
         worker_fn = lambda lohi: _mc_chunk_table(ivals, n, seed, *lohi)  # noqa: E731
     else:
         den = None
@@ -323,6 +348,21 @@ class AxiomReport:
         )
 
 
+def _swap_bits(mask: int, i: int, j: int) -> int:
+    if (mask >> i ^ mask >> j) & 1:
+        return mask ^ (1 << i | 1 << j)
+    return mask
+
+
+def _term_interchangeable(dividends: dict[int, Fraction], i: int, j: int) -> bool:
+    """Swapping players i and j maps the dividend map onto itself."""
+    return all(dividends.get(_swap_bits(m, i, j)) == d for m, d in dividends.items())
+
+
+def _term_is_null(dividends: dict[int, Fraction], i: int) -> bool:
+    return not any(m >> i & 1 for m in dividends)
+
+
 def _interchangeable(vals, n, i, j) -> bool:
     full = (1 << n) - 1
     rest = full & ~(1 << i) & ~(1 << j)
@@ -364,8 +404,11 @@ def check_axioms(
     * linearity: with a second game ``w``, payments for ``v + w`` must equal
       the sum of the separate payments (checked with the exact solver).
 
-    The symmetry/null scans enumerate subsets and are skipped (fields left
-    ``None``) above ``scan_cap`` players.
+    The symmetry/null scans are skipped (fields left ``None``) above
+    ``scan_cap`` players. A term-backed game is audited from its dividends,
+    which are unique (the Moebius inverse of v): player i is null iff no term
+    contains i, and i, j are interchangeable iff swapping them maps the term
+    map onto itself. Any other game is scanned over its materialized table.
     """
     players = game.players.players
     if set(result.players) != set(players):
@@ -376,15 +419,23 @@ def check_axioms(
     nulls: Optional[tuple[str, ...]] = None
     n = game.n
     if n <= scan_cap:
-        vals = game.value_table()
+        terms = game.terms
+        if terms is not None:
+            dividends = dict(terms)
+            interchangeable = functools.partial(_term_interchangeable, dividends)
+            is_null = functools.partial(_term_is_null, dividends)
+        else:
+            vals = game.value_table()
+            interchangeable = functools.partial(_interchangeable, vals, n)
+            is_null = functools.partial(_is_null, vals, n)
         sym_violations = []
         for i in range(n):
             for j in range(i + 1, n):
-                if _interchangeable(vals, n, i, j) and result.phi[players[i]] != result.phi[players[j]]:
+                if interchangeable(i, j) and result.phi[players[i]] != result.phi[players[j]]:
                     sym_violations.append((players[i], players[j]))
         symmetry = tuple(sym_violations)
         nulls = tuple(
-            players[i] for i in range(n) if _is_null(vals, n, i) and result.phi[players[i]] != 0
+            players[i] for i in range(n) if is_null(i) and result.phi[players[i]] != 0
         )
 
     linearity_ok: Optional[bool] = None

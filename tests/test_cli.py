@@ -180,6 +180,49 @@ class TestPayout:
         assert code == 2
 
 
+class TestSolverSettings:
+    @staticmethod
+    def write_config(workdir, solver, **extra) -> Path:
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc.update(solver=solver, **extra)
+        config = workdir / WE / "solver_config.json"
+        config.write_text(json.dumps(doc))
+        return config
+
+    @pytest.mark.parametrize("command", ["payout", "shapley"])
+    def test_zero_samples_exits_1_naming_the_key(self, capsys, workdir, command):
+        config = self.write_config(workdir, {"method": "monte-carlo", "samples": 0, "seed": 1})
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 1
+        assert "solver.samples" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("samples", 2.7),
+            ("samples", 3.0),
+            ("samples", "10"),
+            ("samples", True),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("workers", False),
+            ("workers", 2.0),
+            ("normalized", "false"),
+            ("normalized", 0),
+            ("normalized", None),
+        ],
+    )
+    def test_mistyped_setting_is_input_error(self, capsys, workdir, key, value):
+        solver = {"method": "monte-carlo", "samples": 10, "seed": 1}
+        if key == "normalized":
+            config = self.write_config(workdir, solver, normalized=value)
+        else:
+            config = self.write_config(workdir, {**solver, key: value})
+        code, _, err = run(capsys, "payout", "--config", str(config))
+        assert code == 2
+        assert (key if key == "normalized" else f"solver.{key}") in err
+
+
 class TestCapacity:
     def test_exact_solver_over_cap_exits_3(self, capsys, workdir):
         attribution = workdir / WE / "attribution.json"
