@@ -105,7 +105,7 @@ def solve(game: CoalitionGame, config: RunConfig, seed_override: Optional[int]) 
         issues = replace(spec, seed=seed).issues()
         if issues:
             raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
-        return shapley_monte_carlo(game, spec.samples, seed, workers=spec.workers)
+        return shapley_monte_carlo(game, spec.samples, seed)
     raise DocumentError(f"unknown solver method {spec.method!r}")
 
 

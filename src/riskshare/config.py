@@ -21,13 +21,22 @@ from .risk import AGGREGATION_MODES, SUM, ValidationIssue, ValidationReport
 SOURCE_TYPES = ("coalition_table", "attribution", "commit_log", "subset_results")
 SOLVER_METHODS = ("exact", "oracle", "monte-carlo")
 
+#: The keys each config object may hold; any other key is an input error.
+_KEYS = {
+    "config": ("risk_model", "source", "mode", "normalized", "solver", "budget", "rounding", "currency", "output"),
+    "config.source": ("type", "path", "cycle", "aliases", "players"),
+    "config.source.cycle": ("from_commit", "to_commit", "from_time", "to_time"),
+    "config.solver": ("method", "samples", "seed"),
+    "config.budget": ("fraction", "anchor", "value"),
+    "config.output": ("format", "path"),
+}
+
 
 @dataclass(frozen=True)
 class SolverSpec:
     method: str = "exact"
     samples: Optional[int] = None
     seed: Optional[int] = None
-    workers: int = 1
 
     def issues(self) -> list[ValidationIssue]:
         """Static checks of the solver settings; the CLI repeats them before solving."""
@@ -39,8 +48,6 @@ class SolverSpec:
                 issues.append(ValidationIssue("solver.samples", "monte-carlo needs samples >= 1"))
             if self.seed is None:
                 issues.append(ValidationIssue("solver.seed", "monte-carlo needs an explicit seed"))
-        if self.workers < 1:
-            issues.append(ValidationIssue("solver.workers", "workers must be >= 1"))
         return issues
 
 
@@ -115,12 +122,25 @@ def _cycle_from_doc(doc: dict) -> Cycle:
 
 def _describe(value) -> str:
     """A parsed JSON value, named by its JSON type."""
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return f"boolean {str(value).lower()}"
     if isinstance(value, Fraction):  # JSON floats are parsed as exact Fractions
         return f"float {float(value)}"
     kind = {str: "string", list: "array", dict: "object", int: "integer"}.get(type(value), "value")
     return f"{kind} {value!r}"
+
+
+def _object(value, where: str) -> dict:
+    """A JSON object holding only the keys ``_KEYS`` allows at ``where``."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"{where}: expected an object, got {_describe(value)}")
+    allowed = _KEYS[where]
+    for key in value:
+        if key not in allowed:
+            raise DocumentError(f"{where}.{key}: unknown key (expected one of {', '.join(allowed)})")
+    return value
 
 
 def _optional_int(doc: dict, key: str, where: str) -> Optional[int]:
@@ -132,7 +152,8 @@ def _optional_int(doc: dict, key: str, where: str) -> Optional[int]:
 
 
 def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
-    src_doc = _expect(doc, "source", "config")
+    doc = _object(doc, "config")
+    src_doc = _object(_expect(doc, "source", "config"), "config.source")
     src_type = str(_expect(src_doc, "type", "config.source"))
     src_path = base_dir / str(_expect(src_doc, "path", "config.source"))
     aliases = src_doc.get("aliases")
@@ -140,18 +161,16 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     source = SourceSpec(
         type=src_type,
         path=src_path,
-        cycle=_cycle_from_doc(src_doc.get("cycle", {})),
+        cycle=_cycle_from_doc(_object(src_doc.get("cycle", {}), "config.source.cycle")),
         aliases_path=None if aliases is None else base_dir / str(aliases),
         players=None if players is None else tuple(str(p) for p in players),
     )
 
-    solver_doc = doc.get("solver", {})
-    workers = _optional_int(solver_doc, "workers", "config.solver")
+    solver_doc = _object(doc.get("solver", {}), "config.solver")
     solver = SolverSpec(
         method=str(solver_doc.get("method", "exact")),
         samples=_optional_int(solver_doc, "samples", "config.solver"),
         seed=_optional_int(solver_doc, "seed", "config.solver"),
-        workers=1 if workers is None else workers,
     )
     normalized = doc.get("normalized", False)
     if not isinstance(normalized, bool):
@@ -161,7 +180,7 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
 
     budget = None
     if "budget" in doc:
-        b_doc = doc["budget"]
+        b_doc = _object(doc["budget"], "config.budget")
         explicit = b_doc.get("value")
         budget = BudgetSpec(
             fraction=_rational(_expect(b_doc, "fraction", "config.budget"), "config.budget.fraction"),
@@ -169,7 +188,7 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
             explicit_value=None if explicit is None else _rational(explicit, "config.budget.value"),
         )
 
-    out_doc = doc.get("output", {})
+    out_doc = _object(doc.get("output", {}), "config.output")
     out_path = out_doc.get("path")
     risk_model = doc.get("risk_model")
     return RunConfig(
@@ -188,7 +207,4 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: config must be a JSON object")
-    return run_config_from_document(doc, path.parent)
+    return run_config_from_document(load_json(path), path.parent)

@@ -2,17 +2,16 @@
 
 A game is a total value function v over subsets of the player set with
 v(empty) = 0. Subsets are encoded canonically as bitmasks over the player
-ordering. A game is backed in one of three ways:
+ordering. A game is backed in one of two ways:
 
 * a full table of ``2**n`` values (coalition tables, subset rebuild results);
 * Harsanyi-dividend terms: v(S) is the sum of the weights d_T of the terms
   whose required set T lies inside S. Unanimity and leaf-coverage games come
   in this basis, it stays closed under addition and scaling, and a game with
-  k terms costs O(k) per evaluation and O(k) memory at any team size;
-* an arbitrary rule (mask -> value), evaluated on demand.
+  k terms costs O(k) per evaluation and O(k) memory at any team size.
 
-Any game within :data:`MATERIALIZATION_CAP` can also be materialized into a
-table on demand.
+A term-backed game within :data:`MATERIALIZATION_CAP` can also be
+materialized into a table on demand; tables exist only within the cap.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Set
+from typing import Iterable, Mapping, Optional, Set
 
 from .errors import CapacityError, GameDefinitionError
 from .intervals import Rationalish, as_fraction
 from .risk import ThreatTree
 
 #: Full value tables are only built up to this many players; beyond it games
-#: must stay term- or rule-backed and be solved by sampling.
+#: must stay term-backed and be solved in closed form or by sampling.
 MATERIALIZATION_CAP = 24
 
 
@@ -76,37 +75,34 @@ class PlayerSet:
 class CoalitionGame:
     """Immutable value function over subsets of a fixed player set.
 
-    Exactly one of three backings is given:
+    Exactly one of two backings is given:
 
     * ``table`` -- ``2**n`` values indexed by subset mask;
     * ``terms`` -- ``(required_mask, weight)`` Harsanyi dividends, with
       v(S) = sum of the weights whose required mask lies inside S. Duplicate
       masks are merged and zero weights dropped; weights are held as integers
-      over one common denominator, so an evaluation costs one integer sum;
-    * ``rule`` -- any mask -> Fraction function.
+      over one common denominator, so an evaluation costs one integer sum.
 
-    :meth:`value_table` materializes any backing on demand (and caches it);
-    term-backed games keep their terms, which the exact solver and the axiom
-    audit prefer over a table. ``label`` is a short provenance string carried
-    into reports.
+    :meth:`value_table` materializes a term-backed game on demand (and caches
+    it); term-backed games keep their terms, which the exact solver, the
+    axiom audit and the sampler prefer over a table. ``label`` is a short
+    provenance string carried into reports.
     """
 
-    __slots__ = ("players", "label", "_table", "_rule", "_terms", "_den")
+    __slots__ = ("players", "label", "_table", "_terms", "_den")
 
     def __init__(
         self,
         players: PlayerSet,
         *,
         table: Optional[Iterable[Rationalish]] = None,
-        rule: Optional[Callable[[int], Fraction]] = None,
         terms: Optional[Iterable[tuple[int, Rationalish]]] = None,
         label: str = "custom",
     ):
-        if [table, rule, terms].count(None) != 2:
-            raise GameDefinitionError("provide exactly one of table, rule or terms")
+        if (table is None) == (terms is None):
+            raise GameDefinitionError("provide exactly one of table or terms")
         self.players = players
         self.label = label
-        self._rule = rule
         self._table = None
         self._terms = None
         self._den = 1
@@ -119,7 +115,7 @@ class CoalitionGame:
             if values[0] != 0:
                 raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
             self._table = values
-        elif terms is not None:
+        else:
             merged: dict[int, Fraction] = {}
             for mask, weight in terms:
                 if not 0 < mask <= players.full_mask:
@@ -149,9 +145,7 @@ class CoalitionGame:
             raise GameDefinitionError(f"mask {mask:#x} outside subset range")
         if self._table is not None:
             return self._table[mask]
-        if self._terms is not None:
-            return Fraction(sum(w for req, w in self._terms if mask & req == req), self._den)
-        return as_fraction(self._rule(mask))
+        return Fraction(sum(w for req, w in self._terms if mask & req == req), self._den)
 
     def evaluate(self, subset: Iterable[str]) -> Fraction:
         """v(S) for a subset given as player ids."""
@@ -169,8 +163,6 @@ class CoalitionGame:
                     f"(cap {MATERIALIZATION_CAP}); use the sampling solver"
                 )
             self._table = tuple(self.value_of_mask(m) for m in range(1 << self.n))
-            if self._table[0] != 0:
-                raise GameDefinitionError(f"v(empty set) must be 0, got {self._table[0]}")
         return self._table
 
 
@@ -262,30 +254,24 @@ def _require_same_players(v: CoalitionGame, w: CoalitionGame):
 def game_add(v: CoalitionGame, w: CoalitionGame) -> CoalitionGame:
     """Pointwise sum; requires identical player sets (same ids, same order).
 
-    The sum of two term-backed games is term-backed (dividends add).
+    The sum of two term-backed games is term-backed (dividends add); with a
+    table-backed operand the sum is a table, the other operand materialized.
     """
     _require_same_players(v, w)
     label = f"({v.label})+({w.label})"
     if v.terms is not None and w.terms is not None:
         return CoalitionGame(v.players, terms=v.terms + w.terms, label=label)
-    return CoalitionGame(
-        v.players,
-        rule=lambda mask: v.value_of_mask(mask) + w.value_of_mask(mask),
-        label=label,
-    )
+    table = [a + b for a, b in zip(v.value_table(), w.value_table())]
+    return CoalitionGame(v.players, table=table, label=label)
 
 
 def game_scale(v: CoalitionGame, c: Rationalish) -> CoalitionGame:
-    """Pointwise scaling by an exact rational factor; keeps a term backing."""
+    """Pointwise scaling by an exact rational factor; keeps the backing."""
     c = as_fraction(c)
     label = f"{c}*({v.label})"
     if v.terms is not None:
         return CoalitionGame(v.players, terms=[(m, c * d) for m, d in v.terms], label=label)
-    return CoalitionGame(
-        v.players,
-        rule=lambda mask: c * v.value_of_mask(mask),
-        label=label,
-    )
+    return CoalitionGame(v.players, table=[c * x for x in v.value_table()], label=label)
 
 
 def evaluate(game: CoalitionGame, subset: Iterable[str]) -> Fraction:

@@ -11,9 +11,11 @@ Three solvers share one result type:
 * :func:`shapley_permutation_oracle` -- enumerates all n! orderings and
   averages marginal contributions. Mathematically the same quantity computed
   a different way, kept as an independent cross-check of the subset solver.
-* :func:`shapley_monte_carlo` -- samples orderings. Permutations are derived
-  counter-style from (seed, sample index), so any partitioning of sample
-  indices across workers reproduces the same estimate bit for bit.
+* :func:`shapley_monte_carlo` -- samples orderings, one integer path per
+  backing: a term-backed game credits each dividend to the member of its term
+  who arrives last, at any team size and with no table; a table-backed game
+  walks its table. Permutations are derived counter-style from
+  (seed, sample index), so a seed always reproduces the same estimate.
 
 All arithmetic on values is exact rational arithmetic. Fairness disputes
 should be about the model, never about floating-point noise.
@@ -25,7 +27,6 @@ import functools
 import hashlib
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -117,7 +118,7 @@ def shapley_exact(game: CoalitionGame, cap: int = EXACT_PLAYER_CAP) -> ShapleyRe
                     phi[i] += share
         return _result(game, phi, METHOD_EXACT)
 
-    ivals, den = _integer_table(game)
+    ivals, den = _over_common_denominator(game.value_table())
     fact = [math.factorial(k) for k in range(n + 1)]
     weight = [fact[s] * fact[n - s - 1] for s in range(n)] + [0]  # W(s); W(n) = 0
     sizes = [m.bit_count() for m in range(1 << n)]
@@ -132,11 +133,11 @@ def shapley_exact(game: CoalitionGame, cap: int = EXACT_PLAYER_CAP) -> ShapleyRe
     return _result(game, phi, METHOD_EXACT)
 
 
-def _integer_table(game: CoalitionGame) -> tuple[list[int], int]:
-    """The materialized values as integers over their common denominator."""
-    vals = game.value_table()
-    den = math.lcm(*(v.denominator for v in vals))
-    return [v.numerator * (den // v.denominator) for v in vals], den
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def shapley_permutation_oracle(game: CoalitionGame, cap: int = ORACLE_PLAYER_CAP) -> ShapleyResult:
@@ -149,9 +150,7 @@ def shapley_permutation_oracle(game: CoalitionGame, cap: int = ORACLE_PLAYER_CAP
     n = game.n
     if n > cap:
         raise CapacityError(f"permutation enumeration capped at {cap} players, got {n}")
-    vals = game.value_table()
-    den = math.lcm(*(v.denominator for v in vals))
-    ivals = [v.numerator * (den // v.denominator) for v in vals]
+    ivals, den = _over_common_denominator(game.value_table())
     totals = [0] * n
     for perm in itertools.permutations(range(n)):
         mask = 0
@@ -175,8 +174,8 @@ class _CounterStream:
     """Deterministic 64-bit word stream keyed by (seed, sample index).
 
     SHA-256 of ``seed:index:block`` yields four words per block. The stream
-    depends only on its key, never on call interleaving, which is what makes
-    worker-count-independent sampling possible.
+    depends only on its key, never on call interleaving, so sample k is the
+    same permutation whatever other samples are drawn.
     """
 
     __slots__ = ("_prefix", "_block", "_words")
@@ -212,11 +211,11 @@ def sample_permutation(seed: int, index: int, n: int) -> list[int]:
     return perm
 
 
-def _mc_chunk_table(ivals, n, seed, start, stop):
-    """Integer marginal sums and sums of squares for samples [start, stop)."""
+def _mc_table(ivals, n, seed, samples):
+    """Integer marginal sums and sums of squares, walking the value table."""
     totals = [0] * n
     sq = [0] * n
-    for index in range(start, stop):
+    for index in range(samples):
         perm = sample_permutation(seed, index, n)
         mask = 0
         prev = 0
@@ -230,50 +229,51 @@ def _mc_chunk_table(ivals, n, seed, start, stop):
     return totals, sq
 
 
-def shapley_monte_carlo(
-    game: CoalitionGame,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> ShapleyResult:
+def _mc_terms(members, weights, n, seed, samples):
+    """The same sums from integer dividends, with no table.
+
+    A term T adds its weight to v(S) once all of T is in S, so in each
+    permutation its weight is exactly the marginal of the member of T who
+    arrives last.
+    """
+    totals = [0] * n
+    sq = [0] * n
+    for index in range(samples):
+        position = [0] * n
+        for k, p in enumerate(sample_permutation(seed, index, n)):
+            position[p] = k
+        diffs = [0] * n
+        for who, weight in zip(members, weights):
+            diffs[max(who, key=position.__getitem__)] += weight
+        for p, diff in enumerate(diffs):
+            totals[p] += diff
+            sq[p] += diff * diff
+    return totals, sq
+
+
+def shapley_monte_carlo(game: CoalitionGame, samples: int, seed: int) -> ShapleyResult:
     """Estimate values from uniformly sampled orderings.
 
     The estimate for player i is the mean marginal contribution over
     ``samples`` permutations. Because each permutation's marginals telescope
     to v(N), the estimates sum to v(N) *exactly* at every sample count. The
-    permutation for sample k depends only on ``(seed, k)``, so results are
-    identical for any ``workers`` value.
+    permutation for sample k depends only on ``(seed, k)``. A term-backed
+    game is sampled from its dividends at any team size and is never
+    materialized; a table-backed game walks its table. Both paths sum integer
+    marginals over one common denominator, so they agree bit for bit.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     n = game.n
-
-    if n <= MATERIALIZATION_CAP:
-        ivals, den = _integer_table(game)
-        worker_fn = lambda lohi: _mc_chunk_table(ivals, n, seed, *lohi)  # noqa: E731
+    terms = game.terms
+    if terms is not None:
+        members = [[i for i in range(n) if mask >> i & 1] for mask, _ in terms]
+        weights, den = _over_common_denominator(w for _, w in terms)
+        totals, squares = _mc_terms(members, weights, n, seed, samples)
     else:
-        den = None
-        worker_fn = lambda lohi: _mc_chunk_rule(game, seed, *lohi)  # noqa: E731
-
-    chunk = max(1, math.ceil(samples / workers))
-    ranges = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
-    if len(ranges) == 1:
-        parts = [worker_fn(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker_fn, ranges))
-
-    totals = [sum(part[0][i] for part in parts) for i in range(n)]
-    squares = [sum(part[1][i] for part in parts) for i in range(n)]
-
-    if den is not None:
-        phi = [Fraction(t, samples * den) for t in totals]
-        mean_sq = [Fraction(s, den * den) for s in squares]
-    else:
-        phi = [t / samples for t in totals]
-        mean_sq = squares
+        ivals, den = _over_common_denominator(game.value_table())
+        totals, squares = _mc_table(ivals, n, seed, samples)
+    phi = [Fraction(t, samples * den) for t in totals]
 
     stderr: dict[str, float] = {}
     for i, player in enumerate(game.players.players):
@@ -281,7 +281,7 @@ def shapley_monte_carlo(
             stderr[player] = 0.0
             continue
         # exact sample variance of the marginals, converted to float at the end
-        variance = (mean_sq[i] - samples * phi[i] * phi[i]) / (samples - 1)
+        variance = (Fraction(squares[i], den * den) - samples * phi[i] * phi[i]) / (samples - 1)
         stderr[player] = math.sqrt(float(variance) / samples)
 
     return _result(
@@ -292,25 +292,6 @@ def shapley_monte_carlo(
         seed=seed,
         standard_error=stderr,
     )
-
-
-def _mc_chunk_rule(game: CoalitionGame, seed: int, start: int, stop: int):
-    """Fraction-arithmetic fallback for games too large to materialize."""
-    n = game.n
-    totals = [Fraction(0)] * n
-    sq = [Fraction(0)] * n
-    for index in range(start, stop):
-        perm = sample_permutation(seed, index, n)
-        mask = 0
-        prev = Fraction(0)
-        for p in perm:
-            mask |= 1 << p
-            cur = game.value_of_mask(mask)
-            diff = cur - prev
-            totals[p] += diff
-            sq[p] += diff * diff
-            prev = cur
-    return totals, sq
 
 
 # --------------------------------------------------------------------------

@@ -221,12 +221,6 @@ def test_criterion_6_monte_carlo_soundness():
             result = shapley_monte_carlo(game, samples, seed=77)
             assert result.total == game.grand_value()
 
-        # worker-count determinism
-        probe = cases[1][0]
-        runs = [shapley_monte_carlo(probe, 2_000, seed=9, workers=w) for w in (1, 2, 4)]
-        assert all(r.phi == runs[0].phi for r in runs)
-        assert all(r.standard_error == runs[0].standard_error for r in runs)
-
 
 def test_criterion_7_pipeline_consistency():
     """Commit log -> attribution -> coverage game matches the count table, and

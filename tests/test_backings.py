@@ -2,7 +2,9 @@
 
 The exact solver and the axiom audit take a closed-form path on Harsanyi
 dividends and a subset scan on tables; both must give equal results, down to
-the violation lists of a deliberately wrong value vector.
+the violation lists of a deliberately wrong value vector. The sampler credits
+dividends on one path and walks the table on the other; both must give the
+same estimates and standard errors bit for bit.
 """
 
 import random
@@ -24,6 +26,7 @@ from riskshare import (
     game_scale,
     leaf_coverage_game,
     shapley_exact,
+    shapley_monte_carlo,
 )
 
 
@@ -90,6 +93,37 @@ def test_exact_solver_agrees_across_backings():
     for _, game in random_games(seed=11, count=40):
         assert game.terms is not None
         assert shapley_exact(game).phi == shapley_exact(as_table(game)).phi
+
+
+def test_sampler_agrees_across_backings():
+    for rng, game in random_games(seed=13, count=40):
+        samples, seed = rng.randint(1, 40), rng.randrange(1000)
+        sampled = shapley_monte_carlo(game, samples, seed)
+        assert not game.materialized
+        from_table = shapley_monte_carlo(as_table(game), samples, seed)
+        assert sampled.phi == from_table.phi
+        assert sampled.standard_error == from_table.standard_error
+
+
+def test_sampler_above_the_cap_matches_recorded_estimates():
+    """Estimates for a 30-player term game, as recorded before the term sampler existed."""
+    players = PlayerSet(tuple(f"p{k}" for k in range(30)))
+    terms = [
+        (0b111, 3),
+        (1 << 29 | 1 << 5, Fraction(1, 2)),
+        (1 << 12 | 1 << 17 | 1 << 23 | 1 << 28, Fraction(-2, 3)),
+        (1 << 8, Fraction(5, 4)),
+        (1 << 2 | 1 << 12, 1),
+    ]
+    result = shapley_monte_carlo(CoalitionGame(players, terms=terms), 60, seed=30)
+    nonzero = {p: str(v) for p, v in result.phi.items() if v}
+    assert nonzero == {
+        "p0": "17/20", "p1": "19/20", "p2": "101/60", "p5": "7/24", "p8": "5/4",
+        "p12": "13/36", "p17": "-8/45", "p23": "-1/6", "p28": "-1/6", "p29": "5/24",
+    }
+    assert result.standard_error["p2"] == 0.2273548045595449
+    assert result.standard_error["p17"] == 0.038381135074522024
+    assert result.standard_error["p8"] == 0.0  # a one-player term: the same marginal every time
 
 
 def test_term_path_ignores_a_cached_table():

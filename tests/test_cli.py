@@ -207,6 +207,7 @@ class TestSolverSettings:
             ("seed", "1"),
             ("workers", False),
             ("workers", 2.0),
+            ("workers", 4),
             ("normalized", "false"),
             ("normalized", 0),
             ("normalized", None),
@@ -221,6 +222,54 @@ class TestSolverSettings:
         code, _, err = run(capsys, "payout", "--config", str(config))
         assert code == 2
         assert (key if key == "normalized" else f"solver.{key}") in err
+
+
+class TestConfigShape:
+    @staticmethod
+    def write_config(workdir, path, value) -> Path:
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        *parents, key = path.split(".")
+        node = doc
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
+        config = workdir / WE / "shape_config.json"
+        config.write_text(json.dumps(doc))
+        return config
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("source", "coalition_table.json"),
+            ("source.cycle", []),
+            ("solver", "exact"),
+            ("budget", [1]),
+            ("output", "json"),
+            ("output", None),
+        ],
+    )
+    def test_section_that_is_not_an_object_is_input_error(self, capsys, workdir, path, value):
+        config = self.write_config(workdir, path, value)
+        code, _, err = run(capsys, "payout", "--config", str(config))
+        assert code == 2
+        assert f"config.{path}: expected an object" in err
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "rounding_mode",
+            "source.alias",
+            "source.cycle.from",
+            "solver.workers",
+            "budget.anchors",
+            "output.fmt",
+        ],
+    )
+    def test_unknown_key_is_input_error(self, capsys, workdir, path):
+        config = self.write_config(workdir, path, "x")
+        code, _, err = run(capsys, "payout", "--config", str(config))
+        assert code == 2
+        assert f"config.{path}: unknown key" in err
 
 
 class TestCapacity:
