@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import documents
-from .config import RunConfig, load_run_config
+from .config import RunConfig, SolverSpec, load_run_config
 from .errors import CapacityError, DocumentError, RiskshareError, ValidationError
 from .games import CoalitionGame, PlayerSet, leaf_coverage_game
 from .mining import (
@@ -90,23 +90,23 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
     raise DocumentError(f"unknown source type {kind!r}")
 
 
-def solve(game: CoalitionGame, config: RunConfig, seed_override: Optional[int]) -> ShapleyResult:
-    spec = config.solver
-    if spec.method == "exact":
-        return shapley_exact(game)
+def _checked_config(args) -> RunConfig:
+    """The run config with any ``--seed`` override applied, after its static checks."""
+    config = load_run_config(args.config)
+    if args.seed is not None:
+        config = replace(config, solver=replace(config.solver, seed=args.seed))
+    issues = config.issues()
+    if issues:
+        raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
+    return config
+
+
+def solve(game: CoalitionGame, spec: SolverSpec) -> ShapleyResult:
+    if spec.method == "monte-carlo":
+        return shapley_monte_carlo(game, spec.samples, spec.seed)
     if spec.method == "oracle":
         return shapley_permutation_oracle(game)
-    if spec.method == "monte-carlo":
-        seed = seed_override if seed_override is not None else spec.seed
-        if seed is None:
-            raise DocumentError("monte-carlo solver needs a seed (config solver.seed or --seed)")
-        if spec.samples is None:
-            raise DocumentError("monte-carlo solver needs solver.samples")
-        issues = replace(spec, seed=seed).issues()
-        if issues:
-            raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
-        return shapley_monte_carlo(game, spec.samples, seed)
-    raise DocumentError(f"unknown solver method {spec.method!r}")
+    return shapley_exact(game)
 
 
 def _maybe_model(config: RunConfig) -> Optional[RiskModel]:
@@ -154,9 +154,9 @@ def _axiom_summary(report) -> str:
 
 
 def cmd_shapley(args) -> int:
-    config = load_run_config(args.config)
+    config = _checked_config(args)
     game = build_game(config, _maybe_model(config))
-    result = solve(game, config, args.seed)
+    result = solve(game, config.solver)
     # efficiency is always audited; structural scans skip themselves over the cap
     axioms = check_axioms(game, result)
     if args.format == "json":
@@ -170,7 +170,7 @@ def cmd_shapley(args) -> int:
             "samples": result.samples,
             "seed": result.seed,
             "standard_error": result.standard_error,
-            "axioms": None if axioms is None else _axiom_summary(axioms),
+            "axioms": _axiom_summary(axioms),
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -183,13 +183,12 @@ def cmd_shapley(args) -> int:
         else:
             print("share:", " ".join(str(share[p]) for p in result.players))
         print("v(N):", game.grand_value())
-        if axioms is not None:
-            print("axioms:", _axiom_summary(axioms))
+        print("axioms:", _axiom_summary(axioms))
     return EXIT_OK
 
 
 def cmd_payout(args) -> int:
-    config = load_run_config(args.config)
+    config = _checked_config(args)
     if config.risk_model_path is None:
         raise DocumentError("config: payout needs a risk_model document")
     if config.budget is None:
@@ -209,7 +208,7 @@ def cmd_payout(args) -> int:
         currency=config.currency,
     )
     game = build_game(config, model)
-    result = solve(game, config, args.seed)
+    result = solve(game, config.solver)
     axioms = check_axioms(game, result)
     provenance = Provenance(
         game_source=game.label,

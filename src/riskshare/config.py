@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .documents import load_json, _expect, _rational
+from .documents import load_json, _describe, _expect, _list, _rational
 from .errors import DocumentError
 from .mining import Cycle
 from .payout import ANCHORS, PER_RECIPIENT, REPORT_FORMATS, ROUNDING_MODES
@@ -37,18 +37,6 @@ class SolverSpec:
     method: str = "exact"
     samples: Optional[int] = None
     seed: Optional[int] = None
-
-    def issues(self) -> list[ValidationIssue]:
-        """Static checks of the solver settings; the CLI repeats them before solving."""
-        issues = []
-        if self.method not in SOLVER_METHODS:
-            issues.append(ValidationIssue("solver.method", f"unknown solver {self.method!r}"))
-        if self.method == "monte-carlo":
-            if self.samples is None or self.samples < 1:
-                issues.append(ValidationIssue("solver.samples", "monte-carlo needs samples >= 1"))
-            if self.seed is None:
-                issues.append(ValidationIssue("solver.seed", "monte-carlo needs an explicit seed"))
-        return issues
 
 
 @dataclass(frozen=True)
@@ -81,19 +69,31 @@ class RunConfig:
     output_path: Optional[Path] = None
 
     def validate(self) -> ValidationReport:
-        """Static checks; referenced files must exist at run time."""
+        """Static checks, and that the referenced files exist."""
         issues = []
-        if self.source.type not in SOURCE_TYPES:
-            issues.append(ValidationIssue("source.type", f"unknown source type {self.source.type!r}"))
         if not self.source.path.exists():
             issues.append(ValidationIssue("source.path", f"file not found: {self.source.path}"))
         if self.source.aliases_path is not None and not self.source.aliases_path.exists():
             issues.append(ValidationIssue("source.aliases", f"file not found: {self.source.aliases_path}"))
         if self.risk_model_path is not None and not self.risk_model_path.exists():
             issues.append(ValidationIssue("risk_model", f"file not found: {self.risk_model_path}"))
+        return ValidationReport(tuple(issues + self.issues()))
+
+    def issues(self) -> list[ValidationIssue]:
+        """Static checks of the settings; ``payout`` and ``shapley`` run them before any work."""
+        issues = []
+        if self.source.type not in SOURCE_TYPES:
+            issues.append(ValidationIssue("source.type", f"unknown source type {self.source.type!r}"))
         if self.mode not in AGGREGATION_MODES:
             issues.append(ValidationIssue("mode", f"unknown mode {self.mode!r}"))
-        issues.extend(self.solver.issues())
+        solver = self.solver
+        if solver.method not in SOLVER_METHODS:
+            issues.append(ValidationIssue("solver.method", f"unknown solver {solver.method!r}"))
+        if solver.method == "monte-carlo":
+            if solver.samples is None or solver.samples < 1:
+                issues.append(ValidationIssue("solver.samples", "monte-carlo needs samples >= 1"))
+            if solver.seed is None:
+                issues.append(ValidationIssue("solver.seed", "monte-carlo needs an explicit seed"))
         if self.rounding not in ROUNDING_MODES:
             issues.append(ValidationIssue("rounding", f"unknown rounding mode {self.rounding!r}"))
         if self.output_format not in REPORT_FORMATS:
@@ -105,7 +105,7 @@ class RunConfig:
                 issues.append(ValidationIssue("budget.fraction", f"fraction {self.budget.fraction} outside [0, 1]"))
             if self.budget.anchor == "explicit" and self.budget.explicit_value is None:
                 issues.append(ValidationIssue("budget.value", "anchor 'explicit' needs a value"))
-        return ValidationReport(tuple(issues))
+        return issues
 
 
 def _cycle_from_doc(doc: dict) -> Cycle:
@@ -118,18 +118,6 @@ def _cycle_from_doc(doc: dict) -> Cycle:
         )
     except ValueError as exc:
         raise DocumentError(f"source.cycle: {exc}") from exc
-
-
-def _describe(value) -> str:
-    """A parsed JSON value, named by its JSON type."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return f"boolean {str(value).lower()}"
-    if isinstance(value, Fraction):  # JSON floats are parsed as exact Fractions
-        return f"float {float(value)}"
-    kind = {str: "string", list: "array", dict: "object", int: "integer"}.get(type(value), "value")
-    return f"{kind} {value!r}"
 
 
 def _object(value, where: str) -> dict:
@@ -151,24 +139,37 @@ def _optional_int(doc: dict, key: str, where: str) -> Optional[int]:
     return value
 
 
+def _string(value, where: str) -> str:
+    """A JSON string, never a value coerced into one."""
+    if not isinstance(value, str):
+        raise DocumentError(f"{where}: expected a string, got {_describe(value)}")
+    return value
+
+
+def _optional_path(doc: dict, key: str, where: str, base_dir: Path) -> Optional[Path]:
+    """A JSON string resolved against ``base_dir``, or None when absent or null."""
+    value = doc.get(key)
+    return None if value is None else base_dir / _string(value, f"{where}.{key}")
+
+
 def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     doc = _object(doc, "config")
     src_doc = _object(_expect(doc, "source", "config"), "config.source")
-    src_type = str(_expect(src_doc, "type", "config.source"))
-    src_path = base_dir / str(_expect(src_doc, "path", "config.source"))
-    aliases = src_doc.get("aliases")
     players = src_doc.get("players")
+    if players is not None:
+        where = "config.source.players"
+        players = tuple(_string(p, f"{where}[{k}]") for k, p in enumerate(_list(players, where)))
     source = SourceSpec(
-        type=src_type,
-        path=src_path,
+        type=_string(_expect(src_doc, "type", "config.source"), "config.source.type"),
+        path=base_dir / _string(_expect(src_doc, "path", "config.source"), "config.source.path"),
         cycle=_cycle_from_doc(_object(src_doc.get("cycle", {}), "config.source.cycle")),
-        aliases_path=None if aliases is None else base_dir / str(aliases),
-        players=None if players is None else tuple(str(p) for p in players),
+        aliases_path=_optional_path(src_doc, "aliases", "config.source", base_dir),
+        players=players,
     )
 
     solver_doc = _object(doc.get("solver", {}), "config.solver")
     solver = SolverSpec(
-        method=str(solver_doc.get("method", "exact")),
+        method=_string(solver_doc.get("method", "exact"), "config.solver.method"),
         samples=_optional_int(solver_doc, "samples", "config.solver"),
         seed=_optional_int(solver_doc, "seed", "config.solver"),
     )
@@ -184,24 +185,22 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
         explicit = b_doc.get("value")
         budget = BudgetSpec(
             fraction=_rational(_expect(b_doc, "fraction", "config.budget"), "config.budget.fraction"),
-            anchor=str(_expect(b_doc, "anchor", "config.budget")),
+            anchor=_string(_expect(b_doc, "anchor", "config.budget"), "config.budget.anchor"),
             explicit_value=None if explicit is None else _rational(explicit, "config.budget.value"),
         )
 
     out_doc = _object(doc.get("output", {}), "config.output")
-    out_path = out_doc.get("path")
-    risk_model = doc.get("risk_model")
     return RunConfig(
         source=source,
-        risk_model_path=None if risk_model is None else base_dir / str(risk_model),
-        mode=str(doc.get("mode", SUM)),
+        risk_model_path=_optional_path(doc, "risk_model", "config", base_dir),
+        mode=_string(doc.get("mode", SUM), "config.mode"),
         normalized=normalized,
         solver=solver,
         budget=budget,
-        rounding=str(doc.get("rounding", PER_RECIPIENT)),
-        currency=str(doc.get("currency", "USD")),
-        output_format=str(out_doc.get("format", "json")),
-        output_path=None if out_path is None else base_dir / str(out_path),
+        rounding=_string(doc.get("rounding", PER_RECIPIENT), "config.rounding"),
+        currency=_string(doc.get("currency", "USD"), "config.currency"),
+        output_format=_string(out_doc.get("format", "json"), "config.output.format"),
+        output_path=_optional_path(out_doc, "path", "config.output", base_dir),
     )
 
 

@@ -56,6 +56,24 @@ def _expect(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _describe(value) -> str:
+    """A parsed JSON value, named by its JSON type."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return f"boolean {str(value).lower()}"
+    if isinstance(value, Fraction):  # JSON floats are parsed as exact Fractions
+        return f"float {float(value)}"
+    kind = {str: "string", list: "array", dict: "object", int: "integer"}.get(type(value), "value")
+    return f"{kind} {value!r}"
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{where}: expected an array, got {_describe(value)}")
+    return value
+
+
 def _rational(value, where: str) -> Fraction:
     try:
         return as_fraction(value)
@@ -155,29 +173,35 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
     """Parse a coalition-table document.
 
     Either a bare list of ``{"coalition": [...], "value": ...}`` rows, or an
-    object with a ``players`` roster plus an ``entries`` list. With a bare
-    list the roster is the sorted union of all named players.
+    object with a ``players`` roster plus an ``entries`` list and an optional
+    boolean ``default_zero``. With a bare list the roster is the sorted union
+    of all named players.
     """
+    roster = None
+    default_zero = False
     if isinstance(doc, dict):
-        roster = _expect(doc, "players", "coalition table")
-        rows = _expect(doc, "entries", "coalition table")
-        default_zero = bool(doc.get("default_zero", False))
-        players = PlayerSet(tuple(str(p) for p in roster))
+        roster = _list(_expect(doc, "players", "coalition table"), "players")
+        rows = _list(_expect(doc, "entries", "coalition table"), "entries")
+        default_zero = doc.get("default_zero", False)
+        if not isinstance(default_zero, bool):
+            raise DocumentError(f"default_zero: expected true or false, got {_describe(default_zero)}")
     elif isinstance(doc, list):
         rows = doc
-        default_zero = False
-        names = sorted({str(p) for row in rows for p in row.get("coalition", [])})
-        if not names:
-            raise DocumentError("coalition table names no players")
-        players = PlayerSet(tuple(names))
     else:
         raise DocumentError("coalition table must be a list or an object")
     entries = []
     for k, row in enumerate(rows):
         where = f"entries[{k}]"
-        coalition = [str(p) for p in _expect(row, "coalition", where)]
+        if not isinstance(row, dict):
+            raise DocumentError(f"{where}: expected an object, got {_describe(row)}")
+        coalition = [str(p) for p in _list(_expect(row, "coalition", where), f"{where}.coalition")]
         value = _rational(_expect(row, "value", where), f"{where}.value")
         entries.append((coalition, value))
+    if roster is None:
+        roster = sorted({p for coalition, _ in entries for p in coalition})
+        if not roster:
+            raise DocumentError("coalition table names no players")
+    players = PlayerSet(tuple(str(p) for p in roster))
     return game_from_table(players, entries, default_zero=default_zero, label=label)
 
 
@@ -248,9 +272,8 @@ def load_aliases(path: Pathish) -> dict[str, str]:
 def coalition_table_document(game: CoalitionGame) -> dict:
     """Serialize a game as a coalition-table document (feedable back in)."""
     players = game.players
-    entries = []
-    for mask in range(1 << players.n):
-        entries.append(
-            {"coalition": list(players.ids_of(mask)), "value": str(game.value_of_mask(mask))}
-        )
+    entries = [
+        {"coalition": list(players.ids_of(mask)), "value": str(value)}
+        for mask, value in enumerate(game.value_table())
+    ]
     return {"players": list(players.players), "entries": entries}

@@ -2,21 +2,21 @@
 
 A game is a total value function v over subsets of the player set with
 v(empty) = 0. Subsets are encoded canonically as bitmasks over the player
-ordering. A game is backed in one of two ways:
-
-* a full table of ``2**n`` values (coalition tables, subset rebuild results);
-* Harsanyi-dividend terms: v(S) is the sum of the weights d_T of the terms
-  whose required set T lies inside S. Unanimity and leaf-coverage games come
-  in this basis, it stays closed under addition and scaling, and a game with
-  k terms costs O(k) per evaluation and O(k) memory at any team size.
-
-A term-backed game within :data:`MATERIALIZATION_CAP` can also be
-materialized into a table on demand; tables exist only within the cap.
+ordering. Every game is held the same way, as Harsanyi dividends: v(S) is the
+sum of the weights d_T of the terms whose required set T lies inside S.
+Unanimity and leaf-coverage games come in this basis, it stays closed under
+addition and scaling, and a game with k terms costs O(k) per evaluation and
+O(k) memory at any team size. A full table of ``2**n`` values (coalition
+tables, subset rebuild results) is an input form only: it is converted once
+by the Moebius transform, whose result is unique, and :meth:`value_table`
+rebuilds it by the inverse (zeta) transform within :data:`MATERIALIZATION_CAP`.
+Both transforms run in integers over one common denominator in O(n * 2^n).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Set
@@ -25,8 +25,8 @@ from .errors import CapacityError, GameDefinitionError
 from .intervals import Rationalish, as_fraction
 from .risk import ThreatTree
 
-#: Full value tables are only built up to this many players; beyond it games
-#: must stay term-backed and be solved in closed form or by sampling.
+#: Value tables are only rebuilt up to this many players; larger games are
+#: solved by sampling.
 MATERIALIZATION_CAP = 24
 
 
@@ -75,21 +75,22 @@ class PlayerSet:
 class CoalitionGame:
     """Immutable value function over subsets of a fixed player set.
 
-    Exactly one of two backings is given:
+    The game is given in exactly one of two forms:
 
-    * ``table`` -- ``2**n`` values indexed by subset mask;
     * ``terms`` -- ``(required_mask, weight)`` Harsanyi dividends, with
-      v(S) = sum of the weights whose required mask lies inside S. Duplicate
-      masks are merged and zero weights dropped; weights are held as integers
-      over one common denominator, so an evaluation costs one integer sum.
+      v(S) = sum of the weights whose required mask lies inside S;
+    * ``table`` -- ``2**n`` values indexed by subset mask, with v(empty) = 0,
+      converted once to its dividends by the integer Moebius transform.
 
-    :meth:`value_table` materializes a term-backed game on demand (and caches
-    it); term-backed games keep their terms, which the exact solver, the
-    axiom audit and the sampler prefer over a table. ``label`` is a short
-    provenance string carried into reports.
+    Either way the game holds only its nonzero dividends (duplicate masks
+    merged), as integers over one common denominator, so an evaluation costs
+    one integer sum. The exact solver, the axiom audit and the sampler all
+    read these dividends. :meth:`value_table` rebuilds the table on demand,
+    without caching it. ``label`` is a short provenance string carried into
+    reports.
     """
 
-    __slots__ = ("players", "label", "_table", "_terms", "_den")
+    __slots__ = ("players", "label", "_terms", "_den")
 
     def __init__(
         self,
@@ -103,48 +104,38 @@ class CoalitionGame:
             raise GameDefinitionError("provide exactly one of table or terms")
         self.players = players
         self.label = label
-        self._table = None
-        self._terms = None
-        self._den = 1
         if table is not None:
-            values = tuple(as_fraction(v) for v in table)
+            values = [as_fraction(v) for v in table]
             if len(values) != 1 << players.n:
                 raise GameDefinitionError(
                     f"table has {len(values)} entries, expected {1 << players.n}"
                 )
             if values[0] != 0:
                 raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
-            self._table = values
+            dividends, self._den = _over_common_denominator(values)
+            _subset_transform(dividends, players.n, operator.sub)
+            self._terms = tuple((m, d) for m, d in enumerate(dividends) if d)
         else:
             merged: dict[int, Fraction] = {}
             for mask, weight in terms:
                 if not 0 < mask <= players.full_mask:
                     raise GameDefinitionError(f"term mask {mask:#x} outside nonempty subset range")
                 merged[mask] = merged.get(mask, Fraction(0)) + as_fraction(weight)
-            kept = [(m, w) for m, w in merged.items() if w != 0]
-            self._den = math.lcm(*(w.denominator for _, w in kept))
-            self._terms = tuple((m, w.numerator * (self._den // w.denominator)) for m, w in kept)
+            weights, self._den = _over_common_denominator(merged.values())
+            self._terms = tuple((m, w) for m, w in zip(merged, weights) if w)
 
     @property
     def n(self) -> int:
         return self.players.n
 
     @property
-    def materialized(self) -> bool:
-        return self._table is not None
-
-    @property
-    def terms(self) -> Optional[tuple[tuple[int, Fraction], ...]]:
-        """The ``(required_mask, weight)`` dividends of a term-backed game, else ``None``."""
-        if self._terms is None:
-            return None
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero ``(required_mask, weight)`` dividends of the game."""
         return tuple((m, Fraction(w, self._den)) for m, w in self._terms)
 
     def value_of_mask(self, mask: int) -> Fraction:
         if mask < 0 or mask > self.players.full_mask:
             raise GameDefinitionError(f"mask {mask:#x} outside subset range")
-        if self._table is not None:
-            return self._table[mask]
         return Fraction(sum(w for req, w in self._terms if mask & req == req), self._den)
 
     def evaluate(self, subset: Iterable[str]) -> Fraction:
@@ -155,15 +146,45 @@ class CoalitionGame:
         return self.value_of_mask(self.players.full_mask)
 
     def value_table(self) -> tuple[Fraction, ...]:
-        """Materialize (and cache) the full table; refuses above the cap."""
-        if self._table is None:
-            if self.n > MATERIALIZATION_CAP:
-                raise CapacityError(
-                    f"cannot materialize a {self.n}-player game "
-                    f"(cap {MATERIALIZATION_CAP}); use the sampling solver"
-                )
-            self._table = tuple(self.value_of_mask(m) for m in range(1 << self.n))
-        return self._table
+        """The full table, by the zeta transform of the dividends; refuses above the cap."""
+        if self.n > MATERIALIZATION_CAP:
+            raise CapacityError(
+                f"cannot materialize a {self.n}-player game "
+                f"(cap {MATERIALIZATION_CAP}); use the sampling solver"
+            )
+        values = [0] * (1 << self.n)
+        for mask, weight in self._terms:
+            values[mask] = weight
+        _subset_transform(values, self.n, operator.add)
+        return tuple(Fraction(v, self._den) for v in values)
+
+
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _subset_transform(values: list[int], n: int, op) -> None:
+    """In place, for each bit: every entry with the bit set becomes ``op(it, entry without it)``.
+
+    ``operator.add`` gives the zeta transform (dividends to values),
+    ``operator.sub`` the Moebius transform (values to dividends). Low bits are
+    updated as strided slices and high bits as contiguous blocks, so each bit
+    costs at most about 2^(n/2) slice operations, each of them a loop in C.
+    """
+    size = 1 << n
+    for bit in range(n):
+        step = 1 << bit
+        span = step << 1
+        if step <= size // span:
+            for low in range(step):
+                values[low + step :: span] = map(op, values[low + step :: span], values[low::span])
+        else:
+            for base in range(0, size, span):
+                upper = slice(base + step, base + span)
+                values[upper] = map(op, values[upper], values[base : base + step])
 
 
 def game_from_table(
@@ -228,7 +249,7 @@ def leaf_coverage_game(
     P is a subset of S; a leaf nobody addressed counts for no coalition.
     With ``normalized`` the count is divided by the tree's total leaf count,
     bounding v by 1. The game is the (scaled) sum of one unanimity game per
-    addressed leaf and is built term-backed, one term per such leaf.
+    addressed leaf and is built from terms, one per such leaf.
     """
     known = set(tree.leaf_ids())
     unknown = sorted(set(attribution) - known)
@@ -252,26 +273,15 @@ def _require_same_players(v: CoalitionGame, w: CoalitionGame):
 
 
 def game_add(v: CoalitionGame, w: CoalitionGame) -> CoalitionGame:
-    """Pointwise sum; requires identical player sets (same ids, same order).
-
-    The sum of two term-backed games is term-backed (dividends add); with a
-    table-backed operand the sum is a table, the other operand materialized.
-    """
+    """Pointwise sum (dividends add); requires identical player sets (same ids, same order)."""
     _require_same_players(v, w)
-    label = f"({v.label})+({w.label})"
-    if v.terms is not None and w.terms is not None:
-        return CoalitionGame(v.players, terms=v.terms + w.terms, label=label)
-    table = [a + b for a, b in zip(v.value_table(), w.value_table())]
-    return CoalitionGame(v.players, table=table, label=label)
+    return CoalitionGame(v.players, terms=v.terms + w.terms, label=f"({v.label})+({w.label})")
 
 
 def game_scale(v: CoalitionGame, c: Rationalish) -> CoalitionGame:
-    """Pointwise scaling by an exact rational factor; keeps the backing."""
+    """Pointwise scaling by an exact rational factor (dividends scale)."""
     c = as_fraction(c)
-    label = f"{c}*({v.label})"
-    if v.terms is not None:
-        return CoalitionGame(v.players, terms=[(m, c * d) for m, d in v.terms], label=label)
-    return CoalitionGame(v.players, table=[c * x for x in v.value_table()], label=label)
+    return CoalitionGame(v.players, terms=[(m, c * d) for m, d in v.terms], label=f"{c}*({v.label})")
 
 
 def evaluate(game: CoalitionGame, subset: Iterable[str]) -> Fraction:

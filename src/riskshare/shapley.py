@@ -1,21 +1,23 @@
 """Exact and sampled Shapley values, plus an axiom auditor.
 
-Three solvers share one result type:
+Every game is held as Harsanyi dividends d_T (see :mod:`riskshare.games`), so
+each solver has one path, on the game's integer dividends over its common
+denominator:
 
-* :func:`shapley_exact` -- exact values, one path per game shape. A
-  term-backed game (Harsanyi dividends d_T, as leaf-coverage and unanimity
-  games are) is solved in closed form, phi_i = sum of d_T / |T| over the
-  terms containing i, in O(terms * n) with no table. Any other game is
-  materialized and solved by the subset-sum formula in integers over one
-  common denominator, O(n * 2^n) integer work and one Fraction per player.
-* :func:`shapley_permutation_oracle` -- enumerates all n! orderings and
-  averages marginal contributions. Mathematically the same quantity computed
-  a different way, kept as an independent cross-check of the subset solver.
-* :func:`shapley_monte_carlo` -- samples orderings, one integer path per
-  backing: a term-backed game credits each dividend to the member of its term
-  who arrives last, at any team size and with no table; a table-backed game
-  walks its table. Permutations are derived counter-style from
-  (seed, sample index), so a seed always reproduces the same estimate.
+* :func:`shapley_exact` -- the closed form phi_i = sum of d_T / |T| over the
+  terms containing i (each dividend split equally among its members), in
+  O(terms * n) integer work and one Fraction per player.
+* :func:`shapley_permutation_oracle` -- enumerates all n! orderings of the
+  value table and averages marginal contributions. Mathematically the same
+  quantity computed a different way, kept as an independent cross-check.
+* :func:`shapley_monte_carlo` -- samples orderings and credits each dividend
+  to the member of its term who arrives last, at any team size and with no
+  table. Permutations are derived counter-style from (seed, sample index), so
+  a seed always reproduces the same estimate.
+
+A dense table (close to 2^n nonzero dividends) therefore costs O(n * 2^n)
+to solve exactly and as much again per sample; no game riskshare builds from
+repository evidence is dense.
 
 All arithmetic on values is exact rational arithmetic. Fairness disputes
 should be about the model, never about floating-point noise.
@@ -23,7 +25,6 @@ should be about the model, never about floating-point noise.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -32,9 +33,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CapacityError, GameDefinitionError
-from .games import MATERIALIZATION_CAP, CoalitionGame, game_add
+from .games import MATERIALIZATION_CAP, CoalitionGame, _over_common_denominator, game_add
 
-#: The exact solver refuses larger teams on both paths (the table path holds 2^n values).
+#: The exact solver refuses larger teams, and the axiom audit skips its scans above it.
 EXACT_PLAYER_CAP = MATERIALIZATION_CAP
 #: Full permutation enumeration refuses larger teams (n! orderings).
 ORACLE_PLAYER_CAP = 9
@@ -81,75 +82,50 @@ def _result(game: CoalitionGame, phi: list[Fraction], method: str, **extra) -> S
     return ShapleyResult(players=players, phi=dict(zip(players, phi)), method=method, **extra)
 
 
-def shapley_exact(game: CoalitionGame, cap: int = EXACT_PLAYER_CAP) -> ShapleyResult:
-    """Exact values; the path depends on how the game is backed.
+def shapley_exact(game: CoalitionGame) -> ShapleyResult:
+    """Exact values in closed form from the game's dividends.
 
-    * Term-backed (dividends d_T): ``phi_i = sum of d_T / |T|`` over the
-      terms T containing i, in O(terms * n). No table is built, even if one
-      is cached on the game.
-    * Otherwise the subset sum ``phi_i = sum over S not containing i of
-      w(|S|) * (v(S + i) - v(S))``, ``w(s) = s! (n-s-1)! / n!``, on the
-      materialized table. With the values scaled to integers over their
-      common denominator, each coalition M enters ``n! * phi_i`` once: with
-      weight ``W(|M|-1)`` if i is in M and ``-W(|M|)`` if not, where
-      ``W(s) = s! (n-s-1)!`` and ``W(n) = 0``. So ``n! * phi_i`` is the sum of
-      ``(W(|M|-1) + W(|M|)) * v(M)`` over the M containing i, minus the sum of
-      ``W(|M|) * v(M)`` over all M: integer sums over ``2^n`` entries, then one
-      Fraction per player.
+    ``phi_i = sum of d_T / |T|`` over the terms T containing i. With the
+    dividends as integers over their common denominator ``den`` and
+    ``L = lcm(1..n)``, ``phi_i * L * den`` is the integer sum of
+    ``d_T * (L / |T|)`` over those terms: O(terms * n) integer additions,
+    then one Fraction per player. No table is built.
 
     Raises
     ------
     CapacityError
-        If the team exceeds ``cap``; use :func:`shapley_monte_carlo` instead.
+        If the team exceeds :data:`EXACT_PLAYER_CAP`; use
+        :func:`shapley_monte_carlo` instead.
     """
     n = game.n
-    if n > cap:
+    if n > EXACT_PLAYER_CAP:
         raise CapacityError(
-            f"exact solver capped at {cap} players, got {n}; "
+            f"exact solver capped at {EXACT_PLAYER_CAP} players, got {n}; "
             "use shapley_monte_carlo for teams this large"
         )
-    terms = game.terms
-    if terms is not None:
-        phi = [Fraction(0)] * n
-        for mask, dividend in terms:
-            share = dividend / mask.bit_count()
-            for i in range(n):
-                if mask >> i & 1:
-                    phi[i] += share
-        return _result(game, phi, METHOD_EXACT)
-
-    ivals, den = _over_common_denominator(game.value_table())
-    fact = [math.factorial(k) for k in range(n + 1)]
-    weight = [fact[s] * fact[n - s - 1] for s in range(n)] + [0]  # W(s); W(n) = 0
-    sizes = [m.bit_count() for m in range(1 << n)]
-    with_i = [(weight[s - 1] + weight[s]) * v for s, v in zip(sizes, ivals)]
-    without = sum(weight[s] * v for s, v in zip(sizes, ivals))
-    scale = fact[n] * den
-    phi = []
-    for i in range(n):
-        step = 1 << i
-        members = itertools.cycle([False] * step + [True] * step)  # bit i of 0, 1, 2, ...
-        phi.append(Fraction(sum(itertools.compress(with_i, members)) - without, scale))
-    return _result(game, phi, METHOD_EXACT)
+    lcm = math.lcm(*range(1, n + 1))
+    totals = [0] * n
+    for mask, weight in game._terms:
+        share = weight * (lcm // mask.bit_count())
+        while mask:
+            low = mask & -mask
+            totals[low.bit_length() - 1] += share
+            mask ^= low
+    scale = lcm * game._den
+    return _result(game, [Fraction(t, scale) for t in totals], METHOD_EXACT)
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Fractions as integer numerators over their least common denominator."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def shapley_permutation_oracle(game: CoalitionGame, cap: int = ORACLE_PLAYER_CAP) -> ShapleyResult:
+def shapley_permutation_oracle(game: CoalitionGame) -> ShapleyResult:
     """Exact values by averaging marginals over all n! orderings.
 
-    Independent of the subset-sum route; both must agree bit for bit. Values
-    are put over a common denominator first so the permutation walk runs on
-    plain integers, keeping full enumeration affordable up to the cap.
+    Independent of the dividends: it walks the value table, and must agree
+    with :func:`shapley_exact` bit for bit. Values are put over a common
+    denominator first so the permutation walk runs on plain integers, keeping
+    full enumeration affordable up to :data:`ORACLE_PLAYER_CAP`.
     """
     n = game.n
-    if n > cap:
-        raise CapacityError(f"permutation enumeration capped at {cap} players, got {n}")
+    if n > ORACLE_PLAYER_CAP:
+        raise CapacityError(f"permutation enumeration capped at {ORACLE_PLAYER_CAP} players, got {n}")
     ivals, den = _over_common_denominator(game.value_table())
     totals = [0] * n
     for perm in itertools.permutations(range(n)):
@@ -211,26 +187,8 @@ def sample_permutation(seed: int, index: int, n: int) -> list[int]:
     return perm
 
 
-def _mc_table(ivals, n, seed, samples):
-    """Integer marginal sums and sums of squares, walking the value table."""
-    totals = [0] * n
-    sq = [0] * n
-    for index in range(samples):
-        perm = sample_permutation(seed, index, n)
-        mask = 0
-        prev = 0
-        for p in perm:
-            mask |= 1 << p
-            cur = ivals[mask]
-            diff = cur - prev
-            totals[p] += diff
-            sq[p] += diff * diff
-            prev = cur
-    return totals, sq
-
-
 def _mc_terms(members, weights, n, seed, samples):
-    """The same sums from integer dividends, with no table.
+    """Integer marginal sums and sums of squares from the dividends.
 
     A term T adds its weight to v(S) once all of T is in S, so in each
     permutation its weight is exactly the marginal of the member of T who
@@ -257,22 +215,18 @@ def shapley_monte_carlo(game: CoalitionGame, samples: int, seed: int) -> Shapley
     The estimate for player i is the mean marginal contribution over
     ``samples`` permutations. Because each permutation's marginals telescope
     to v(N), the estimates sum to v(N) *exactly* at every sample count. The
-    permutation for sample k depends only on ``(seed, k)``. A term-backed
-    game is sampled from its dividends at any team size and is never
-    materialized; a table-backed game walks its table. Both paths sum integer
-    marginals over one common denominator, so they agree bit for bit.
+    permutation for sample k depends only on ``(seed, k)``. Marginals are
+    integer sums of the game's dividends over its common denominator, so a
+    sample costs O(terms * max |T|) at any team size and no table is built;
+    for a dense table that is about as much as the exact closed form.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n = game.n
-    terms = game.terms
-    if terms is not None:
-        members = [[i for i in range(n) if mask >> i & 1] for mask, _ in terms]
-        weights, den = _over_common_denominator(w for _, w in terms)
-        totals, squares = _mc_terms(members, weights, n, seed, samples)
-    else:
-        ivals, den = _over_common_denominator(game.value_table())
-        totals, squares = _mc_table(ivals, n, seed, samples)
+    den = game._den
+    members = [[i for i in range(n) if mask >> i & 1] for mask, _ in game._terms]
+    weights = [w for _, w in game._terms]
+    totals, squares = _mc_terms(members, weights, n, seed, samples)
     phi = [Fraction(t, samples * den) for t in totals]
 
     stderr: dict[str, float] = {}
@@ -335,45 +289,19 @@ def _swap_bits(mask: int, i: int, j: int) -> int:
     return mask
 
 
-def _term_interchangeable(dividends: dict[int, Fraction], i: int, j: int) -> bool:
+def _interchangeable(dividends: dict[int, int], i: int, j: int) -> bool:
     """Swapping players i and j maps the dividend map onto itself."""
     return all(dividends.get(_swap_bits(m, i, j)) == d for m, d in dividends.items())
 
 
-def _term_is_null(dividends: dict[int, Fraction], i: int) -> bool:
+def _is_null(dividends: dict[int, int], i: int) -> bool:
     return not any(m >> i & 1 for m in dividends)
-
-
-def _interchangeable(vals, n, i, j) -> bool:
-    full = (1 << n) - 1
-    rest = full & ~(1 << i) & ~(1 << j)
-    sub = rest
-    while True:
-        if vals[sub | (1 << i)] != vals[sub | (1 << j)]:
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & rest
-
-
-def _is_null(vals, n, i) -> bool:
-    full = (1 << n) - 1
-    rest = full ^ (1 << i)
-    sub = rest
-    while True:
-        if vals[sub | (1 << i)] != vals[sub]:
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & rest
 
 
 def check_axioms(
     game: CoalitionGame,
     result: ShapleyResult,
     w: Optional[CoalitionGame] = None,
-    *,
-    scan_cap: int = EXACT_PLAYER_CAP,
 ) -> AxiomReport:
     """Audit ``result`` against the game it claims to divide.
 
@@ -385,11 +313,11 @@ def check_axioms(
     * linearity: with a second game ``w``, payments for ``v + w`` must equal
       the sum of the separate payments (checked with the exact solver).
 
-    The symmetry/null scans are skipped (fields left ``None``) above
-    ``scan_cap`` players. A term-backed game is audited from its dividends,
-    which are unique (the Moebius inverse of v): player i is null iff no term
-    contains i, and i, j are interchangeable iff swapping them maps the term
-    map onto itself. Any other game is scanned over its materialized table.
+    The symmetry and null scans read the game's dividends, which are unique
+    (the Moebius inverse of v): player i is null iff no term contains i, and
+    i, j are interchangeable iff swapping them maps the term map onto itself.
+    They are skipped (fields left ``None``) above :data:`EXACT_PLAYER_CAP`
+    players.
     """
     players = game.players.players
     if set(result.players) != set(players):
@@ -399,24 +327,16 @@ def check_axioms(
     symmetry: Optional[tuple[tuple[str, str], ...]] = None
     nulls: Optional[tuple[str, ...]] = None
     n = game.n
-    if n <= scan_cap:
-        terms = game.terms
-        if terms is not None:
-            dividends = dict(terms)
-            interchangeable = functools.partial(_term_interchangeable, dividends)
-            is_null = functools.partial(_term_is_null, dividends)
-        else:
-            vals = game.value_table()
-            interchangeable = functools.partial(_interchangeable, vals, n)
-            is_null = functools.partial(_is_null, vals, n)
+    if n <= EXACT_PLAYER_CAP:
+        dividends = dict(game._terms)
         sym_violations = []
         for i in range(n):
             for j in range(i + 1, n):
-                if interchangeable(i, j) and result.phi[players[i]] != result.phi[players[j]]:
+                if _interchangeable(dividends, i, j) and result.phi[players[i]] != result.phi[players[j]]:
                     sym_violations.append((players[i], players[j]))
         symmetry = tuple(sym_violations)
         nulls = tuple(
-            players[i] for i in range(n) if is_null(i) and result.phi[players[i]] != 0
+            players[i] for i in range(n) if _is_null(dividends, i) and result.phi[players[i]] != 0
         )
 
     linearity_ok: Optional[bool] = None

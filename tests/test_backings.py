@@ -1,10 +1,10 @@
-"""A term-backed game and its materialized table must be indistinguishable.
+"""A game given as terms and the same game given as its value table must be indistinguishable.
 
-The exact solver and the axiom audit take a closed-form path on Harsanyi
-dividends and a subset scan on tables; both must give equal results, down to
-the violation lists of a deliberately wrong value vector. The sampler credits
-dividends on one path and walks the table on the other; both must give the
-same estimates and standard errors bit for bit.
+A table is converted to Harsanyi dividends by the Moebius transform, so both
+forms reach the one path of the exact solver, the axiom audit and the sampler.
+Results must agree bit for bit, down to the violation lists of a deliberately
+wrong value vector, and must equal those recorded on dense tables before
+tables were converted.
 """
 
 import random
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from riskshare import (
+    AxiomReport,
     CoalitionGame,
     Control,
     GameDefinitionError,
@@ -28,6 +29,8 @@ from riskshare import (
     shapley_exact,
     shapley_monte_carlo,
 )
+
+from conftest import random_game
 
 
 def random_coverage_game(rng: random.Random, n: int) -> CoalitionGame:
@@ -91,7 +94,7 @@ def test_term_mask_outside_nonempty_subsets_rejected(mask):
 
 def test_exact_solver_agrees_across_backings():
     for _, game in random_games(seed=11, count=40):
-        assert game.terms is not None
+        assert sorted(as_table(game).terms) == sorted(game.terms)  # the dividends are unique
         assert shapley_exact(game).phi == shapley_exact(as_table(game)).phi
 
 
@@ -99,7 +102,6 @@ def test_sampler_agrees_across_backings():
     for rng, game in random_games(seed=13, count=40):
         samples, seed = rng.randint(1, 40), rng.randrange(1000)
         sampled = shapley_monte_carlo(game, samples, seed)
-        assert not game.materialized
         from_table = shapley_monte_carlo(as_table(game), samples, seed)
         assert sampled.phi == from_table.phi
         assert sampled.standard_error == from_table.standard_error
@@ -126,11 +128,11 @@ def test_sampler_above_the_cap_matches_recorded_estimates():
     assert result.standard_error["p8"] == 0.0  # a one-player term: the same marginal every time
 
 
-def test_term_path_ignores_a_cached_table():
+def test_value_table_leaves_the_dividends_unchanged():
     _, game = next(random_games(seed=5, count=1))
-    expected = shapley_exact(game).phi
-    game.value_table()
-    assert game.materialized and game.terms is not None
+    terms, expected = game.terms, shapley_exact(game).phi
+    assert game.value_table() == game.value_table()
+    assert game.terms == terms
     assert shapley_exact(game).phi == expected
 
 
@@ -154,9 +156,80 @@ def test_game_algebra_keeps_terms_and_agrees_across_backings():
         w = (random_coverage_game if rng.random() < 0.5 else random_dividend_game)(rng, v.n)
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         total, scaled = game_add(v, w), game_scale(v, c)
-        assert total.terms is not None and scaled.terms is not None
         assert total.value_table() == game_add(as_table(v), as_table(w)).value_table()
         assert scaled.value_table() == game_scale(as_table(v), c).value_table()
         assert shapley_exact(total).phi == shapley_exact(as_table(total)).phi
         correct = shapley_exact(v)
         assert check_axioms(v, correct, w) == check_axioms(as_table(v), correct, as_table(w))
+
+
+def test_moebius_round_trip_on_dense_tables():
+    rng = random.Random(41)
+    for n in range(1, 11):
+        players = PlayerSet(tuple(f"p{k}" for k in range(n)))
+        zero = [Fraction(0)] * (1 << n)
+        assert CoalitionGame(players, table=zero).terms == ()
+        assert CoalitionGame(players, table=zero).value_table() == tuple(zero)
+        for _ in range(3):
+            game = random_game(rng, n)
+            table = game.value_table()
+            assert CoalitionGame(players, table=table).value_table() == table
+            assert [game.value_of_mask(m) for m in range(1 << n)] == list(table)
+
+
+def structured(game: CoalitionGame) -> CoalitionGame:
+    """The dense table symmetrized over p0 and p1, with the last player made null."""
+    vals = game.value_table()
+    last = 1 << (game.n - 1)
+
+    def swap(mask: int) -> int:
+        return mask ^ 3 if (mask ^ mask >> 1) & 1 else mask
+
+    table = [(vals[m & ~last] + vals[swap(m) & ~last]) / 2 for m in range(1 << game.n)]
+    return CoalitionGame(game.players, table=table)
+
+
+#: Exact values of ``structured(random_game(rng, n))``, rng = Random(2718), as
+#: recorded when tables were solved by the subset-sum formula on the table.
+DENSE_PHI = {
+    3: "-7/4 -7/4 0",
+    6: "-605743/1663200 -605743/1663200 -3479453/1663200 -2573269/831600 -5249/61600 0",
+    9: (
+        "-5512369/7761600 -5512369/7761600 -9820733/5821200 2623843/5821200 -209263/117600 "
+        "5803271/3880800 -1504793/431200 -1859339/5821200 0"
+    ),
+    12: (
+        "129188959/139708800 129188959/139708800 34500947/69854400 1618829/1058400 "
+        "17274227/34927200 407587/323400 -6052639/17463600 93433/78400 2003777/2182950 "
+        "-12079363/69854400 7165531/11642400 0"
+    ),
+}
+
+
+def test_dense_tables_match_recorded_values_and_audits():
+    rng = random.Random(2718)
+    for n, recorded in DENSE_PHI.items():
+        game = structured(random_game(rng, n))
+        result = shapley_exact(game)
+        assert " ".join(str(result.phi[p]) for p in result.players) == recorded
+        assert check_axioms(game, result) == AxiomReport(Fraction(0), (), ())
+        phi = dict(result.phi)
+        phi["p0"] += Fraction(1, 3)
+        phi[f"p{n - 1}"] -= 1
+        wrong = ShapleyResult(players=result.players, phi=phi, method=result.method)
+        assert check_axioms(game, wrong) == AxiomReport(
+            Fraction(-2, 3), (("p0", "p1"),), (f"p{n - 1}",)
+        )
+
+
+def test_sampler_on_a_dense_table_matches_recorded_estimates():
+    """Estimates for a dense 6-player table, as recorded when tables were sampled by walking them."""
+    result = shapley_monte_carlo(random_game(random.Random(66), 6), 200, seed=6)
+    assert {p: str(v) for p, v in result.phi.items()} == {
+        "p0": "487241/462000", "p1": "315187/184800", "p2": "9581/7000",
+        "p3": "37631/10500", "p4": "-1104293/924000", "p5": "37819/38500",
+    }
+    assert result.standard_error == {
+        "p0": 0.538114215743635, "p1": 0.6858839804218412, "p2": 0.5775865190062544,
+        "p3": 0.678147466123275, "p4": 0.5460677778755432, "p5": 0.4118348338558929,
+    }

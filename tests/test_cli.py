@@ -211,17 +211,101 @@ class TestSolverSettings:
             ("normalized", "false"),
             ("normalized", 0),
             ("normalized", None),
+            ("source.players", 5),
+            ("source.players", "ABC"),
+            ("source.players[1]", ["A", 2, "C"]),
+            ("source.type", ["coalition_table"]),
+            ("source.path", 7),
+            ("source.aliases", {"alice": "A"}),
+            ("mode", ["sum"]),
+            ("mode", None),
+            ("rounding", ["per-recipient"]),
+            ("currency", 840),
+            ("solver.method", True),
+            ("budget.anchor", 0),
+            ("output.format", ["json"]),
+            ("output.path", 1),
+            ("risk_model", ["risk_model.json"]),
         ],
     )
     def test_mistyped_setting_is_input_error(self, capsys, workdir, key, value):
         solver = {"method": "monte-carlo", "samples": 10, "seed": 1}
-        if key == "normalized":
-            config = self.write_config(workdir, solver, normalized=value)
-        else:
-            config = self.write_config(workdir, {**solver, key: value})
+        path = f"solver.{key}" if key in ("samples", "seed", "workers") else key
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc["solver"] = solver
+        *parents, name = path.split("[")[0].split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[name] = value
+        config = workdir / WE / "solver_config.json"
+        config.write_text(json.dumps(doc))
         code, _, err = run(capsys, "payout", "--config", str(config))
         assert code == 2
-        assert (key if key == "normalized" else f"solver.{key}") in err
+        assert f"config.{path}: " in err
+
+
+class TestStaticChecks:
+    @pytest.mark.parametrize("command", ["payout", "shapley"])
+    @pytest.mark.parametrize(
+        "key, value, location",
+        [
+            ("mode", "summ", "mode"),
+            ("rounding", "per-person", "rounding"),
+            ("solver", {"method": "exactly"}, "solver.method"),
+            ("solver", {"method": "monte-carlo", "samples": 10}, "solver.seed"),
+            ("budget", {"fraction": "1/100", "anchor": "upper-ish"}, "budget.anchor"),
+            ("output", {"format": "yaml"}, "output.format"),
+        ],
+    )
+    def test_bad_setting_exits_1_before_any_work(self, capsys, workdir, command, key, value, location):
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc[key] = value
+        doc["risk_model"] = "no_such_model.json"  # never read: the checks come first
+        config = workdir / WE / "static_config.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 1
+        assert f"validation error: {location}: " in err
+
+    def test_seed_override_satisfies_the_seed_check(self, capsys, workdir):
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc["solver"] = {"method": "monte-carlo", "samples": 10}
+        config = workdir / WE / "static_config.json"
+        config.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "payout", "--config", str(config), "--seed", "3")
+        assert code == 0
+        assert parse_report(out).provenance.seed == 3
+
+    @pytest.mark.parametrize("command", ["payout", "shapley"])
+    def test_missing_input_file_stays_input_error(self, capsys, workdir, command):
+        (workdir / WE / "coalition_table.json").unlink()
+        code, _, err = run(capsys, command, "--config", str(workdir / WE / "payout_config.json"))
+        assert code == 2
+        assert "coalition_table.json" in err
+
+
+class TestCoalitionTableShape:
+    @pytest.mark.parametrize(
+        "edit, location",
+        [
+            (lambda doc: doc.update(default_zero="false"), "default_zero: "),
+            (lambda doc: doc.update(entries={"coalition": []}), "entries: "),
+            (lambda doc: doc["entries"].__setitem__(3, 5), "entries[3]: "),
+            (lambda doc: doc["entries"][5].update(coalition="AC"), "entries[5].coalition: "),
+            (lambda doc: doc["entries"][2].update(coalition=None), "entries[2].coalition: "),
+            (lambda doc: doc.update(players="ABC"), "players: "),
+        ],
+        ids=["default_zero", "entries", "row", "coalition-string", "coalition-null", "players"],
+    )
+    def test_malformed_table_is_input_error(self, capsys, workdir, edit, location):
+        table = workdir / WE / "coalition_table.json"
+        doc = json.loads(table.read_text())
+        edit(doc)
+        table.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "game", "--config", str(workdir / WE / "payout_config.json"))
+        assert code == 2
+        assert location in err
 
 
 class TestConfigShape:
