@@ -12,14 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .documents import load_json, _describe, _expect, _list, _rational
+from .documents import load_json, _describe, _expect, _object, _rational, _string, _strings
 from .errors import DocumentError
 from .mining import Cycle
 from .payout import ANCHORS, PER_RECIPIENT, REPORT_FORMATS, ROUNDING_MODES
 from .risk import AGGREGATION_MODES, SUM, ValidationIssue, ValidationReport
 
 SOURCE_TYPES = ("coalition_table", "attribution", "commit_log", "subset_results")
-SOLVER_METHODS = ("exact", "oracle", "monte-carlo")
+SOLVER_METHODS = ("exact", "monte-carlo")
 
 #: The keys each config object may hold; any other key is an input error.
 _KEYS = {
@@ -109,21 +109,21 @@ class RunConfig:
 
 
 def _cycle_from_doc(doc: dict) -> Cycle:
+    where = "config.source.cycle"
     try:
         return Cycle(
-            from_commit=doc.get("from_commit"),
-            to_commit=doc.get("to_commit"),
-            from_time=doc.get("from_time"),
-            to_time=doc.get("to_time"),
+            from_commit=_optional_string(doc, "from_commit", where),
+            to_commit=_optional_string(doc, "to_commit", where),
+            from_time=_optional_int(doc, "from_time", where),
+            to_time=_optional_int(doc, "to_time", where),
         )
     except ValueError as exc:
         raise DocumentError(f"source.cycle: {exc}") from exc
 
 
-def _object(value, where: str) -> dict:
+def _section(value, where: str) -> dict:
     """A JSON object holding only the keys ``_KEYS`` allows at ``where``."""
-    if not isinstance(value, dict):
-        raise DocumentError(f"{where}: expected an object, got {_describe(value)}")
+    value = _object(value, where)
     allowed = _KEYS[where]
     for key in value:
         if key not in allowed:
@@ -139,35 +139,33 @@ def _optional_int(doc: dict, key: str, where: str) -> Optional[int]:
     return value
 
 
-def _string(value, where: str) -> str:
-    """A JSON string, never a value coerced into one."""
-    if not isinstance(value, str):
-        raise DocumentError(f"{where}: expected a string, got {_describe(value)}")
-    return value
+def _optional_string(doc: dict, key: str, where: str) -> Optional[str]:
+    """A JSON string, or None when absent or null."""
+    value = doc.get(key)
+    return None if value is None else _string(value, f"{where}.{key}")
 
 
 def _optional_path(doc: dict, key: str, where: str, base_dir: Path) -> Optional[Path]:
     """A JSON string resolved against ``base_dir``, or None when absent or null."""
-    value = doc.get(key)
-    return None if value is None else base_dir / _string(value, f"{where}.{key}")
+    value = _optional_string(doc, key, where)
+    return None if value is None else base_dir / value
 
 
 def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
-    doc = _object(doc, "config")
-    src_doc = _object(_expect(doc, "source", "config"), "config.source")
+    doc = _section(doc, "config")
+    src_doc = _section(_expect(doc, "source", "config"), "config.source")
     players = src_doc.get("players")
     if players is not None:
-        where = "config.source.players"
-        players = tuple(_string(p, f"{where}[{k}]") for k, p in enumerate(_list(players, where)))
+        players = _strings(players, "config.source.players")
     source = SourceSpec(
         type=_string(_expect(src_doc, "type", "config.source"), "config.source.type"),
         path=base_dir / _string(_expect(src_doc, "path", "config.source"), "config.source.path"),
-        cycle=_cycle_from_doc(_object(src_doc.get("cycle", {}), "config.source.cycle")),
+        cycle=_cycle_from_doc(_section(src_doc.get("cycle", {}), "config.source.cycle")),
         aliases_path=_optional_path(src_doc, "aliases", "config.source", base_dir),
         players=players,
     )
 
-    solver_doc = _object(doc.get("solver", {}), "config.solver")
+    solver_doc = _section(doc.get("solver", {}), "config.solver")
     solver = SolverSpec(
         method=_string(solver_doc.get("method", "exact"), "config.solver.method"),
         samples=_optional_int(solver_doc, "samples", "config.solver"),
@@ -181,7 +179,7 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
 
     budget = None
     if "budget" in doc:
-        b_doc = _object(doc["budget"], "config.budget")
+        b_doc = _section(doc["budget"], "config.budget")
         explicit = b_doc.get("value")
         budget = BudgetSpec(
             fraction=_rational(_expect(b_doc, "fraction", "config.budget"), "config.budget.fraction"),
@@ -189,7 +187,7 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
             explicit_value=None if explicit is None else _rational(explicit, "config.budget.value"),
         )
 
-    out_doc = _object(doc.get("output", {}), "config.output")
+    out_doc = _section(doc.get("output", {}), "config.output")
     return RunConfig(
         source=source,
         risk_model_path=_optional_path(doc, "risk_model", "config", base_dir),

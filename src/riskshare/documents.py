@@ -74,6 +74,35 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{where}: expected an object, got {_describe(value)}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    """A JSON string, never a value coerced into one."""
+    if not isinstance(value, str):
+        raise DocumentError(f"{where}: expected a string, got {_describe(value)}")
+    return value
+
+
+def _rows(value, where: str):
+    """``(location, object)`` for each entry of a JSON array of objects."""
+    for k, row in enumerate(_list(value, where)):
+        at = f"{where}[{k}]"
+        yield at, _object(row, at)
+
+
+def _strings(value, where: str) -> tuple[str, ...]:
+    """A JSON array of strings."""
+    items = _list(value, where)
+    if set(map(type, items)) - {str}:  # locate the culprit only on failure; rows can number 2^n
+        for k, item in enumerate(items):
+            _string(item, f"{where}[{k}]")
+    return tuple(items)
+
+
 def _rational(value, where: str) -> Fraction:
     try:
         return as_fraction(value)
@@ -93,12 +122,11 @@ def _interval(doc, where: str) -> Interval:
 
 
 def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
+    doc = _object(doc, where)
     name = str(_expect(doc, "name", where))
     kind = str(_expect(doc, "kind", where))
-    raw_categories = _expect(doc, "categories", where)
     categories = []
-    for k, cat in enumerate(raw_categories):
-        cat_where = f"{where}.categories[{k}]"
+    for cat_where, cat in _rows(_expect(doc, "categories", where), f"{where}.categories"):
         label = str(_expect(cat, "label", cat_where))
         categories.append((label, _interval(cat, cat_where)))
     try:
@@ -113,7 +141,8 @@ def risk_model_from_document(doc: dict) -> RiskModel:
     Top-level keys: ``scales`` (object with ``likelihood`` and ``impact``
     slots), ``threats`` (nested controls/leaves), ``assessments``.
     """
-    scales_doc = _expect(doc, "scales", "document")
+    doc = _object(doc, "document")
+    scales_doc = _object(_expect(doc, "scales", "document"), "scales")
     likelihood = scale_from_document(_expect(scales_doc, "likelihood", "scales"), "scales.likelihood")
     impact = scale_from_document(_expect(scales_doc, "impact", "scales"), "scales.impact")
     try:
@@ -122,17 +151,12 @@ def risk_model_from_document(doc: dict) -> RiskModel:
         raise DocumentError(f"scales: {exc}") from exc
 
     threats = []
-    for t_idx, t_doc in enumerate(_expect(doc, "threats", "document")):
-        t_where = f"threats[{t_idx}]"
+    for t_where, t_doc in _rows(_expect(doc, "threats", "document"), "threats"):
         controls = []
-        for c_idx, c_doc in enumerate(t_doc.get("controls", [])):
-            c_where = f"{t_where}.controls[{c_idx}]"
+        for c_where, c_doc in _rows(t_doc.get("controls", []), f"{t_where}.controls"):
             leaves = tuple(
-                LeafCondition(
-                    id=str(_expect(l_doc, "id", f"{c_where}.leaves[{l_idx}]")),
-                    label=str(l_doc.get("label", "")),
-                )
-                for l_idx, l_doc in enumerate(c_doc.get("leaves", []))
+                LeafCondition(id=str(_expect(l_doc, "id", l_where)), label=str(l_doc.get("label", "")))
+                for l_where, l_doc in _rows(c_doc.get("leaves", []), f"{c_where}.leaves")
             )
             controls.append(
                 Control(
@@ -151,8 +175,7 @@ def risk_model_from_document(doc: dict) -> RiskModel:
     tree = ThreatTree(threats=tuple(threats))
 
     assessments = []
-    for a_idx, a_doc in enumerate(doc.get("assessments", [])):
-        a_where = f"assessments[{a_idx}]"
+    for a_where, a_doc in _rows(doc.get("assessments", []), "assessments"):
         assessments.append(
             ThreatAssessment(
                 threat_id=str(_expect(a_doc, "threat", a_where)),
@@ -180,8 +203,8 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
     roster = None
     default_zero = False
     if isinstance(doc, dict):
-        roster = _list(_expect(doc, "players", "coalition table"), "players")
-        rows = _list(_expect(doc, "entries", "coalition table"), "entries")
+        roster = _strings(_expect(doc, "players", "coalition table"), "players")
+        rows = _expect(doc, "entries", "coalition table")
         default_zero = doc.get("default_zero", False)
         if not isinstance(default_zero, bool):
             raise DocumentError(f"default_zero: expected true or false, got {_describe(default_zero)}")
@@ -190,18 +213,15 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
     else:
         raise DocumentError("coalition table must be a list or an object")
     entries = []
-    for k, row in enumerate(rows):
-        where = f"entries[{k}]"
-        if not isinstance(row, dict):
-            raise DocumentError(f"{where}: expected an object, got {_describe(row)}")
-        coalition = [str(p) for p in _list(_expect(row, "coalition", where), f"{where}.coalition")]
+    for where, row in _rows(rows, "entries"):
+        coalition = _strings(_expect(row, "coalition", where), f"{where}.coalition")
         value = _rational(_expect(row, "value", where), f"{where}.value")
         entries.append((coalition, value))
     if roster is None:
         roster = sorted({p for coalition, _ in entries for p in coalition})
         if not roster:
             raise DocumentError("coalition table names no players")
-    players = PlayerSet(tuple(str(p) for p in roster))
+    players = PlayerSet(tuple(roster))
     return game_from_table(players, entries, default_zero=default_zero, label=label)
 
 
@@ -218,19 +238,18 @@ def attribution_from_document(doc) -> tuple[Optional[tuple[str, ...]], dict[str,
     roster: Optional[tuple[str, ...]] = None
     if isinstance(doc, dict):
         if "players" in doc:
-            roster = tuple(str(p) for p in doc["players"])
+            roster = _strings(doc["players"], "players")
         rows = _expect(doc, "attribution", "attribution document")
     elif isinstance(doc, list):
         rows = doc
     else:
         raise DocumentError("attribution document must be a list or an object")
     attribution: dict[str, frozenset[str]] = {}
-    for k, row in enumerate(rows):
-        where = f"attribution[{k}]"
+    for where, row in _rows(rows, "attribution"):
         leaf = str(_expect(row, "leaf", where))
         if leaf in attribution:
             raise DocumentError(f"{where}: duplicate leaf {leaf!r}")
-        attribution[leaf] = frozenset(str(a) for a in _expect(row, "authors", where))
+        attribution[leaf] = frozenset(_strings(_expect(row, "authors", where), f"{where}.authors"))
     return roster, attribution
 
 
@@ -243,17 +262,16 @@ def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[S
     roster: Optional[tuple[str, ...]] = None
     if isinstance(doc, dict):
         if "players" in doc:
-            roster = tuple(str(p) for p in doc["players"])
+            roster = _strings(doc["players"], "players")
         rows = _expect(doc, "results", "subset results document")
     elif isinstance(doc, list):
         rows = doc
     else:
         raise DocumentError("subset results document must be a list or an object")
     results = []
-    for k, row in enumerate(rows):
-        where = f"results[{k}]"
-        subset = [str(p) for p in _expect(row, "subset", where)]
-        passing = [str(l) for l in _expect(row, "passing", where)]
+    for where, row in _rows(rows, "results"):
+        subset = _strings(_expect(row, "subset", where), f"{where}.subset")
+        passing = _strings(_expect(row, "passing", where), f"{where}.passing")
         results.append(SubsetResult(subset, passing))
     return roster, results
 

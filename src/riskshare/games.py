@@ -25,8 +25,8 @@ from .errors import CapacityError, GameDefinitionError
 from .intervals import Rationalish, as_fraction
 from .risk import ThreatTree
 
-#: Value tables are only rebuilt up to this many players; larger games are
-#: solved by sampling.
+#: Value tables are only rebuilt up to this many players; games of any size
+#: are solved and audited from their dividends, with no table.
 MATERIALIZATION_CAP = 24
 
 
@@ -150,7 +150,7 @@ class CoalitionGame:
         if self.n > MATERIALIZATION_CAP:
             raise CapacityError(
                 f"cannot materialize a {self.n}-player game "
-                f"(cap {MATERIALIZATION_CAP}); use the sampling solver"
+                f"(cap {MATERIALIZATION_CAP}); its dividends solve and audit it without one"
             )
         values = [0] * (1 << self.n)
         for mask, weight in self._terms:

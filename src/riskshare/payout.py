@@ -322,14 +322,14 @@ def _render_markdown(report: PayoutReport) -> str:
     else:
         lines.append(f"- efficiency: {'pass' if ax.efficiency_ok else 'FAIL'} (residual {ax.efficiency_residual})")
         if ax.symmetry_violations is None:
-            lines.append("- symmetry: not scanned (team above structural-scan cap)")
+            lines.append("- symmetry: not audited (sampled estimate)")
         elif ax.symmetry_violations:
             pairs = ", ".join(f"{a}/{b}" for a, b in ax.symmetry_violations)
             lines.append(f"- symmetry: FAIL (equal contributors paid differently: {pairs})")
         else:
             lines.append("- symmetry: pass (equal contributors are paid equally)")
         if ax.null_player_violations is None:
-            lines.append("- null player: not scanned (team above structural-scan cap)")
+            lines.append("- null player: not scanned")
         elif ax.null_player_violations:
             lines.append(f"- null player: FAIL (zero contributors paid: {', '.join(ax.null_player_violations)})")
         else:

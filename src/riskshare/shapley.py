@@ -6,10 +6,12 @@ denominator:
 
 * :func:`shapley_exact` -- the closed form phi_i = sum of d_T / |T| over the
   terms containing i (each dividend split equally among its members), in
-  O(terms * n) integer work and one Fraction per player.
+  O(terms * n) integer work and one Fraction per player, at every team size.
+  It is the one exact solver the command line runs.
 * :func:`shapley_permutation_oracle` -- enumerates all n! orderings of the
   value table and averages marginal contributions. Mathematically the same
-  quantity computed a different way, kept as an independent cross-check.
+  quantity computed a different way, kept as an independent cross-check for
+  the tests (up to :data:`ORACLE_PLAYER_CAP` players).
 * :func:`shapley_monte_carlo` -- samples orderings and credits each dividend
   to the member of its term who arrives last, at any team size and with no
   table. Permutations are derived counter-style from (seed, sample index), so
@@ -33,10 +35,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CapacityError, GameDefinitionError
-from .games import MATERIALIZATION_CAP, CoalitionGame, _over_common_denominator, game_add
+from .games import CoalitionGame, _over_common_denominator, game_add
 
-#: The exact solver refuses larger teams, and the axiom audit skips its scans above it.
-EXACT_PLAYER_CAP = MATERIALIZATION_CAP
 #: Full permutation enumeration refuses larger teams (n! orderings).
 ORACLE_PLAYER_CAP = 9
 
@@ -89,20 +89,10 @@ def shapley_exact(game: CoalitionGame) -> ShapleyResult:
     dividends as integers over their common denominator ``den`` and
     ``L = lcm(1..n)``, ``phi_i * L * den`` is the integer sum of
     ``d_T * (L / |T|)`` over those terms: O(terms * n) integer additions,
-    then one Fraction per player. No table is built.
-
-    Raises
-    ------
-    CapacityError
-        If the team exceeds :data:`EXACT_PLAYER_CAP`; use
-        :func:`shapley_monte_carlo` instead.
+    then one Fraction per player. No table is built, so it runs at every
+    team size.
     """
     n = game.n
-    if n > EXACT_PLAYER_CAP:
-        raise CapacityError(
-            f"exact solver capped at {EXACT_PLAYER_CAP} players, got {n}; "
-            "use shapley_monte_carlo for teams this large"
-        )
     lcm = math.lcm(*range(1, n + 1))
     totals = [0] * n
     for mask, weight in game._terms:
@@ -258,10 +248,12 @@ class AxiomReport:
     """Deterministic audit of a value vector against the fairness axioms.
 
     ``symmetry_violations`` lists interchangeable player pairs that received
-    different amounts; ``null_player_violations`` lists players whose marginal
-    contribution is zero everywhere yet received a nonzero amount. Either is
-    ``None`` when the structural scan was skipped for capacity. ``linearity_ok``
-    is ``None`` unless a second game was supplied.
+    different amounts; it is ``None`` for a sampled estimate, which is
+    symmetric only in expectation and so is not audited for symmetry.
+    ``null_player_violations`` lists players whose marginal contribution is
+    zero everywhere yet received a nonzero amount; every result is scanned,
+    so it is ``None`` only when read back from a stored report without a scan.
+    ``linearity_ok`` is ``None`` unless a second game was supplied.
     """
 
     efficiency_residual: Fraction
@@ -307,37 +299,37 @@ def check_axioms(
 
     * efficiency: residual ``sum(phi) - v(N)`` (zero means nothing is left
       over and nothing is invented);
-    * symmetry: every pair contributing identically must be paid identically;
+    * symmetry: every pair contributing identically must be paid identically
+      (not audited for a sampled result, ``result.samples`` set: estimates are
+      symmetric only in expectation);
     * null player: a player who never changes any coalition's value must
-      receive zero;
+      receive zero (the sampler pays such a player exactly zero, so sampled
+      results are scanned too);
     * linearity: with a second game ``w``, payments for ``v + w`` must equal
       the sum of the separate payments (checked with the exact solver).
 
     The symmetry and null scans read the game's dividends, which are unique
     (the Moebius inverse of v): player i is null iff no term contains i, and
     i, j are interchangeable iff swapping them maps the term map onto itself.
-    They are skipped (fields left ``None``) above :data:`EXACT_PLAYER_CAP`
-    players.
+    They cost O(n^2 * terms) at most and run at every team size.
     """
     players = game.players.players
     if set(result.players) != set(players):
         raise GameDefinitionError("result players do not match game players")
     residual = result.total - game.grand_value()
+    phi = [result.phi[p] for p in players]
+    dividends = dict(game._terms)
+    n = game.n
 
     symmetry: Optional[tuple[tuple[str, str], ...]] = None
-    nulls: Optional[tuple[str, ...]] = None
-    n = game.n
-    if n <= EXACT_PLAYER_CAP:
-        dividends = dict(game._terms)
-        sym_violations = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if _interchangeable(dividends, i, j) and result.phi[players[i]] != result.phi[players[j]]:
-                    sym_violations.append((players[i], players[j]))
-        symmetry = tuple(sym_violations)
-        nulls = tuple(
-            players[i] for i in range(n) if _is_null(dividends, i) and result.phi[players[i]] != 0
+    if result.samples is None:
+        symmetry = tuple(
+            (players[i], players[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if phi[i] != phi[j] and _interchangeable(dividends, i, j)
         )
+    nulls = tuple(players[i] for i in range(n) if phi[i] != 0 and _is_null(dividends, i))
 
     linearity_ok: Optional[bool] = None
     if w is not None:

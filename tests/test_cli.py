@@ -1,5 +1,6 @@
 import json
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,11 @@ class TestSolverSettings:
             ("output.format", ["json"]),
             ("output.path", 1),
             ("risk_model", ["risk_model.json"]),
+            ("source.cycle.from_time", "2020"),
+            ("source.cycle.to_time", 1.5),
+            ("source.cycle.from_time", True),
+            ("source.cycle.from_commit", 7),
+            ("source.cycle.to_commit", ["abc"]),
         ],
     )
     def test_mistyped_setting_is_input_error(self, capsys, workdir, key, value):
@@ -236,7 +242,7 @@ class TestSolverSettings:
         *parents, name = path.split("[")[0].split(".")
         node = doc
         for parent in parents:
-            node = node[parent]
+            node = node.setdefault(parent, {})
         node[name] = value
         config = workdir / WE / "solver_config.json"
         config.write_text(json.dumps(doc))
@@ -267,6 +273,16 @@ class TestStaticChecks:
         code, _, err = run(capsys, command, "--config", str(config))
         assert code == 1
         assert f"validation error: {location}: " in err
+
+    @pytest.mark.parametrize("command", ["payout", "shapley"])
+    def test_oracle_is_not_a_solver_setting(self, capsys, workdir, command):
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc["solver"] = {"method": "oracle"}
+        config = workdir / WE / "static_config.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 1
+        assert "validation error: solver.method: unknown solver 'oracle'" in err
 
     def test_seed_override_satisfies_the_seed_check(self, capsys, workdir):
         doc = json.loads((workdir / WE / "payout_config.json").read_text())
@@ -357,7 +373,9 @@ class TestConfigShape:
 
 
 class TestCapacity:
-    def test_exact_solver_over_cap_exits_3(self, capsys, workdir):
+    LEAVES = ("U-46365-1", "U-45802-1", "U-45801-1")
+
+    def test_game_over_cap_exits_3(self, capsys, workdir):
         attribution = workdir / WE / "attribution.json"
         players = [f"dev{k:02d}" for k in range(26)]
         attribution.write_text(
@@ -378,9 +396,33 @@ class TestCapacity:
                 }
             )
         )
-        code, _, err = run(capsys, "shapley", "--config", str(config))
+        code, out, _ = run(capsys, "shapley", "--config", str(config))
+        assert code == 0
+        assert "symmetry=pass null-player=pass" in out
+        code, _, err = run(capsys, "game", "--config", str(config))
         assert code == 3
         assert "capacity" in err
+
+    def test_exact_payout_for_40_committers_is_audited(self, capsys, workdir):
+        log = "".join(
+            f"commit: {k:040x}\nauthor: dev{k:02d}\ndate: 2023-02-01T00:00:00+00:00\n"
+            f"trailer: Satisfies: {self.LEAVES[k % 3]}\n---\n"
+            for k in range(40)
+        )
+        (workdir / WE / "team.log").write_text(log)
+        doc = json.loads((workdir / WE / "mining_config.json").read_text())
+        doc["source"] = {"type": "commit_log", "path": "team.log"}
+        config = workdir / WE / "team_config.json"
+        config.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "payout", "--config", str(config))
+        assert code == 0
+        report = parse_report(out)
+        # each leaf's unit value is split equally among its 14, 13 and 13 authors
+        assert [row.phi for row in report.payouts[:3]] == [Fraction(1, 14), Fraction(1, 13), Fraction(1, 13)]
+        assert len(report.payouts) == 40
+        assert report.provenance.solver == "exact-subset"
+        assert report.axioms.all_ok
+        assert report.axioms.symmetry_violations == () and report.axioms.null_player_violations == ()
 
 
 class TestPlanCherryPick:

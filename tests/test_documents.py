@@ -1,13 +1,18 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from riskshare import DocumentError, Interval, risk_delta, shapley_exact
+from riskshare import DocumentError, Interval, RiskshareError, risk_delta, shapley_exact
 from riskshare.documents import (
     attribution_from_document,
     coalition_game_from_document,
     coalition_table_document,
+    load_aliases,
     load_coalition_game,
+    load_json,
     load_risk_model,
     load_subset_results,
     loads_exact,
@@ -148,3 +153,114 @@ class TestSubsetResultsDocument:
     def test_missing_keys(self):
         with pytest.raises(DocumentError):
             subset_results_from_document([{"subset": ["a"]}])
+
+
+def assert_located(reader, doc, path, value, location):
+    """Setting ``doc[path[0]][path[1]]...`` to ``value`` makes ``reader`` fail at ``location``."""
+    *parents, key = path
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    with pytest.raises(DocumentError) as error:
+        reader(doc)
+    assert str(error.value).startswith(location)
+
+
+class TestRowShapes:
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [
+            (("threats",), 5, "threats: expected an array"),
+            (("threats", 0), 5, "threats[0]: expected an object, got integer 5"),
+            (("threats", 0, "controls", 0), "C", "threats[0].controls[0]: expected an object"),
+            (("threats", 0, "controls", 1, "leaves"), {}, "threats[0].controls[1].leaves: expected an array"),
+            (("threats", 0, "controls", 2, "leaves", 0), None, "threats[0].controls[2].leaves[0]: expected an object"),
+            (("assessments", 0), 5, "assessments[0]: expected an object, got integer 5"),
+            (("scales", "impact"), [], "scales.impact: expected an object"),
+            (("scales", "likelihood", "categories", 1), "low", "scales.likelihood.categories[1]: expected an object"),
+        ],
+        ids=["threats", "threat", "control", "leaves", "leaf", "assessment", "scale", "category"],
+    )
+    def test_risk_model_row_that_is_not_an_object(self, fixtures_dir, path, value, location):
+        doc = load_json(fixtures_dir / "worked_example" / "risk_model.json")
+        assert_located(risk_model_from_document, doc, path, value, location)
+
+    def test_risk_model_that_is_not_an_object(self):
+        with pytest.raises(DocumentError, match="^document: expected an object, got array"):
+            risk_model_from_document([])
+
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [
+            (("results", 2), 5, "results[2]: expected an object, got integer 5"),
+            (("results", 3, "subset"), "carol", "results[3].subset: expected an array, got string 'carol'"),
+            (("results", 4, "passing", 0), 1, "results[4].passing[0]: expected a string, got integer 1"),
+            (("players",), 5, "players: expected an array, got integer 5"),
+            (("players", 1), None, "players[1]: expected a string, got null"),
+        ],
+        ids=["row", "subset", "passing", "players", "player"],
+    )
+    def test_subset_results_shape(self, fixtures_dir, path, value, location):
+        doc = load_json(fixtures_dir / "worked_example" / "subset_results.json")
+        assert_located(subset_results_from_document, doc, path, value, location)
+
+    @pytest.mark.parametrize(
+        "path, value, location",
+        [
+            (("attribution", 0), 5, "attribution[0]: expected an object, got integer 5"),
+            (("attribution",), {"leaf": "f1"}, "attribution: expected an array"),
+            (("attribution", 0, "authors"), "ab", "attribution[0].authors: expected an array, got string 'ab'"),
+            (("attribution", 0, "authors", 0), ["a"], "attribution[0].authors[0]: expected a string"),
+            (("players",), 5, "players: expected an array, got integer 5"),
+        ],
+        ids=["row", "rows", "authors", "author", "players"],
+    )
+    def test_attribution_shape(self, path, value, location):
+        doc = {"players": ["a", "b"], "attribution": [{"leaf": "f1", "authors": ["a"]}]}
+        assert_located(attribution_from_document, doc, path, value, location)
+
+
+#: Keys the document readers look for, so generated objects reach past the top level.
+KEYS = (
+    "scales likelihood impact name kind categories label lo hi threats id controls leaves "
+    "assessments threat likelihood_before impact_before likelihood_after impact_after "
+    "players attribution leaf authors results subset passing entries coalition value default_zero"
+).split()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.sampled_from(["", "a", "b", "0.5", "low"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+READERS = [
+    risk_model_from_document,
+    coalition_game_from_document,
+    attribution_from_document,
+    subset_results_from_document,
+]
+
+
+class TestFuzz:
+    """Arbitrary JSON fed to each reader ends in a library error, never a traceback."""
+
+    @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(value=json_values)
+    def test_document_readers(self, reader, value):
+        try:
+            reader(loads_exact(json.dumps(value)))
+        except RiskshareError:
+            pass
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=json_values)
+    def test_alias_reader(self, tmp_path, value):
+        path = tmp_path / "aliases.json"
+        path.write_text(json.dumps(value))
+        try:
+            load_aliases(path)
+        except RiskshareError:
+            pass

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskshare import (
+    AxiomReport,
+    CoalitionGame,
     Interval,
     Money,
     PayoutError,
+    PlayerSet,
     Provenance,
     ShapleyResult,
     allocate_payments,
@@ -18,6 +21,7 @@ from riskshare import (
     parse_report,
     render_report,
     shapley_exact,
+    shapley_monte_carlo,
 )
 
 WORKED_DELTA = Interval(2125900, 15622700)
@@ -248,6 +252,18 @@ class TestRendering:
         lines = [line for line in text.splitlines() if line]
         assert lines[0].startswith("player,")
         assert len([l for l in lines if l.startswith(("A,", "B,", "C,"))]) == 3
+
+    def test_sampled_estimate_is_not_audited_for_symmetry(self):
+        # glove game: L pairs with either right glove, so R1 and R2 are interchangeable
+        game = CoalitionGame(PlayerSet(("L", "R1", "R2")), terms=[(0b011, 1), (0b101, 1), (0b111, -1)])
+        for seed in range(50):
+            result = shapley_monte_carlo(game, 11, seed)
+            axioms = check_axioms(game, result)
+            assert axioms == AxiomReport(Fraction(0), None, ())
+            text = render_report(allocate_payments(result, Money(100), axioms=axioms), "markdown")
+            assert "- symmetry: not audited (sampled estimate)" in text
+            assert "- null player: pass" in text
+            assert "FAIL" not in text
 
     def test_single_player_report_renders(self):
         report = allocate_payments(result_from_phi([Fraction(1)]), Money(500))

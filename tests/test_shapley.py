@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from riskshare import (
+    AxiomReport,
     CapacityError,
     CoalitionGame,
     PlayerSet,
@@ -52,11 +53,30 @@ class TestExact:
             Fraction(2, 3),
         )
 
-    def test_capacity_error_points_to_sampler(self):
-        players = PlayerSet(tuple(f"p{k}" for k in range(26)))
-        game = additive_game(players)
-        with pytest.raises(CapacityError, match="monte_carlo"):
-            shapley_exact(game)
+    def test_solver_and_audit_above_24_players(self):
+        for n in (26, 40):
+            rng = random.Random(n)
+            players = PlayerSet(tuple(f"p{k}" for k in range(n)))
+            last = players.players[-1]
+            terms = []
+            for _ in range(3 * n):
+                mask = rng.randrange(1, 1 << (n - 1))  # the last player is null
+                weight = Fraction(rng.randint(-6, 9), rng.choice((1, 2, 3, 5)))
+                terms.append((mask, weight))
+                if (mask ^ mask >> 1) & 1:  # mirrored, so p0 and p1 are interchangeable
+                    terms.append((mask ^ 3, weight))
+            game = CoalitionGame(players, terms=terms)
+            closed_form = dict.fromkeys(players.players, Fraction(0))
+            for mask, weight in terms:
+                members = players.ids_of(mask)
+                for p in members:
+                    closed_form[p] += weight / len(members)
+            result = shapley_exact(game)
+            assert result.phi == closed_form
+            assert check_axioms(game, result) == AxiomReport(Fraction(0), (), ())
+            wrong = dict(closed_form, p0=closed_form["p0"] + 1, **{last: Fraction(-1)})
+            report = check_axioms(game, ShapleyResult(players.players, wrong, "external"))
+            assert report == AxiomReport(Fraction(0), (("p0", "p1"),), (last,))
 
     def test_shares_normalize_to_one(self, reported_variant_game):
         result = shapley_exact(reported_variant_game)
@@ -235,6 +255,18 @@ class TestAxioms:
         bogus = ShapleyResult(players=("a", "b"), phi={"a": Fraction(3), "b": Fraction(1)}, method="external")
         report = check_axioms(game, bogus)
         assert report.null_player_violations == ("b",)
+
+    def test_sampled_result_paying_a_null_player_fails_the_audit(self):
+        players = PlayerSet(("a", "b"))
+        game = CoalitionGame(players, table=[0, 4, 0, 4])  # b is null
+        bogus = ShapleyResult(
+            players=("a", "b"),
+            phi={"a": Fraction(3), "b": Fraction(1)},
+            method="monte-carlo",
+            samples=10,
+            seed=1,
+        )
+        assert check_axioms(game, bogus) == AxiomReport(Fraction(0), None, ("b",))
 
     def test_appended_null_player_gets_zero(self):
         rng = random.Random(55)
