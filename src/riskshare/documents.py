@@ -123,16 +123,24 @@ def _interval(doc, where: str) -> Interval:
 
 def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
     doc = _object(doc, where)
-    name = str(_expect(doc, "name", where))
-    kind = str(_expect(doc, "kind", where))
+    name = _string(_expect(doc, "name", where), f"{where}.name")
+    kind = _string(_expect(doc, "kind", where), f"{where}.kind")
     categories = []
     for cat_where, cat in _rows(_expect(doc, "categories", where), f"{where}.categories"):
-        label = str(_expect(cat, "label", cat_where))
+        label = _string(_expect(cat, "label", cat_where), f"{cat_where}.label")
         categories.append((label, _interval(cat, cat_where)))
     try:
         return QualitativeScale(name=name, kind=kind, categories=tuple(categories))
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
+
+
+def _id(doc: dict, where: str) -> str:
+    return _string(_expect(doc, "id", where), f"{where}.id")
+
+
+def _label(doc: dict, where: str) -> str:
+    return _string(doc.get("label", ""), f"{where}.label")
 
 
 def risk_model_from_document(doc: dict) -> RiskModel:
@@ -155,36 +163,18 @@ def risk_model_from_document(doc: dict) -> RiskModel:
         controls = []
         for c_where, c_doc in _rows(t_doc.get("controls", []), f"{t_where}.controls"):
             leaves = tuple(
-                LeafCondition(id=str(_expect(l_doc, "id", l_where)), label=str(l_doc.get("label", "")))
+                LeafCondition(id=_id(l_doc, l_where), label=_label(l_doc, l_where))
                 for l_where, l_doc in _rows(c_doc.get("leaves", []), f"{c_where}.leaves")
             )
-            controls.append(
-                Control(
-                    id=str(_expect(c_doc, "id", c_where)),
-                    label=str(c_doc.get("label", "")),
-                    leaves=leaves,
-                )
-            )
-        threats.append(
-            Threat(
-                id=str(_expect(t_doc, "id", t_where)),
-                label=str(t_doc.get("label", "")),
-                controls=tuple(controls),
-            )
-        )
+            controls.append(Control(id=_id(c_doc, c_where), label=_label(c_doc, c_where), leaves=leaves))
+        threats.append(Threat(id=_id(t_doc, t_where), label=_label(t_doc, t_where), controls=tuple(controls)))
     tree = ThreatTree(threats=tuple(threats))
 
     assessments = []
+    keys = ("threat", "likelihood_before", "impact_before", "likelihood_after", "impact_after")
     for a_where, a_doc in _rows(doc.get("assessments", []), "assessments"):
-        assessments.append(
-            ThreatAssessment(
-                threat_id=str(_expect(a_doc, "threat", a_where)),
-                likelihood_before=str(_expect(a_doc, "likelihood_before", a_where)),
-                impact_before=str(_expect(a_doc, "impact_before", a_where)),
-                likelihood_after=str(_expect(a_doc, "likelihood_after", a_where)),
-                impact_after=str(_expect(a_doc, "impact_after", a_where)),
-            )
-        )
+        fields = (_string(_expect(a_doc, key, a_where), f"{a_where}.{key}") for key in keys)
+        assessments.append(ThreatAssessment(*fields))
     return RiskModel(scales=scales, tree=tree, assessments=tuple(assessments))
 
 
@@ -246,7 +236,7 @@ def attribution_from_document(doc) -> tuple[Optional[tuple[str, ...]], dict[str,
         raise DocumentError("attribution document must be a list or an object")
     attribution: dict[str, frozenset[str]] = {}
     for where, row in _rows(rows, "attribution"):
-        leaf = str(_expect(row, "leaf", where))
+        leaf = _string(_expect(row, "leaf", where), f"{where}.leaf")
         if leaf in attribution:
             raise DocumentError(f"{where}: duplicate leaf {leaf!r}")
         attribution[leaf] = frozenset(_strings(_expect(row, "authors", where), f"{where}.authors"))
@@ -284,7 +274,7 @@ def load_aliases(path: Pathish) -> dict[str, str]:
     doc = load_json(path)
     if not isinstance(doc, dict):
         raise DocumentError("alias document must be an object mapping identity -> player id")
-    return {str(k): str(v) for k, v in doc.items()}
+    return {identity: _string(player, f"aliases[{identity!r}]") for identity, player in doc.items()}
 
 
 def coalition_table_document(game: CoalitionGame) -> dict:

@@ -15,6 +15,7 @@ Both transforms run in integers over one common denominator in O(n * 2^n).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -200,6 +201,7 @@ def game_from_table(
     gaps. A duplicate row, an unknown player, or a nonzero value for the
     empty coalition is an error.
     """
+    _check_table_size(players, "a coalition table")
     values: dict[int, Fraction] = {}
     for subset, value in entries:
         mask = players.mask_of(subset)
@@ -210,15 +212,26 @@ def game_from_table(
         raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
     values[0] = Fraction(0)
     size = 1 << players.n
-    if len(values) != size:
-        if not default_zero:
-            missing = [players.ids_of(m) for m in range(size) if m not in values]
-            shown = ", ".join("{" + ",".join(m) + "}" for m in missing[:8])
-            more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
-            raise GameDefinitionError(f"missing coalitions: {shown}{more}")
-        for m in range(size):
-            values.setdefault(m, Fraction(0))
-    return CoalitionGame(players, table=[values[m] for m in range(size)], label=label)
+    if len(values) != size and not default_zero:
+        raise GameDefinitionError(f"missing coalitions: {_missing_coalitions(players, values)}")
+    return CoalitionGame(players, table=[values.get(m, 0) for m in range(size)], label=label)
+
+
+def _check_table_size(players: PlayerSet, source: str) -> None:
+    """Refuse a value-per-coalition input above :data:`MATERIALIZATION_CAP` before any 2^n work."""
+    if players.n > MATERIALIZATION_CAP:
+        raise CapacityError(
+            f"{source} for {players.n} players needs 2^{players.n} values "
+            f"(cap {MATERIALIZATION_CAP} players)"
+        )
+
+
+def _missing_coalitions(players: PlayerSet, values: Mapping[int, object]) -> str:
+    """The first 8 coalitions ``values`` lacks, and how many more, for an error message."""
+    missing = players.full_mask + 1 - len(values)
+    first = itertools.islice((m for m in range(players.full_mask + 1) if m not in values), 8)
+    shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in first)
+    return shown + ("" if missing <= 8 else f" (+{missing - 8} more)")
 
 
 def unanimity_game(players: PlayerSet, required: Iterable[str]) -> CoalitionGame:

@@ -23,10 +23,11 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Set
+from functools import partial
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Set
 
 from .errors import CommitLogWarning, DocumentError, GameDefinitionError, ValidationError
-from .games import CoalitionGame, PlayerSet
+from .games import CoalitionGame, PlayerSet, _check_table_size, _missing_coalitions
 from .risk import ThreatTree
 
 SATISFIES_KEY = "Satisfies"
@@ -34,9 +35,14 @@ RECORD_SEPARATOR = "---"
 KNOWN_TRAILER_KEYS = frozenset({SATISFIES_KEY})
 
 
-@dataclass(frozen=True)
-class CommitRecord:
-    """One commit: identity, author, time, ancestry, and trailers."""
+class CommitRecord(NamedTuple):
+    """One commit of the log: id, author, time, ancestry and trailers.
+
+    An immutable tuple compared field by field. ``timestamp`` is in epoch
+    seconds; ``parents`` holds the parent ids as the log lists them (ids
+    outside the log are kept); ``trailers`` holds the ``(key, value)`` pairs
+    in log order, unknown keys included.
+    """
 
     commit_id: str
     author: str
@@ -45,103 +51,89 @@ class CommitRecord:
     trailers: tuple[tuple[str, str], ...] = ()
 
     def satisfies(self) -> tuple[str, ...]:
+        """The leaf ids this commit claims, in trailer order."""
         return tuple(v for k, v in self.trailers if k == SATISFIES_KEY)
 
 
-def _parse_rfc3339(value: str, line_no: int) -> int:
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    try:
-        stamp = datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise DocumentError(f"line {line_no}: invalid RFC3339 date {value!r}") from exc
-    if stamp.tzinfo is None:
-        raise DocumentError(f"line {line_no}: date {value!r} lacks a UTC offset")
-    return int(stamp.timestamp())
+#: ``CommitRecord(*fields)`` without the Python-level ``__new__`` that NamedTuple adds; one per parsed commit.
+_record = partial(tuple.__new__, CommitRecord)
 
 
 def parse_commit_log(text: str) -> list[CommitRecord]:
     """Parse the line-oriented log format into ordered records.
 
-    Fields: ``commit:``, ``author:``, ``date:`` (RFC3339), ``parent:``
-    (repeatable), ``trailer:`` (repeatable, value is ``Key: value``).
-    Records end with a ``---`` line. Unknown trailer keys are kept on the
-    record but flagged with a :class:`CommitLogWarning`; structural problems
-    raise :class:`DocumentError` with the offending line number.
+    Fields: ``commit:``, ``author:``, ``date:`` (RFC 3339 with a UTC offset,
+    ``Z`` or ``z``), ``parent:`` (repeatable), ``trailer:`` (repeatable,
+    value is ``Key: value``). Whitespace around keys and values, blank lines
+    and CRLF line ends are ignored. Records end with a ``---`` line, the last
+    one also with the end of the text. Unknown trailer keys are kept on the
+    record but flagged with a :class:`CommitLogWarning`. Structural problems
+    raise :class:`DocumentError` naming the offending line; a record's missing
+    field or duplicate id is reported at its ``---`` (or the last) line.
     """
     records: list[CommitRecord] = []
     seen_ids: set[str] = set()
     unknown_keys: set[str] = set()
+    commit = author = timestamp = None
+    parents: tuple[str, ...] = ()
+    trailers: tuple[tuple[str, str], ...] = ()
 
-    current: dict = {}
-    parents: list[str] = []
-    trailers: list[tuple[str, str]] = []
-    open_record = False
-
-    def flush(line_no: int):
-        nonlocal current, parents, trailers, open_record
-        for required in ("commit", "author", "date"):
-            if required not in current:
-                raise DocumentError(f"line {line_no}: record missing {required!r} field")
-        commit_id = current["commit"]
-        if commit_id in seen_ids:
-            raise DocumentError(f"line {line_no}: duplicate commit id {commit_id!r}")
-        seen_ids.add(commit_id)
-        records.append(
-            CommitRecord(
-                commit_id=commit_id,
-                author=current["author"],
-                timestamp=current["date"],
-                parents=tuple(parents),
-                trailers=tuple(trailers),
-            )
-        )
-        current, parents, trailers = {}, [], []
-        open_record = False
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    last_line = len(lines)
+    lines.append(RECORD_SEPARATOR)  # closes an unterminated final record
+    for line_no, raw in enumerate(lines, start=1):
+        key, sep, value = raw.partition(":")
+        if sep:
+            key = key.strip()
+            value = value.strip()
+            if key == "commit":
+                if commit is not None:
+                    raise DocumentError(f"line {line_no}: duplicate 'commit' field in record")
+                commit = value
+            elif key == "author":
+                if author is not None:
+                    raise DocumentError(f"line {line_no}: duplicate 'author' field in record")
+                author = value
+            elif key == "date":
+                if timestamp is not None:
+                    raise DocumentError(f"line {line_no}: duplicate 'date' field in record")
+                try:  # Python 3.10's fromisoformat rejects a "Z" suffix
+                    stamp = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith(("Z", "z")) else value)
+                except ValueError as exc:
+                    raise DocumentError(f"line {line_no}: invalid RFC3339 date {value!r}") from exc
+                if stamp.tzinfo is None:
+                    raise DocumentError(f"line {line_no}: date {value!r} lacks a UTC offset")
+                timestamp = int(stamp.timestamp())
+            elif key == "parent":
+                parents += (value,)
+            elif key == "trailer":
+                t_key, t_sep, t_value = value.partition(":")
+                if not t_sep:
+                    raise DocumentError(f"line {line_no}: trailer {value!r} is not of the form 'Key: value'")
+                t_key = t_key.strip()
+                if t_key not in KNOWN_TRAILER_KEYS:
+                    unknown_keys.add(t_key)
+                trailers += ((t_key, t_value.strip()),)
+            else:
+                raise DocumentError(f"line {line_no}: unknown field {key!r}")
+            continue
         line = raw.strip()
-        if not line:
+        if line != RECORD_SEPARATOR:
+            if line:
+                raise DocumentError(f"line {line_no}: malformed line {raw!r} (expected 'field: value')")
             continue
-        if line == RECORD_SEPARATOR:
-            if open_record:
-                flush(line_no)
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise DocumentError(f"line {line_no}: malformed line {raw!r} (expected 'field: value')")
-        key = key.strip()
-        value = value.strip()
-        open_record = True
-        if key == "commit":
-            if "commit" in current:
-                raise DocumentError(f"line {line_no}: duplicate 'commit' field in record")
-            current["commit"] = value
-        elif key == "author":
-            if "author" in current:
-                raise DocumentError(f"line {line_no}: duplicate 'author' field in record")
-            current["author"] = value
-        elif key == "date":
-            if "date" in current:
-                raise DocumentError(f"line {line_no}: duplicate 'date' field in record")
-            current["date"] = _parse_rfc3339(value, line_no)
-        elif key == "parent":
-            parents.append(value)
-        elif key == "trailer":
-            t_key, t_sep, t_value = value.partition(":")
-            if not t_sep:
-                raise DocumentError(f"line {line_no}: trailer {value!r} is not of the form 'Key: value'")
-            t_key = t_key.strip()
-            t_value = t_value.strip()
-            if t_key not in KNOWN_TRAILER_KEYS:
-                unknown_keys.add(t_key)
-            trailers.append((t_key, t_value))
-        else:
-            raise DocumentError(f"line {line_no}: unknown field {key!r}")
-
-    if open_record:
-        flush(line_no)
+        if commit is None or author is None or timestamp is None or commit in seen_ids:
+            if commit is author is timestamp is None and not parents and not trailers:
+                continue  # no record open: a repeated or trailing separator
+            at = min(line_no, last_line)
+            for required, got in (("commit", commit), ("author", author), ("date", timestamp)):
+                if got is None:
+                    raise DocumentError(f"line {at}: record missing {required!r} field")
+            raise DocumentError(f"line {at}: duplicate commit id {commit!r}")
+        seen_ids.add(commit)
+        records.append(_record((commit, author, timestamp, parents, trailers)))
+        commit = author = timestamp = None
+        parents = trailers = ()
 
     if unknown_keys:
         warnings.warn(
@@ -181,16 +173,17 @@ def resolve_identities(
     raw identity, reported and warned about but not fatal; an identity that
     already *is* a canonical id passes through silently.
     """
-    canonical = set(aliases.values())
+    known = set(aliases.values())  # canonical ids, then each provisional identity once seen
     resolved: list[CommitRecord] = []
-    provisional: list[str] = []
+    provisional: list[str] = []  # in order of first appearance
     for r in records:
         if r.author in aliases:
             resolved.append(
                 CommitRecord(r.commit_id, aliases[r.author], r.timestamp, r.parents, r.trailers)
             )
         else:
-            if r.author not in canonical and r.author not in provisional:
+            if r.author not in known:
+                known.add(r.author)
                 provisional.append(r.author)
             resolved.append(r)
     if provisional:
@@ -211,10 +204,13 @@ def resolve_identities(
 class Cycle:
     """The stretch of history one appraisal run covers.
 
-    Either commit-bounded (strictly after ``from_commit``, up to and including
-    ``to_commit``) or time-bounded (inclusive timestamp range); open ends mean
-    "to the end of the log". A commit bound that does not occur in the log is
-    a validation error.
+    Either commit-bounded or time-bounded (an inclusive timestamp range).
+    Commit bounds mean what ``git log from_commit..to_commit`` means: the
+    commits reachable from ``to_commit`` over ``parent`` links, minus those
+    reachable from ``from_commit``. An open end stands for every commit in the
+    log, and parents that are not in the log are outside the window, so a
+    branch that forked before ``from_commit`` and merged after it counts. A
+    commit bound that does not occur in the log is a validation error.
     """
 
     from_commit: Optional[str] = None
@@ -241,30 +237,46 @@ class Cycle:
         return cls()
 
 
-def _index_of_commit(records: Sequence[CommitRecord], commit_id: str) -> int:
-    for k, r in enumerate(records):
-        if r.commit_id == commit_id:
-            return k
-    raise ValidationError(f"cycle boundary commit {commit_id!r} not found in the log")
+def _ancestry(parents: Mapping[str, tuple[str, ...]], tip: str) -> set[str]:
+    """``tip`` and every log commit reachable from it over parent links."""
+    reached = {tip}
+    stack = [tip]
+    while stack:
+        for parent in parents[stack.pop()]:
+            if parent in parents and parent not in reached:
+                reached.add(parent)
+                stack.append(parent)
+    return reached
 
 
 def select_cycle(records: Sequence[CommitRecord], cycle: Cycle) -> list[CommitRecord]:
-    """Records inside the cycle, original order preserved."""
+    """Records inside the cycle, in log order.
+
+    A commit-bounded window is git's ``from_commit..to_commit`` over the
+    log's parent links (see :class:`Cycle`); on a linear log it is the
+    records after ``from_commit`` up to and including ``to_commit``. A bound
+    missing from the log, or a ``to_commit`` that ``from_commit`` already
+    reaches, is a :class:`ValidationError`.
+    """
     if cycle.from_time is not None or cycle.to_time is not None:
         lo = cycle.from_time if cycle.from_time is not None else float("-inf")
         hi = cycle.to_time if cycle.to_time is not None else float("inf")
         return [r for r in records if lo <= r.timestamp <= hi]
-    start = 0
-    end = len(records)
-    if cycle.from_commit is not None:
-        start = _index_of_commit(records, cycle.from_commit) + 1
-    if cycle.to_commit is not None:
-        end = _index_of_commit(records, cycle.to_commit) + 1
-        if end <= start:
-            raise ValidationError(
-                f"cycle end {cycle.to_commit!r} precedes its start {cycle.from_commit!r}"
-            )
-    return list(records[start:end])
+    if cycle.from_commit is None and cycle.to_commit is None:
+        return list(records)
+    parents = {r.commit_id: r.parents for r in records}
+    for bound in (cycle.from_commit, cycle.to_commit):
+        if bound is not None and bound not in parents:
+            raise ValidationError(f"cycle boundary commit {bound!r} not found in the log")
+    before = set() if cycle.from_commit is None else _ancestry(parents, cycle.from_commit)
+    if cycle.to_commit is None:
+        return [r for r in records if r.commit_id not in before]
+    if cycle.to_commit in before:
+        raise ValidationError(
+            f"cycle end {cycle.to_commit!r} precedes its start {cycle.from_commit!r}"
+        )
+    window = _ancestry(parents, cycle.to_commit) - before
+    return [r for r in records if r.commit_id in window]
 
 
 def derive_attribution(
@@ -282,7 +294,9 @@ def derive_attribution(
     authors: dict[str, set[str]] = {leaf: set() for leaf in tree.leaf_ids()}
     offenders: list[tuple[str, str]] = []
     for r in select_cycle(records, cycle):
-        for leaf_id in r.satisfies():
+        for key, leaf_id in r.trailers:  # r.satisfies(), without a call per commit
+            if key != SATISFIES_KEY:
+                continue
             if leaf_id not in known:
                 offenders.append((r.commit_id, leaf_id))
             else:
@@ -402,6 +416,7 @@ def game_from_subset_results(
     every value); conflicting duplicates, unknown leaves, and a nonempty pass
     list for the empty coalition are errors.
     """
+    _check_table_size(players, "subset results")
     known = set(tree.leaf_ids())
     size = 1 << players.n
     values: dict[int, Fraction] = {}
@@ -427,11 +442,10 @@ def game_from_subset_results(
             )
         values[mask] = Fraction(len(result.passing)) / denom
     values[0] = Fraction(0)
-    missing = [m for m in range(size) if m not in values]
-    if missing:
-        shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in missing[:8])
-        more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
-        raise GameDefinitionError(f"subset results do not cover all coalitions; missing: {shown}{more}")
+    if len(values) != size:
+        raise GameDefinitionError(
+            f"subset results do not cover all coalitions; missing: {_missing_coalitions(players, values)}"
+        )
     return CoalitionGame(players, table=[values[m] for m in range(size)], label="subset-results")
 
 

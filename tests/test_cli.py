@@ -156,6 +156,20 @@ class TestPayout:
         assert payments == {"alice": 1062950, "bob": 354317, "carol": 708633}
         assert sum(payments.values()) - 2125900 == report.residual_minor
 
+    @pytest.mark.parametrize(
+        "player, got",
+        [(None, "null"), (7, "integer 7"), (["alice"], "array ['alice']"), ({"id": "bob"}, "object")],
+    )
+    def test_alias_that_is_not_a_string_is_input_error(self, capsys, workdir, player, got):
+        (workdir / WE / "aliases.json").write_text(json.dumps({"alice@x": "alice", "bob@x": player}))
+        doc = json.loads((workdir / WE / "mining_config.json").read_text())
+        doc["source"]["aliases"] = "aliases.json"
+        config = workdir / WE / "alias_config.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "payout", "--config", str(config))
+        assert code == 2
+        assert f"input error: aliases['bob@x']: expected a string, got {got}" in err
+
     def test_missing_budget_is_input_error(self, capsys, workdir):
         config = workdir / WE / "nobudget.json"
         doc = json.loads((workdir / WE / "payout_config.json").read_text())
@@ -402,6 +416,23 @@ class TestCapacity:
         code, _, err = run(capsys, "game", "--config", str(config))
         assert code == 3
         assert "capacity" in err
+
+    @pytest.mark.parametrize(
+        "kind, rows",
+        [
+            ("coalition_table", {"entries": [{"coalition": [], "value": 0}]}),
+            ("subset_results", {"results": [{"subset": [], "passing": []}]}),
+        ],
+    )
+    def test_40_player_table_input_exits_3(self, capsys, workdir, kind, rows):
+        (workdir / WE / "big.json").write_text(json.dumps({"players": [f"dev{k:02d}" for k in range(40)], **rows}))
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc["source"] = {"type": kind, "path": "big.json"}
+        config = workdir / WE / "big_config.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "payout", "--config", str(config))
+        assert code == 3
+        assert "for 40 players needs 2^40 values (cap 24 players)" in err
 
     def test_exact_payout_for_40_committers_is_audited(self, capsys, workdir):
         log = "".join(

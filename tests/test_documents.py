@@ -179,8 +179,22 @@ class TestRowShapes:
             (("assessments", 0), 5, "assessments[0]: expected an object, got integer 5"),
             (("scales", "impact"), [], "scales.impact: expected an object"),
             (("scales", "likelihood", "categories", 1), "low", "scales.likelihood.categories[1]: expected an object"),
+            (("threats", 0, "id"), 7, "threats[0].id: expected a string, got integer 7"),
+            (("threats", 0, "label"), None, "threats[0].label: expected a string, got null"),
+            (("threats", 0, "controls", 1, "id"), ["C"], "threats[0].controls[1].id: expected a string, got array"),
+            (("threats", 0, "controls", 1, "label"), True, "threats[0].controls[1].label: expected a string, got boolean true"),
+            (("threats", 0, "controls", 2, "leaves", 0, "id"), 7, "threats[0].controls[2].leaves[0].id: expected a string"),
+            (("threats", 0, "controls", 2, "leaves", 0, "label"), None, "threats[0].controls[2].leaves[0].label: expected a string"),
+            (("assessments", 0, "threat"), 1, "assessments[0].threat: expected a string, got integer 1"),
+            (("assessments", 0, "impact_after"), None, "assessments[0].impact_after: expected a string, got null"),
+            (("scales", "impact", "name"), False, "scales.impact.name: expected a string, got boolean false"),
+            (("scales", "likelihood", "categories", 0, "label"), 0, "scales.likelihood.categories[0].label: expected a string"),
         ],
-        ids=["threats", "threat", "control", "leaves", "leaf", "assessment", "scale", "category"],
+        ids=[
+            "threats", "threat", "control", "leaves", "leaf", "assessment", "scale", "category",
+            "threat-id", "threat-label", "control-id", "control-label", "leaf-id", "leaf-label",
+            "assessment-threat", "assessment-label", "scale-name", "category-label",
+        ],
     )
     def test_risk_model_row_that_is_not_an_object(self, fixtures_dir, path, value, location):
         doc = load_json(fixtures_dir / "worked_example" / "risk_model.json")
@@ -213,8 +227,9 @@ class TestRowShapes:
             (("attribution", 0, "authors"), "ab", "attribution[0].authors: expected an array, got string 'ab'"),
             (("attribution", 0, "authors", 0), ["a"], "attribution[0].authors[0]: expected a string"),
             (("players",), 5, "players: expected an array, got integer 5"),
+            (("attribution", 0, "leaf"), 7, "attribution[0].leaf: expected a string, got integer 7"),
         ],
-        ids=["row", "rows", "authors", "author", "players"],
+        ids=["row", "rows", "authors", "author", "players", "leaf"],
     )
     def test_attribution_shape(self, path, value, location):
         doc = {"players": ["a", "b"], "attribution": [{"leaf": "f1", "authors": ["a"]}]}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from riskshare import parse_commit_log
+from riskshare import Cycle, parse_commit_log, select_cycle
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "export_commit_log.py"
 
@@ -52,3 +52,52 @@ def test_export_round_trips_through_parser(tmp_path):
     assert records[1].parents == (records[0].commit_id,)
     assert records[1].author == "alice@example.org"
     assert records[1].satisfies() == ("U-46365-1",)
+
+
+def test_commit_window_matches_git_across_a_merge(tmp_path):
+    """A branch forked before the cycle start and merged after it is inside the window."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    minutes = iter(range(60))
+
+    def commit(name):
+        stamp = f"2023-03-04T05:{next(minutes):02d}:00+00:00"
+        (repo / f"{name}.txt").write_text(name)
+        git(repo, "add", f"{name}.txt")
+        git(repo, "commit", "-q", "-m", name, GIT_AUTHOR_DATE=stamp, GIT_COMMITTER_DATE=stamp)
+        return git(repo, "rev-parse", "HEAD").stdout.strip()
+
+    commit("root")
+    fork = commit("fork")
+    main = git(repo, "symbolic-ref", "--short", "HEAD").stdout.strip()
+    git(repo, "checkout", "-q", "-b", "feature")
+    commit("feature-1")
+    git(repo, "checkout", "-q", main)
+    start = commit("start")
+    commit("after-start")
+    git(repo, "checkout", "-q", "feature")
+    commit("feature-2")
+    git(repo, "checkout", "-q", main)
+    stamp = "2023-03-04T06:00:00+00:00"
+    git(repo, "merge", "-q", "--no-ff", "-m", "merge", "feature", GIT_AUTHOR_DATE=stamp, GIT_COMMITTER_DATE=stamp)
+    end = git(repo, "rev-parse", "HEAD").stdout.strip()
+
+    def rev_list(revisions):
+        return set(git(repo, "rev-list", revisions).stdout.split())
+
+    def window(records, cycle):
+        return [r.commit_id for r in select_cycle(records, cycle)]
+
+    for export_range in (None, f"{fork}..HEAD"):  # the whole history, and one without its root
+        argv = [sys.executable, str(TOOL), str(repo)] + ([export_range] if export_range else [])
+        records = parse_commit_log(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+        order = [r.commit_id for r in records]
+        for cycle, revisions in [
+            (Cycle.after_commit(start, end), f"{start}..{end}"),
+            (Cycle.after_commit(start), f"{start}..HEAD"),
+            (Cycle(to_commit=start), start),
+        ]:
+            expected = rev_list(revisions) & set(order)
+            assert window(records, cycle) == [c for c in order if c in expected]
+        assert len(window(records, Cycle.after_commit(start))) == 4  # feature-1, after-start, feature-2, merge

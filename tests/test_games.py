@@ -68,6 +68,13 @@ class TestGameFromTable:
         with pytest.raises(GameDefinitionError, match="missing coalitions"):
             game_from_table(ABC, [(["A"], 1)])
 
+    def test_missing_coalitions_message_shows_eight_and_counts_the_rest(self):
+        with pytest.raises(GameDefinitionError) as error:
+            game_from_table(PlayerSet(("A", "B", "C", "D")), [(["A"], 1)])
+        assert str(error.value) == (
+            "missing coalitions: {B}, {A,B}, {C}, {A,C}, {B,C}, {A,B,C}, {D}, {A,D} (+6 more)"
+        )
+
     def test_default_zero_fills_gaps(self):
         game = game_from_table(ABC, [(["A", "B", "C"], 5)], default_zero=True)
         assert game.evaluate(["A"]) == 0

@@ -1,9 +1,12 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskshare import (
     CommitLogWarning,
+    CommitRecord,
     Cycle,
     DocumentError,
     GameDefinitionError,
@@ -136,6 +139,137 @@ class TestParse:
         assert parse_commit_log(render_commit_log(records)) == records
 
 
+DATE = "2023-01-10T09:00:00+00:00"
+
+#: "feature" forks before "start" and merges after it; the parent "root" was not exported.
+MERGE_LOG = "".join(
+    f"commit: {c}\nauthor: {c}-dev\ndate: {DATE}\n" + "".join(f"parent: {p}\n" for p in parents) + "---\n"
+    for c, parents in [
+        ("fork", ["root"]),
+        ("feature", ["fork"]),
+        ("start", ["fork"]),
+        ("after", ["start"]),
+        ("merge", ["after", "feature"]),
+    ]
+)
+
+
+class TestParseErrors:
+    """Every structural problem names its line; a record's checks run when its ``---`` (or the end) is reached."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "commit: a\n  author alice \n---\n",
+                "line 2: malformed line '  author alice ' (expected 'field: value')",
+            ),
+            ("commit: a\ncommitter: alice\n---\n", "line 2: unknown field 'committer'"),
+            ("commit: a\n commit : b\n---\n", "line 2: duplicate 'commit' field in record"),
+            ("commit: a\nauthor: x\nauthor: y\n---\n", "line 3: duplicate 'author' field in record"),
+            (f"commit: a\ndate: {DATE}\ndate: never\n---\n", "line 3: duplicate 'date' field in record"),
+            (f"author: x\ndate: {DATE}\n---\n", "line 3: record missing 'commit' field"),
+            (f"commit: a\ndate: {DATE}\n\n---\n", "line 4: record missing 'author' field"),
+            ("commit: a\nauthor: x\n---\n", "line 3: record missing 'date' field"),
+            ("trailer: Satisfies: f1\n---\n", "line 2: record missing 'commit' field"),
+            (
+                f"commit: a\nauthor: x\ndate: {DATE}\n---\ncommit: a\nauthor: y\ndate: {DATE}\n---\n",
+                "line 8: duplicate commit id 'a'",
+            ),
+            ("commit: a\nauthor: x\ndate:  last tuesday \n---\n", "line 3: invalid RFC3339 date 'last tuesday'"),
+            ("commit: a\ndate: 2023-01-10T09:00:00\n", "line 2: date '2023-01-10T09:00:00' lacks a UTC offset"),
+            ("commit: a\ntrailer: Satisfies f1\n", "line 2: trailer 'Satisfies f1' is not of the form 'Key: value'"),
+            ("commit: a\nauthor: x\n\n  \n", "line 4: record missing 'date' field"),
+            (
+                f"commit: a\nauthor: x\ndate: {DATE}\n---\ncommit: a\nauthor: y\ndate: {DATE}",
+                "line 7: duplicate commit id 'a'",
+            ),
+            ("commit: a\nauthor alice\ncommitter: x\n", "line 2: malformed line 'author alice' (expected 'field: value')"),
+            ("commit: a\r\ndate: soon\r\nauthor x\r\n", "line 2: invalid RFC3339 date 'soon'"),
+        ],
+        ids=[
+            "malformed",
+            "unknown-field",
+            "duplicate-commit",
+            "duplicate-author",
+            "duplicate-date",
+            "missing-commit",
+            "missing-author",
+            "missing-date",
+            "missing-all",
+            "duplicate-id",
+            "invalid-date",
+            "naive-date",
+            "bad-trailer",
+            "unterminated-missing",
+            "unterminated-duplicate-id",
+            "first-error-wins",
+            "crlf",
+        ],
+    )
+    def test_message_and_line(self, text, message):
+        with pytest.raises(DocumentError) as error:
+            parse_commit_log(text)
+        assert str(error.value) == message
+
+
+#: Field values: no surrounding whitespace (the parser strips it) and no line breaks.
+TOKENS = st.text("ab1@.:_- ", min_size=1, max_size=6).map(str.strip).filter(bool)
+PADDING = ("", " ", "\t", "  ")
+
+
+@st.composite
+def commit_records(draw):
+    ids = draw(st.lists(TOKENS, unique=True, max_size=4))
+    trailer = st.tuples(st.sampled_from(["Satisfies", "Reviewed-by", "Co-authored-by"]), TOKENS)
+    return [
+        CommitRecord(
+            commit_id,
+            draw(TOKENS),
+            draw(st.integers(0, 2**33)),
+            tuple(draw(st.lists(TOKENS, max_size=2))),
+            tuple(draw(st.lists(trailer, max_size=3))),
+        )
+        for commit_id in ids
+    ]
+
+
+def parse_with_warnings(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = parse_commit_log(text)
+    return records, [str(w.message) for w in caught if w.category is CommitLogWarning]
+
+
+class TestParseLayout:
+    """Whitespace, blank lines, line endings and a missing final ``---`` do not change the records."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=commit_records(), rng=st.randoms(use_true_random=False))
+    def test_perturbed_rendering_parses_to_the_same_records(self, records, rng):
+        def pad():
+            return rng.choice(PADDING)
+
+        lines = []
+        for line in render_commit_log(records).splitlines():
+            if rng.random() < 0.3:
+                lines.append(pad())
+            if line != "---":
+                key, _, value = line.partition(": ")
+                if key == "trailer":
+                    t_key, _, t_value = value.partition(": ")
+                    value = t_key + pad() + ":" + pad() + t_value
+                line = pad() + key + pad() + ":" + pad() + value + pad()
+            lines.append(line)
+        if records and rng.random() < 0.5:  # drop the final ``---``
+            del lines[max(k for k, line in enumerate(lines) if line == "---")]
+        text = rng.choice(["\n", "\r\n"]).join(lines)
+
+        unknown = sorted({key for r in records for key, _ in r.trailers if key != "Satisfies"})
+        expected = [f"ignoring unknown trailer keys: {unknown}"] if unknown else []
+        assert parse_with_warnings(text) == (records, expected)
+
+
 class TestIdentities:
     def test_alias_lookup(self):
         records = parse_commit_log(SIMPLE_LOG.replace("alice", "alice@corp"))
@@ -195,6 +329,32 @@ class TestCycles:
         )
         assert [r.commit_id for r in window] == ["c-bob-1", "c-carol-1", "c-alice-2"]
 
+    def test_linear_log_window_is_positional(self):
+        records = parse_commit_log(FULL_LOG)
+        ids = [r.commit_id for r in records]
+        for start in range(len(ids)):
+            for end in range(len(ids)):
+                cycle = Cycle.after_commit(ids[start], ids[end])
+                if end > start:
+                    assert [r.commit_id for r in select_cycle(records, cycle)] == ids[start + 1 : end + 1]
+                else:
+                    with pytest.raises(ValidationError, match="precedes"):
+                        select_cycle(records, cycle)
+
+    @pytest.mark.parametrize(
+        "cycle, expected",
+        [
+            (Cycle.after_commit("start", "merge"), ["feature", "after", "merge"]),
+            (Cycle.after_commit("start"), ["feature", "after", "merge"]),
+            (Cycle.after_commit("feature", "merge"), ["start", "after", "merge"]),
+            (Cycle.after_commit("feature", "start"), ["start"]),
+            (Cycle(to_commit="after"), ["fork", "start", "after"]),
+            (Cycle.after_commit("fork", "feature"), ["feature"]),
+        ],
+    )
+    def test_merge_window_follows_parents(self, cycle, expected):
+        assert [r.commit_id for r in select_cycle(parse_commit_log(MERGE_LOG), cycle)] == expected
+
     def test_mixed_bounds_rejected(self):
         with pytest.raises(ValueError):
             Cycle(from_commit="x", from_time=0)
@@ -224,6 +384,12 @@ class TestAttribution:
         records = parse_commit_log(text)
         attribution = derive_attribution(records, build_three_fix_tree())
         assert attribution["U-46365-1"] == frozenset({"alice"})
+
+    def test_other_trailers_claim_nothing(self):
+        text = SIMPLE_LOG.replace("trailer: Satisfies: U-46365-1", "trailer: Reviewed-by: U-46365-1")
+        with pytest.warns(CommitLogWarning, match="Reviewed-by"):
+            records = parse_commit_log(text)
+        assert derive_attribution(records, build_three_fix_tree())["U-46365-1"] == frozenset()
 
     def test_unknown_leaf_lists_offenders(self):
         text = SIMPLE_LOG.replace("U-46365-1", "U-00000-9")
@@ -272,6 +438,10 @@ class TestCherryPickPlan:
         plan = cherry_pick_plan(records, "c-carol-2", {"alice"})
         assert plan.picks == ()
         assert plan.warnings
+
+    def test_merged_branch_commits_are_picked(self):
+        plan = cherry_pick_plan(parse_commit_log(MERGE_LOG), "start", {"feature-dev", "merge-dev"})
+        assert plan.picks == ("feature", "merge")
 
     def test_document_has_five_ordered_steps(self):
         records = parse_commit_log(FULL_LOG)
