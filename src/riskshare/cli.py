@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -40,6 +41,20 @@ def _err(message: str):
     print(message, file=sys.stderr)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    _err(f"warning: {category.__name__}: {message}")
+
+
+def _emit(text: str, path, what: str) -> int:
+    """Write ``text`` to ``path`` and say so on stderr, or to stdout when there is no path."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+        _err(f"{what} written to {path}")
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
 def _load_records(config: RunConfig):
     text = config.source.path.read_text(encoding="utf-8")
     records = parse_commit_log(text)
@@ -60,29 +75,25 @@ def _roster(config: RunConfig, declared: Optional[tuple[str, ...]], fallback: se
 
 
 def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
-    """Construct the coalition game the configured source describes."""
+    """The configured source's game; coalition tables and subset results end in ``game_from_table``."""
     kind = config.source.type
     if kind == "coalition_table":
         return documents.load_coalition_game(config.source.path)
     if model is None:
         raise ValidationError(f"source type {kind!r} needs a risk_model for its threat tree")
-    if kind == "attribution":
-        declared, attribution = documents.load_attribution(config.source.path)
-        authors = {a for people in attribution.values() for a in people}
-        players = _roster(config, declared, authors)
-        return leaf_coverage_game(model.tree, attribution, players, config.normalized)
-    if kind == "commit_log":
-        records = _load_records(config)
-        attribution = derive_attribution(records, model.tree, config.source.cycle)
-        authors = {a for people in attribution.values() for a in people}
-        players = _roster(config, None, authors)
-        return leaf_coverage_game(model.tree, attribution, players, config.normalized)
     if kind == "subset_results":
         declared, results = documents.load_subset_results(config.source.path)
-        named = {p for r in results for p in r.subset}
-        players = _roster(config, declared, named)
+        players = _roster(config, declared, {p for r in results for p in r.subset})
         return game_from_subset_results(results, model.tree, players, config.normalized)
-    raise DocumentError(f"unknown source type {kind!r}")
+    if kind == "attribution":
+        declared, attribution = documents.load_attribution(config.source.path)
+    elif kind == "commit_log":
+        declared = None
+        attribution = derive_attribution(_load_records(config), model.tree, config.source.cycle)
+    else:
+        raise DocumentError(f"unknown source type {kind!r}")
+    players = _roster(config, declared, {a for people in attribution.values() for a in people})
+    return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 
 
 def _checked_config(args) -> RunConfig:
@@ -117,10 +128,8 @@ def _print_validation(report: ValidationReport):
 def cmd_validate(args) -> int:
     config = load_run_config(args.config)
     report = config.validate()
-    model = None
     if config.risk_model_path is not None and config.risk_model_path.exists():
-        model = documents.load_risk_model(config.risk_model_path)
-        report = report.merged(model.validate())
+        report = report.merged(documents.load_risk_model(config.risk_model_path).validate())
     _print_validation(report)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
@@ -149,8 +158,8 @@ def cmd_shapley(args) -> int:
     result = solve(game, config.solver)
     # symmetry is not audited for a sampled estimate; the other axioms always are
     axioms = check_axioms(game, result)
+    share = result.share
     if args.format == "json":
-        share = result.share
         doc = {
             "players": list(result.players),
             "method": result.method,
@@ -164,7 +173,6 @@ def cmd_shapley(args) -> int:
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        share = result.share
         print("players:", " ".join(result.players))
         print("method:", result.method)
         print("phi:", " ".join(str(result.phi[p]) for p in result.players))
@@ -217,13 +225,7 @@ def cmd_payout(args) -> int:
         axioms=axioms,
     )
     rendered = render_report(report, config.output_format)
-    out_path = Path(args.out) if args.out else config.output_path
-    if out_path is not None:
-        out_path.write_text(rendered, encoding="utf-8")
-        _err(f"report written to {out_path}")
-    else:
-        sys.stdout.write(rendered)
-    return EXIT_OK
+    return _emit(rendered, Path(args.out) if args.out else config.output_path, "report")
 
 
 def cmd_plan_cherry_pick(args) -> int:
@@ -236,24 +238,12 @@ def cmd_plan_cherry_pick(args) -> int:
         raise ValidationError("no base commit: pass --base or set source.cycle.from_commit")
     subset = tuple(s for s in (p.strip() for p in args.subset.split(",")) if s)
     plan = cherry_pick_plan(records, base, set(subset), to_commit=config.source.cycle.to_commit)
-    rendered = plan.to_json()
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        _err(f"plan written to {args.out}")
-    else:
-        sys.stdout.write(rendered)
-    return EXIT_OK
+    return _emit(plan.to_json(), args.out, "plan")
 
 
 def cmd_report(args) -> int:
     report = parse_report(Path(args.input).read_text(encoding="utf-8"))
-    rendered = render_report(report, args.format)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        _err(f"report written to {args.out}")
-    else:
-        sys.stdout.write(rendered)
-    return EXIT_OK
+    return _emit(render_report(report, args.format), args.out, "report")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,23 +292,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except DocumentError as exc:
-        _err(f"input error: {exc}")
-        return EXIT_INPUT
-    except CapacityError as exc:
-        _err(f"capacity error: {exc}")
-        return EXIT_CAPACITY
-    except ValidationError as exc:
-        _err(f"validation error: {exc}")
-        return EXIT_VALIDATION
-    except RiskshareError as exc:
-        _err(f"error: {exc}")
-        return EXIT_VALIDATION
-    except OSError as exc:
-        _err(f"io error: {exc}")
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # one line per warning, without a source location
+        try:
+            return args.func(args)
+        except DocumentError as exc:
+            _err(f"input error: {exc}")
+            return EXIT_INPUT
+        except CapacityError as exc:
+            _err(f"capacity error: {exc}")
+            return EXIT_CAPACITY
+        except ValidationError as exc:
+            _err(f"validation error: {exc}")
+            return EXIT_VALIDATION
+        except RiskshareError as exc:
+            _err(f"error: {exc}")
+            return EXIT_VALIDATION
+        except OSError as exc:
+            _err(f"io error: {exc}")
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

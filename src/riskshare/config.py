@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .documents import load_json, _describe, _expect, _object, _rational, _string, _strings
+from .documents import load_json, _describe, _expect, _integer, _object, _rational, _string, _strings
 from .errors import DocumentError
 from .mining import Cycle
 from .payout import ANCHORS, PER_RECIPIENT, REPORT_FORMATS, ROUNDING_MODES
@@ -112,10 +112,10 @@ def _cycle_from_doc(doc: dict) -> Cycle:
     where = "config.source.cycle"
     try:
         return Cycle(
-            from_commit=_optional_string(doc, "from_commit", where),
-            to_commit=_optional_string(doc, "to_commit", where),
-            from_time=_optional_int(doc, "from_time", where),
-            to_time=_optional_int(doc, "to_time", where),
+            from_commit=_optional(doc, "from_commit", where, _string),
+            to_commit=_optional(doc, "to_commit", where, _string),
+            from_time=_optional(doc, "from_time", where, _integer),
+            to_time=_optional(doc, "to_time", where, _integer),
         )
     except ValueError as exc:
         raise DocumentError(f"source.cycle: {exc}") from exc
@@ -131,32 +131,22 @@ def _section(value, where: str) -> dict:
     return value
 
 
-def _optional_int(doc: dict, key: str, where: str) -> Optional[int]:
-    """A JSON integer (not a bool, float or string), or None when absent or null."""
+def _optional(doc: dict, key: str, where: str, read):
+    """``read`` applied to ``doc[key]``, or None when the key is absent or null."""
     value = doc.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise DocumentError(f"{where}.{key}: expected an integer, got {_describe(value)}")
-    return value
-
-
-def _optional_string(doc: dict, key: str, where: str) -> Optional[str]:
-    """A JSON string, or None when absent or null."""
-    value = doc.get(key)
-    return None if value is None else _string(value, f"{where}.{key}")
+    return None if value is None else read(value, f"{where}.{key}")
 
 
 def _optional_path(doc: dict, key: str, where: str, base_dir: Path) -> Optional[Path]:
     """A JSON string resolved against ``base_dir``, or None when absent or null."""
-    value = _optional_string(doc, key, where)
+    value = _optional(doc, key, where, _string)
     return None if value is None else base_dir / value
 
 
 def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     doc = _section(doc, "config")
     src_doc = _section(_expect(doc, "source", "config"), "config.source")
-    players = src_doc.get("players")
-    if players is not None:
-        players = _strings(players, "config.source.players")
+    players = _optional(src_doc, "players", "config.source", _strings)
     source = SourceSpec(
         type=_string(_expect(src_doc, "type", "config.source"), "config.source.type"),
         path=base_dir / _string(_expect(src_doc, "path", "config.source"), "config.source.path"),
@@ -168,8 +158,8 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     solver_doc = _section(doc.get("solver", {}), "config.solver")
     solver = SolverSpec(
         method=_string(solver_doc.get("method", "exact"), "config.solver.method"),
-        samples=_optional_int(solver_doc, "samples", "config.solver"),
-        seed=_optional_int(solver_doc, "seed", "config.solver"),
+        samples=_optional(solver_doc, "samples", "config.solver", _integer),
+        seed=_optional(solver_doc, "seed", "config.solver", _integer),
     )
     normalized = doc.get("normalized", False)
     if not isinstance(normalized, bool):
@@ -180,11 +170,10 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     budget = None
     if "budget" in doc:
         b_doc = _section(doc["budget"], "config.budget")
-        explicit = b_doc.get("value")
         budget = BudgetSpec(
             fraction=_rational(_expect(b_doc, "fraction", "config.budget"), "config.budget.fraction"),
             anchor=_string(_expect(b_doc, "anchor", "config.budget"), "config.budget.anchor"),
-            explicit_value=None if explicit is None else _rational(explicit, "config.budget.value"),
+            explicit_value=_optional(b_doc, "value", "config.budget", _rational),
         )
 
     out_doc = _section(doc.get("output", {}), "config.output")

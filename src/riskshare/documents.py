@@ -56,6 +56,11 @@ def _expect(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _field(doc: dict, key: str, where: str, read, *args):
+    """``read(doc[key], <its location>, *args)``; ``where`` locates ``doc``, "" for a whole document."""
+    return read(_expect(doc, key, where or "document"), f"{where}.{key}" if where else key, *args)
+
+
 def _describe(value) -> str:
     """A parsed JSON value, named by its JSON type."""
     if value is None:
@@ -87,6 +92,13 @@ def _string(value, where: str) -> str:
     return value
 
 
+def _integer(value, where: str) -> int:
+    """A JSON integer, never a bool, float or string."""
+    if type(value) is not int:
+        raise DocumentError(f"{where}: expected an integer, got {_describe(value)}")
+    return value
+
+
 def _rows(value, where: str):
     """``(location, object)`` for each entry of a JSON array of objects."""
     for k, row in enumerate(_list(value, where)):
@@ -110,11 +122,9 @@ def _rational(value, where: str) -> Fraction:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _interval(doc, where: str) -> Interval:
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{where}: expected an object with 'lo' and 'hi'")
-    lo = _rational(_expect(doc, "lo", where), f"{where}.lo")
-    hi = _rational(_expect(doc, "hi", where), f"{where}.hi")
+def _interval(doc: dict, where: str) -> Interval:
+    lo = _field(doc, "lo", where, _rational)
+    hi = _field(doc, "hi", where, _rational)
     try:
         return Interval(lo, hi)
     except ValueError as exc:
@@ -123,11 +133,11 @@ def _interval(doc, where: str) -> Interval:
 
 def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
     doc = _object(doc, where)
-    name = _string(_expect(doc, "name", where), f"{where}.name")
-    kind = _string(_expect(doc, "kind", where), f"{where}.kind")
+    name = _field(doc, "name", where, _string)
+    kind = _field(doc, "kind", where, _string)
     categories = []
-    for cat_where, cat in _rows(_expect(doc, "categories", where), f"{where}.categories"):
-        label = _string(_expect(cat, "label", cat_where), f"{cat_where}.label")
+    for cat_where, cat in _field(doc, "categories", where, _rows):
+        label = _field(cat, "label", cat_where, _string)
         categories.append((label, _interval(cat, cat_where)))
     try:
         return QualitativeScale(name=name, kind=kind, categories=tuple(categories))
@@ -135,12 +145,9 @@ def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _id(doc: dict, where: str) -> str:
-    return _string(_expect(doc, "id", where), f"{where}.id")
-
-
-def _label(doc: dict, where: str) -> str:
-    return _string(doc.get("label", ""), f"{where}.label")
+def _named(doc: dict, where: str) -> tuple[str, str]:
+    """A tree node's ``id`` and its optional ``label``."""
+    return _field(doc, "id", where, _string), _string(doc.get("label", ""), f"{where}.label")
 
 
 def risk_model_from_document(doc: dict) -> RiskModel:
@@ -150,36 +157,46 @@ def risk_model_from_document(doc: dict) -> RiskModel:
     slots), ``threats`` (nested controls/leaves), ``assessments``.
     """
     doc = _object(doc, "document")
-    scales_doc = _object(_expect(doc, "scales", "document"), "scales")
-    likelihood = scale_from_document(_expect(scales_doc, "likelihood", "scales"), "scales.likelihood")
-    impact = scale_from_document(_expect(scales_doc, "impact", "scales"), "scales.impact")
+    scales_doc = _field(doc, "scales", "", _object)
+    likelihood = _field(scales_doc, "likelihood", "scales", scale_from_document)
+    impact = _field(scales_doc, "impact", "scales", scale_from_document)
     try:
         scales = ScaleSet(likelihood=likelihood, impact=impact)
     except ValueError as exc:
         raise DocumentError(f"scales: {exc}") from exc
 
     threats = []
-    for t_where, t_doc in _rows(_expect(doc, "threats", "document"), "threats"):
+    for t_where, t_doc in _field(doc, "threats", "", _rows):
         controls = []
         for c_where, c_doc in _rows(t_doc.get("controls", []), f"{t_where}.controls"):
             leaves = tuple(
-                LeafCondition(id=_id(l_doc, l_where), label=_label(l_doc, l_where))
+                LeafCondition(*_named(l_doc, l_where))
                 for l_where, l_doc in _rows(c_doc.get("leaves", []), f"{c_where}.leaves")
             )
-            controls.append(Control(id=_id(c_doc, c_where), label=_label(c_doc, c_where), leaves=leaves))
-        threats.append(Threat(id=_id(t_doc, t_where), label=_label(t_doc, t_where), controls=tuple(controls)))
+            controls.append(Control(*_named(c_doc, c_where), leaves=leaves))
+        threats.append(Threat(*_named(t_doc, t_where), controls=tuple(controls)))
     tree = ThreatTree(threats=tuple(threats))
 
     assessments = []
     keys = ("threat", "likelihood_before", "impact_before", "likelihood_after", "impact_after")
     for a_where, a_doc in _rows(doc.get("assessments", []), "assessments"):
-        fields = (_string(_expect(a_doc, key, a_where), f"{a_where}.{key}") for key in keys)
+        fields = (_field(a_doc, key, a_where, _string) for key in keys)
         assessments.append(ThreatAssessment(*fields))
     return RiskModel(scales=scales, tree=tree, assessments=tuple(assessments))
 
 
 def load_risk_model(path: Pathish) -> RiskModel:
     return risk_model_from_document(load_json(path))
+
+
+def _envelope(doc, key: str, what: str) -> tuple[Optional[tuple[str, ...]], list]:
+    """A bare list of rows, or an object with an optional ``players`` roster and the rows under ``key``."""
+    if isinstance(doc, list):
+        return None, doc
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{what} must be a list or an object")
+    roster = _strings(doc["players"], "players") if "players" in doc else None
+    return roster, _expect(doc, key, what)
 
 
 def coalition_game_from_document(doc, *, label: str = "coalition-table") -> CoalitionGame:
@@ -190,22 +207,16 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
     boolean ``default_zero``. With a bare list the roster is the sorted union
     of all named players.
     """
-    roster = None
-    default_zero = False
     if isinstance(doc, dict):
-        roster = _strings(_expect(doc, "players", "coalition table"), "players")
-        rows = _expect(doc, "entries", "coalition table")
-        default_zero = doc.get("default_zero", False)
-        if not isinstance(default_zero, bool):
-            raise DocumentError(f"default_zero: expected true or false, got {_describe(default_zero)}")
-    elif isinstance(doc, list):
-        rows = doc
-    else:
-        raise DocumentError("coalition table must be a list or an object")
+        _expect(doc, "players", "coalition table")  # required here, optional in the other envelopes
+    roster, rows = _envelope(doc, "entries", "coalition table")
+    default_zero = isinstance(doc, dict) and doc.get("default_zero", False)
+    if not isinstance(default_zero, bool):
+        raise DocumentError(f"default_zero: expected true or false, got {_describe(default_zero)}")
     entries = []
     for where, row in _rows(rows, "entries"):
-        coalition = _strings(_expect(row, "coalition", where), f"{where}.coalition")
-        value = _rational(_expect(row, "value", where), f"{where}.value")
+        coalition = _field(row, "coalition", where, _strings)
+        value = _field(row, "value", where, _rational)
         entries.append((coalition, value))
     if roster is None:
         roster = sorted({p for coalition, _ in entries for p in coalition})
@@ -225,21 +236,13 @@ def attribution_from_document(doc) -> tuple[Optional[tuple[str, ...]], dict[str,
     Returns an optional player roster (when the object form carries one) and
     the leaf-to-authors map.
     """
-    roster: Optional[tuple[str, ...]] = None
-    if isinstance(doc, dict):
-        if "players" in doc:
-            roster = _strings(doc["players"], "players")
-        rows = _expect(doc, "attribution", "attribution document")
-    elif isinstance(doc, list):
-        rows = doc
-    else:
-        raise DocumentError("attribution document must be a list or an object")
+    roster, rows = _envelope(doc, "attribution", "attribution document")
     attribution: dict[str, frozenset[str]] = {}
     for where, row in _rows(rows, "attribution"):
-        leaf = _string(_expect(row, "leaf", where), f"{where}.leaf")
+        leaf = _field(row, "leaf", where, _string)
         if leaf in attribution:
             raise DocumentError(f"{where}: duplicate leaf {leaf!r}")
-        attribution[leaf] = frozenset(_strings(_expect(row, "authors", where), f"{where}.authors"))
+        attribution[leaf] = frozenset(_field(row, "authors", where, _strings))
     return roster, attribution
 
 
@@ -249,19 +252,11 @@ def load_attribution(path: Pathish):
 
 def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[SubsetResult]]:
     """Parse subset-evaluation results: rows of ``{"subset": [...], "passing": [...]}``."""
-    roster: Optional[tuple[str, ...]] = None
-    if isinstance(doc, dict):
-        if "players" in doc:
-            roster = _strings(doc["players"], "players")
-        rows = _expect(doc, "results", "subset results document")
-    elif isinstance(doc, list):
-        rows = doc
-    else:
-        raise DocumentError("subset results document must be a list or an object")
+    roster, rows = _envelope(doc, "results", "subset results document")
     results = []
     for where, row in _rows(rows, "results"):
-        subset = _strings(_expect(row, "subset", where), f"{where}.subset")
-        passing = _strings(_expect(row, "passing", where), f"{where}.passing")
+        subset = _field(row, "subset", where, _strings)
+        passing = _field(row, "passing", where, _strings)
         results.append(SubsetResult(subset, passing))
     return roster, results
 

@@ -198,10 +198,14 @@ def game_from_table(
     """Build a game from explicit (coalition, value) rows.
 
     Rows must cover all ``2**n`` subsets unless ``default_zero`` fills the
-    gaps. A duplicate row, an unknown player, or a nonzero value for the
-    empty coalition is an error.
+    gaps. A duplicate row, an unknown player, a nonzero value for the empty
+    coalition or a roster above :data:`MATERIALIZATION_CAP` is an error.
     """
-    _check_table_size(players, "a coalition table")
+    if players.n > MATERIALIZATION_CAP:
+        raise CapacityError(
+            f"{label} for {players.n} players needs 2^{players.n} values "
+            f"(cap {MATERIALIZATION_CAP} players)"
+        )
     values: dict[int, Fraction] = {}
     for subset, value in entries:
         mask = players.mask_of(subset)
@@ -212,26 +216,13 @@ def game_from_table(
         raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
     values[0] = Fraction(0)
     size = 1 << players.n
-    if len(values) != size and not default_zero:
-        raise GameDefinitionError(f"missing coalitions: {_missing_coalitions(players, values)}")
+    missing = size - len(values)
+    if missing and not default_zero:
+        first = itertools.islice((m for m in range(size) if m not in values), 8)
+        shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in first)
+        more = "" if missing <= 8 else f" (+{missing - 8} more)"
+        raise GameDefinitionError(f"missing coalitions: {shown}{more}")
     return CoalitionGame(players, table=[values.get(m, 0) for m in range(size)], label=label)
-
-
-def _check_table_size(players: PlayerSet, source: str) -> None:
-    """Refuse a value-per-coalition input above :data:`MATERIALIZATION_CAP` before any 2^n work."""
-    if players.n > MATERIALIZATION_CAP:
-        raise CapacityError(
-            f"{source} for {players.n} players needs 2^{players.n} values "
-            f"(cap {MATERIALIZATION_CAP} players)"
-        )
-
-
-def _missing_coalitions(players: PlayerSet, values: Mapping[int, object]) -> str:
-    """The first 8 coalitions ``values`` lacks, and how many more, for an error message."""
-    missing = players.full_mask + 1 - len(values)
-    first = itertools.islice((m for m in range(players.full_mask + 1) if m not in values), 8)
-    shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in first)
-    return shown + ("" if missing <= 8 else f" (+{missing - 8} more)")
 
 
 def unanimity_game(players: PlayerSet, required: Iterable[str]) -> CoalitionGame:

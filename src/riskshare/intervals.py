@@ -59,10 +59,6 @@ class Interval:
         x = as_fraction(x)
         return cls(x, x)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x: Rationalish) -> bool:
         x = as_fraction(x)
         return self.lo <= x <= self.hi

@@ -5,10 +5,10 @@ by ``---``) that any hosted repository can export; commits claim credit for
 leaf conditions through repeatable ``Satisfies: <leaf-id>`` trailers, which are
 reviewable in pull requests like any other change.
 
-Two pathways turn evidence into a game:
+Evidence comes in two shapes, each with one game builder in :mod:`riskshare.games`:
 
-* trailers -> :func:`derive_attribution` -> leaf-coverage game, or
-* externally run builds of author subsets -> :func:`game_from_subset_results`.
+* leaf -> authors, from trailers via :func:`derive_attribution` -> ``leaf_coverage_game``;
+* a value per coalition, from subset rebuilds via :func:`game_from_subset_results` -> ``game_from_table``.
 
 Rebuilding a product from only a subset's commits is never done here; the
 library emits :func:`cherry_pick_plan` documents and consumes the resulting
@@ -27,7 +27,7 @@ from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Set
 
 from .errors import CommitLogWarning, DocumentError, GameDefinitionError, ValidationError
-from .games import CoalitionGame, PlayerSet, _check_table_size, _missing_coalitions
+from .games import CoalitionGame, PlayerSet, game_from_table
 from .risk import ThreatTree
 
 SATISFIES_KEY = "Satisfies"
@@ -232,10 +232,6 @@ class Cycle:
     def between_times(cls, start: Optional[int] = None, end: Optional[int] = None) -> "Cycle":
         return cls(from_time=start, to_time=end)
 
-    @classmethod
-    def full(cls) -> "Cycle":
-        return cls()
-
 
 def _ancestry(parents: Mapping[str, tuple[str, ...]], tip: str) -> set[str]:
     """``tip`` and every log commit reachable from it over parent links."""
@@ -410,43 +406,30 @@ def game_from_subset_results(
     players: PlayerSet,
     normalized: bool = False,
 ) -> CoalitionGame:
-    """Materialize a game from per-coalition pass lists.
+    """Build a game from per-coalition pass lists, through :func:`game_from_table`.
 
-    Requires full coverage of all ``2**n`` coalitions (the exact solver needs
-    every value); conflicting duplicates, unknown leaves, and a nonempty pass
-    list for the empty coalition are errors.
+    Unknown leaves, conflicting duplicates and a nonempty pass list for the
+    empty coalition are errors here; the table builder checks the player cap,
+    unknown players and the coverage of all ``2**n`` coalitions.
     """
-    _check_table_size(players, "subset results")
-    known = set(tree.leaf_ids())
-    size = 1 << players.n
-    values: dict[int, Fraction] = {}
-    seen: dict[int, frozenset[str]] = {}
-    denom = Fraction(tree.leaf_count) if normalized else Fraction(1)
     if normalized and tree.leaf_count == 0:
         raise GameDefinitionError("cannot normalize over a tree with no leaves")
+    denom = tree.leaf_count if normalized else 1
+    known = set(tree.leaf_ids())
+    passing: dict[frozenset[str], frozenset[str]] = {}
     for result in results:
         bad = sorted(result.passing - known)
         if bad:
             raise GameDefinitionError(f"subset result references unknown leaf ids: {bad}")
-        mask = players.mask_of(result.subset)
-        if mask in seen:
-            if seen[mask] != result.passing:
-                raise GameDefinitionError(
-                    f"conflicting duplicate results for coalition {players.ids_of(mask)}"
-                )
-            continue
-        seen[mask] = result.passing
-        if mask == 0 and result.passing:
+        if passing.setdefault(result.subset, result.passing) != result.passing:
+            coalition = players.ids_of(players.mask_of(result.subset))
+            raise GameDefinitionError(f"conflicting duplicate results for coalition {coalition}")
+        if not result.subset and result.passing:
             raise GameDefinitionError(
                 f"empty coalition cannot pass leaves, got {sorted(result.passing)}"
             )
-        values[mask] = Fraction(len(result.passing)) / denom
-    values[0] = Fraction(0)
-    if len(values) != size:
-        raise GameDefinitionError(
-            f"subset results do not cover all coalitions; missing: {_missing_coalitions(players, values)}"
-        )
-    return CoalitionGame(players, table=[values[m] for m in range(size)], label="subset-results")
+    rows = [(subset, Fraction(len(leaves), denom)) for subset, leaves in passing.items()]
+    return game_from_table(players, rows, label="subset-results")
 
 
 def subset_results_from_attribution(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .documents import _expect, _field, _integer, _list, _object, _rational, _string, _strings, loads_exact
 from .errors import DocumentError, PayoutError
 from .intervals import Interval, Rationalish, as_fraction
 from .shapley import AxiomReport, ShapleyResult
@@ -95,12 +96,6 @@ class PayoutReport:
     provenance: Provenance
     axioms: Optional[AxiomReport] = None
     notice: Optional[str] = None
-
-    def payment_of(self, player: str) -> Money:
-        for row in self.payouts:
-            if row.player == player:
-                return row.payment
-        raise KeyError(player)
 
 
 def compute_budget(
@@ -218,10 +213,6 @@ def allocate_payments(
 # --------------------------------------------------------------------------
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _interval_dict(iv: Optional[Interval]):
     if iv is None:
         return None
@@ -244,14 +235,14 @@ def report_to_dict(report: PayoutReport) -> dict:
     return {
         "budget": {"amount_minor": report.budget.amount_minor, "currency": report.budget.currency},
         "anchor": report.anchor,
-        "fraction": _fraction_str(report.fraction),
+        "fraction": str(report.fraction),
         "rounding_mode": report.rounding_mode,
         "residual_minor": report.residual_minor,
         "payouts": [
             {
                 "player": row.player,
-                "phi": _fraction_str(row.phi),
-                "share": _fraction_str(row.share),
+                "phi": str(row.phi),
+                "share": str(row.share),
                 "payment": {"amount_minor": row.payment.amount_minor, "currency": row.payment.currency},
             }
             for row in report.payouts
@@ -339,58 +330,93 @@ def _render_markdown(report: PayoutReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _money_from_dict(d: dict) -> Money:
-    return Money(int(d["amount_minor"]), str(d["currency"]))
+def _nullable(doc: dict, key: str, where: str, read, *args):
+    """:func:`_field` for a key that must be present and may be null (read as None)."""
+    return None if _expect(doc, key, where or "document") is None else _field(doc, key, where, read, *args)
+
+
+def _each(value, where: str, read) -> tuple:
+    return tuple(read(item, f"{where}[{k}]") for k, item in enumerate(_list(value, where)))
+
+
+def _ratio(value, where: str) -> Fraction:
+    return _rational(_string(value, where), where)  # a string, as render_report writes every rational
+
+
+def _known(value, where: str, options: tuple[str, ...]) -> str:
+    if _string(value, where) not in options:
+        raise DocumentError(f"{where}: expected one of {', '.join(options)}, got {value!r}")
+    return value
+
+
+def _money(value, where: str) -> Money:
+    doc = _object(value, where)
+    amount = _field(doc, "amount_minor", where, _integer)
+    if amount < 0:
+        raise DocumentError(f"{where}.amount_minor: money amounts must be >= 0, got {amount}")
+    return Money(amount, _field(doc, "currency", where, _string))
+
+
+def _delta(value, where: str) -> Interval:
+    doc = _object(value, where)
+    try:
+        return Interval(_field(doc, "lo", where, _ratio), _field(doc, "hi", where, _ratio))
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
+
+
+def _pair(value, where: str) -> tuple[str, ...]:
+    pair = _strings(value, where)
+    if len(pair) != 2:
+        raise DocumentError(f"{where}: expected two player ids, got {len(pair)}")
+    return pair
+
+
+def _axioms(value, where: str) -> AxiomReport:
+    ax = _object(value, where)
+    linearity = _nullable(ax, "linearity", where, _known, ("pass", "fail"))
+    return AxiomReport(
+        efficiency_residual=_field(ax, "efficiency_residual", where, _ratio),
+        symmetry_violations=_nullable(ax, "symmetry_violations", where, _each, _pair),
+        null_player_violations=_nullable(ax, "null_player_violations", where, _strings),
+        linearity_ok=None if linearity is None else linearity == "pass",
+    )
+
+
+def _payout(value, where: str) -> PlayerPayout:
+    row = _object(value, where)
+    return PlayerPayout(
+        player=_field(row, "player", where, _string),
+        phi=_field(row, "phi", where, _ratio),
+        share=_field(row, "share", where, _ratio),
+        payment=_field(row, "payment", where, _money),
+    )
 
 
 def parse_report(text: str) -> PayoutReport:
-    """Inverse of ``render_report(..., "json")``; round-trips exactly."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"report is not valid JSON: {exc}") from exc
-    try:
-        ax = doc["axioms"]
-        axioms = None
-        if ax is not None:
-            axioms = AxiomReport(
-                efficiency_residual=Fraction(ax["efficiency_residual"]),
-                symmetry_violations=None
-                if ax["symmetry_violations"] is None
-                else tuple((a, b) for a, b in ax["symmetry_violations"]),
-                null_player_violations=None
-                if ax["null_player_violations"] is None
-                else tuple(ax["null_player_violations"]),
-                linearity_ok=None if ax["linearity"] is None else ax["linearity"] == "pass",
-            )
-        prov = doc["provenance"]
-        delta = prov["delta"]
-        provenance = Provenance(
-            game_source=prov["game_source"],
-            delta=None if delta is None else Interval(delta["lo"], delta["hi"]),
-            solver=prov["solver"],
-            samples=prov["samples"],
-            seed=prov["seed"],
-        )
-        payouts = tuple(
-            PlayerPayout(
-                player=row["player"],
-                phi=Fraction(row["phi"]),
-                share=Fraction(row["share"]),
-                payment=_money_from_dict(row["payment"]),
-            )
-            for row in doc["payouts"]
-        )
-        return PayoutReport(
-            budget=_money_from_dict(doc["budget"]),
-            anchor=doc["anchor"],
-            fraction=Fraction(doc["fraction"]),
-            rounding_mode=doc["rounding_mode"],
-            payouts=payouts,
-            residual_minor=int(doc["residual_minor"]),
-            provenance=provenance,
-            axioms=axioms,
-            notice=doc["notice"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"report document malformed: {exc}") from exc
+    """Inverse of ``render_report(..., "json")``; round-trips exactly.
+
+    Rationals must be JSON strings and amounts JSON integers, as
+    :func:`render_report` writes them, and the anchor and rounding mode must
+    be known values. Anything else is a :class:`DocumentError` naming the
+    field, such as ``payouts[0].phi``.
+    """
+    doc = _object(loads_exact(text), "document")
+    prov = _field(doc, "provenance", "", _object)
+    return PayoutReport(
+        budget=_field(doc, "budget", "", _money),
+        anchor=_field(doc, "anchor", "", _known, ANCHORS),
+        fraction=_field(doc, "fraction", "", _ratio),
+        rounding_mode=_field(doc, "rounding_mode", "", _known, ROUNDING_MODES),
+        payouts=_field(doc, "payouts", "", _each, _payout),
+        residual_minor=_field(doc, "residual_minor", "", _integer),
+        provenance=Provenance(
+            game_source=_field(prov, "game_source", "provenance", _string),
+            delta=_nullable(prov, "delta", "provenance", _delta),
+            solver=_field(prov, "solver", "provenance", _string),
+            samples=_nullable(prov, "samples", "provenance", _integer),
+            seed=_nullable(prov, "seed", "provenance", _integer),
+        ),
+        axioms=_nullable(doc, "axioms", "", _axioms),
+        notice=_nullable(doc, "notice", "", _string),
+    )

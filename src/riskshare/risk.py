@@ -86,10 +86,6 @@ class QualitativeScale:
         if not self.categories:
             raise ValueError(f"scale {self.name!r} has no categories")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.categories)
-
     def resolve(self, label: str) -> Interval:
         """Bounds of a category label; raises UnknownLabelError otherwise."""
         for cat_label, bounds in self.categories:

@@ -434,6 +434,17 @@ class TestCapacity:
         assert code == 3
         assert "for 40 players needs 2^40 values (cap 24 players)" in err
 
+    def test_40_player_subset_results_are_checked_before_the_cap(self, capsys, workdir):
+        rows = {"results": [{"subset": [], "passing": []}, {"subset": ["dev00"], "passing": ["zzz"]}]}
+        (workdir / WE / "big.json").write_text(json.dumps({"players": [f"dev{k:02d}" for k in range(40)], **rows}))
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc["source"] = {"type": "subset_results", "path": "big.json"}
+        config = workdir / WE / "big_config.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "payout", "--config", str(config))
+        assert code == 1
+        assert err == "validation error: subset result references unknown leaf ids: ['zzz']\n"
+
     def test_exact_payout_for_40_committers_is_audited(self, capsys, workdir):
         log = "".join(
             f"commit: {k:040x}\nauthor: dev{k:02d}\ndate: 2023-02-01T00:00:00+00:00\n"
@@ -496,3 +507,13 @@ class TestReport:
         assert "12401.08" in out
         code, out, _ = run(capsys, "report", str(report_path), "--format", "json")
         assert parse_report(out) == parse_report(report_path.read_text())
+
+    def test_malformed_report_is_input_error_naming_the_field(self, capsys, workdir):
+        report_path = workdir / "r.json"
+        run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(report_path))
+        doc = json.loads(report_path.read_text())
+        doc["payouts"][0]["phi"] = 0.1
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", str(report_path))
+        assert (code, out) == (2, "")
+        assert err == "input error: payouts[0].phi: expected a string, got float 0.1\n"

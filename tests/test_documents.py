@@ -5,7 +5,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riskshare import DocumentError, Interval, RiskshareError, risk_delta, shapley_exact
+from riskshare import (
+    CoalitionGame,
+    DocumentError,
+    Interval,
+    Money,
+    PlayerSet,
+    Provenance,
+    RiskshareError,
+    allocate_payments,
+    check_axioms,
+    parse_report,
+    render_report,
+    risk_delta,
+    shapley_exact,
+)
 from riskshare.documents import (
     attribution_from_document,
     coalition_game_from_document,
@@ -258,17 +272,54 @@ READERS = [
 ]
 
 
+def report_document() -> dict:
+    """A stored two-player payout report, as ``render_report`` writes it."""
+    game = CoalitionGame(PlayerSet(("a", "b")), terms=[(0b11, 1), (0b01, 1)])
+    result = shapley_exact(game)
+    provenance = Provenance("table", delta=Interval(1, 2), solver=result.method)
+    report = allocate_payments(result, Money(100), provenance=provenance, axioms=check_axioms(game, result))
+    return json.loads(render_report(report, "json"))
+
+
+def node_paths(node, path=()):
+    """The key path of every node below ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+REPORT_PATHS = list(node_paths(report_document()))
+
+
 class TestFuzz:
     """Arbitrary JSON fed to each reader ends in a library error, never a traceback."""
 
-    @pytest.mark.parametrize("reader", READERS, ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("reader", READERS + [parse_report], ids=lambda r: r.__name__)
     @settings(max_examples=150, deadline=None)
     @given(value=json_values)
     def test_document_readers(self, reader, value):
+        text = json.dumps(value)
         try:
-            reader(loads_exact(json.dumps(value)))
+            reader(text) if reader is parse_report else reader(loads_exact(text))
         except RiskshareError:
             pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(REPORT_PATHS), value=json_values)
+    def test_report_reader_on_a_report_with_one_node_replaced(self, path, value):
+        doc = report_document()
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        try:
+            report = parse_report(json.dumps(doc))
+        except RiskshareError:
+            return
+        for format in ("json", "csv", "markdown"):  # what parses also renders
+            render_report(report, format)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(value=json_values)

@@ -505,7 +505,7 @@ class TestSubsetResults:
 
     def test_coverage_gap_lists_missing(self):
         rows = self.joint_feature_results()[:5]
-        with pytest.raises(GameDefinitionError, match="missing"):
+        with pytest.raises(GameDefinitionError, match=r"^missing coalitions: \{1,3\}, \{2,3\}, \{1,2,3\}$"):
             game_from_subset_results(rows, self.two_leaf_tree(), self.players())
 
     def test_conflicting_duplicates_rejected(self):

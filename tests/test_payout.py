@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from riskshare import (
     AxiomReport,
     CoalitionGame,
+    DocumentError,
     Interval,
     Money,
     PayoutError,
@@ -275,3 +277,82 @@ class TestRendering:
 
         with pytest.raises(DocumentError):
             render_report(self.make_report(reported_variant_game), "xml")
+
+
+class TestParseReport:
+    """A stored report is read strictly: every bad field is a DocumentError naming it."""
+
+    def report_doc(self, reported_variant_game) -> dict:
+        report = TestRendering().make_report(reported_variant_game)
+        return json.loads(render_report(report, "json"))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("payouts", 0, "phi"), 0.1, "payouts[0].phi: expected a string, got float 0.1"),
+            (
+                ("axioms", "null_player_violations"),
+                "abc",
+                "axioms.null_player_violations: expected an array, got string 'abc'",
+            ),
+            (("payouts", 0, "player"), 7, "payouts[0].player: expected a string, got integer 7"),
+            (
+                ("rounding_mode",),
+                "bogus",
+                "rounding_mode: expected one of per-recipient, largest-remainder, got 'bogus'",
+            ),
+            (("notice",), [1], "notice: expected a string, got array [1]"),
+            (("fraction",), "1/0", "fraction: not a rational literal: '1/0'"),
+            (("anchor",), "middle", "anchor: expected one of lower, upper, midpoint, explicit, got 'middle'"),
+            (("budget", "amount_minor"), "2125900", "budget.amount_minor: expected an integer, got string '2125900'"),
+            (("budget", "amount_minor"), True, "budget.amount_minor: expected an integer, got boolean true"),
+            (("budget", "amount_minor"), -1, "budget.amount_minor: money amounts must be >= 0, got -1"),
+            (("payouts", 1, "payment", "currency"), None, "payouts[1].payment.currency: expected a string, got null"),
+            (("payouts", 2), "C", "payouts[2]: expected an object, got string 'C'"),
+            (("residual_minor",), 0.5, "residual_minor: expected an integer, got float 0.5"),
+            (("provenance", "delta", "lo"), 2125900, "provenance.delta.lo: expected a string, got integer 2125900"),
+            (("provenance", "delta", "lo"), "99999999", "provenance.delta: invalid interval"),
+            (("provenance", "seed"), "7", "provenance.seed: expected an integer, got string '7'"),
+            (("axioms", "symmetry_violations"), [["A"]], "axioms.symmetry_violations[0]: expected two player ids, got 1"),
+            (("axioms", "linearity"), "ok", "axioms.linearity: expected one of pass, fail, got 'ok'"),
+            (("axioms", "efficiency_residual"), 0, "axioms.efficiency_residual: expected a string, got integer 0"),
+        ],
+        ids=[
+            "phi-float", "null-players-string", "player-integer", "rounding-mode", "notice-array",
+            "fraction-zero-denominator", "anchor", "amount-string", "amount-bool", "amount-negative",
+            "currency-null", "payout-row", "residual-float", "delta-integer", "delta-reversed",
+            "seed-string", "symmetry-pair", "linearity", "efficiency-residual-integer",
+        ],
+    )
+    def test_bad_field_is_located(self, reported_variant_game, path, value, message):
+        doc = self.report_doc(reported_variant_game)
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        with pytest.raises(DocumentError) as error:
+            parse_report(json.dumps(doc))
+        assert str(error.value).startswith(message)
+
+    @pytest.mark.parametrize("key", ["notice", "provenance", "payouts"])
+    def test_missing_key_is_located(self, reported_variant_game, key):
+        doc = self.report_doc(reported_variant_game)
+        del doc[key]
+        with pytest.raises(DocumentError, match=f"^document: missing key '{key}'$"):
+            parse_report(json.dumps(doc))
+
+    def test_report_that_is_not_an_object(self):
+        with pytest.raises(DocumentError, match="^document: expected an object, got array"):
+            parse_report("[]")
+
+    def test_stored_sampled_report_with_null_audit_lists_parses(self, reported_variant_game):
+        doc = self.report_doc(reported_variant_game)
+        doc["axioms"]["symmetry_violations"] = None
+        doc["axioms"]["null_player_violations"] = None
+        doc["provenance"].update(solver="monte-carlo", samples=1000, seed=7)
+        report = parse_report(json.dumps(doc))
+        assert report.axioms.symmetry_violations is None
+        assert report.axioms.null_player_violations is None
+        assert (report.provenance.samples, report.provenance.seed) == (1000, 7)
+        assert json.loads(render_report(report, "json")) == doc
