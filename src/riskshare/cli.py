@@ -1,5 +1,6 @@
 """Command-line entry point for reproducible bonus runs.
 
+Every command that takes ``--config`` runs ``validate``'s static checks first.
 Exit codes: 0 success, 1 validation failure, 2 input parse/IO error,
 3 capacity exceeded (``game`` prints a value table, which is capped).
 Diagnostics go to stderr; machine output to stdout or to the configured
@@ -12,7 +13,6 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -75,32 +75,26 @@ def _roster(config: RunConfig, declared: Optional[tuple[str, ...]], fallback: se
 
 
 def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
-    """The configured source's game; coalition tables and subset results end in ``game_from_table``."""
+    """The checked config's game; coalition tables and subset results end in ``game_from_table``."""
     kind = config.source.type
     if kind == "coalition_table":
         return documents.load_coalition_game(config.source.path)
-    if model is None:
-        raise ValidationError(f"source type {kind!r} needs a risk_model for its threat tree")
     if kind == "subset_results":
         declared, results = documents.load_subset_results(config.source.path)
         players = _roster(config, declared, {p for r in results for p in r.subset})
         return game_from_subset_results(results, model.tree, players, config.normalized)
     if kind == "attribution":
         declared, attribution = documents.load_attribution(config.source.path)
-    elif kind == "commit_log":
+    else:
         declared = None
         attribution = derive_attribution(_load_records(config), model.tree, config.source.cycle)
-    else:
-        raise DocumentError(f"unknown source type {kind!r}")
     players = _roster(config, declared, {a for people in attribution.values() for a in people})
     return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 
 
 def _checked_config(args) -> RunConfig:
-    """The run config with any ``--seed`` override applied, after its static checks."""
+    """The run config, after ``validate``'s static checks."""
     config = load_run_config(args.config)
-    if args.seed is not None:
-        config = replace(config, solver=replace(config.solver, seed=args.seed))
     issues = config.issues()
     if issues:
         raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
@@ -113,16 +107,26 @@ def solve(game: CoalitionGame, spec: SolverSpec) -> ShapleyResult:
     return shapley_exact(game)
 
 
-def _maybe_model(config: RunConfig) -> Optional[RiskModel]:
-    if config.risk_model_path is None:
-        return None
-    return documents.load_risk_model(config.risk_model_path)
-
-
 def _print_validation(report: ValidationReport):
     for issue in report.issues:
         print(str(issue))
     print(f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)")
+
+
+class _InvalidModel(Exception):
+    """The risk model failed ``validate()``; its listing is printed and the run exits 1."""
+
+
+def _valid_model(config: RunConfig) -> Optional[RiskModel]:
+    """The configured risk model, or None when there is none; an invalid one is listed on stdout."""
+    if config.risk_model_path is None:
+        return None
+    model = documents.load_risk_model(config.risk_model_path)
+    validation = model.validate()
+    if not validation.ok:
+        _print_validation(validation)
+        raise _InvalidModel()
+    return model
 
 
 def cmd_validate(args) -> int:
@@ -135,8 +139,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_game(args) -> int:
-    config = load_run_config(args.config)
-    game = build_game(config, _maybe_model(config))
+    config = _checked_config(args)
+    game = build_game(config, _valid_model(config))
     doc = documents.coalition_table_document(game)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
@@ -154,7 +158,7 @@ def _axiom_summary(report) -> str:
 
 def cmd_shapley(args) -> int:
     config = _checked_config(args)
-    game = build_game(config, _maybe_model(config))
+    game = build_game(config, _valid_model(config))
     result = solve(game, config.solver)
     # symmetry is not audited for a sampled estimate; the other axioms always are
     axioms = check_axioms(game, result)
@@ -191,12 +195,7 @@ def cmd_payout(args) -> int:
         raise DocumentError("config: payout needs a risk_model document")
     if config.budget is None:
         raise DocumentError("config: payout needs a budget section (fraction and anchor)")
-    model = documents.load_risk_model(config.risk_model_path)
-    validation = model.validate()
-    if not validation.ok:
-        _print_validation(validation)
-        return EXIT_VALIDATION
-
+    model = _valid_model(config)
     delta = risk_delta(model.assessments, model.scales, mode=config.mode, clamp=True)
     budget = compute_budget(
         delta,
@@ -229,7 +228,7 @@ def cmd_payout(args) -> int:
 
 
 def cmd_plan_cherry_pick(args) -> int:
-    config = load_run_config(args.config)
+    config = _checked_config(args)
     if config.source.type != "commit_log":
         raise ValidationError("plan-cherry-pick needs a commit_log source")
     records = _load_records(config)
@@ -263,13 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shapley", help="compute per-player values, shares, and the axiom audit")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the solver seed")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_shapley)
 
     p = sub.add_parser("payout", help="full pipeline: risk delta, budget, game, shares, payments")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the solver seed")
     p.add_argument("--out", default=None, help="write the report here instead of the configured path")
     p.set_defaults(func=cmd_payout)
 
@@ -296,6 +293,8 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning  # one line per warning, without a source location
         try:
             return args.func(args)
+        except _InvalidModel:
+            return EXIT_VALIDATION
         except DocumentError as exc:
             _err(f"input error: {exc}")
             return EXIT_INPUT

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .documents import load_json, _describe, _expect, _integer, _object, _rational, _string, _strings
+from .documents import load_json, _boolean, _field, _integer, _rational, _record, _string, _strings
 from .errors import DocumentError
 from .mining import Cycle
 from .payout import ANCHORS, PER_RECIPIENT, REPORT_FORMATS, ROUNDING_MODES
@@ -80,10 +80,21 @@ class RunConfig:
         return ValidationReport(tuple(issues + self.issues()))
 
     def issues(self) -> list[ValidationIssue]:
-        """Static checks of the settings; ``payout`` and ``shapley`` run them before any work."""
+        """Static checks of the settings; every command that takes a config runs them before any work."""
         issues = []
-        if self.source.type not in SOURCE_TYPES:
-            issues.append(ValidationIssue("source.type", f"unknown source type {self.source.type!r}"))
+        source = self.source
+        kind = source.type
+        if kind not in SOURCE_TYPES:
+            issues.append(ValidationIssue("source.type", f"unknown source type {kind!r}"))
+        elif kind != "coalition_table" and self.risk_model_path is None:
+            issues.append(ValidationIssue("risk_model", f"source type {kind!r} needs a risk_model for its threat tree"))
+        if kind == "coalition_table" and source.players is not None:
+            issues.append(ValidationIssue("source.players", "a coalition table names its own players"))
+        if kind in SOURCE_TYPES and kind != "commit_log":
+            if source.cycle != Cycle():
+                issues.append(ValidationIssue("source.cycle", "only a commit_log source has a cycle"))
+            if source.aliases_path is not None:
+                issues.append(ValidationIssue("source.aliases", "only a commit_log source reads aliases"))
         if self.mode not in AGGREGATION_MODES:
             issues.append(ValidationIssue("mode", f"unknown mode {self.mode!r}"))
         solver = self.solver
@@ -123,12 +134,7 @@ def _cycle_from_doc(doc: dict) -> Cycle:
 
 def _section(value, where: str) -> dict:
     """A JSON object holding only the keys ``_KEYS`` allows at ``where``."""
-    value = _object(value, where)
-    allowed = _KEYS[where]
-    for key in value:
-        if key not in allowed:
-            raise DocumentError(f"{where}.{key}: unknown key (expected one of {', '.join(allowed)})")
-    return value
+    return _record(value, where, _KEYS[where])
 
 
 def _optional(doc: dict, key: str, where: str, read):
@@ -145,14 +151,13 @@ def _optional_path(doc: dict, key: str, where: str, base_dir: Path) -> Optional[
 
 def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
     doc = _section(doc, "config")
-    src_doc = _section(_expect(doc, "source", "config"), "config.source")
-    players = _optional(src_doc, "players", "config.source", _strings)
+    src_doc = _field(doc, "source", "config", _section)
     source = SourceSpec(
-        type=_string(_expect(src_doc, "type", "config.source"), "config.source.type"),
-        path=base_dir / _string(_expect(src_doc, "path", "config.source"), "config.source.path"),
+        type=_field(src_doc, "type", "config.source", _string),
+        path=base_dir / _field(src_doc, "path", "config.source", _string),
         cycle=_cycle_from_doc(_section(src_doc.get("cycle", {}), "config.source.cycle")),
         aliases_path=_optional_path(src_doc, "aliases", "config.source", base_dir),
-        players=players,
+        players=_optional(src_doc, "players", "config.source", _strings),
     )
 
     solver_doc = _section(doc.get("solver", {}), "config.solver")
@@ -161,18 +166,13 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
         samples=_optional(solver_doc, "samples", "config.solver", _integer),
         seed=_optional(solver_doc, "seed", "config.solver", _integer),
     )
-    normalized = doc.get("normalized", False)
-    if not isinstance(normalized, bool):
-        raise DocumentError(
-            f"config.normalized: expected true or false, got {_describe(normalized)}"
-        )
 
     budget = None
     if "budget" in doc:
         b_doc = _section(doc["budget"], "config.budget")
         budget = BudgetSpec(
-            fraction=_rational(_expect(b_doc, "fraction", "config.budget"), "config.budget.fraction"),
-            anchor=_string(_expect(b_doc, "anchor", "config.budget"), "config.budget.anchor"),
+            fraction=_field(b_doc, "fraction", "config.budget", _rational),
+            anchor=_field(b_doc, "anchor", "config.budget", _string),
             explicit_value=_optional(b_doc, "value", "config.budget", _rational),
         )
 
@@ -181,7 +181,7 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
         source=source,
         risk_model_path=_optional_path(doc, "risk_model", "config", base_dir),
         mode=_string(doc.get("mode", SUM), "config.mode"),
-        normalized=normalized,
+        normalized=_boolean(doc.get("normalized", False), "config.normalized"),
         solver=solver,
         budget=budget,
         rounding=_string(doc.get("rounding", PER_RECIPIENT), "config.rounding"),

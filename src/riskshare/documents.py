@@ -85,6 +85,23 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _record(value, where: str, allowed) -> dict:
+    """A JSON object holding only the keys in ``allowed``; ``where`` locates it, "" for a whole document."""
+    doc = _object(value, where or "document")
+    for key in doc:
+        if key not in allowed:
+            at = f"{where}.{key}" if where else key
+            raise DocumentError(f"{at}: unknown key (expected one of {', '.join(allowed)})")
+    return doc
+
+
+def _boolean(value, where: str) -> bool:
+    """A JSON true or false, never a value coerced into one."""
+    if not isinstance(value, bool):
+        raise DocumentError(f"{where}: expected true or false, got {_describe(value)}")
+    return value
+
+
 def _string(value, where: str) -> str:
     """A JSON string, never a value coerced into one."""
     if not isinstance(value, str):
@@ -210,9 +227,7 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
     if isinstance(doc, dict):
         _expect(doc, "players", "coalition table")  # required here, optional in the other envelopes
     roster, rows = _envelope(doc, "entries", "coalition table")
-    default_zero = isinstance(doc, dict) and doc.get("default_zero", False)
-    if not isinstance(default_zero, bool):
-        raise DocumentError(f"default_zero: expected true or false, got {_describe(default_zero)}")
+    default_zero = isinstance(doc, dict) and _boolean(doc.get("default_zero", False), "default_zero")
     entries = []
     for where, row in _rows(rows, "entries"):
         coalition = _field(row, "coalition", where, _strings)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .documents import _expect, _field, _integer, _list, _object, _rational, _string, _strings, loads_exact
+from .documents import _expect, _field, _integer, _list, _rational, _record, _string, _strings, loads_exact
 from .errors import DocumentError, PayoutError
 from .intervals import Interval, Rationalish, as_fraction
 from .shapley import AxiomReport, ShapleyResult
@@ -171,14 +171,13 @@ def allocate_payments(
             seed=result.seed,
         )
 
-    total = result.total
+    shares = result.share
     notice = None
-    if total == 0:
+    if shares is None:
         notice = "total contribution is zero; shares are undefined and every payment is 0"
         shares = {p: Fraction(0) for p in players}
         payments = {p: 0 for p in players}
     else:
-        shares = {p: result.phi[p] / total for p in players}
         raw = {p: shares[p] * budget.amount_minor for p in players}
         if rounding_mode == PER_RECIPIENT:
             payments = {p: math.floor(raw[p] + Fraction(1, 2)) for p in players}
@@ -350,7 +349,7 @@ def _known(value, where: str, options: tuple[str, ...]) -> str:
 
 
 def _money(value, where: str) -> Money:
-    doc = _object(value, where)
+    doc = _record(value, where, ("amount_minor", "currency"))
     amount = _field(doc, "amount_minor", where, _integer)
     if amount < 0:
         raise DocumentError(f"{where}.amount_minor: money amounts must be >= 0, got {amount}")
@@ -358,7 +357,7 @@ def _money(value, where: str) -> Money:
 
 
 def _delta(value, where: str) -> Interval:
-    doc = _object(value, where)
+    doc = _record(value, where, ("lo", "hi"))
     try:
         return Interval(_field(doc, "lo", where, _ratio), _field(doc, "hi", where, _ratio))
     except ValueError as exc:
@@ -373,10 +372,15 @@ def _pair(value, where: str) -> tuple[str, ...]:
 
 
 def _axioms(value, where: str) -> AxiomReport:
-    ax = _object(value, where)
+    keys = ("efficiency_residual", "efficiency", "symmetry_violations", "null_player_violations", "linearity")
+    ax = _record(value, where, keys)
+    residual = _field(ax, "efficiency_residual", where, _ratio)
+    efficiency = _field(ax, "efficiency", where, _known, ("pass", "fail"))
+    if (efficiency == "pass") != (residual == 0):
+        raise DocumentError(f"{where}.efficiency: {efficiency!r} contradicts efficiency_residual {residual}")
     linearity = _nullable(ax, "linearity", where, _known, ("pass", "fail"))
     return AxiomReport(
-        efficiency_residual=_field(ax, "efficiency_residual", where, _ratio),
+        efficiency_residual=residual,
         symmetry_violations=_nullable(ax, "symmetry_violations", where, _each, _pair),
         null_player_violations=_nullable(ax, "null_player_violations", where, _strings),
         linearity_ok=None if linearity is None else linearity == "pass",
@@ -384,7 +388,7 @@ def _axioms(value, where: str) -> AxiomReport:
 
 
 def _payout(value, where: str) -> PlayerPayout:
-    row = _object(value, where)
+    row = _record(value, where, ("player", "phi", "share", "payment"))
     return PlayerPayout(
         player=_field(row, "player", where, _string),
         phi=_field(row, "phi", where, _ratio),
@@ -398,11 +402,15 @@ def parse_report(text: str) -> PayoutReport:
 
     Rationals must be JSON strings and amounts JSON integers, as
     :func:`render_report` writes them, and the anchor and rounding mode must
-    be known values. Anything else is a :class:`DocumentError` naming the
-    field, such as ``payouts[0].phi``.
+    be known values. Every object holds exactly the keys the renderer writes,
+    and ``axioms.efficiency`` must agree with ``efficiency_residual``.
+    Anything else is a :class:`DocumentError` naming the field, such as
+    ``payouts[0].phi``.
     """
-    doc = _object(loads_exact(text), "document")
-    prov = _field(doc, "provenance", "", _object)
+    keys = ("budget", "anchor", "fraction", "rounding_mode", "residual_minor",
+            "payouts", "provenance", "axioms", "notice")
+    doc = _record(loads_exact(text), "", keys)
+    prov = _field(doc, "provenance", "", _record, ("game_source", "delta", "solver", "samples", "seed"))
     return PayoutReport(
         budget=_field(doc, "budget", "", _money),
         anchor=_field(doc, "anchor", "", _known, ANCHORS),

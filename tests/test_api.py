@@ -1,6 +1,9 @@
-"""The public API is pinned: a name is added to or removed from it on purpose."""
+"""The public API and the command line are pinned: a name or flag is added or removed on purpose."""
+
+import argparse
 
 import riskshare
+from riskshare.cli import build_parser
 
 PUBLIC = {
     "AxiomReport", "CapacityError", "CherryPickPlan", "ClampWarning", "CoalitionGame",
@@ -33,3 +36,23 @@ def test_every_public_name_resolves():
 def test_public_names_are_pinned():
     assert set(riskshare.__all__) == PUBLIC
     assert len(PUBLIC) == 71
+
+
+#: Each subcommand's arguments: option strings, or the name of a positional argument.
+COMMANDS = {
+    "validate": ["-h", "--help", "--config"],
+    "game": ["-h", "--help", "--config"],
+    "shapley": ["-h", "--help", "--config", "--format"],
+    "payout": ["-h", "--help", "--config", "--out"],
+    "plan-cherry-pick": ["-h", "--help", "--config", "--subset", "--base", "--out"],
+    "report": ["-h", "--help", "input", "--format", "--out"],
+}
+
+
+def test_command_line_is_pinned():
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [s for action in parser._actions for s in action.option_strings or [action.dest]]
+        for name, parser in commands.choices.items()
+    }
+    assert surface == COMMANDS

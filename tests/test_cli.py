@@ -7,6 +7,7 @@ import pytest
 
 from riskshare import parse_report
 from riskshare.cli import main
+from riskshare.config import load_run_config
 
 WE = "worked_example"
 
@@ -68,23 +69,6 @@ class TestShapley:
         doc = json.loads(out)
         assert doc["phi"] == {"1": "1/2", "2": "1/2", "3": "1"}
         assert doc["grand_value"] == "2"
-
-    def test_monte_carlo_seed_override_changes_estimate(self, capsys, workdir):
-        config = workdir / "small_team" / "mc_config.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "source": {"type": "coalition_table", "path": "coalition_table.json"},
-                    "solver": {"method": "monte-carlo", "samples": 51, "seed": 1},
-                }
-            )
-        )
-        _, out1, _ = run(capsys, "shapley", "--config", str(config), "--format", "json")
-        _, out2, _ = run(capsys, "shapley", "--config", str(config), "--format", "json", "--seed", "2")
-        _, out3, _ = run(capsys, "shapley", "--config", str(config), "--format", "json")
-        assert out1 == out3  # same config, same bytes
-        assert json.loads(out1)["seed"] == 1
-        assert json.loads(out2)["seed"] == 2
 
 
 class TestGame:
@@ -179,14 +163,16 @@ class TestPayout:
         assert code == 2
         assert "budget" in err
 
-    def test_invalid_model_fails_validation(self, capsys, workdir):
+    @pytest.mark.parametrize("command", ["game", "shapley", "payout"])
+    def test_invalid_model_fails_validation(self, capsys, workdir, command):
         model_path = workdir / WE / "risk_model.json"
         doc = json.loads(model_path.read_text())
         doc["assessments"][0]["impact_before"] = "apocalyptic"
         model_path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"))
-        assert code == 1
+        code, out, err = run(capsys, command, "--config", str(workdir / WE / "payout_config.json"))
+        assert (code, err) == (1, "")
         assert "apocalyptic" in out
+        assert out.endswith("1 error(s), 0 warning(s)\n")
 
     def test_unparseable_config_is_input_error(self, capsys, workdir):
         bad = workdir / "bad.json"
@@ -265,8 +251,30 @@ class TestSolverSettings:
         assert f"config.{path}: " in err
 
 
+#: Mistakes visible from the config alone, as ``(key, value, location)`` edits of the
+#: worked example's commit-log config; a value of None deletes the key.
+SOURCE_MISTAKES = [
+    ("source", {"type": "commit-log", "path": "commits.log"}, "source.type"),
+    ("risk_model", None, "risk_model"),
+    ("source", {"type": "coalition_table", "path": "coalition_table.json", "players": ["A", "B"]}, "source.players"),
+    ("source", {"type": "attribution", "path": "attribution.json", "cycle": {"from_time": 0}}, "source.cycle"),
+    ("source", {"type": "subset_results", "path": "subset_results.json", "aliases": "a.json"}, "source.aliases"),
+]
+
+
+def write_static_config(workdir, key, value) -> Path:
+    doc = json.loads((workdir / WE / "mining_config.json").read_text())
+    doc["risk_model"] = "no_such_model.json"  # never read: the checks come first
+    doc[key] = value
+    if value is None:
+        del doc[key]
+    config = workdir / WE / "static_config.json"
+    config.write_text(json.dumps(doc))
+    return config
+
+
 class TestStaticChecks:
-    @pytest.mark.parametrize("command", ["payout", "shapley"])
+    @pytest.mark.parametrize("command", ["payout", "shapley", "game", "plan-cherry-pick"])
     @pytest.mark.parametrize(
         "key, value, location",
         [
@@ -276,17 +284,32 @@ class TestStaticChecks:
             ("solver", {"method": "monte-carlo", "samples": 10}, "solver.seed"),
             ("budget", {"fraction": "1/100", "anchor": "upper-ish"}, "budget.anchor"),
             ("output", {"format": "yaml"}, "output.format"),
+            *SOURCE_MISTAKES,
         ],
     )
     def test_bad_setting_exits_1_before_any_work(self, capsys, workdir, command, key, value, location):
-        doc = json.loads((workdir / WE / "payout_config.json").read_text())
-        doc[key] = value
-        doc["risk_model"] = "no_such_model.json"  # never read: the checks come first
-        config = workdir / WE / "static_config.json"
-        config.write_text(json.dumps(doc))
-        code, _, err = run(capsys, command, "--config", str(config))
+        config = write_static_config(workdir, key, value)
+        (issue,) = load_run_config(config).issues()
+        assert issue.location == location
+        extra = ["--subset", "alice,carol"] if command == "plan-cherry-pick" else []
+        code, out, err = run(capsys, command, "--config", str(config), *extra)
+        assert (code, out) == (1, "")
+        assert err == f"validation error: {location}: {issue.message}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, location, message",
+        [
+            (*SOURCE_MISTAKES[0], "unknown source type 'commit-log'"),
+            (*SOURCE_MISTAKES[1], "source type 'commit_log' needs a risk_model for its threat tree"),
+            (*SOURCE_MISTAKES[2], "a coalition table names its own players"),
+            (*SOURCE_MISTAKES[3], "only a commit_log source has a cycle"),
+            (*SOURCE_MISTAKES[4], "only a commit_log source reads aliases"),
+        ],
+    )
+    def test_validate_lists_source_mistakes(self, capsys, workdir, key, value, location, message):
+        code, out, _ = run(capsys, "validate", "--config", str(write_static_config(workdir, key, value)))
         assert code == 1
-        assert f"validation error: {location}: " in err
+        assert f"error: {location}: {message}\n" in out
 
     @pytest.mark.parametrize("command", ["payout", "shapley"])
     def test_oracle_is_not_a_solver_setting(self, capsys, workdir, command):
@@ -297,15 +320,6 @@ class TestStaticChecks:
         code, _, err = run(capsys, command, "--config", str(config))
         assert code == 1
         assert "validation error: solver.method: unknown solver 'oracle'" in err
-
-    def test_seed_override_satisfies_the_seed_check(self, capsys, workdir):
-        doc = json.loads((workdir / WE / "payout_config.json").read_text())
-        doc["solver"] = {"method": "monte-carlo", "samples": 10}
-        config = workdir / WE / "static_config.json"
-        config.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "payout", "--config", str(config), "--seed", "3")
-        assert code == 0
-        assert parse_report(out).provenance.seed == 3
 
     @pytest.mark.parametrize("command", ["payout", "shapley"])
     def test_missing_input_file_stays_input_error(self, capsys, workdir, command):

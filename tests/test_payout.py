@@ -316,12 +316,28 @@ class TestParseReport:
             (("axioms", "symmetry_violations"), [["A"]], "axioms.symmetry_violations[0]: expected two player ids, got 1"),
             (("axioms", "linearity"), "ok", "axioms.linearity: expected one of pass, fail, got 'ok'"),
             (("axioms", "efficiency_residual"), 0, "axioms.efficiency_residual: expected a string, got integer 0"),
+            (("axioms", "efficiency"), "fail", "axioms.efficiency: 'fail' contradicts efficiency_residual 0"),
+            (("axioms", "efficiency"), None, "axioms.efficiency: expected a string, got null"),
+            (
+                ("surprise",),
+                1,
+                "surprise: unknown key (expected one of budget, anchor, fraction, rounding_mode, residual_minor, "
+                "payouts, provenance, axioms, notice)",
+            ),
+            (
+                ("provenance", "surprise"),
+                1,
+                "provenance.surprise: unknown key (expected one of game_source, delta, solver, samples, seed)",
+            ),
+            (("payouts", 0, "payment", "cents"), 1, "payouts[0].payment.cents: unknown key"),
         ],
         ids=[
             "phi-float", "null-players-string", "player-integer", "rounding-mode", "notice-array",
             "fraction-zero-denominator", "anchor", "amount-string", "amount-bool", "amount-negative",
             "currency-null", "payout-row", "residual-float", "delta-integer", "delta-reversed",
             "seed-string", "symmetry-pair", "linearity", "efficiency-residual-integer",
+            "efficiency-contradicts-residual", "efficiency-null", "unknown-key", "unknown-provenance-key",
+            "unknown-payment-key",
         ],
     )
     def test_bad_field_is_located(self, reported_variant_game, path, value, message):
