@@ -1,10 +1,9 @@
 """Command-line entry point for reproducible bonus runs.
 
-Every command that takes ``--config`` runs ``validate``'s static checks first.
-Exit codes: 0 success, 1 validation failure, 2 input parse/IO error,
-3 capacity exceeded (``game`` prints a value table, which is capped).
-Diagnostics go to stderr; machine output to stdout or to the configured
-output file.
+Every command that takes ``--config`` runs ``validate``'s static checks, then
+its own needs, before it reads any input. Exit codes: 0 success, 1 validation
+failure, 2 input parse/IO error, 3 capacity exceeded (a table input or ``game``'s
+value table above 24 players). Diagnostics go to stderr; output to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .mining import (
     resolve_identities,
 )
 from .payout import Provenance, allocate_payments, compute_budget, render_report, parse_report
-from .risk import RiskModel, ValidationReport, risk_delta
+from .risk import RiskModel, ValidationIssue, ValidationReport, risk_delta
 from .shapley import ShapleyResult, check_axioms, shapley_exact, shapley_monte_carlo
 
 EXIT_OK = 0
@@ -56,8 +55,7 @@ def _emit(text: str, path, what: str) -> int:
 
 
 def _load_records(config: RunConfig):
-    text = config.source.path.read_text(encoding="utf-8")
-    records = parse_commit_log(text)
+    records = parse_commit_log(documents.load_text(config.source.path))
     if config.source.aliases_path is not None:
         aliases = documents.load_aliases(config.source.aliases_path)
         records = list(resolve_identities(records, aliases).records)
@@ -92,10 +90,24 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
     return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 
 
+def _needs(command: str, config: RunConfig) -> list[ValidationIssue]:
+    """What ``command`` needs of a config beyond the static checks: one issue per missing setting."""
+    issues = []
+    if command == "payout" and config.risk_model_path is None:
+        issues.append(ValidationIssue("risk_model", "payout needs a risk_model document"))
+    if command == "payout" and config.budget is None:
+        issues.append(ValidationIssue("budget", "payout needs a budget section (fraction and anchor)"))
+    if command == "plan-cherry-pick" and config.source.type != "commit_log":
+        issues.append(ValidationIssue("source.type", "plan-cherry-pick needs a commit_log source"))
+    elif command == "plan-cherry-pick" and config.source.cycle.from_commit is None:
+        issues.append(ValidationIssue("source.cycle.from_commit", "plan-cherry-pick needs the base commit"))
+    return issues
+
+
 def _checked_config(args) -> RunConfig:
-    """The run config, after ``validate``'s static checks."""
+    """The run config, after ``validate``'s static checks and then the command's needs."""
     config = load_run_config(args.config)
-    issues = config.issues()
+    issues = config.issues() or _needs(args.command, config)
     if issues:
         raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
     return config
@@ -191,10 +203,6 @@ def cmd_shapley(args) -> int:
 
 def cmd_payout(args) -> int:
     config = _checked_config(args)
-    if config.risk_model_path is None:
-        raise DocumentError("config: payout needs a risk_model document")
-    if config.budget is None:
-        raise DocumentError("config: payout needs a budget section (fraction and anchor)")
     model = _valid_model(config)
     delta = risk_delta(model.assessments, model.scales, mode=config.mode, clamp=True)
     budget = compute_budget(
@@ -223,25 +231,19 @@ def cmd_payout(args) -> int:
         provenance=provenance,
         axioms=axioms,
     )
-    rendered = render_report(report, config.output_format)
-    return _emit(rendered, Path(args.out) if args.out else config.output_path, "report")
+    return _emit(render_report(report, config.output_format), args.out, "report")
 
 
 def cmd_plan_cherry_pick(args) -> int:
     config = _checked_config(args)
-    if config.source.type != "commit_log":
-        raise ValidationError("plan-cherry-pick needs a commit_log source")
-    records = _load_records(config)
-    base = args.base or config.source.cycle.from_commit
-    if base is None:
-        raise ValidationError("no base commit: pass --base or set source.cycle.from_commit")
-    subset = tuple(s for s in (p.strip() for p in args.subset.split(",")) if s)
-    plan = cherry_pick_plan(records, base, set(subset), to_commit=config.source.cycle.to_commit)
+    cycle = config.source.cycle
+    subset = {s for s in (p.strip() for p in args.subset.split(",")) if s}
+    plan = cherry_pick_plan(_load_records(config), cycle.from_commit, subset, to_commit=cycle.to_commit)
     return _emit(plan.to_json(), args.out, "plan")
 
 
 def cmd_report(args) -> int:
-    report = parse_report(Path(args.input).read_text(encoding="utf-8"))
+    report = parse_report(documents.load_text(args.input))
     return _emit(render_report(report, args.format), args.out, "report")
 
 
@@ -267,13 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("payout", help="full pipeline: risk delta, budget, game, shares, payments")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="write the report here instead of the configured path")
+    p.add_argument("--out", default=None, help="write the report here instead of to stdout")
     p.set_defaults(func=cmd_payout)
 
     p = sub.add_parser("plan-cherry-pick", help="emit a rebuild plan for one coalition's commits")
     p.add_argument("--config", required=True)
     p.add_argument("--subset", required=True, help="comma-separated player ids")
-    p.add_argument("--base", default=None, help="base commit (defaults to the config cycle start)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan_cherry_pick)
 

@@ -28,7 +28,7 @@ _KEYS = {
     "config.source.cycle": ("from_commit", "to_commit", "from_time", "to_time"),
     "config.solver": ("method", "samples", "seed"),
     "config.budget": ("fraction", "anchor", "value"),
-    "config.output": ("format", "path"),
+    "config.output": ("format",),
 }
 
 
@@ -66,7 +66,6 @@ class RunConfig:
     rounding: str = PER_RECIPIENT
     currency: str = "USD"
     output_format: str = "json"
-    output_path: Optional[Path] = None
 
     def validate(self) -> ValidationReport:
         """Static checks, and that the referenced files exist."""
@@ -187,7 +186,6 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
         rounding=_string(doc.get("rounding", PER_RECIPIENT), "config.rounding"),
         currency=_string(doc.get("currency", "USD"), "config.currency"),
         output_format=_string(out_doc.get("format", "json"), "config.output.format"),
-        output_path=_optional_path(out_doc, "path", "config.output", base_dir),
     )
 
 

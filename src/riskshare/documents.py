@@ -31,19 +31,24 @@ Pathish = Union[str, Path]
 
 
 def loads_exact(text: str):
-    """json.loads with floats parsed as exact decimal Fractions."""
+    """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds."""
     try:
-        return json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from exc
+        return json.loads(text, parse_float=as_fraction)
+    except ValueError as exc:  # malformed JSON, or a number literal out of bounds
+        reason = str(exc).partition(";")[0]  # without int()'s advice to raise Python's digit limit
+        raise DocumentError(f"invalid JSON: {reason}") from exc
+
+
+def load_text(path: Pathish) -> str:
+    """The text of an input file; one that cannot be read or is not UTF-8 is a DocumentError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from exc
 
 
 def load_json(path: Pathish):
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    text = load_text(path)
     try:
         return loads_exact(text)
     except DocumentError as exc:

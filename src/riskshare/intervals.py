@@ -17,12 +17,16 @@ from .errors import ClampWarning
 
 Rationalish = Union[Fraction, int, str]
 
+#: Most digits a decimal exponent may have: building 10**k for "1e<k>" takes time that grows with k.
+_EXPONENT_DIGITS = 3
+
 
 def as_fraction(value: Rationalish) -> Fraction:
     """Coerce an exact rational representation to Fraction.
 
-    Accepts int, Fraction, and strings such as "3", "0.25" or "1/4".
-    Floats raise TypeError: binary rounding must not leak into exact results.
+    Accepts int, Fraction, and strings such as "3", "0.25", "1/4" or "2.5e3";
+    an exponent has at most three digits. Floats raise TypeError: binary
+    rounding must not leak into exact results.
     """
     if isinstance(value, Fraction):
         return value
@@ -31,8 +35,11 @@ def as_fraction(value: Rationalish) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if len(text.lower().partition("e")[2].lstrip("+-0")) > _EXPONENT_DIGITS:
+            raise ValueError(f"not a rational literal: {value!r} (exponent of more than {_EXPONENT_DIGITS} digits)")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(

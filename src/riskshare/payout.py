@@ -225,7 +225,7 @@ def _axioms_dict(ax: Optional[AxiomReport]):
         "efficiency_residual": str(ax.efficiency_residual),
         "efficiency": "pass" if ax.efficiency_ok else "fail",
         "symmetry_violations": None if ax.symmetry_violations is None else [list(p) for p in ax.symmetry_violations],
-        "null_player_violations": None if ax.null_player_violations is None else list(ax.null_player_violations),
+        "null_player_violations": list(ax.null_player_violations),
         "linearity": None if ax.linearity_ok is None else ("pass" if ax.linearity_ok else "fail"),
     }
 
@@ -318,9 +318,7 @@ def _render_markdown(report: PayoutReport) -> str:
             lines.append(f"- symmetry: FAIL (equal contributors paid differently: {pairs})")
         else:
             lines.append("- symmetry: pass (equal contributors are paid equally)")
-        if ax.null_player_violations is None:
-            lines.append("- null player: not scanned")
-        elif ax.null_player_violations:
+        if ax.null_player_violations:
             lines.append(f"- null player: FAIL (zero contributors paid: {', '.join(ax.null_player_violations)})")
         else:
             lines.append("- null player: pass (only actual contributions are paid)")
@@ -382,7 +380,7 @@ def _axioms(value, where: str) -> AxiomReport:
     return AxiomReport(
         efficiency_residual=residual,
         symmetry_violations=_nullable(ax, "symmetry_violations", where, _each, _pair),
-        null_player_violations=_nullable(ax, "null_player_violations", where, _strings),
+        null_player_violations=_field(ax, "null_player_violations", where, _strings),
         linearity_ok=None if linearity is None else linearity == "pass",
     )
 

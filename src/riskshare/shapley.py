@@ -251,14 +251,13 @@ class AxiomReport:
     different amounts; it is ``None`` for a sampled estimate, which is
     symmetric only in expectation and so is not audited for symmetry.
     ``null_player_violations`` lists players whose marginal contribution is
-    zero everywhere yet received a nonzero amount; every result is scanned,
-    so it is ``None`` only when read back from a stored report without a scan.
+    zero everywhere yet received a nonzero amount; every result is scanned.
     ``linearity_ok`` is ``None`` unless a second game was supplied.
     """
 
     efficiency_residual: Fraction
     symmetry_violations: Optional[tuple[tuple[str, str], ...]]
-    null_player_violations: Optional[tuple[str, ...]]
+    null_player_violations: tuple[str, ...]
     linearity_ok: Optional[bool] = None
 
     @property

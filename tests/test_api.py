@@ -1,6 +1,8 @@
 """The public API and the command line are pinned: a name or flag is added or removed on purpose."""
 
 import argparse
+import ast
+from pathlib import Path
 
 import riskshare
 from riskshare.cli import build_parser
@@ -44,7 +46,7 @@ COMMANDS = {
     "game": ["-h", "--help", "--config"],
     "shapley": ["-h", "--help", "--config", "--format"],
     "payout": ["-h", "--help", "--config", "--out"],
-    "plan-cherry-pick": ["-h", "--help", "--config", "--subset", "--base", "--out"],
+    "plan-cherry-pick": ["-h", "--help", "--config", "--subset", "--out"],
     "report": ["-h", "--help", "input", "--format", "--out"],
 }
 
@@ -56,3 +58,29 @@ def test_command_line_is_pinned():
         for name, parser in commands.choices.items()
     }
     assert surface == COMMANDS
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "riskshare"
+
+
+def test_every_module_level_name_is_used():
+    """A function, class or constant of ``src/riskshare`` that nothing references is dead code."""
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((t.id, path.name) for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = sorted(f"{module}: {name}" for name, module in defined.items()
+                  if not (name.startswith("__") and name.endswith("__")) and name not in used)
+    assert dead == []

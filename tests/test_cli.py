@@ -154,15 +154,6 @@ class TestPayout:
         assert code == 2
         assert f"input error: aliases['bob@x']: expected a string, got {got}" in err
 
-    def test_missing_budget_is_input_error(self, capsys, workdir):
-        config = workdir / WE / "nobudget.json"
-        doc = json.loads((workdir / WE / "payout_config.json").read_text())
-        del doc["budget"]
-        config.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "payout", "--config", str(config))
-        assert code == 2
-        assert "budget" in err
-
     @pytest.mark.parametrize("command", ["game", "shapley", "payout"])
     def test_invalid_model_fails_validation(self, capsys, workdir, command):
         model_path = workdir / WE / "risk_model.json"
@@ -329,6 +320,68 @@ class TestStaticChecks:
         assert "coalition_table.json" in err
 
 
+class TestCommandNeeds:
+    """A setting one command needs is checked after the static checks and before any input is read."""
+
+    @pytest.mark.parametrize(
+        "command, config, key, value, message",
+        [
+            ("payout", "payout_config.json", "budget", None, "budget: payout needs a budget section (fraction and anchor)"),
+            ("payout", "payout_config.json", "risk_model", None, "risk_model: payout needs a risk_model document"),
+            ("plan-cherry-pick", "payout_config.json", None, None, "source.type: plan-cherry-pick needs a commit_log source"),
+            (
+                "plan-cherry-pick",
+                "mining_config.json",
+                "source",
+                {"type": "commit_log", "path": "commits.log", "cycle": {"from_time": 0, "to_time": 2000000000}},
+                "source.cycle.from_commit: plan-cherry-pick needs the base commit",
+            ),
+        ],
+        ids=["payout-budget", "payout-risk-model", "plan-source-type", "plan-base-commit"],
+    )
+    def test_missing_need_exits_1_before_any_input_is_read(self, capsys, workdir, command, config, key, value, message):
+        doc = json.loads((workdir / WE / config).read_text())
+        if key is not None:
+            doc[key] = value
+            if value is None:
+                del doc[key]
+        for path in (workdir / WE).iterdir():
+            path.unlink()
+        config = workdir / "needs_config.json"
+        config.write_text(json.dumps(doc))
+        extra = ["--subset", "alice,carol"] if command == "plan-cherry-pick" else []
+        code, out, err = run(capsys, command, "--config", str(config), *extra)
+        assert (code, out, err) == (1, "", f"validation error: {message}\n")
+
+
+#: Each input file a run reads, with the config that reads it; ``report`` reads the stored report ``r.json``.
+INPUTS = [
+    ("payout_config.json", "payout_config.json"),
+    ("risk_model.json", "payout_config.json"),
+    ("coalition_table.json", "payout_config.json"),
+    ("commits.log", "mining_config.json"),
+    ("aliases.json", "alias_config.json"),
+    ("r.json", None),
+]
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("name, config", INPUTS, ids=[name for name, _ in INPUTS])
+    def test_input_that_is_not_utf8_exits_2_naming_it(self, capsys, workdir, name, config):
+        doc = json.loads((workdir / WE / "mining_config.json").read_text())
+        doc["source"]["aliases"] = "aliases.json"
+        (workdir / WE / "alias_config.json").write_text(json.dumps(doc))
+        (workdir / WE / "aliases.json").write_text("{}")
+        run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(workdir / WE / "r.json"))
+        path = workdir / WE / name
+        path.write_bytes(b'{"caf\xe9": 1}')
+        argv = ["report", str(path)] if config is None else ["payout", "--config", str(workdir / WE / config)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        last = err.splitlines()[-1]  # after any warning the commit log raised
+        assert last.startswith(f"input error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
 class TestCoalitionTableShape:
     @pytest.mark.parametrize(
         "edit, location",
@@ -391,6 +444,7 @@ class TestConfigShape:
             "solver.workers",
             "budget.anchors",
             "output.fmt",
+            "output.path",
         ],
     )
     def test_unknown_key_is_input_error(self, capsys, workdir, path):

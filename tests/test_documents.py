@@ -46,6 +46,17 @@ class TestExactNumbers:
         with pytest.raises(DocumentError):
             loads_exact("{nope")
 
+    def test_integer_beyond_the_digit_limit_is_document_error(self):
+        with pytest.raises(DocumentError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)[^;]*$"):
+            loads_exact("[" + "7" * 5000 + "]")
+
+    @pytest.mark.parametrize("value", ["1e1000000", '"1e1000000"', '"-2.5E+0001000"'])
+    def test_exponent_of_four_digits_is_document_error(self, value):
+        text = f'[{{"coalition": ["a"], "value": {value}}}]'
+        with pytest.raises(DocumentError, match="exponent of more than 3 digits"):
+            coalition_game_from_document(loads_exact(text))
+        assert loads_exact('[1e999, 1E-999]') == [Fraction(10**999), Fraction(1, 10**999)]
+
 
 class TestRiskModelDocument:
     def test_worked_example_fixture_loads_and_computes(self, fixtures_dir):

@@ -295,6 +295,11 @@ class TestParseReport:
                 "abc",
                 "axioms.null_player_violations: expected an array, got string 'abc'",
             ),
+            (
+                ("axioms", "null_player_violations"),
+                None,
+                "axioms.null_player_violations: expected an array, got null",
+            ),
             (("payouts", 0, "player"), 7, "payouts[0].player: expected a string, got integer 7"),
             (
                 ("rounding_mode",),
@@ -332,8 +337,8 @@ class TestParseReport:
             (("payouts", 0, "payment", "cents"), 1, "payouts[0].payment.cents: unknown key"),
         ],
         ids=[
-            "phi-float", "null-players-string", "player-integer", "rounding-mode", "notice-array",
-            "fraction-zero-denominator", "anchor", "amount-string", "amount-bool", "amount-negative",
+            "phi-float", "null-players-string", "null-players-null", "player-integer", "rounding-mode",
+            "notice-array", "fraction-zero-denominator", "anchor", "amount-string", "amount-bool", "amount-negative",
             "currency-null", "payout-row", "residual-float", "delta-integer", "delta-reversed",
             "seed-string", "symmetry-pair", "linearity", "efficiency-residual-integer",
             "efficiency-contradicts-residual", "efficiency-null", "unknown-key", "unknown-provenance-key",
@@ -365,10 +370,8 @@ class TestParseReport:
     def test_stored_sampled_report_with_null_audit_lists_parses(self, reported_variant_game):
         doc = self.report_doc(reported_variant_game)
         doc["axioms"]["symmetry_violations"] = None
-        doc["axioms"]["null_player_violations"] = None
         doc["provenance"].update(solver="monte-carlo", samples=1000, seed=7)
         report = parse_report(json.dumps(doc))
         assert report.axioms.symmetry_violations is None
-        assert report.axioms.null_player_violations is None
         assert (report.provenance.samples, report.provenance.seed) == (1000, 7)
         assert json.loads(render_report(report, "json")) == doc
