@@ -30,7 +30,7 @@ model = load_risk_model(FIXTURES / "risk_model.json")
 validation = model.validate()
 assert validation.ok, [str(i) for i in validation.issues]
 
-delta = risk_delta(model.assessments, model.scales, mode="sum", clamp=True)
+delta = risk_delta(model.assessments, model.scales, mode="sum")
 print("avoided loss:", delta, "USD")
 
 # Company policy: pay out 1% of the *most conservative* end of the range.

@@ -130,7 +130,10 @@ class _InvalidModel(Exception):
 
 
 def _valid_model(config: RunConfig) -> Optional[RiskModel]:
-    """The configured risk model, or None when there is none; an invalid one is listed on stdout."""
+    """The configured risk model, or None when there is none.
+
+    An invalid model is listed on stdout; a valid one's warnings go to stderr, one line each.
+    """
     if config.risk_model_path is None:
         return None
     model = documents.load_risk_model(config.risk_model_path)
@@ -138,6 +141,8 @@ def _valid_model(config: RunConfig) -> Optional[RiskModel]:
     if not validation.ok:
         _print_validation(validation)
         raise _InvalidModel()
+    for issue in validation.warnings:
+        _err(str(issue))
     return model
 
 
@@ -204,7 +209,7 @@ def cmd_shapley(args) -> int:
 def cmd_payout(args) -> int:
     config = _checked_config(args)
     model = _valid_model(config)
-    delta = risk_delta(model.assessments, model.scales, mode=config.mode, clamp=True)
+    delta = risk_delta(model.assessments, model.scales, mode=config.mode)
     budget = compute_budget(
         delta,
         config.budget.fraction,
@@ -243,7 +248,7 @@ def cmd_plan_cherry_pick(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = parse_report(documents.load_text(args.input))
+    report = parse_report(documents.load_text(args.input), args.input)
     return _emit(render_report(report, args.format), args.out, "report")
 
 

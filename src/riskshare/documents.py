@@ -30,13 +30,17 @@ from .risk import (
 Pathish = Union[str, Path]
 
 
-def loads_exact(text: str):
-    """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds."""
+def loads_exact(text: str, source: Pathish = ""):
+    """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds.
+
+    A ``source`` names the text in the error for malformed JSON.
+    """
     try:
         return json.loads(text, parse_float=as_fraction)
     except ValueError as exc:  # malformed JSON, or a number literal out of bounds
         reason = str(exc).partition(";")[0]  # without int()'s advice to raise Python's digit limit
-        raise DocumentError(f"invalid JSON: {reason}") from exc
+        message = f"invalid JSON: {reason}"
+        raise DocumentError(f"{source}: {message}" if source else message) from exc
 
 
 def load_text(path: Pathish) -> str:
@@ -48,11 +52,7 @@ def load_text(path: Pathish) -> str:
 
 
 def load_json(path: Pathish):
-    text = load_text(path)
-    try:
-        return loads_exact(text)
-    except DocumentError as exc:
-        raise DocumentError(f"{path}: {exc}") from exc
+    return loads_exact(load_text(path), path)
 
 
 def _expect(doc: dict, key: str, where: str):
@@ -121,11 +121,11 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _rows(value, where: str):
-    """``(location, object)`` for each entry of a JSON array of objects."""
+def _rows(value, where: str, keys):
+    """``(location, object)`` for each entry of a JSON array of objects holding only ``keys``."""
     for k, row in enumerate(_list(value, where)):
         at = f"{where}[{k}]"
-        yield at, _object(row, at)
+        yield at, _record(row, at, keys)
 
 
 def _strings(value, where: str) -> tuple[str, ...]:
@@ -154,11 +154,11 @@ def _interval(doc: dict, where: str) -> Interval:
 
 
 def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
-    doc = _object(doc, where)
+    doc = _record(doc, where, ("name", "kind", "categories"))
     name = _field(doc, "name", where, _string)
     kind = _field(doc, "kind", where, _string)
     categories = []
-    for cat_where, cat in _field(doc, "categories", where, _rows):
+    for cat_where, cat in _field(doc, "categories", where, _rows, ("label", "lo", "hi")):
         label = _field(cat, "label", cat_where, _string)
         categories.append((label, _interval(cat, cat_where)))
     try:
@@ -176,10 +176,11 @@ def risk_model_from_document(doc: dict) -> RiskModel:
     """Build a RiskModel from a parsed risk-model document.
 
     Top-level keys: ``scales`` (object with ``likelihood`` and ``impact``
-    slots), ``threats`` (nested controls/leaves), ``assessments``.
+    slots), ``threats`` (nested controls/leaves), ``assessments``. Every
+    object holds only its documented keys.
     """
-    doc = _object(doc, "document")
-    scales_doc = _field(doc, "scales", "", _object)
+    doc = _record(doc, "", ("scales", "threats", "assessments"))
+    scales_doc = _field(doc, "scales", "", _record, ("likelihood", "impact"))
     likelihood = _field(scales_doc, "likelihood", "scales", scale_from_document)
     impact = _field(scales_doc, "impact", "scales", scale_from_document)
     try:
@@ -188,12 +189,12 @@ def risk_model_from_document(doc: dict) -> RiskModel:
         raise DocumentError(f"scales: {exc}") from exc
 
     threats = []
-    for t_where, t_doc in _field(doc, "threats", "", _rows):
+    for t_where, t_doc in _field(doc, "threats", "", _rows, ("id", "label", "controls")):
         controls = []
-        for c_where, c_doc in _rows(t_doc.get("controls", []), f"{t_where}.controls"):
+        for c_where, c_doc in _rows(t_doc.get("controls", []), f"{t_where}.controls", ("id", "label", "leaves")):
             leaves = tuple(
                 LeafCondition(*_named(l_doc, l_where))
-                for l_where, l_doc in _rows(c_doc.get("leaves", []), f"{c_where}.leaves")
+                for l_where, l_doc in _rows(c_doc.get("leaves", []), f"{c_where}.leaves", ("id", "label"))
             )
             controls.append(Control(*_named(c_doc, c_where), leaves=leaves))
         threats.append(Threat(*_named(t_doc, t_where), controls=tuple(controls)))
@@ -201,7 +202,7 @@ def risk_model_from_document(doc: dict) -> RiskModel:
 
     assessments = []
     keys = ("threat", "likelihood_before", "impact_before", "likelihood_after", "impact_after")
-    for a_where, a_doc in _rows(doc.get("assessments", []), "assessments"):
+    for a_where, a_doc in _rows(doc.get("assessments", []), "assessments", keys):
         fields = (_field(a_doc, key, a_where, _string) for key in keys)
         assessments.append(ThreatAssessment(*fields))
     return RiskModel(scales=scales, tree=tree, assessments=tuple(assessments))
@@ -211,12 +212,13 @@ def load_risk_model(path: Pathish) -> RiskModel:
     return risk_model_from_document(load_json(path))
 
 
-def _envelope(doc, key: str, what: str) -> tuple[Optional[tuple[str, ...]], list]:
-    """A bare list of rows, or an object with an optional ``players`` roster and the rows under ``key``."""
+def _envelope(doc, key: str, what: str, *others: str) -> tuple[Optional[tuple[str, ...]], list]:
+    """A bare list of rows, or an object with an optional ``players`` roster, the rows under ``key`` and ``others``."""
     if isinstance(doc, list):
         return None, doc
     if not isinstance(doc, dict):
         raise DocumentError(f"{what} must be a list or an object")
+    _record(doc, "", ("players", key, *others))
     roster = _strings(doc["players"], "players") if "players" in doc else None
     return roster, _expect(doc, key, what)
 
@@ -231,10 +233,10 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
     """
     if isinstance(doc, dict):
         _expect(doc, "players", "coalition table")  # required here, optional in the other envelopes
-    roster, rows = _envelope(doc, "entries", "coalition table")
+    roster, rows = _envelope(doc, "entries", "coalition table", "default_zero")
     default_zero = isinstance(doc, dict) and _boolean(doc.get("default_zero", False), "default_zero")
     entries = []
-    for where, row in _rows(rows, "entries"):
+    for where, row in _rows(rows, "entries", ("coalition", "value")):
         coalition = _field(row, "coalition", where, _strings)
         value = _field(row, "value", where, _rational)
         entries.append((coalition, value))
@@ -258,7 +260,7 @@ def attribution_from_document(doc) -> tuple[Optional[tuple[str, ...]], dict[str,
     """
     roster, rows = _envelope(doc, "attribution", "attribution document")
     attribution: dict[str, frozenset[str]] = {}
-    for where, row in _rows(rows, "attribution"):
+    for where, row in _rows(rows, "attribution", ("leaf", "authors")):
         leaf = _field(row, "leaf", where, _string)
         if leaf in attribution:
             raise DocumentError(f"{where}: duplicate leaf {leaf!r}")
@@ -274,7 +276,7 @@ def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[S
     """Parse subset-evaluation results: rows of ``{"subset": [...], "passing": [...]}``."""
     roster, rows = _envelope(doc, "results", "subset results document")
     results = []
-    for where, row in _rows(rows, "results"):
+    for where, row in _rows(rows, "results", ("subset", "passing")):
         subset = _field(row, "subset", where, _strings)
         passing = _field(row, "passing", where, _strings)
         results.append(SubsetResult(subset, passing))

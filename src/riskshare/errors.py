@@ -39,11 +39,7 @@ class PayoutError(ValidationError):
 
 
 class ClampWarning(UserWarning):
-    """An interval subtraction was clamped at zero."""
-
-
-class MitigationWarning(UserWarning):
-    """An assessment claims mitigation worsened both likelihood and impact."""
+    """A threat's risk difference was clamped at zero."""
 
 
 class CommitLogWarning(UserWarning):

@@ -1,19 +1,17 @@
-"""Closed intervals with exact rational endpoints.
+"""Closed intervals with exact rational endpoints, and plain arithmetic on them.
 
 Every endpoint is a `fractions.Fraction`, so interval sums, products and
 differences are bit-exact: monetary results never depend on rounding order.
 Floats are deliberately rejected at the boundary; callers pass ints, decimal
-strings ("0.25"), ratio strings ("1/4") or Fractions.
+strings ("0.25"), ratio strings ("1/4") or Fractions. No policy lives here:
+what a negative risk difference means is decided in :mod:`riskshare.risk`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
-
-from .errors import ClampWarning
 
 Rationalish = Union[Fraction, int, str]
 
@@ -70,15 +68,6 @@ class Interval:
         x = as_fraction(x)
         return self.lo <= x <= self.hi
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return interval_add(self, other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return interval_mul(self, other)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return interval_sub(self, other)
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
@@ -97,22 +86,6 @@ def interval_mul(a: Interval, b: Interval) -> Interval:
     return Interval(min(products), max(products))
 
 
-def interval_sub(a: Interval, b: Interval, clamp_at_zero: bool = False) -> Interval:
-    """[a.lo - b.hi, a.hi - b.lo], optionally clamped into the non-negative range.
-
-    With ``clamp_at_zero`` both endpoints are raised to at least 0; a
-    :class:`ClampWarning` is emitted when clamping actually changed the result,
-    so negative "improvements" stay auditable instead of silently vanishing.
-    """
-    lo = a.lo - b.hi
-    hi = a.hi - b.lo
-    if clamp_at_zero and lo < 0:
-        raw = Interval(lo, hi)
-        lo = Fraction(0)
-        hi = max(hi, Fraction(0))
-        warnings.warn(
-            f"interval difference {raw} clamped to [{lo}, {hi}]",
-            ClampWarning,
-            stacklevel=2,
-        )
-    return Interval(lo, hi)
+def interval_sub(a: Interval, b: Interval) -> Interval:
+    """[a.lo - b.hi, a.hi - b.lo], which may reach below zero."""
+    return Interval(a.lo - b.hi, a.hi - b.lo)

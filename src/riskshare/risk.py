@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .errors import MitigationWarning, ScaleRangeError, UnknownLabelError
+from .errors import ClampWarning, ScaleRangeError, UnknownLabelError
 from .intervals import ZERO, Interval, Rationalish, as_fraction, interval_add, interval_mul, interval_sub
 
 LIKELIHOOD = "likelihood"
@@ -294,8 +294,8 @@ def validate_assessments(
     """Check label resolution, threat-id references, and mitigation direction.
 
     A mitigation that worsens both likelihood and impact upper bounds is
-    reported as a warning (and emitted as :class:`MitigationWarning`), not an
-    error: the run can proceed but the claim deserves scrutiny.
+    reported as a warning issue, not an error: the run can proceed but the
+    claim deserves scrutiny. The issue is the only report of it.
     """
     issues: list[ValidationIssue] = []
     known_threats = {t.id for t in tree.threats} if tree is not None else None
@@ -315,7 +315,6 @@ def validate_assessments(
         if la.hi > lb.hi and ia.hi > ib.hi:
             msg = f"mitigation worsens both likelihood ({lb.hi} -> {la.hi}) and impact ({ib.hi} -> {ia.hi})"
             issues.append(ValidationIssue(where, msg, severity="warning"))
-            warnings.warn(f"{where}: {msg}", MitigationWarning, stacklevel=2)
     return ValidationReport(tuple(issues))
 
 
@@ -332,30 +331,24 @@ def _aggregate(parts: list[Interval], mode: str) -> Interval:
     return Interval(max(p.lo for p in parts), max(p.hi for p in parts))
 
 
-def _products(assessments: Iterable[ThreatAssessment], scales: ScaleSet, after: bool) -> list[Interval]:
-    out = []
+def _per_threat(assessments: Iterable[ThreatAssessment], scales: ScaleSet) -> Iterator[tuple[str, Interval, Interval]]:
+    """``(threat id, before, after)`` likelihood x impact per assessment, each resolved once."""
     for a in assessments:
         lb, ib, la, ia = a.resolve(scales)
-        out.append(interval_mul(la, ia) if after else interval_mul(lb, ib))
-    return out
+        yield a.threat_id, interval_mul(lb, ib), interval_mul(la, ia)
 
 
 def risk_before(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM) -> Interval:
     """Aggregate pre-mitigation risk: likelihood x impact per threat, then sum or max."""
-    return _aggregate(_products(assessments, scales, after=False), mode)
+    return _aggregate([before for _, before, _ in _per_threat(assessments, scales)], mode)
 
 
 def risk_after(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM) -> Interval:
     """Aggregate residual risk using the post-mitigation labels."""
-    return _aggregate(_products(assessments, scales, after=True), mode)
+    return _aggregate([after for _, _, after in _per_threat(assessments, scales)], mode)
 
 
-def risk_delta(
-    assessments: Iterable[ThreatAssessment],
-    scales: ScaleSet,
-    mode: str = SUM,
-    clamp: bool = True,
-) -> Interval:
+def risk_delta(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM) -> Interval:
     """Risk reduction achieved by mitigation, evaluated threat-wise.
 
     Each threat contributes ``before_i - after_i`` (interval subtraction);
@@ -363,14 +356,19 @@ def risk_delta(
     deliberately *not* ``risk_before - risk_after`` on the aggregates, which
     would double-count the spread across threats.
 
-    ``clamp`` raises negative per-threat differences to zero (with a
-    :class:`ClampWarning`): a mitigation is assumed not to add risk, but
-    inputs violating that stay visible.
+    A mitigation is assumed not to add risk: a difference whose lower end is
+    negative is raised to ``[0, max(hi, 0)]``, with a :class:`ClampWarning`
+    naming the threat, so inputs violating that stay visible.
     """
-    assessments = list(assessments)
-    before = _products(assessments, scales, after=False)
-    after = _products(assessments, scales, after=True)
-    deltas = [interval_sub(b, a, clamp_at_zero=clamp) for b, a in zip(before, after)]
+    deltas = []
+    for threat, before, after in _per_threat(assessments, scales):
+        delta = interval_sub(before, after)
+        if delta.lo < 0:
+            clamped = Interval(0, max(delta.hi, 0))
+            message = f"threat {threat!r}: risk difference {delta} clamped to {clamped}"
+            warnings.warn(message, ClampWarning, stacklevel=2)
+            delta = clamped
+        deltas.append(delta)
     return _aggregate(deltas, mode)
 
 

@@ -73,7 +73,7 @@ def test_criterion_2_delta_and_budget():
     with criterion(2, "avoided-loss interval and budget", 1.0):
         model = load_risk_model(FIXTURES / "worked_example" / "risk_model.json")
         assert model.validate().ok
-        delta = risk_delta(model.assessments, model.scales, mode="sum", clamp=True)
+        delta = risk_delta(model.assessments, model.scales, mode="sum")
         assert delta == Interval(2125900, 15622700)
         budget = compute_budget(delta, Fraction(1, 100), "lower")
         assert budget == Money(2125900)  # $21,259.00 in cents

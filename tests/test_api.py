@@ -10,7 +10,7 @@ from riskshare.cli import build_parser
 PUBLIC = {
     "AxiomReport", "CapacityError", "CherryPickPlan", "ClampWarning", "CoalitionGame",
     "CommitLogWarning", "CommitRecord", "Control", "Cycle", "DocumentError", "GameDefinitionError",
-    "IdentityResolution", "Interval", "LeafCondition", "MATERIALIZATION_CAP", "MitigationWarning",
+    "IdentityResolution", "Interval", "LeafCondition", "MATERIALIZATION_CAP",
     "Money", "ORACLE_PLAYER_CAP", "PayoutError", "PayoutReport", "PlayerPayout", "PlayerSet",
     "Provenance", "QualitativeScale", "RiskModel", "RiskshareError", "ScaleRangeError", "ScaleSet",
     "ShapleyResult", "SubsetResult", "Threat", "ThreatAssessment", "ThreatTree",
@@ -37,7 +37,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(riskshare.__all__) == PUBLIC
-    assert len(PUBLIC) == 71
+    assert len(PUBLIC) == 70
 
 
 #: Each subcommand's arguments: option strings, or the name of a positional argument.

@@ -47,6 +47,37 @@ class TestValidate:
         assert "not found" in out
 
 
+class TestRiskDiagnostics:
+    """A worsening mitigation is one validation warning, and its clamped difference one ClampWarning."""
+
+    WORSENS = "warning: assessments[0]: mitigation worsens both likelihood (1/2 -> 1) and impact (35730 -> 15622700)"
+    CLAMP = "warning: ClampWarning: threat 'T1': risk difference [-15622700, -2108035] clamped to [0, 0]"
+
+    @pytest.fixture
+    def config(self, workdir) -> str:
+        model_path = workdir / WE / "risk_model.json"
+        doc = json.loads(model_path.read_text())
+        doc["assessments"][0].update(likelihood_before="low", impact_before="low")
+        doc["assessments"][0].update(likelihood_after="high", impact_after="critical")
+        model_path.write_text(json.dumps(doc))
+        return str(workdir / WE / "payout_config.json")
+
+    def test_validate_lists_it_on_stdout_only(self, capsys, config):
+        code, out, err = run(capsys, "validate", "--config", config)
+        assert (code, out, err) == (0, f"{self.WORSENS}\n0 error(s), 1 warning(s)\n", "")
+
+    @pytest.mark.parametrize("command", ["game", "shapley"])
+    def test_other_commands_print_it_once_on_stderr(self, capsys, config, command):
+        code, out, err = run(capsys, command, "--config", config)
+        assert (code, err) == (0, f"{self.WORSENS}\n")
+        assert "worsens" not in out
+
+    def test_payout_also_names_the_clamped_threat(self, capsys, config):
+        code, out, err = run(capsys, "payout", "--config", config)
+        assert (code, err) == (0, f"{self.WORSENS}\n{self.CLAMP}\n")
+        assert json.loads(out)["budget"]["amount_minor"] == 0
+
+
 class TestShapley:
     def test_joint_feature_phi_line(self, capsys, workdir):
         code, out, _ = run(capsys, "shapley", "--config", str(workdir / "small_team" / "shapley_config.json"))
@@ -405,6 +436,53 @@ class TestCoalitionTableShape:
         assert location in err
 
 
+RISK_ROW = "threat, likelihood_before, impact_before, likelihood_after, impact_after"
+#: ``(input file, path of the object that gains the key, the key's location, the keys the message expects)``;
+#: the key is ``extra``, or the top-level ``assessments`` misspelt.
+UNKNOWN_KEYS = [
+    ("risk_model.json", (), "assesments", "scales, threats, assessments"),
+    ("risk_model.json", ("scales",), "scales.extra", "likelihood, impact"),
+    ("risk_model.json", ("scales", "likelihood"), "scales.likelihood.extra", "name, kind, categories"),
+    ("risk_model.json", ("scales", "impact", "categories", 1), "scales.impact.categories[1].extra", "label, lo, hi"),
+    ("risk_model.json", ("threats", 0), "threats[0].extra", "id, label, controls"),
+    ("risk_model.json", ("threats", 0, "controls", 2), "threats[0].controls[2].extra", "id, label, leaves"),
+    ("risk_model.json", ("threats", 0, "controls", 0, "leaves", 0), "threats[0].controls[0].leaves[0].extra",
+     "id, label"),
+    ("risk_model.json", ("assessments", 0), "assessments[0].extra", RISK_ROW),
+    ("coalition_table.json", (), "extra", "players, entries, default_zero"),
+    ("coalition_table.json", ("entries", 3), "entries[3].extra", "coalition, value"),
+    ("subset_results.json", (), "extra", "players, results"),
+    ("subset_results.json", ("results", 2), "results[2].extra", "subset, passing"),
+    ("attribution.json", (), "extra", "players, attribution"),
+    ("attribution.json", ("attribution", 0), "attribution[0].extra", "leaf, authors"),
+]
+
+
+class TestUnknownInputKey:
+    """Every object of every input document holds only its documented keys, as config and reports do."""
+
+    @pytest.mark.parametrize("name, path, location, keys", UNKNOWN_KEYS,
+                             ids=[f"{case[0][:-5]}:{case[2]}" for case in UNKNOWN_KEYS])
+    def test_unknown_key_exits_2_naming_it(self, capsys, workdir, name, path, location, keys):
+        attribution = [{"leaf": leaf, "authors": ["alice"]} for leaf in ("U-46365-1", "U-45802-1", "U-45801-1")]
+        (workdir / WE / "attribution.json").write_text(json.dumps({"players": ["alice"], "attribution": attribution}))
+        source = name if name != "risk_model.json" else "coalition_table.json"
+        config = {"risk_model": "risk_model.json", "source": {"type": source[:-5], "path": source}}
+        (workdir / WE / "key_config.json").write_text(json.dumps(config))
+        assert run(capsys, "game", "--config", str(workdir / WE / "key_config.json"))[0] == 0
+        doc = json.loads((workdir / WE / name).read_text())
+        node = doc
+        for step in path:
+            node = node[step]
+        if location == "assesments":
+            node["assesments"] = node.pop("assessments")
+        else:
+            node["extra"] = 1
+        (workdir / WE / name).write_text(json.dumps(doc))
+        code, out, err = run(capsys, "game", "--config", str(workdir / WE / "key_config.json"))
+        assert (code, out, err) == (2, "", f"input error: {location}: unknown key (expected one of {keys})\n")
+
+
 class TestConfigShape:
     @staticmethod
     def write_config(workdir, path, value) -> Path:
@@ -575,6 +653,13 @@ class TestReport:
         assert "12401.08" in out
         code, out, _ = run(capsys, "report", str(report_path), "--format", "json")
         assert parse_report(out) == parse_report(report_path.read_text())
+
+    def test_report_that_is_not_json_is_input_error_naming_the_file(self, capsys, workdir):
+        report_path = workdir / "r.json"
+        report_path.write_text('{"budget": ')
+        code, out, err = run(capsys, "report", str(report_path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {report_path}: invalid JSON: Expecting value: line 1 column 12 (char 11)\n"
 
     def test_malformed_report_is_input_error_naming_the_field(self, capsys, workdir):
         report_path = workdir / "r.json"

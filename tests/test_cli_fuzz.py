@@ -1,11 +1,13 @@
 """Every command, run in-process on a fixture with one node or one input file replaced, ends in an exit code.
 
 The fuzz starts from one of three worked-example configs (coalition table,
-commit log with an alias map, subset results). It either replaces one node of
-that config with arbitrary JSON, or replaces the whole content of one input
-file (the config, the risk model, a source document, the commit log, the alias
-map or a stored report) with arbitrary JSON or arbitrary bytes, which need not
-be UTF-8. Then it runs all six commands. Each must return 0, 1, 2 or 3, and no
+commit log with an alias map, subset results). It either edits one node of one
+JSON input file (the config, the risk model, the coalition table, the subset
+results, the alias map or a stored report): it replaces the node with
+arbitrary JSON, or inserts a key (a documented one or an unknown one) or an
+item into it. Or it replaces the whole content of one input file, the commit
+log included, with arbitrary JSON or arbitrary bytes, which need not be UTF-8.
+Then it runs all six commands. Each must return 0, 1, 2 or 3, and no
 exception may escape ``main``. JSON is kept small: integers within ±50 and
 lists of at most six items, so no roster exceeds six players and no sampler
 draws more than 50 samples.
@@ -46,6 +48,7 @@ def _fixture_files() -> dict[str, bytes]:
 
 FILES = _fixture_files()
 CONFIGS = ("payout_config.json", "mining_config.json", "subset_config.json")
+JSON_INPUTS = ("risk_model.json", "coalition_table.json", "subset_results.json", "aliases.json", "r.json")
 
 #: Strings the fixtures use as ids, numbers, settings and paths, so a replaced node can still mean something.
 WORDS = (
@@ -59,7 +62,7 @@ KEYS = (
     "normalized solver method samples seed budget fraction anchor value rounding currency output format "
     "scales likelihood impact name kind categories label lo hi threats id controls leaves assessments threat "
     "results subset passing entries coalition default_zero"
-).split()
+).split() + ["extra", "assesments", "Players"]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-50, 50) | st.floats(-50, 50) | st.sampled_from(WORDS),
@@ -70,29 +73,42 @@ contents = json_values.map(lambda value: json.dumps(value).encode()) | st.binary
 
 
 def node_paths(node, path=()):
-    """The key path of every node below ``node``."""
+    """The key path of ``node`` and of every node below it."""
+    yield path
     children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in children:
-        yield path + (key,)
         yield from node_paths(child, path + (key,))
 
 
 @st.composite
+def edited(draw, doc):
+    """``doc`` with one node replaced, or one key or item inserted into an object or array."""
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    value = draw(json_values)
+    if isinstance(node, dict) and draw(st.booleans()):
+        node[draw(st.sampled_from(KEYS))] = value
+    elif isinstance(node, list) and draw(st.booleans()):
+        node.insert(draw(st.integers(0, len(node))), value)
+    elif parent is None:
+        return value
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
 def cases(draw) -> tuple[str, dict[str, bytes]]:
-    """A config name and the files of a run, one config node or one input file replaced."""
+    """A config name and the files of a run, one node of a JSON input or one whole input file changed."""
     config = draw(st.sampled_from(CONFIGS))
     files = dict(FILES)
     if draw(st.booleans()):
-        doc = json.loads(files[config])
-        *parents, key = draw(st.sampled_from(list(node_paths(doc))))
-        node = doc
-        for parent in parents:
-            node = node[parent]
-        node[key] = draw(json_values)
-        files[config] = json.dumps(doc).encode()
+        name = draw(st.sampled_from((config, *JSON_INPUTS)))
+        files[name] = json.dumps(draw(edited(json.loads(files[name])))).encode()
     else:
-        name = draw(st.sampled_from((config, "risk_model.json", "coalition_table.json", "subset_results.json",
-                                     "commits.log", "aliases.json", "r.json")))
+        name = draw(st.sampled_from((config, *JSON_INPUTS, "commits.log")))
         files[name] = draw(contents)
     return config, files
 

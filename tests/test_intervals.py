@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riskshare import ClampWarning, Interval, as_fraction, interval_add, interval_mul, interval_sub
+from riskshare import Interval, as_fraction, interval_add, interval_mul, interval_sub
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 
@@ -67,23 +67,6 @@ class TestSub:
 
     def test_endpoint_subtraction(self):
         assert interval_sub(Interval(50, 140), Interval(10, 40)) == Interval(10, 130)
-
-    def test_clamp_raises_lower_endpoint_and_warns(self):
-        with pytest.warns(ClampWarning):
-            result = interval_sub(Interval(10, 20), Interval(15, 30), clamp_at_zero=True)
-        assert result == Interval(0, 5)
-
-    def test_clamp_fully_negative_collapses_to_zero(self):
-        with pytest.warns(ClampWarning):
-            result = interval_sub(Interval(0, 1), Interval(5, 6), clamp_at_zero=True)
-        assert result == Interval(0, 0)
-
-    def test_no_warning_without_clamping_need(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert interval_sub(Interval(5, 9), Interval(1, 2), clamp_at_zero=True) == Interval(3, 8)
 
 
 @given(intervals(), intervals())

@@ -1,9 +1,14 @@
+import re
+import warnings
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riskshare import (
     ClampWarning,
     Interval,
-    MitigationWarning,
     QualitativeScale,
     ScaleRangeError,
     ScaleSet,
@@ -191,6 +196,20 @@ class TestRiskAggregation:
             risk_before([], self.scales, mode="median")
 
 
+def certain_lookup_scales(before: Interval, after: Interval) -> ScaleSet:
+    """Certain likelihood, so a threat's before and after risk are exactly these two impact ranges."""
+    return ScaleSet(
+        likelihood=QualitativeScale("l", "likelihood", (("certain", Interval(1, 1)),)),
+        impact=QualitativeScale("d", "lookup", (("before", before), ("after", after))),
+    )
+
+
+def delta_of(before: Interval, after: Interval) -> Interval:
+    """``risk_delta`` of one threat 'T1' whose risk goes from ``before`` to ``after``."""
+    a = ThreatAssessment("T1", "certain", "before", "certain", "after")
+    return risk_delta([a], certain_lookup_scales(before, after))
+
+
 class TestRiskDelta:
     def test_worked_single_threat_delta(self):
         scales = build_unit_scales()
@@ -200,8 +219,8 @@ class TestRiskDelta:
     def test_no_improvement_is_zero_with_clamp(self):
         scales = build_unit_scales()
         a = ThreatAssessment("T1", "high", "critical", "high", "critical")
-        with pytest.warns(ClampWarning):
-            delta = risk_delta([a], scales, clamp=True)
+        with pytest.warns(ClampWarning, match="threat 'T1'"):
+            delta = risk_delta([a], scales)
         # raw per-threat difference is [lo-hi, hi-lo]; clamping pins the lower end
         assert delta.lo == 0
 
@@ -217,7 +236,7 @@ class TestRiskDelta:
             ),
         )
         a = ThreatAssessment("T", "certain", "before", "certain", "after")
-        assert risk_delta([a], scales, clamp=False) == Interval(10, 130)
+        assert risk_delta([a], scales) == Interval(10, 130)
 
     def test_delta_is_threatwise_sum_of_differences(self):
         scales = ScaleSet(
@@ -236,10 +255,11 @@ class TestRiskDelta:
         )
         a1 = ThreatAssessment("T1", "all", "big", "all", "small")
         a2 = ThreatAssessment("T2", "all", "small", "none", "none")
-        per_threat = [
-            risk_delta([a], scales, clamp=False) for a in (a1, a2)
-        ]
-        combined = risk_delta([a1, a2], scales, clamp=False)
+        # T1's raw difference [0, 140] - [0, 40] = [-40, 140] clamps to [0, 140]
+        with pytest.warns(ClampWarning, match=re.escape("threat 'T1': risk difference [-40, 140] clamped to [0, 140]")):
+            per_threat = [risk_delta([a], scales) for a in (a1, a2)]
+        with pytest.warns(ClampWarning, match="threat 'T1'"):
+            combined = risk_delta([a1, a2], scales)
         assert combined == Interval(
             per_threat[0].lo + per_threat[1].lo, per_threat[0].hi + per_threat[1].hi
         )
@@ -247,9 +267,70 @@ class TestRiskDelta:
     def test_monotone_assessments_give_nonnegative_bounded_delta(self):
         scales = build_unit_scales()
         a = build_full_mitigation_assessment()
-        delta = risk_delta([a], scales, clamp=True)
+        delta = risk_delta([a], scales)
         assert delta.lo >= 0
         assert delta.hi <= risk_before([a], scales).hi
+
+    def test_clamp_raises_lower_endpoint_and_warns(self):
+        with pytest.warns(ClampWarning, match=re.escape("threat 'T1': risk difference [-20, 5] clamped to [0, 5]")):
+            result = delta_of(Interval(10, 20), Interval(15, 30))
+        assert result == Interval(0, 5)
+
+    def test_clamp_fully_negative_collapses_to_zero(self):
+        with pytest.warns(ClampWarning, match=re.escape("threat 'T1': risk difference [-6, -4] clamped to [0, 0]")):
+            result = delta_of(Interval(0, 1), Interval(5, 6))
+        assert result == Interval(0, 0)
+
+    def test_no_warning_without_clamping_need(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert delta_of(Interval(5, 9), Interval(1, 2)) == Interval(3, 8)
+
+
+def _product(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    corners = [x * y for x in a for y in b]
+    return min(corners), max(corners)
+
+
+def _ranges(bound):
+    return st.tuples(bound, bound).map(sorted)
+
+
+likelihood_ranges = _ranges(st.fractions(0, 1, max_denominator=20))
+impact_ranges = _ranges(st.fractions(0, 1000, max_denominator=20))
+#: Per threat: likelihood and impact ranges before, then after mitigation.
+threat_ranges = st.lists(st.tuples(likelihood_ranges, impact_ranges, likelihood_ranges, impact_ranges), max_size=5)
+
+
+@given(threat_ranges, st.sampled_from(["sum", "max"]))
+def test_delta_matches_fraction_reference(threats, mode):
+    """Per threat, [b.lo - a.hi, b.hi - a.lo] clamped at 0, then summed or maxed; one warning per clamp."""
+    zero = [("zero", Interval(0, 0))]  # a scale needs a category even when there are no threats
+    likelihood, impact = list(zero), list(zero)
+    for k, (lb, ib, la, ia) in enumerate(threats):
+        likelihood += [(f"b{k}", Interval(*lb)), (f"a{k}", Interval(*la))]
+        impact += [(f"b{k}", Interval(*ib)), (f"a{k}", Interval(*ia))]
+    scales = ScaleSet(QualitativeScale("l", "likelihood", likelihood), QualitativeScale("d", "lookup", impact))
+    assessments = [ThreatAssessment(f"T{k}", f"b{k}", f"b{k}", f"a{k}", f"a{k}") for k in range(len(threats))]
+
+    differences, clamped = [], []
+    for k, (lb, ib, la, ia) in enumerate(threats):
+        before, after = _product(lb, ib), _product(la, ia)
+        lo, hi = before[0] - after[1], before[1] - after[0]
+        if lo < 0:
+            clamped.append(f"T{k}")
+            lo, hi = Fraction(0), max(hi, Fraction(0))
+        differences.append((lo, hi))
+    combine = sum if mode == "sum" else max
+    los, his = zip(*differences) if differences else ((0,), (0,))
+    reference = Interval(combine(los), combine(his))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        delta = risk_delta(assessments, scales, mode)
+    assert delta == reference
+    assert [str(w.message).split("'")[1] for w in caught if w.category is ClampWarning] == clamped
+    assert len(caught) == len(clamped)
 
 
 class TestThreatTree:
@@ -298,7 +379,10 @@ class TestValidateAssessments:
 
     def test_worsening_both_sides_warns(self):
         a = ThreatAssessment("T1", "low", "low", "high", "critical")
-        with pytest.warns(MitigationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the issue is the only report: no Python warning
             report = validate_assessments([a], build_unit_scales())
         assert report.ok  # a warning, not an error
-        assert report.warnings
+        assert [str(issue) for issue in report.warnings] == [
+            "warning: assessments[0]: mitigation worsens both likelihood (1/2 -> 1) and impact (35730 -> 15622700)"
+        ]
