@@ -1,9 +1,11 @@
 """Command-line entry point for reproducible bonus runs.
 
-Every command that takes ``--config`` runs ``validate``'s static checks, then
-its own needs, before it reads any input. Exit codes: 0 success, 1 validation
-failure, 2 input parse/IO error, 3 capacity exceeded (a table input or ``game``'s
-value table above 24 players). Diagnostics go to stderr; output to stdout or ``--out``.
+Every command that takes ``--config`` runs ``validate``'s static checks, then its own
+needs, before it reads any input; ``validate`` then reads every input and builds the
+game, as ``game``, ``shapley`` and ``payout`` do. Exit codes: 0 success, 1 validation
+failure, 2 input parse/IO error (a missing file too; a content error starts with its
+file's path), 3 capacity exceeded (a table input or ``game``'s value table above 24
+players). Diagnostics go to stderr; output to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
-def _err(message: str):
+def _err(message: object):
     print(message, file=sys.stderr)
 
 
@@ -55,7 +57,7 @@ def _emit(text: str, path, what: str) -> int:
 
 
 def _load_records(config: RunConfig):
-    records = parse_commit_log(documents.load_text(config.source.path))
+    records = documents.load(config.source.path, parse_commit_log)
     if config.source.aliases_path is not None:
         aliases = documents.load_aliases(config.source.aliases_path)
         records = list(resolve_identities(records, aliases).records)
@@ -125,34 +127,35 @@ def _print_validation(report: ValidationReport):
     print(f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)")
 
 
-class _InvalidModel(Exception):
-    """The risk model failed ``validate()``; its listing is printed and the run exits 1."""
+class _Listed(Exception):
+    """A validation listing with errors is printed on stdout; the run exits 1."""
 
 
-def _valid_model(config: RunConfig) -> Optional[RiskModel]:
-    """The configured risk model, or None when there is none.
+def _list_errors(report: ValidationReport):
+    if not report.ok:
+        _print_validation(report)
+        raise _Listed()
 
-    An invalid model is listed on stdout; a valid one's warnings go to stderr, one line each.
-    """
+
+def _valid_model(config: RunConfig, warn=_err) -> Optional[RiskModel]:
+    """The configured risk model, or None; an invalid one is listed on stdout, each warning passed to ``warn``."""
     if config.risk_model_path is None:
         return None
     model = documents.load_risk_model(config.risk_model_path)
     validation = model.validate()
-    if not validation.ok:
-        _print_validation(validation)
-        raise _InvalidModel()
+    _list_errors(validation)
     for issue in validation.warnings:
-        _err(str(issue))
+        warn(issue)
     return model
 
 
 def cmd_validate(args) -> int:
     config = load_run_config(args.config)
-    report = config.validate()
-    if config.risk_model_path is not None and config.risk_model_path.exists():
-        report = report.merged(documents.load_risk_model(config.risk_model_path).validate())
-    _print_validation(report)
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    _list_errors(ValidationReport(tuple(config.issues())))
+    found = []
+    build_game(config, _valid_model(config, found.append))
+    _print_validation(ValidationReport(tuple(found)))
+    return EXIT_OK
 
 
 def cmd_game(args) -> int:
@@ -248,7 +251,7 @@ def cmd_plan_cherry_pick(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = parse_report(documents.load_text(args.input), args.input)
+    report = documents.load(args.input, parse_report)
     return _emit(render_report(report, args.format), args.out, "report")
 
 
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate config, scales, threat tree, and assessments")
+    p = sub.add_parser("validate", help="check the config, the risk model and the source evidence by building the game")
     p.add_argument("--config", required=True, help="path to the run config document")
     p.set_defaults(func=cmd_validate)
 
@@ -299,7 +302,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning  # one line per warning, without a source location
         try:
             return args.func(args)
-        except _InvalidModel:
+        except _Listed:
             return EXIT_VALIDATION
         except DocumentError as exc:
             _err(f"input error: {exc}")

@@ -2,7 +2,8 @@
 
 Every knob the model leaves open must be spelled out here -- budget fraction
 and anchor have no defaults on purpose, since they are policy decisions, not
-math. Relative paths resolve against the config file's own directory.
+math. Relative paths resolve against the config file's own directory. The static
+checks (:meth:`RunConfig.issues`) open no file: a command reads the files it needs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .documents import load_json, _boolean, _field, _integer, _rational, _record
 from .errors import DocumentError
 from .mining import Cycle
 from .payout import ANCHORS, PER_RECIPIENT, REPORT_FORMATS, ROUNDING_MODES
-from .risk import AGGREGATION_MODES, SUM, ValidationIssue, ValidationReport
+from .risk import AGGREGATION_MODES, SUM, ValidationIssue
 
 SOURCE_TYPES = ("coalition_table", "attribution", "commit_log", "subset_results")
 SOLVER_METHODS = ("exact", "monte-carlo")
@@ -66,17 +67,6 @@ class RunConfig:
     rounding: str = PER_RECIPIENT
     currency: str = "USD"
     output_format: str = "json"
-
-    def validate(self) -> ValidationReport:
-        """Static checks, and that the referenced files exist."""
-        issues = []
-        if not self.source.path.exists():
-            issues.append(ValidationIssue("source.path", f"file not found: {self.source.path}"))
-        if self.source.aliases_path is not None and not self.source.aliases_path.exists():
-            issues.append(ValidationIssue("source.aliases", f"file not found: {self.source.aliases_path}"))
-        if self.risk_model_path is not None and not self.risk_model_path.exists():
-            issues.append(ValidationIssue("risk_model", f"file not found: {self.risk_model_path}"))
-        return ValidationReport(tuple(issues + self.issues()))
 
     def issues(self) -> list[ValidationIssue]:
         """Static checks of the settings; every command that takes a config runs them before any work."""
@@ -128,7 +118,7 @@ def _cycle_from_doc(doc: dict) -> Cycle:
             to_time=_optional(doc, "to_time", where, _integer),
         )
     except ValueError as exc:
-        raise DocumentError(f"source.cycle: {exc}") from exc
+        raise DocumentError(f"{where}: {exc}") from exc
 
 
 def _section(value, where: str) -> dict:
@@ -191,4 +181,4 @@ def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    return run_config_from_document(load_json(path), path.parent)
+    return load_json(path, lambda doc: run_config_from_document(doc, path.parent))

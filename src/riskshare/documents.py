@@ -30,29 +30,30 @@ from .risk import (
 Pathish = Union[str, Path]
 
 
-def loads_exact(text: str, source: Pathish = ""):
-    """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds.
-
-    A ``source`` names the text in the error for malformed JSON.
-    """
+def loads_exact(text: str):
+    """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds."""
     try:
         return json.loads(text, parse_float=as_fraction)
     except ValueError as exc:  # malformed JSON, or a number literal out of bounds
         reason = str(exc).partition(";")[0]  # without int()'s advice to raise Python's digit limit
-        message = f"invalid JSON: {reason}"
-        raise DocumentError(f"{source}: {message}" if source else message) from exc
+        raise DocumentError(f"invalid JSON: {reason}") from exc
 
 
-def load_text(path: Pathish) -> str:
-    """The text of an input file; one that cannot be read or is not UTF-8 is a DocumentError naming it."""
+def load(path: Pathish, parse):
+    """``parse`` applied to an input file's text; a read error or a DocumentError of ``parse`` names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
 
 
-def load_json(path: Pathish):
-    return loads_exact(load_text(path), path)
+def load_json(path: Pathish, read=lambda doc: doc):
+    """``read`` applied to the JSON document at ``path``, read through :func:`load`."""
+    return load(path, lambda text: read(loads_exact(text)))
 
 
 def _expect(doc: dict, key: str, where: str):
@@ -209,7 +210,7 @@ def risk_model_from_document(doc: dict) -> RiskModel:
 
 
 def load_risk_model(path: Pathish) -> RiskModel:
-    return risk_model_from_document(load_json(path))
+    return load_json(path, risk_model_from_document)
 
 
 def _envelope(doc, key: str, what: str, *others: str) -> tuple[Optional[tuple[str, ...]], list]:
@@ -249,7 +250,7 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
 
 
 def load_coalition_game(path: Pathish) -> CoalitionGame:
-    return coalition_game_from_document(load_json(path), label=f"coalition-table:{Path(path).name}")
+    return load_json(path, lambda doc: coalition_game_from_document(doc, label=f"coalition-table:{Path(path).name}"))
 
 
 def attribution_from_document(doc) -> tuple[Optional[tuple[str, ...]], dict[str, frozenset[str]]]:
@@ -269,7 +270,7 @@ def attribution_from_document(doc) -> tuple[Optional[tuple[str, ...]], dict[str,
 
 
 def load_attribution(path: Pathish):
-    return attribution_from_document(load_json(path))
+    return load_json(path, attribution_from_document)
 
 
 def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[SubsetResult]]:
@@ -284,14 +285,17 @@ def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[S
 
 
 def load_subset_results(path: Pathish):
-    return subset_results_from_document(load_json(path))
+    return load_json(path, subset_results_from_document)
 
 
-def load_aliases(path: Pathish) -> dict[str, str]:
-    doc = load_json(path)
+def _aliases(doc) -> dict[str, str]:
     if not isinstance(doc, dict):
         raise DocumentError("alias document must be an object mapping identity -> player id")
     return {identity: _string(player, f"aliases[{identity!r}]") for identity, player in doc.items()}
+
+
+def load_aliases(path: Pathish) -> dict[str, str]:
+    return load_json(path, _aliases)
 
 
 def coalition_table_document(game: CoalitionGame) -> dict:

@@ -395,7 +395,7 @@ def _payout(value, where: str) -> PlayerPayout:
     )
 
 
-def parse_report(text: str, source: str = "") -> PayoutReport:
+def parse_report(text: str) -> PayoutReport:
     """Inverse of ``render_report(..., "json")``; round-trips exactly.
 
     Rationals must be JSON strings and amounts JSON integers, as
@@ -403,11 +403,11 @@ def parse_report(text: str, source: str = "") -> PayoutReport:
     be known values. Every object holds exactly the keys the renderer writes,
     and ``axioms.efficiency`` must agree with ``efficiency_residual``.
     Anything else is a :class:`DocumentError` naming the field, such as
-    ``payouts[0].phi``; text that is not JSON is named by ``source``.
+    ``payouts[0].phi``; for text that is not JSON it begins ``invalid JSON:``.
     """
     keys = ("budget", "anchor", "fraction", "rounding_mode", "residual_minor",
             "payouts", "provenance", "axioms", "notice")
-    doc = _record(loads_exact(text, source), "", keys)
+    doc = _record(loads_exact(text), "", keys)
     prov = _field(doc, "provenance", "", _record, ("game_source", "delta", "solver", "samples", "seed"))
     return PayoutReport(
         budget=_field(doc, "budget", "", _money),

@@ -25,6 +25,17 @@ def workdir(tmp_path, fixtures_dir) -> Path:
     return tmp_path
 
 
+#: Content errors of the config and of the commit log, as ``(file, config, old text, new text, message)``.
+CONTENT_ERRORS = [
+    ("mining_config.json", "mining_config.json", '"cycle": {', '"cycle": {"from_time": 0, ',
+     "config.source.cycle: a cycle is bounded by commits or by times, not both"),
+    ("payout_config.json", "payout_config.json", '"mode": "sum"', '"mode": ["sum"]',
+     "config.mode: expected a string, got array ['sum']"),
+    ("commits.log", "mining_config.json", "author: alice\n", "bogus line\n",
+     "line 2: malformed line 'bogus line' (expected 'field: value')"),
+]
+
+
 class TestValidate:
     def test_clean_fixture_passes(self, capsys, workdir):
         code, out, _ = run(capsys, "validate", "--config", str(workdir / WE / "payout_config.json"))
@@ -41,10 +52,22 @@ class TestValidate:
         assert "non-contiguous" in out
 
     def test_missing_file_reported(self, capsys, workdir):
-        (workdir / WE / "coalition_table.json").unlink()
-        code, out, _ = run(capsys, "validate", "--config", str(workdir / WE / "payout_config.json"))
-        assert code == 1
-        assert "not found" in out
+        table = workdir / WE / "coalition_table.json"
+        table.unlink()
+        code, out, err = run(capsys, "validate", "--config", str(workdir / WE / "payout_config.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot read {table}: ")
+
+    @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
+    @pytest.mark.parametrize("name, config, old, new, message", CONTENT_ERRORS,
+                             ids=["config-cycle", "config-mode", "commit-log-line"])
+    def test_content_error_exits_2_naming_its_file(self, capsys, workdir, command, name, config, old, new, message):
+        path = workdir / WE / name
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, command, "--config", str(workdir / WE / config))
+        assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
 
 
 class TestRiskDiagnostics:
@@ -183,7 +206,7 @@ class TestPayout:
         config.write_text(json.dumps(doc))
         code, _, err = run(capsys, "payout", "--config", str(config))
         assert code == 2
-        assert f"input error: aliases['bob@x']: expected a string, got {got}" in err
+        assert f"input error: {workdir / WE / 'aliases.json'}: aliases['bob@x']: expected a string, got {got}" in err
 
     @pytest.mark.parametrize("command", ["game", "shapley", "payout"])
     def test_invalid_model_fails_validation(self, capsys, workdir, command):
@@ -329,9 +352,8 @@ class TestStaticChecks:
         ],
     )
     def test_validate_lists_source_mistakes(self, capsys, workdir, key, value, location, message):
-        code, out, _ = run(capsys, "validate", "--config", str(write_static_config(workdir, key, value)))
-        assert code == 1
-        assert f"error: {location}: {message}\n" in out
+        code, out, err = run(capsys, "validate", "--config", str(write_static_config(workdir, key, value)))
+        assert (code, out, err) == (1, f"error: {location}: {message}\n1 error(s), 0 warning(s)\n", "")
 
     @pytest.mark.parametrize("command", ["payout", "shapley"])
     def test_oracle_is_not_a_solver_setting(self, capsys, workdir, command):
@@ -480,7 +502,8 @@ class TestUnknownInputKey:
             node["extra"] = 1
         (workdir / WE / name).write_text(json.dumps(doc))
         code, out, err = run(capsys, "game", "--config", str(workdir / WE / "key_config.json"))
-        assert (code, out, err) == (2, "", f"input error: {location}: unknown key (expected one of {keys})\n")
+        expected = f"input error: {workdir / WE / name}: {location}: unknown key (expected one of {keys})\n"
+        assert (code, out, err) == (2, "", expected)
 
 
 class TestConfigShape:
@@ -669,4 +692,4 @@ class TestReport:
         report_path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "report", str(report_path))
         assert (code, out) == (2, "")
-        assert err == "input error: payouts[0].phi: expected a string, got float 0.1\n"
+        assert err == f"input error: {report_path}: payouts[0].phi: expected a string, got float 0.1\n"

@@ -7,10 +7,11 @@ results, the alias map or a stored report): it replaces the node with
 arbitrary JSON, or inserts a key (a documented one or an unknown one) or an
 item into it. Or it replaces the whole content of one input file, the commit
 log included, with arbitrary JSON or arbitrary bytes, which need not be UTF-8.
-Then it runs all six commands. Each must return 0, 1, 2 or 3, and no
-exception may escape ``main``. JSON is kept small: integers within ±50 and
-lists of at most six items, so no roster exceeds six players and no sampler
-draws more than 50 samples.
+Then it runs all six commands. Each must return 0, 1, 2 or 3, no exception
+may escape ``main``, and ``validate`` must return what ``shapley`` returns,
+since it runs the same path up to the solve. JSON is kept small: integers
+within ±50 and lists of at most six items, so no roster exceeds six players
+and no sampler draws more than 50 samples.
 """
 
 import contextlib
@@ -130,7 +131,9 @@ def test_every_command_ends_in_an_exit_code(case, format):
             ["plan-cherry-pick", *at, "--subset", "alice,carol"],
             ["report", str(root / "r.json"), "--format", format],
         ]
+        codes = {}
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
-            assert code in (0, 1, 2, 3), argv
+                codes[argv[0]] = main(argv)
+            assert codes[argv[0]] in (0, 1, 2, 3), argv
+        assert codes["validate"] == codes["shapley"]
