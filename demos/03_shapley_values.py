@@ -41,8 +41,8 @@ game = game_from_table(
 subset_route = shapley_exact(game)               # weighted subset sums
 permutation_route = shapley_permutation_oracle(game)  # all 3! orderings
 
-print("phi via subset sums :", [str(v) for v in subset_route.phi_vector()])
-print("phi via permutations:", [str(v) for v in permutation_route.phi_vector()])
+print("phi via subset sums :", [str(subset_route.phi[p]) for p in team.players])
+print("phi via permutations:", [str(permutation_route.phi[p]) for p in team.players])
 assert subset_route.phi == permutation_route.phi
 
 share = subset_route.share

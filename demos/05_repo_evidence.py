@@ -36,7 +36,7 @@ for w in caught:
     print("parser note:", w.message)  # the release tag trailer is not attribution
 
 base = records[0].commit_id  # everything after the release tag counts
-cycle = Cycle.after_commit(base)
+cycle = Cycle(from_commit=base)
 print(f"\n{len(records)} commits parsed; appraising work after {base[:10]}...")
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def _load_records(config: RunConfig):
     records = documents.load(config.source.path, parse_commit_log)
     if config.source.aliases_path is not None:
         aliases = documents.load_aliases(config.source.aliases_path)
-        records = list(resolve_identities(records, aliases).records)
+        records = resolve_identities(records, aliases)
     return records
 
 
@@ -75,7 +75,17 @@ def _roster(config: RunConfig, declared: Optional[tuple[str, ...]], fallback: se
 
 
 def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
-    """The checked config's game; coalition tables and subset results end in ``game_from_table``."""
+    """The checked config's game; a validation or capacity error of the source names its file."""
+    try:
+        return _source_game(config, model)
+    except CapacityError as exc:
+        raise CapacityError(f"{config.source.path}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{config.source.path}: {exc}") from exc
+
+
+def _source_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
+    """Coalition tables and subset results end in ``game_from_table``, the other sources in ``leaf_coverage_game``."""
     kind = config.source.type
     if kind == "coalition_table":
         return documents.load_coalition_game(config.source.path)

@@ -108,74 +108,66 @@ class RunConfig:
         return issues
 
 
-def _cycle_from_doc(doc: dict) -> Cycle:
-    where = "config.source.cycle"
-    try:
-        return Cycle(
-            from_commit=_optional(doc, "from_commit", where, _string),
-            to_commit=_optional(doc, "to_commit", where, _string),
-            from_time=_optional(doc, "from_time", where, _integer),
-            to_time=_optional(doc, "to_time", where, _integer),
-        )
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
-
-
 def _section(value, where: str) -> dict:
     """A JSON object holding only the keys ``_KEYS`` allows at ``where``."""
     return _record(value, where, _KEYS[where])
 
 
-def _optional(doc: dict, key: str, where: str, read):
-    """``read`` applied to ``doc[key]``, or None when the key is absent or null."""
-    value = doc.get(key)
-    return None if value is None else read(value, f"{where}.{key}")
+def _path(value, where: str, base_dir: Path) -> Path:
+    """A JSON string, resolved against ``base_dir``."""
+    return base_dir / _string(value, where)
 
 
-def _optional_path(doc: dict, key: str, where: str, base_dir: Path) -> Optional[Path]:
-    """A JSON string resolved against ``base_dir``, or None when absent or null."""
-    value = _optional(doc, key, where, _string)
-    return None if value is None else base_dir / value
+def _cycle(value, where: str) -> Cycle:
+    doc = _section(value, where)
+    try:
+        return Cycle(
+            from_commit=_field(doc, "from_commit", where, _string, default=None),
+            to_commit=_field(doc, "to_commit", where, _string, default=None),
+            from_time=_field(doc, "from_time", where, _integer, default=None),
+            to_time=_field(doc, "to_time", where, _integer, default=None),
+        )
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from exc
+
+
+def _budget(value, where: str) -> BudgetSpec:
+    doc = _section(value, where)
+    return BudgetSpec(
+        fraction=_field(doc, "fraction", where, _rational),
+        anchor=_field(doc, "anchor", where, _string),
+        explicit_value=_field(doc, "value", where, _rational, default=None),
+    )
 
 
 def run_config_from_document(doc: dict, base_dir: Path) -> RunConfig:
+    """A run config; an absent optional setting takes its default, and a null one is an input error."""
     doc = _section(doc, "config")
     src_doc = _field(doc, "source", "config", _section)
     source = SourceSpec(
         type=_field(src_doc, "type", "config.source", _string),
-        path=base_dir / _field(src_doc, "path", "config.source", _string),
-        cycle=_cycle_from_doc(_section(src_doc.get("cycle", {}), "config.source.cycle")),
-        aliases_path=_optional_path(src_doc, "aliases", "config.source", base_dir),
-        players=_optional(src_doc, "players", "config.source", _strings),
+        path=_field(src_doc, "path", "config.source", _path, base_dir),
+        cycle=_field(src_doc, "cycle", "config.source", _cycle, default=Cycle()),
+        aliases_path=_field(src_doc, "aliases", "config.source", _path, base_dir, default=None),
+        players=_field(src_doc, "players", "config.source", _strings, default=None),
     )
-
-    solver_doc = _section(doc.get("solver", {}), "config.solver")
+    solver_doc = _field(doc, "solver", "config", _section, default={})
     solver = SolverSpec(
-        method=_string(solver_doc.get("method", "exact"), "config.solver.method"),
-        samples=_optional(solver_doc, "samples", "config.solver", _integer),
-        seed=_optional(solver_doc, "seed", "config.solver", _integer),
+        method=_field(solver_doc, "method", "config.solver", _string, default="exact"),
+        samples=_field(solver_doc, "samples", "config.solver", _integer, default=None),
+        seed=_field(solver_doc, "seed", "config.solver", _integer, default=None),
     )
-
-    budget = None
-    if "budget" in doc:
-        b_doc = _section(doc["budget"], "config.budget")
-        budget = BudgetSpec(
-            fraction=_field(b_doc, "fraction", "config.budget", _rational),
-            anchor=_field(b_doc, "anchor", "config.budget", _string),
-            explicit_value=_optional(b_doc, "value", "config.budget", _rational),
-        )
-
-    out_doc = _section(doc.get("output", {}), "config.output")
+    out_doc = _field(doc, "output", "config", _section, default={})
     return RunConfig(
         source=source,
-        risk_model_path=_optional_path(doc, "risk_model", "config", base_dir),
-        mode=_string(doc.get("mode", SUM), "config.mode"),
-        normalized=_boolean(doc.get("normalized", False), "config.normalized"),
+        risk_model_path=_field(doc, "risk_model", "config", _path, base_dir, default=None),
+        mode=_field(doc, "mode", "config", _string, default=SUM),
+        normalized=_field(doc, "normalized", "config", _boolean, default=False),
         solver=solver,
-        budget=budget,
-        rounding=_string(doc.get("rounding", PER_RECIPIENT), "config.rounding"),
-        currency=_string(doc.get("currency", "USD"), "config.currency"),
-        output_format=_string(out_doc.get("format", "json"), "config.output.format"),
+        budget=_field(doc, "budget", "config", _budget, default=None),
+        rounding=_field(doc, "rounding", "config", _string, default=PER_RECIPIENT),
+        currency=_field(doc, "currency", "config", _string, default="USD"),
+        output_format=_field(out_doc, "format", "config.output", _string, default="json"),
     )
 
 

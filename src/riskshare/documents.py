@@ -8,6 +8,7 @@ Fraction before any binary rounding can happen).
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -30,12 +31,36 @@ from .risk import (
 Pathish = Union[str, Path]
 
 
+#: A JSON string literal, skipped, or a number literal (group 1).
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
+
+
+def _bad_number(text: str) -> Optional[int]:
+    """The offset of the first number literal outside strings that :func:`loads_exact` cannot convert."""
+    for match in _TOKEN.finditer(text):
+        literal = match[1]
+        if literal is None:
+            continue
+        try:
+            (int if literal.lstrip("-").isdigit() else as_fraction)(literal)
+        except ValueError:
+            return match.start(1)
+    return None
+
+
 def loads_exact(text: str):
-    """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds."""
+    """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds.
+
+    A number literal out of bounds is located as ``json`` locates a syntax error:
+    ``<reason>: line L column C (char N)``.
+    """
     try:
         return json.loads(text, parse_float=as_fraction)
     except ValueError as exc:  # malformed JSON, or a number literal out of bounds
         reason = str(exc).partition(";")[0]  # without int()'s advice to raise Python's digit limit
+        at = None if isinstance(exc, json.JSONDecodeError) else _bad_number(text)
+        if at is not None:  # int() and as_fraction raise without a position
+            reason = str(json.JSONDecodeError(reason, text, at))
         raise DocumentError(f"invalid JSON: {reason}") from exc
 
 
@@ -62,9 +87,24 @@ def _expect(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _field(doc: dict, key: str, where: str, read, *args):
-    """``read(doc[key], <its location>, *args)``; ``where`` locates ``doc``, "" for a whole document."""
+#: ``_field``'s default: the key must be present.
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, where: str, read, *args, default=_REQUIRED):
+    """``read(doc[key], <its location>, *args)``; ``where`` locates ``doc``, "" for a whole document.
+
+    An absent key is an error, or gives ``default`` when one is passed. A present
+    key always goes to ``read``, so a ``null`` is the reader's to reject.
+    """
+    if default is not _REQUIRED and key not in doc:
+        return default
     return read(_expect(doc, key, where or "document"), f"{where}.{key}" if where else key, *args)
+
+
+def _nullable(doc: dict, key: str, where: str, read, *args):
+    """:func:`_field` for a key that must be present and may be null (read as None), as stored reports write it."""
+    return None if _expect(doc, key, where or "document") is None else _field(doc, key, where, read, *args)
 
 
 def _describe(value) -> str:
@@ -170,7 +210,7 @@ def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
 
 def _named(doc: dict, where: str) -> tuple[str, str]:
     """A tree node's ``id`` and its optional ``label``."""
-    return _field(doc, "id", where, _string), _string(doc.get("label", ""), f"{where}.label")
+    return _field(doc, "id", where, _string), _field(doc, "label", where, _string, default="")
 
 
 def risk_model_from_document(doc: dict) -> RiskModel:
@@ -192,10 +232,10 @@ def risk_model_from_document(doc: dict) -> RiskModel:
     threats = []
     for t_where, t_doc in _field(doc, "threats", "", _rows, ("id", "label", "controls")):
         controls = []
-        for c_where, c_doc in _rows(t_doc.get("controls", []), f"{t_where}.controls", ("id", "label", "leaves")):
+        for c_where, c_doc in _field(t_doc, "controls", t_where, _rows, ("id", "label", "leaves"), default=()):
             leaves = tuple(
                 LeafCondition(*_named(l_doc, l_where))
-                for l_where, l_doc in _rows(c_doc.get("leaves", []), f"{c_where}.leaves", ("id", "label"))
+                for l_where, l_doc in _field(c_doc, "leaves", c_where, _rows, ("id", "label"), default=())
             )
             controls.append(Control(*_named(c_doc, c_where), leaves=leaves))
         threats.append(Threat(*_named(t_doc, t_where), controls=tuple(controls)))
@@ -203,7 +243,7 @@ def risk_model_from_document(doc: dict) -> RiskModel:
 
     assessments = []
     keys = ("threat", "likelihood_before", "impact_before", "likelihood_after", "impact_after")
-    for a_where, a_doc in _rows(doc.get("assessments", []), "assessments", keys):
+    for a_where, a_doc in _field(doc, "assessments", "", _rows, keys, default=()):
         fields = (_field(a_doc, key, a_where, _string) for key in keys)
         assessments.append(ThreatAssessment(*fields))
     return RiskModel(scales=scales, tree=tree, assessments=tuple(assessments))
@@ -220,8 +260,7 @@ def _envelope(doc, key: str, what: str, *others: str) -> tuple[Optional[tuple[st
     if not isinstance(doc, dict):
         raise DocumentError(f"{what} must be a list or an object")
     _record(doc, "", ("players", key, *others))
-    roster = _strings(doc["players"], "players") if "players" in doc else None
-    return roster, _expect(doc, key, what)
+    return _field(doc, "players", "", _strings, default=None), _expect(doc, key, what)
 
 
 def coalition_game_from_document(doc, *, label: str = "coalition-table") -> CoalitionGame:
@@ -235,7 +274,7 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
     if isinstance(doc, dict):
         _expect(doc, "players", "coalition table")  # required here, optional in the other envelopes
     roster, rows = _envelope(doc, "entries", "coalition table", "default_zero")
-    default_zero = isinstance(doc, dict) and _boolean(doc.get("default_zero", False), "default_zero")
+    default_zero = isinstance(doc, dict) and _field(doc, "default_zero", "", _boolean, default=False)
     entries = []
     for where, row in _rows(rows, "entries", ("coalition", "value")):
         coalition = _field(row, "coalition", where, _strings)

@@ -269,16 +269,10 @@ def leaf_coverage_game(
     return CoalitionGame(players, terms=terms, label=label)
 
 
-def _require_same_players(v: CoalitionGame, w: CoalitionGame):
-    if v.players.players != w.players.players:
-        raise GameDefinitionError(
-            f"player sets differ: {v.players.players} vs {w.players.players}"
-        )
-
-
 def game_add(v: CoalitionGame, w: CoalitionGame) -> CoalitionGame:
     """Pointwise sum (dividends add); requires identical player sets (same ids, same order)."""
-    _require_same_players(v, w)
+    if v.players.players != w.players.players:
+        raise GameDefinitionError(f"player sets differ: {v.players.players} vs {w.players.players}")
     return CoalitionGame(v.players, terms=v.terms + w.terms, label=f"({v.label})+({w.label})")
 
 
@@ -286,8 +280,3 @@ def game_scale(v: CoalitionGame, c: Rationalish) -> CoalitionGame:
     """Pointwise scaling by an exact rational factor (dividends scale)."""
     c = as_fraction(c)
     return CoalitionGame(v.players, terms=[(m, c * d) for m, d in v.terms], label=f"{c}*({v.label})")
-
-
-def evaluate(game: CoalitionGame, subset: Iterable[str]) -> Fraction:
-    """Module-level alias for :meth:`CoalitionGame.evaluate`."""
-    return game.evaluate(subset)

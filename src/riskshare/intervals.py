@@ -59,11 +59,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"invalid interval: lo {self.lo} > hi {self.hi}")
 
-    @classmethod
-    def point(cls, x: Rationalish) -> "Interval":
-        x = as_fraction(x)
-        return cls(x, x)
-
     def contains(self, x: Rationalish) -> bool:
         x = as_fraction(x)
         return self.lo <= x <= self.hi

@@ -50,10 +50,6 @@ class CommitRecord(NamedTuple):
     parents: tuple[str, ...] = ()
     trailers: tuple[tuple[str, str], ...] = ()
 
-    def satisfies(self) -> tuple[str, ...]:
-        """The leaf ids this commit claims, in trailer order."""
-        return tuple(v for k, v in self.trailers if k == SATISFIES_KEY)
-
 
 #: ``CommitRecord(*fields)`` without the Python-level ``__new__`` that NamedTuple adds; one per parsed commit.
 _record = partial(tuple.__new__, CommitRecord)
@@ -158,20 +154,13 @@ def render_commit_log(records: Iterable[CommitRecord]) -> str:
     return "\n".join(chunks) + ("\n" if chunks else "")
 
 
-@dataclass(frozen=True)
-class IdentityResolution:
-    records: tuple[CommitRecord, ...]
-    provisional: tuple[str, ...]  # identities that had no alias entry
-
-
-def resolve_identities(
-    records: Sequence[CommitRecord], aliases: Mapping[str, str]
-) -> IdentityResolution:
+def resolve_identities(records: Sequence[CommitRecord], aliases: Mapping[str, str]) -> list[CommitRecord]:
     """Map author identities (emails, display names) to canonical player ids.
 
     Identities without an alias entry become provisional players under their
-    raw identity, reported and warned about but not fatal; an identity that
-    already *is* a canonical id passes through silently.
+    raw identity: one :class:`CommitLogWarning` names them all, in order of
+    first appearance, and is not fatal. An identity that already *is* a
+    canonical id passes through silently.
     """
     known = set(aliases.values())  # canonical ids, then each provisional identity once seen
     resolved: list[CommitRecord] = []
@@ -192,7 +181,7 @@ def resolve_identities(
             CommitLogWarning,
             stacklevel=2,
         )
-    return IdentityResolution(tuple(resolved), tuple(provisional))
+    return resolved
 
 
 # --------------------------------------------------------------------------
@@ -223,14 +212,6 @@ class Cycle:
         time_bounded = self.from_time is not None or self.to_time is not None
         if commit_bounded and time_bounded:
             raise ValueError("a cycle is bounded by commits or by times, not both")
-
-    @classmethod
-    def after_commit(cls, base: str, to_commit: Optional[str] = None) -> "Cycle":
-        return cls(from_commit=base, to_commit=to_commit)
-
-    @classmethod
-    def between_times(cls, start: Optional[int] = None, end: Optional[int] = None) -> "Cycle":
-        return cls(from_time=start, to_time=end)
 
 
 def _ancestry(parents: Mapping[str, tuple[str, ...]], tip: str) -> set[str]:
@@ -290,7 +271,7 @@ def derive_attribution(
     authors: dict[str, set[str]] = {leaf: set() for leaf in tree.leaf_ids()}
     offenders: list[tuple[str, str]] = []
     for r in select_cycle(records, cycle):
-        for key, leaf_id in r.trailers:  # r.satisfies(), without a call per commit
+        for key, leaf_id in r.trailers:
             if key != SATISFIES_KEY:
                 continue
             if leaf_id not in known:
@@ -368,7 +349,7 @@ def cherry_pick_plan(
     log order (so interleaved authors replay in the order they landed). An
     empty pick list is allowed but marked with a warning.
     """
-    window = select_cycle(records, Cycle.after_commit(base_commit, to_commit))
+    window = select_cycle(records, Cycle(from_commit=base_commit, to_commit=to_commit))
     picks = tuple(r.commit_id for r in window if r.author in subset)
     plan_warnings = []
     if not window:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .documents import _expect, _field, _integer, _list, _rational, _record, _string, _strings, loads_exact
+from .documents import _field, _integer, _list, _nullable, _rational, _record, _string, _strings, loads_exact
 from .errors import DocumentError, PayoutError
 from .intervals import Interval, Rationalish, as_fraction
 from .shapley import AxiomReport, ShapleyResult
@@ -325,11 +325,6 @@ def _render_markdown(report: PayoutReport) -> str:
         if ax.linearity_ok is not None:
             lines.append(f"- linearity: {'pass' if ax.linearity_ok else 'FAIL'}")
     return "\n".join(lines) + "\n"
-
-
-def _nullable(doc: dict, key: str, where: str, read, *args):
-    """:func:`_field` for a key that must be present and may be null (read as None)."""
-    return None if _expect(doc, key, where or "document") is None else _field(doc, key, where, read, *args)
 
 
 def _each(value, where: str, read) -> tuple:

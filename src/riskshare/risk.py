@@ -53,13 +53,6 @@ class ValidationReport:
     def warnings(self) -> tuple[ValidationIssue, ...]:
         return tuple(i for i in self.issues if i.severity == "warning")
 
-    def merged(self, other: "ValidationReport", prefix: str = "") -> "ValidationReport":
-        issues = list(self.issues)
-        for issue in other.issues:
-            location = f"{prefix}{issue.location}" if prefix else issue.location
-            issues.append(ValidationIssue(location, issue.message, issue.severity))
-        return ValidationReport(tuple(issues))
-
 
 @dataclass(frozen=True)
 class QualitativeScale:
@@ -384,9 +377,13 @@ class RiskModel:
         object.__setattr__(self, "assessments", tuple(self.assessments))
 
     def validate(self) -> ValidationReport:
-        report = ValidationReport()
-        report = report.merged(validate_scale(self.scales.likelihood), prefix=f"scale {self.scales.likelihood.name!r}: ")
-        report = report.merged(validate_scale(self.scales.impact), prefix=f"scale {self.scales.impact.name!r}: ")
-        report = report.merged(validate_threat_tree(self.tree), prefix="tree: ")
-        report = report.merged(validate_assessments(self.assessments, self.scales, self.tree))
-        return report
+        """The findings of both scales, the tree and the assessments, each location prefixed with its part."""
+        parts = (
+            (f"scale {self.scales.likelihood.name!r}: ", validate_scale(self.scales.likelihood)),
+            (f"scale {self.scales.impact.name!r}: ", validate_scale(self.scales.impact)),
+            ("tree: ", validate_threat_tree(self.tree)),
+            ("", validate_assessments(self.assessments, self.scales, self.tree)),
+        )
+        return ValidationReport(tuple(
+            ValidationIssue(prefix + i.location, i.message, i.severity) for prefix, part in parts for i in part.issues
+        ))

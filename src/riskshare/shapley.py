@@ -73,9 +73,6 @@ class ShapleyResult:
             return None
         return {p: self.phi[p] / total for p in self.players}
 
-    def phi_vector(self) -> tuple[Fraction, ...]:
-        return tuple(self.phi[p] for p in self.players)
-
 
 def _result(game: CoalitionGame, phi: list[Fraction], method: str, **extra) -> ShapleyResult:
     players = game.players.players

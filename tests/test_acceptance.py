@@ -65,7 +65,7 @@ def test_criterion_1_joint_feature_shapley():
     """Exact values of the joint-feature game are (1/2, 1/2, 1), zero tolerance."""
     with criterion(1, "joint-feature team values", 1.0):
         result = shapley_exact(build_joint_feature_game())
-        assert result.phi_vector() == (Fraction(1, 2), Fraction(1, 2), Fraction(1))
+        assert result.phi == {"1": Fraction(1, 2), "2": Fraction(1, 2), "3": Fraction(1)}
 
 
 def test_criterion_2_delta_and_budget():
@@ -91,19 +91,16 @@ def test_criterion_3_payments_and_companion_checks():
 
         reported = load_coalition_game(FIXTURES / "worked_example" / "coalition_table.json")
         result = shapley_exact(reported)
-        assert result.phi_vector() == (Fraction(7, 6), Fraction(1, 6), Fraction(2, 3))
+        assert result.phi == {"A": Fraction(7, 6), "B": Fraction(1, 6), "C": Fraction(2, 3)}
         budget = compute_budget(Interval(2125900, 15622700), Fraction(1, 100), "lower")
         report = allocate_payments(result, budget, "per-recipient")
         payments = [row.payment.amount_minor for row in report.payouts]
         assert payments == [1240108, 177158, 708633]
 
         counted = load_coalition_game(FIXTURES / "worked_example" / "coalition_table_by_count.json")
-        assert shapley_exact(counted).phi_vector() == (Fraction(3, 2), Fraction(1, 2), Fraction(1))
-        assert shapley_permutation_oracle(counted).phi_vector() == (
-            Fraction(3, 2),
-            Fraction(1, 2),
-            Fraction(1),
-        )
+        as_counted = {"A": Fraction(3, 2), "B": Fraction(1, 2), "C": Fraction(1)}
+        assert shapley_exact(counted).phi == as_counted
+        assert shapley_permutation_oracle(counted).phi == as_counted
         claimed = ShapleyResult(
             players=("A", "B", "C"),
             phi={"A": Fraction(7, 6), "B": Fraction(1, 6), "C": Fraction(2, 3)},
@@ -234,7 +231,7 @@ def test_criterion_7_pipeline_consistency():
             records = parse_commit_log(text)
         model = load_risk_model(FIXTURES / "worked_example" / "risk_model.json")
         attribution = derive_attribution(
-            records, model.tree, Cycle.after_commit("0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091")
+            records, model.tree, Cycle(from_commit="0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091")
         )
         players = PlayerSet(("alice", "bob", "carol"))
         via_trailers = leaf_coverage_game(model.tree, attribution, players)

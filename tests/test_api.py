@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import riskshare
@@ -10,13 +12,13 @@ from riskshare.cli import build_parser
 PUBLIC = {
     "AxiomReport", "CapacityError", "CherryPickPlan", "ClampWarning", "CoalitionGame",
     "CommitLogWarning", "CommitRecord", "Control", "Cycle", "DocumentError", "GameDefinitionError",
-    "IdentityResolution", "Interval", "LeafCondition", "MATERIALIZATION_CAP",
+    "Interval", "LeafCondition", "MATERIALIZATION_CAP",
     "Money", "ORACLE_PLAYER_CAP", "PayoutError", "PayoutReport", "PlayerPayout", "PlayerSet",
     "Provenance", "QualitativeScale", "RiskModel", "RiskshareError", "ScaleRangeError", "ScaleSet",
     "ShapleyResult", "SubsetResult", "Threat", "ThreatAssessment", "ThreatTree",
     "UnknownLabelError", "ValidationError", "ValidationIssue", "ValidationReport",
     "allocate_payments", "as_fraction", "check_axioms", "cherry_pick_plan", "classify",
-    "compute_budget", "derive_attribution", "evaluate", "game_add", "game_from_subset_results",
+    "compute_budget", "derive_attribution", "game_add", "game_from_subset_results",
     "game_from_table", "game_scale", "interval_add", "interval_mul", "interval_sub",
     "leaf_coverage_game", "parse_commit_log", "parse_report", "render_commit_log", "render_report",
     "resolve_identities", "risk_after", "risk_before", "risk_delta", "sample_permutation",
@@ -37,7 +39,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(riskshare.__all__) == PUBLIC
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 68
 
 
 #: Each subcommand's arguments: option strings, or the name of a positional argument.
@@ -60,7 +62,19 @@ def test_command_line_is_pinned():
     assert surface == COMMANDS
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "riskshare"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "riskshare"
+
+
+def test_every_perfbench_patch_point_exists(monkeypatch):
+    """The benchmark's tracer wraps these names; one the program lost would silently drop out of its spans."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    points = tracing.patch_points(riskshare)
+    assert points
+    assert [f"{owner.__name__}.{attr}" for owner, attr, _ in points if not hasattr(owner, attr)] == []
 
 
 def test_every_module_level_name_is_used():

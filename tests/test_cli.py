@@ -35,6 +35,22 @@ CONTENT_ERRORS = [
      "line 2: malformed line 'bogus line' (expected 'field: value')"),
 ]
 
+#: Semantic errors of the source evidence, as ``(source section, old text, new text, exit code, error line)``;
+#: the edit is made in the source's file, and ``{path}`` stands for that file's path.
+SOURCE_ERRORS = [
+    ({"type": "commit_log", "path": "commits.log", "cycle": {"from_commit": "0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091"}},
+     "Satisfies: U-46365-1", "Satisfies: U-99999-9", 1,
+     "validation error: {path}: trailers reference unknown leaf ids: 1b4c7e2a9d3f5061728394a5b6c7d8e9f0a1b2c3->U-99999-9"),
+    ({"type": "commit_log", "path": "commits.log", "cycle": {"from_commit": "0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091"}},
+     "commit: 0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091", "commit: 0f3a6d1c", 1,
+     "validation error: {path}: cycle boundary commit '0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091' not found in the log"),
+    ({"type": "subset_results", "path": "subset_results.json"}, '"U-46365-1"', '"U-99999-9"', 1,
+     "validation error: {path}: subset result references unknown leaf ids: ['U-99999-9']"),
+    ({"type": "coalition_table", "path": "coalition_table.json"},
+     '"players": ["A", "B", "C"]', '"players": [%s]' % ", ".join(f'"p{k}"' for k in range(25)), 3,
+     "capacity error: {path}: coalition-table:coalition_table.json for 25 players needs 2^25 values (cap 24 players)"),
+]
+
 
 class TestValidate:
     def test_clean_fixture_passes(self, capsys, workdir):
@@ -68,6 +84,22 @@ class TestValidate:
         path.write_text(text.replace(old, new, 1))
         code, out, err = run(capsys, command, "--config", str(workdir / WE / config))
         assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
+    @pytest.mark.parametrize("source, old, new, exit_code, line", SOURCE_ERRORS,
+                             ids=["trailer-leaf", "cycle-boundary", "subset-leaf", "table-capacity"])
+    def test_source_error_names_its_file(self, capsys, workdir, command, source, old, new, exit_code, line):
+        path = workdir / WE / source["path"]
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc["source"] = source
+        config = workdir / WE / "source_config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (exit_code, "")
+        assert err.splitlines()[-1] == line.format(path=path)  # after any commit-log warning
 
 
 class TestRiskDiagnostics:
@@ -277,6 +309,16 @@ class TestSolverSettings:
             ("source.cycle.from_time", True),
             ("source.cycle.from_commit", 7),
             ("source.cycle.to_commit", ["abc"]),
+            ("risk_model", None),
+            ("source.aliases", None),
+            ("source.players", None),
+            ("source.cycle.from_commit", None),
+            ("source.cycle.to_commit", None),
+            ("source.cycle.from_time", None),
+            ("source.cycle.to_time", None),
+            ("budget.value", None),
+            ("samples", None),
+            ("seed", None),
         ],
     )
     def test_mistyped_setting_is_input_error(self, capsys, workdir, key, value):
@@ -612,7 +654,7 @@ class TestCapacity:
         config.write_text(json.dumps(doc))
         code, _, err = run(capsys, "payout", "--config", str(config))
         assert code == 1
-        assert err == "validation error: subset result references unknown leaf ids: ['zzz']\n"
+        assert err == f"validation error: {workdir / WE / 'big.json'}: subset result references unknown leaf ids: ['zzz']\n"
 
     def test_exact_payout_for_40_committers_is_audited(self, capsys, workdir):
         log = "".join(

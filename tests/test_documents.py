@@ -47,8 +47,16 @@ class TestExactNumbers:
             loads_exact("{nope")
 
     def test_integer_beyond_the_digit_limit_is_document_error(self):
-        with pytest.raises(DocumentError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)[^;]*$"):
-            loads_exact("[" + "7" * 5000 + "]")
+        with pytest.raises(DocumentError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)[^;]*: line 2 column 3 \(char 6\)$"):
+            loads_exact("[1,\n  " + "7" * 5000 + "]")
+
+    def test_number_out_of_bounds_is_located_past_strings(self):
+        text = '{\n  "note": "say \\"1e1000\\"",\n  "values": [1, 2.5e3,\n    -1e1000]\n}'
+        with pytest.raises(DocumentError) as info:
+            loads_exact(text)
+        assert str(info.value) == (
+            "invalid JSON: not a rational literal: '-1e1000' (exponent of more than 3 digits): line 4 column 5 (char 57)"
+        )
 
     @pytest.mark.parametrize("value", ["1e1000000", '"1e1000000"', '"-2.5E+0001000"'])
     def test_exponent_of_four_digits_is_document_error(self, value):

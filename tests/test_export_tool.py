@@ -51,7 +51,7 @@ def test_export_round_trips_through_parser(tmp_path):
     assert records[0].parents == ()
     assert records[1].parents == (records[0].commit_id,)
     assert records[1].author == "alice@example.org"
-    assert records[1].satisfies() == ("U-46365-1",)
+    assert records[1].trailers == (("Satisfies", "U-46365-1"),)
 
 
 def test_commit_window_matches_git_across_a_merge(tmp_path):
@@ -94,10 +94,10 @@ def test_commit_window_matches_git_across_a_merge(tmp_path):
         records = parse_commit_log(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
         order = [r.commit_id for r in records]
         for cycle, revisions in [
-            (Cycle.after_commit(start, end), f"{start}..{end}"),
-            (Cycle.after_commit(start), f"{start}..HEAD"),
+            (Cycle(from_commit=start, to_commit=end), f"{start}..{end}"),
+            (Cycle(from_commit=start), f"{start}..HEAD"),
             (Cycle(to_commit=start), start),
         ]:
             expected = rev_list(revisions) & set(order)
             assert window(records, cycle) == [c for c in order if c in expected]
-        assert len(window(records, Cycle.after_commit(start))) == 4  # feature-1, after-start, feature-2, merge
+        assert len(window(records, Cycle(from_commit=start))) == 4  # feature-1, after-start, feature-2, merge

@@ -7,7 +7,6 @@ from riskshare import (
     CoalitionGame,
     GameDefinitionError,
     PlayerSet,
-    evaluate,
     game_add,
     game_from_table,
     game_scale,
@@ -221,18 +220,18 @@ class TestAlgebra:
 
 class TestEvaluate:
     def test_empty_is_zero(self):
-        assert evaluate(build_fix_count_game(3), []) == 0
+        assert build_fix_count_game(3).evaluate([]) == 0
 
     def test_fix_count_pair(self):
-        assert evaluate(build_fix_count_game(3), ["A", "C"]) == 2
+        assert build_fix_count_game(3).evaluate(["A", "C"]) == 2
 
     def test_unordered_subset(self):
         game = build_joint_feature_game()
-        assert evaluate(game, ["3", "1"]) == 1
+        assert game.evaluate(["3", "1"]) == 1
 
     def test_unknown_player(self):
         with pytest.raises(GameDefinitionError):
-            evaluate(build_fix_count_game(3), ["Z"])
+            build_fix_count_game(3).evaluate(["Z"])
 
 
 def test_relabeling_permutes_values_consistently():

@@ -30,10 +30,6 @@ class TestConstruction:
         with pytest.raises(TypeError):
             as_fraction(0.5)
 
-    def test_point(self):
-        assert Interval.point("3/4") == Interval(Fraction(3, 4), Fraction(3, 4))
-
-
 class TestAdd:
     def test_additive_identity(self):
         assert interval_add(Interval(0, 0), Interval(3, 4)) == Interval(3, 4)
@@ -89,10 +85,10 @@ def test_add_and_mul_associate(a, b, c):
 
 @given(rationals, rationals)
 def test_point_intervals_reproduce_scalar_arithmetic(x, y):
-    px, py = Interval.point(x), Interval.point(y)
-    assert interval_add(px, py) == Interval.point(x + y)
-    assert interval_mul(px, py) == Interval.point(x * y)
-    assert interval_sub(px, py) == Interval.point(x - y)
+    px, py = Interval(x, x), Interval(y, y)
+    assert interval_add(px, py) == Interval(x + y, x + y)
+    assert interval_mul(px, py) == Interval(x * y, x * y)
+    assert interval_sub(px, py) == Interval(x - y, x - y)
 
 
 def _point_inside(rng: random.Random, iv: Interval) -> Fraction:

@@ -79,7 +79,7 @@ class TestParse:
         assert len(records) == 1
         assert records[0].commit_id == "aaa1"
         assert records[0].author == "alice"
-        assert records[0].satisfies() == ("U-46365-1",)
+        assert records[0].trailers == (("Satisfies", "U-46365-1"),)
 
     def test_empty_document(self):
         assert parse_commit_log("") == []
@@ -91,7 +91,7 @@ class TestParse:
             "trailer: Satisfies: U-46365-1\ntrailer: Satisfies: U-45801-1",
         )
         (record,) = parse_commit_log(text)
-        assert record.satisfies() == ("U-46365-1", "U-45801-1")
+        assert record.trailers == (("Satisfies", "U-46365-1"), ("Satisfies", "U-45801-1"))
 
     def test_malformed_line_reports_line_number(self):
         bad = SIMPLE_LOG.replace("author: alice", "author alice")
@@ -110,7 +110,6 @@ class TestParse:
         with pytest.warns(CommitLogWarning, match="Reviewed-by"):
             (record,) = parse_commit_log(text)
         assert record.trailers == (("Reviewed-by", "bob"),)
-        assert record.satisfies() == ()
 
     def test_duplicate_commit_id_rejected(self):
         with pytest.raises(DocumentError, match="duplicate commit id"):
@@ -273,36 +272,36 @@ class TestParseLayout:
 class TestIdentities:
     def test_alias_lookup(self):
         records = parse_commit_log(SIMPLE_LOG.replace("alice", "alice@corp"))
-        resolution = resolve_identities(records, {"alice@corp": "alice", "Alice L.": "alice"})
-        assert resolution.records[0].author == "alice"
-        assert resolution.provisional == ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no identity is provisional
+            resolved = resolve_identities(records, {"alice@corp": "alice", "Alice L.": "alice"})
+        assert resolved[0].author == "alice"
 
     def test_unmapped_identity_is_provisional_with_warning(self):
         records = parse_commit_log(SIMPLE_LOG)
-        with pytest.warns(CommitLogWarning, match="provisional"):
-            resolution = resolve_identities(records, {"bob@corp": "bob"})
-        assert resolution.records[0].author == "alice"
-        assert resolution.provisional == ("alice",)
+        with pytest.warns(CommitLogWarning, match=r"provisional players: \['alice'\]$"):
+            resolved = resolve_identities(records, {"bob@corp": "bob"})
+        assert resolved[0].author == "alice"
 
     def test_empty_alias_map_keeps_records(self):
         records = parse_commit_log(FULL_LOG)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            resolution = resolve_identities(records, {})
-        assert list(resolution.records) == records
+            resolved = resolve_identities(records, {})
+        assert resolved == records
 
     def test_canonical_ids_pass_through_silently(self):
         records = parse_commit_log(SIMPLE_LOG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resolution = resolve_identities(records, {"alice@corp": "alice"})
-        assert resolution.provisional == ()
+            resolved = resolve_identities(records, {"alice@corp": "alice"})
+        assert resolved == records
 
 
 class TestCycles:
     def test_after_commit_excludes_base(self):
         records = parse_commit_log(FULL_LOG)
-        window = select_cycle(records, Cycle.after_commit("base0"))
+        window = select_cycle(records, Cycle(from_commit="base0"))
         assert [r.commit_id for r in window] == [
             "c-alice-1",
             "c-bob-1",
@@ -313,20 +312,18 @@ class TestCycles:
 
     def test_to_commit_is_inclusive(self):
         records = parse_commit_log(FULL_LOG)
-        window = select_cycle(records, Cycle.after_commit("base0", "c-carol-1"))
+        window = select_cycle(records, Cycle(from_commit="base0", to_commit="c-carol-1"))
         assert [r.commit_id for r in window] == ["c-alice-1", "c-bob-1", "c-carol-1"]
 
     def test_unknown_boundary(self):
         records = parse_commit_log(FULL_LOG)
         with pytest.raises(ValidationError, match="not found"):
-            select_cycle(records, Cycle.after_commit("nope"))
+            select_cycle(records, Cycle(from_commit="nope"))
 
     def test_time_window_inclusive(self):
         records = parse_commit_log(FULL_LOG)
         t = {r.commit_id: r.timestamp for r in records}
-        window = select_cycle(
-            records, Cycle.between_times(t["c-bob-1"], t["c-alice-2"])
-        )
+        window = select_cycle(records, Cycle(from_time=t["c-bob-1"], to_time=t["c-alice-2"]))
         assert [r.commit_id for r in window] == ["c-bob-1", "c-carol-1", "c-alice-2"]
 
     def test_linear_log_window_is_positional(self):
@@ -334,7 +331,7 @@ class TestCycles:
         ids = [r.commit_id for r in records]
         for start in range(len(ids)):
             for end in range(len(ids)):
-                cycle = Cycle.after_commit(ids[start], ids[end])
+                cycle = Cycle(from_commit=ids[start], to_commit=ids[end])
                 if end > start:
                     assert [r.commit_id for r in select_cycle(records, cycle)] == ids[start + 1 : end + 1]
                 else:
@@ -344,12 +341,12 @@ class TestCycles:
     @pytest.mark.parametrize(
         "cycle, expected",
         [
-            (Cycle.after_commit("start", "merge"), ["feature", "after", "merge"]),
-            (Cycle.after_commit("start"), ["feature", "after", "merge"]),
-            (Cycle.after_commit("feature", "merge"), ["start", "after", "merge"]),
-            (Cycle.after_commit("feature", "start"), ["start"]),
+            (Cycle(from_commit="start", to_commit="merge"), ["feature", "after", "merge"]),
+            (Cycle(from_commit="start"), ["feature", "after", "merge"]),
+            (Cycle(from_commit="feature", to_commit="merge"), ["start", "after", "merge"]),
+            (Cycle(from_commit="feature", to_commit="start"), ["start"]),
             (Cycle(to_commit="after"), ["fork", "start", "after"]),
-            (Cycle.after_commit("fork", "feature"), ["feature"]),
+            (Cycle(from_commit="fork", to_commit="feature"), ["feature"]),
         ],
     )
     def test_merge_window_follows_parents(self, cycle, expected):
@@ -363,7 +360,7 @@ class TestCycles:
 class TestAttribution:
     def test_three_fix_scenario(self):
         records = parse_commit_log(FULL_LOG)
-        attribution = derive_attribution(records, build_three_fix_tree(), Cycle.after_commit("base0"))
+        attribution = derive_attribution(records, build_three_fix_tree(), Cycle(from_commit="base0"))
         assert attribution == {
             "U-46365-1": frozenset({"alice"}),
             "U-45802-1": frozenset({"bob", "carol"}),
@@ -553,7 +550,7 @@ def test_both_evidence_pathways_agree():
     """Trailer-derived coverage and rebuild results define the same game."""
     records = parse_commit_log(FULL_LOG)
     tree = build_three_fix_tree()
-    attribution = derive_attribution(records, tree, Cycle.after_commit("base0"))
+    attribution = derive_attribution(records, tree, Cycle(from_commit="base0"))
     players = PlayerSet(("alice", "bob", "carol"))
 
     via_trailers = leaf_coverage_game(tree, attribution, players)

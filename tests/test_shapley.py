@@ -31,27 +31,19 @@ def additive_game(players: PlayerSet) -> CoalitionGame:
 class TestExact:
     def test_joint_feature_game(self, joint_feature_game):
         result = shapley_exact(joint_feature_game)
-        assert result.phi_vector() == (Fraction(1, 2), Fraction(1, 2), Fraction(1))
+        assert result.phi == {"1": Fraction(1, 2), "2": Fraction(1, 2), "3": Fraction(1)}
 
     def test_unanimity_pair_in_three_player_game(self):
         players = PlayerSet(("1", "2", "3"))
         result = shapley_exact(unanimity_game(players, {"1", "2"}))
-        assert result.phi_vector() == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+        assert result.phi == {"1": Fraction(1, 2), "2": Fraction(1, 2), "3": Fraction(0)}
 
     def test_fix_count_table_as_written(self, fix_count_game):
         # brute-force over all 6 orderings gives (3/2, 1/2, 1)
-        assert shapley_exact(fix_count_game).phi_vector() == (
-            Fraction(3, 2),
-            Fraction(1, 2),
-            Fraction(1),
-        )
+        assert shapley_exact(fix_count_game).phi == {"A": Fraction(3, 2), "B": Fraction(1, 2), "C": Fraction(1)}
 
     def test_reported_variant(self, reported_variant_game):
-        assert shapley_exact(reported_variant_game).phi_vector() == (
-            Fraction(7, 6),
-            Fraction(1, 6),
-            Fraction(2, 3),
-        )
+        assert shapley_exact(reported_variant_game).phi == {"A": Fraction(7, 6), "B": Fraction(1, 6), "C": Fraction(2, 3)}
 
     def test_solver_and_audit_above_24_players(self):
         for n in (26, 40):
@@ -94,16 +86,10 @@ class TestExact:
 
 class TestOracle:
     def test_joint_feature_game(self, joint_feature_game):
-        assert shapley_permutation_oracle(joint_feature_game).phi_vector() == (
-            Fraction(1, 2),
-            Fraction(1, 2),
-            Fraction(1),
-        )
+        assert shapley_permutation_oracle(joint_feature_game).phi == {"1": Fraction(1, 2), "2": Fraction(1, 2), "3": Fraction(1)}
 
     def test_fix_count_table_cross_check(self, fix_count_game):
-        assert shapley_permutation_oracle(fix_count_game).phi_vector() == shapley_exact(
-            fix_count_game
-        ).phi_vector()
+        assert shapley_permutation_oracle(fix_count_game).phi == shapley_exact(fix_count_game).phi
 
     def test_constant_marginal_player_gets_zero(self):
         players = PlayerSet(("a", "b"))
