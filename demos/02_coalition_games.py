@@ -80,8 +80,8 @@ attribution = {
 coverage = leaf_coverage_game(tree, attribution, team)
 print("\nleaf coverage (raw counts):")
 for mask in range(8):
-    ids = team.ids_of(mask)
-    print(f"  v({set(ids) if ids else '{}'}) = {coverage.value_of_mask(mask)}")
+    members = ", ".join(team.ids_of(mask))  # roster order, so the output never varies
+    print(f"  v({{{members}}}) = {coverage.value_of_mask(mask)}")
 
 # The same game, normalized by the tree's leaf count, is bounded by 1:
 normalized = leaf_coverage_game(tree, attribution, team, normalized=True)

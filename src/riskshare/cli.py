@@ -3,17 +3,20 @@
 Every command that takes ``--config`` runs ``validate``'s static checks, then its own
 needs, before it reads any input; ``validate`` then reads every input and builds the
 game, as ``game``, ``shapley`` and ``payout`` do. Exit codes: 0 success, 1 validation
-failure, 2 input parse/IO error (a missing file too; a content error starts with its
-file's path), 3 capacity exceeded (a table input or ``game``'s value table above 24
-players). Diagnostics go to stderr; output to stdout or ``--out``.
+failure, 2 usage error (an unknown command or a missing required option; argparse
+prints its usage line) or input parse/IO error (a missing file too; a content error
+starts with its file's path), 3 capacity exceeded (a table input or ``game``'s value
+table above 24 players). Diagnostics go to stderr; output to stdout or ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -74,32 +77,37 @@ def _roster(config: RunConfig, declared: Optional[tuple[str, ...]], fallback: se
     return PlayerSet(tuple(sorted(fallback)))
 
 
-def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
-    """The checked config's game; a validation or capacity error of the source names its file."""
+@contextmanager
+def _naming_source(config: RunConfig):
+    """A validation or capacity error raised inside names the config's source file."""
     try:
-        return _source_game(config, model)
+        yield
     except CapacityError as exc:
         raise CapacityError(f"{config.source.path}: {exc}") from exc
     except ValidationError as exc:
         raise ValidationError(f"{config.source.path}: {exc}") from exc
 
 
-def _source_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
-    """Coalition tables and subset results end in ``game_from_table``, the other sources in ``leaf_coverage_game``."""
+def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
+    """The checked config's game; a validation or capacity error of the source names its file.
+
+    Coalition tables and subset results end in ``game_from_table``, the other sources in ``leaf_coverage_game``.
+    """
     kind = config.source.type
-    if kind == "coalition_table":
-        return documents.load_coalition_game(config.source.path)
-    if kind == "subset_results":
-        declared, results = documents.load_subset_results(config.source.path)
-        players = _roster(config, declared, {p for r in results for p in r.subset})
-        return game_from_subset_results(results, model.tree, players, config.normalized)
-    if kind == "attribution":
-        declared, attribution = documents.load_attribution(config.source.path)
-    else:
-        declared = None
-        attribution = derive_attribution(_load_records(config), model.tree, config.source.cycle)
-    players = _roster(config, declared, {a for people in attribution.values() for a in people})
-    return leaf_coverage_game(model.tree, attribution, players, config.normalized)
+    with _naming_source(config):
+        if kind == "coalition_table":
+            return documents.load_coalition_game(config.source.path)
+        if kind == "subset_results":
+            declared, results = documents.load_subset_results(config.source.path)
+            players = _roster(config, declared, {p for r in results for p in r.subset})
+            return game_from_subset_results(results, model.tree, players, config.normalized)
+        if kind == "attribution":
+            declared, attribution = documents.load_attribution(config.source.path)
+        else:
+            declared = None
+            attribution = derive_attribution(_load_records(config), model.tree, config.source.cycle)
+        players = _roster(config, declared, {a for people in attribution.values() for a in people})
+        return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 
 
 def _needs(command: str, config: RunConfig) -> list[ValidationIssue]:
@@ -256,7 +264,8 @@ def cmd_plan_cherry_pick(args) -> int:
     config = _checked_config(args)
     cycle = config.source.cycle
     subset = {s for s in (p.strip() for p in args.subset.split(",")) if s}
-    plan = cherry_pick_plan(_load_records(config), cycle.from_commit, subset, to_commit=cycle.to_commit)
+    with _naming_source(config):
+        plan = cherry_pick_plan(_load_records(config), cycle.from_commit, subset, to_commit=cycle.to_commit)
     return _emit(plan.to_json(), args.out, "plan")
 
 
@@ -265,7 +274,9 @@ def cmd_report(args) -> int:
     return _emit(render_report(report, args.format), args.out, "report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built on the first call; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="riskshare",
         description="Fair, explainable security bonuses from risk deltas and repository evidence.",
@@ -306,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning  # one line per warning, without a source location
         try:

@@ -1,12 +1,16 @@
+import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from riskshare import parse_report
-from riskshare.cli import main
+from riskshare.cli import build_parser, main
 from riskshare.config import load_run_config
 
 WE = "worked_example"
@@ -708,6 +712,32 @@ class TestPlanCherryPick:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "cycle, message",
+        [
+            ({"from_commit": "nope"}, "cycle boundary commit 'nope' not found in the log"),
+            ({"from_commit": "0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091", "to_commit": "nope"},
+             "cycle boundary commit 'nope' not found in the log"),
+            ({"from_commit": "2c5d8f3b0e4a6172839405b6c7d8e9f0a1b2c3d4",
+              "to_commit": "1b4c7e2a9d3f5061728394a5b6c7d8e9f0a1b2c3"},
+             "cycle end '1b4c7e2a9d3f5061728394a5b6c7d8e9f0a1b2c3' precedes its start "
+             "'2c5d8f3b0e4a6172839405b6c7d8e9f0a1b2c3d4'"),
+        ],
+        ids=["from-commit", "to-commit", "end-before-start"],
+    )
+    def test_source_error_names_the_log_as_validate_does(self, capsys, workdir, cycle, message):
+        config = workdir / WE / "mining_config.json"
+        doc = json.loads(config.read_text())
+        doc["source"]["cycle"] = cycle
+        config.write_text(json.dumps(doc))
+        validated = run(capsys, "validate", "--config", str(config))
+        planned = run(capsys, "plan-cherry-pick", "--config", str(config), "--subset", "alice,carol")
+        assert planned == validated
+        code, out, err = planned
+        assert (code, out) == (1, "")
+        # after any commit-log warning
+        assert err.splitlines()[-1] == f"validation error: {workdir / WE / 'commits.log'}: {message}"
+
 
 class TestReport:
     def test_round_trip_and_re_render(self, capsys, workdir):
@@ -735,3 +765,63 @@ class TestReport:
         code, out, err = run(capsys, "report", str(report_path))
         assert (code, out) == (2, "")
         assert err == f"input error: {report_path}: payouts[0].phi: expected a string, got float 0.1\n"
+
+
+class TestParserReuse:
+    """``main`` reuses one parser across calls; no option of one call reaches the next."""
+
+    def test_out_of_one_call_is_not_the_next_calls(self, capsys, workdir):
+        report_path, out_file = workdir / "r.json", workdir / "x.md"
+        run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(report_path))
+        assert run(capsys, "report", str(report_path), "--out", str(out_file))[0] == 0
+        written = out_file.read_bytes()
+        code, out, _ = run(capsys, "report", str(report_path))
+        assert code == 0
+        assert out == written.decode("utf-8")
+        assert out_file.read_bytes() == written
+
+    def test_format_of_one_call_is_not_the_next_calls(self, capsys, workdir):
+        config = str(workdir / WE / "payout_config.json")
+        code, out, _ = run(capsys, "shapley", "--config", config, "--format", "json")
+        assert code == 0 and json.loads(out)["method"] == "exact-subset"
+        code, out, _ = run(capsys, "shapley", "--config", config)
+        assert code == 0 and out.startswith("players: ")
+
+    def test_usage_error_leaves_the_next_call_intact(self, capsys, workdir, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["payout"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("usage: riskshare payout ")
+        assert err.endswith("error: the following arguments are required: --config\n")
+        monkeypatch.chdir(workdir)
+        code, out, err = run(capsys, "payout", "--config", f"{WE}/payout_config.json")
+        golden = (Path(__file__).parent / "golden" / WE / "payout_config" / "payout.txt").read_text(encoding="utf-8")
+        assert (code, out, err) == (0, golden.split("--- stdout\n", 1)[1].split("\n--- stderr\n", 1)[0], "")
+
+    def test_parser_is_built_once(self, capsys, workdir, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        report_path = workdir / "r.json"
+        code, _, _ = run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(report_path))
+        assert code == 0
+        assert built[0] == "riskshare"
+        built.clear()
+        assert run(capsys, "report", str(report_path))[0] == 0
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        code = "import riskshare.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script runs to completion against the library in ``src``, and its output does not depend on
+the string hash seed."""
 
 import os
 import subprocess
@@ -17,8 +18,17 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_0(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(ROOT / "src"),
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "PYTHONHASHSEED": hash_seed,
+        }
+        done = subprocess.run(
+            [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1], f"{demo.name} prints differently under PYTHONHASHSEED=1 and =2"
