@@ -768,7 +768,12 @@ class TestReport:
 
 
 class TestParserReuse:
-    """``main`` reuses one parser across calls; no option of one call reaches the next."""
+    """``main`` reuses one parser across calls; no option of one call reaches the next.
+
+    ``test_golden`` also runs its commands one after another in one process, so its
+    transcripts check the same carry-over incidentally; the two tests below check it
+    directly, whatever order the golden cases run in.
+    """
 
     def test_out_of_one_call_is_not_the_next_calls(self, capsys, workdir):
         report_path, out_file = workdir / "r.json", workdir / "x.md"
