@@ -6,7 +6,10 @@ game, as ``game``, ``shapley`` and ``payout`` do. Exit codes: 0 success, 1 valid
 failure, 2 usage error (an unknown command or a missing required option; argparse
 prints its usage line) or input parse/IO error (a missing file too; a content error
 starts with its file's path), 3 capacity exceeded (a table input or ``game``'s value
-table above 24 players). Diagnostics go to stderr; output to stdout or ``--out``.
+table above 24 players). Diagnostics go to stderr; output to stdout or ``--out``. A
+failed check is one ``validation error:`` line on stderr, which starts with the file it
+is about (the risk model, the source); only ``validate`` lists its findings on stdout,
+since the listing is its result.
 """
 
 from __future__ import annotations
@@ -78,14 +81,14 @@ def _roster(config: RunConfig, declared: Optional[tuple[str, ...]], fallback: se
 
 
 @contextmanager
-def _naming_source(config: RunConfig):
-    """A validation or capacity error raised inside names the config's source file."""
+def _naming(path):
+    """A validation or capacity error raised inside starts with ``path``, the file it is about."""
     try:
         yield
     except CapacityError as exc:
-        raise CapacityError(f"{config.source.path}: {exc}") from exc
+        raise CapacityError(f"{path}: {exc}") from exc
     except ValidationError as exc:
-        raise ValidationError(f"{config.source.path}: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
@@ -94,7 +97,7 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
     Coalition tables and subset results end in ``game_from_table``, the other sources in ``leaf_coverage_game``.
     """
     kind = config.source.type
-    with _naming_source(config):
+    with _naming(config.source.path):
         if kind == "coalition_table":
             return documents.load_coalition_game(config.source.path)
         if kind == "subset_results":
@@ -124,12 +127,16 @@ def _needs(command: str, config: RunConfig) -> list[ValidationIssue]:
     return issues
 
 
+def _raise_issues(issues) -> None:
+    """One ValidationError for ``issues``, each as ``location: message``, joined by ``; ``."""
+    if issues:
+        raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
+
+
 def _checked_config(args) -> RunConfig:
     """The run config, after ``validate``'s static checks and then the command's needs."""
     config = load_run_config(args.config)
-    issues = config.issues() or _needs(args.command, config)
-    if issues:
-        raise ValidationError("; ".join(f"{i.location}: {i.message}" for i in issues))
+    _raise_issues(config.issues() or _needs(args.command, config))
     return config
 
 
@@ -139,41 +146,34 @@ def solve(game: CoalitionGame, spec: SolverSpec) -> ShapleyResult:
     return shapley_exact(game)
 
 
-def _print_validation(report: ValidationReport):
-    for issue in report.issues:
-        print(str(issue))
-    print(f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)")
+def _valid_model(config: RunConfig) -> Optional[RiskModel]:
+    """The configured risk model, or None.
 
-
-class _Listed(Exception):
-    """A validation listing with errors is printed on stdout; the run exits 1."""
-
-
-def _list_errors(report: ValidationReport):
-    if not report.ok:
-        _print_validation(report)
-        raise _Listed()
-
-
-def _valid_model(config: RunConfig, warn=_err) -> Optional[RiskModel]:
-    """The configured risk model, or None; an invalid one is listed on stdout, each warning passed to ``warn``."""
+    Its errors raise one ValidationError that starts with the model's path; its warnings print on stderr.
+    """
     if config.risk_model_path is None:
         return None
     model = documents.load_risk_model(config.risk_model_path)
     validation = model.validate()
-    _list_errors(validation)
+    with _naming(config.risk_model_path):
+        _raise_issues(validation.errors)
     for issue in validation.warnings:
-        warn(issue)
+        _err(issue)
     return model
 
 
 def cmd_validate(args) -> int:
     config = load_run_config(args.config)
-    _list_errors(ValidationReport(tuple(config.issues())))
-    found = []
-    build_game(config, _valid_model(config, found.append))
-    _print_validation(ValidationReport(tuple(found)))
-    return EXIT_OK
+    report, model = ValidationReport(tuple(config.issues())), None
+    if report.ok and config.risk_model_path is not None:
+        model = documents.load_risk_model(config.risk_model_path)
+        report = model.validate()
+    if report.ok:
+        build_game(config, model)
+    for issue in report.issues:
+        print(issue)
+    print(f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)")
+    return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 def cmd_game(args) -> int:
@@ -264,8 +264,13 @@ def cmd_plan_cherry_pick(args) -> int:
     config = _checked_config(args)
     cycle = config.source.cycle
     subset = {s for s in (p.strip() for p in args.subset.split(",")) if s}
-    with _naming_source(config):
-        plan = cherry_pick_plan(_load_records(config), cycle.from_commit, subset, to_commit=cycle.to_commit)
+    records = _load_records(config)
+    with _naming(config.source.path):
+        plan = cherry_pick_plan(records, cycle.from_commit, subset, to_commit=cycle.to_commit)
+    players = config.source.players if config.source.players is not None else {r.author for r in records}
+    unknown = sorted(subset.difference(players))
+    if unknown:
+        raise ValidationError(f"--subset: unknown player id(s) {', '.join(map(repr, unknown))}")
     return _emit(plan.to_json(), args.out, "plan")
 
 
@@ -322,8 +327,6 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning  # one line per warning, without a source location
         try:
             return args.func(args)
-        except _Listed:
-            return EXIT_VALIDATION
         except DocumentError as exc:
             _err(f"input error: {exc}")
             return EXIT_INPUT

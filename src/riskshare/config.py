@@ -79,6 +79,8 @@ class RunConfig:
             issues.append(ValidationIssue("risk_model", f"source type {kind!r} needs a risk_model for its threat tree"))
         if kind == "coalition_table" and source.players is not None:
             issues.append(ValidationIssue("source.players", "a coalition table names its own players"))
+        if kind == "coalition_table" and self.normalized:
+            issues.append(ValidationIssue("normalized", "a coalition table states its own values"))
         if kind in SOURCE_TYPES and kind != "commit_log":
             if source.cycle != Cycle():
                 issues.append(ValidationIssue("source.cycle", "only a commit_log source has a cycle"))
@@ -94,6 +96,10 @@ class RunConfig:
                 issues.append(ValidationIssue("solver.samples", "monte-carlo needs samples >= 1"))
             if solver.seed is None:
                 issues.append(ValidationIssue("solver.seed", "monte-carlo needs an explicit seed"))
+        else:
+            for key, value in (("samples", solver.samples), ("seed", solver.seed)):
+                if value is not None:
+                    issues.append(ValidationIssue(f"solver.{key}", f"only monte-carlo takes {key}"))
         if self.rounding not in ROUNDING_MODES:
             issues.append(ValidationIssue("rounding", f"unknown rounding mode {self.rounding!r}"))
         if self.output_format not in REPORT_FORMATS:
@@ -105,6 +111,8 @@ class RunConfig:
                 issues.append(ValidationIssue("budget.fraction", f"fraction {self.budget.fraction} outside [0, 1]"))
             if self.budget.anchor == "explicit" and self.budget.explicit_value is None:
                 issues.append(ValidationIssue("budget.value", "anchor 'explicit' needs a value"))
+            elif self.budget.anchor != "explicit" and self.budget.explicit_value is not None:
+                issues.append(ValidationIssue("budget.value", "only anchor 'explicit' takes a value"))
         return issues
 
 

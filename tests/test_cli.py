@@ -186,6 +186,32 @@ class TestGame:
         assert json.loads(out_subset) == json.loads(out_log)
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+#: Risk-model errors, as ``(edit of the worked example's model, the issue validate lists for it)``.
+MODEL_MISTAKES = [
+    ((("assessments", 0, "impact_before"), "apocalyptic"),
+     "assessments[0]: label 'apocalyptic' does not resolve in scale 'customer-data-loss'"),
+    ((("threats", 0, "controls", 1, "id"), "C-46365"),
+     "tree: control 'C-46365': duplicate id 'C-46365' (also used at control 'C-46365')"),
+    ((("scales", "likelihood", "categories", 1, "hi"), "0.3"),
+     "scale 'exploit-likelihood': categories[2]: non-contiguous at index 2: lo 1/2 != previous hi 3/10"),
+]
+
+
+def write_model_mistakes(workdir, mistakes) -> Path:
+    model_path = workdir / WE / "risk_model.json"
+    doc = json.loads(model_path.read_text())
+    for (path, value), _ in mistakes:
+        _set(doc, path, value)
+    model_path.write_text(json.dumps(doc))
+    return model_path
+
+
 class TestPayout:
     def test_worked_example_payments(self, capsys, workdir):
         out_file = workdir / "report.json"
@@ -245,15 +271,27 @@ class TestPayout:
         assert f"input error: {workdir / WE / 'aliases.json'}: aliases['bob@x']: expected a string, got {got}" in err
 
     @pytest.mark.parametrize("command", ["game", "shapley", "payout"])
-    def test_invalid_model_fails_validation(self, capsys, workdir, command):
-        model_path = workdir / WE / "risk_model.json"
-        doc = json.loads(model_path.read_text())
-        doc["assessments"][0]["impact_before"] = "apocalyptic"
-        model_path.write_text(json.dumps(doc))
+    # the two errors in the order validate lists them: scales, tree, assessments
+    @pytest.mark.parametrize("mistakes", [[m] for m in MODEL_MISTAKES] + [[MODEL_MISTAKES[2], MODEL_MISTAKES[0]]],
+                             ids=["unknown-label", "duplicate-id", "non-contiguous", "two-errors"])
+    def test_invalid_model_fails_validation(self, capsys, workdir, command, mistakes):
+        model_path = write_model_mistakes(workdir, mistakes)
         code, out, err = run(capsys, command, "--config", str(workdir / WE / "payout_config.json"))
-        assert (code, err) == (1, "")
-        assert "apocalyptic" in out
-        assert out.endswith("1 error(s), 0 warning(s)\n")
+        assert (code, out) == (1, "")
+        assert err == f"validation error: {model_path}: {'; '.join(issue for _, issue in mistakes)}\n"
+
+    def test_invalid_model_writes_no_report(self, capsys, workdir):
+        write_model_mistakes(workdir, MODEL_MISTAKES[:1])
+        out_file = workdir / "report.json"
+        code, out, _ = run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("mistake", MODEL_MISTAKES, ids=["unknown-label", "duplicate-id", "non-contiguous"])
+    def test_validate_still_lists_an_invalid_model_on_stdout(self, capsys, workdir, mistake):
+        write_model_mistakes(workdir, [mistake])
+        code, out, err = run(capsys, "validate", "--config", str(workdir / WE / "payout_config.json"))
+        assert (code, out, err) == (1, f"error: {mistake[1]}\n1 error(s), 0 warning(s)\n", "")
 
     def test_unparseable_config_is_input_error(self, capsys, workdir):
         bad = workdir / "bad.json"
@@ -375,6 +413,9 @@ class TestStaticChecks:
             ("solver", {"method": "monte-carlo", "samples": 10}, "solver.seed"),
             ("budget", {"fraction": "1/100", "anchor": "upper-ish"}, "budget.anchor"),
             ("output", {"format": "yaml"}, "output.format"),
+            ("budget", {"fraction": "1/100", "anchor": "lower", "value": "5"}, "budget.value"),
+            ("solver", {"method": "exact", "samples": 10}, "solver.samples"),
+            ("solver", {"method": "exact", "seed": 1}, "solver.seed"),
             *SOURCE_MISTAKES,
         ],
     )
@@ -400,6 +441,19 @@ class TestStaticChecks:
     def test_validate_lists_source_mistakes(self, capsys, workdir, key, value, location, message):
         code, out, err = run(capsys, "validate", "--config", str(write_static_config(workdir, key, value)))
         assert (code, out, err) == (1, f"error: {location}: {message}\n1 error(s), 0 warning(s)\n", "")
+
+    @pytest.mark.parametrize("command", ["validate", "payout", "shapley", "game"])
+    def test_normalized_coalition_table_exits_1(self, capsys, workdir, command):
+        doc = json.loads((workdir / WE / "payout_config.json").read_text())
+        doc["normalized"] = True
+        config = workdir / WE / "static_config.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--config", str(config))
+        issue = "normalized: a coalition table states its own values"
+        if command == "validate":
+            assert (code, out, err) == (1, f"error: {issue}\n1 error(s), 0 warning(s)\n", "")
+        else:
+            assert (code, out, err) == (1, "", f"validation error: {issue}\n")
 
     @pytest.mark.parametrize("command", ["payout", "shapley"])
     def test_oracle_is_not_a_solver_setting(self, capsys, workdir, command):
@@ -737,6 +791,46 @@ class TestPlanCherryPick:
         assert (code, out) == (1, "")
         # after any commit-log warning
         assert err.splitlines()[-1] == f"validation error: {workdir / WE / 'commits.log'}: {message}"
+
+
+    @staticmethod
+    def write_source(workdir, source) -> Path:
+        """The commit-log config with ``source`` merged into its source section; an alias map renames alice."""
+        (workdir / WE / "aliases.json").write_text(json.dumps({"alice": "alicia"}))
+        config = workdir / WE / "mining_config.json"
+        doc = json.loads(config.read_text())
+        doc["source"].update(source)
+        config.write_text(json.dumps(doc))
+        return config
+
+    @pytest.mark.parametrize(
+        "source, subset, unknown",
+        [
+            ({}, "alise", "'alise'"),
+            ({}, "zed,alice,alise", "'alise', 'zed'"),
+            ({"players": ["alice", "carol", "dave"]}, "bob,dave", "'bob'"),
+            ({"aliases": "aliases.json"}, "alice", "'alice'"),
+        ],
+        ids=["misspelt", "two-unknown", "not-in-players", "aliased-away"],
+    )
+    def test_unknown_subset_id_exits_1_naming_it(self, capsys, workdir, source, subset, unknown):
+        config = self.write_source(workdir, source)
+        out_file = workdir / "plan.json"
+        code, out, err = run(capsys, "plan-cherry-pick", "--config", str(config), "--subset", subset, "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"validation error: --subset: unknown player id(s) {unknown}"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "source, subset",
+        [({"players": ["alice", "carol", "dave"]}, "dave"), ({"aliases": "aliases.json"}, "alicia,bob")],
+        ids=["roster-only-player", "alias-target"],
+    )
+    def test_subset_id_from_the_roster_or_the_resolved_log_is_known(self, capsys, workdir, source, subset):
+        config = self.write_source(workdir, source)
+        code, out, _ = run(capsys, "plan-cherry-pick", "--config", str(config), "--subset", subset)
+        assert code == 0
+        assert json.loads(out)["subset"] == sorted(subset.split(","))
 
 
 class TestReport:

@@ -9,7 +9,9 @@ item into it. Or it replaces the whole content of one input file, the commit
 log included, with arbitrary JSON or arbitrary bytes, which need not be UTF-8.
 Then it runs all six commands. Each must return 0, 1, 2 or 3, no exception
 may escape ``main``, and ``validate`` must return what ``shapley`` returns,
-since it runs the same path up to the solve. JSON is kept small: integers
+since it runs the same path up to the solve. A command other than ``validate``
+that fails writes nothing on stdout and at least one line on stderr: its
+stdout carries only its result, while ``validate``'s result is its listing. JSON is kept small: integers
 within ±50 and lists of at most six items, so no roster exceeds six players
 and no sampler draws more than 50 samples.
 """
@@ -133,7 +135,10 @@ def test_every_command_ends_in_an_exit_code(case, format):
         ]
         codes = {}
         for argv in runs:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 codes[argv[0]] = main(argv)
             assert codes[argv[0]] in (0, 1, 2, 3), argv
+            if codes[argv[0]] and argv[0] != "validate":
+                assert out.getvalue() == "" and err.getvalue().endswith("\n"), argv
         assert codes["validate"] == codes["shapley"]
