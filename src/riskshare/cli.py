@@ -70,14 +70,13 @@ def _load_records(config: RunConfig):
     return records
 
 
-def _roster(config: RunConfig, declared: Optional[tuple[str, ...]], fallback: set[str]) -> PlayerSet:
-    if config.source.players is not None:
-        return PlayerSet(config.source.players)
+def _roster(declared: Optional[tuple[str, ...]], named: set[str]) -> PlayerSet:
+    """The declared roster (a document's ``players``, a commit log's ``source.players``), else the named ids, sorted."""
     if declared is not None:
         return PlayerSet(declared)
-    if not fallback:
-        raise ValidationError("no players named by the source and none configured")
-    return PlayerSet(tuple(sorted(fallback)))
+    if not named:
+        raise ValidationError("no players named by the source and none declared")
+    return PlayerSet(tuple(sorted(named)))
 
 
 @contextmanager
@@ -102,14 +101,14 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
             return documents.load_coalition_game(config.source.path)
         if kind == "subset_results":
             declared, results = documents.load_subset_results(config.source.path)
-            players = _roster(config, declared, {p for r in results for p in r.subset})
+            players = _roster(declared, {p for r in results for p in r.subset})
             return game_from_subset_results(results, model.tree, players, config.normalized)
         if kind == "attribution":
             declared, attribution = documents.load_attribution(config.source.path)
         else:
-            declared = None
+            declared = config.source.players
             attribution = derive_attribution(_load_records(config), model.tree, config.source.cycle)
-        players = _roster(config, declared, {a for people in attribution.values() for a in people})
+        players = _roster(declared, {a for people in attribution.values() for a in people})
         return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 
 

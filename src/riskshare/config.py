@@ -8,6 +8,7 @@ checks (:meth:`RunConfig.issues`) open no file: a command reads the files it nee
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -77,15 +78,22 @@ class RunConfig:
             issues.append(ValidationIssue("source.type", f"unknown source type {kind!r}"))
         elif kind != "coalition_table" and self.risk_model_path is None:
             issues.append(ValidationIssue("risk_model", f"source type {kind!r} needs a risk_model for its threat tree"))
-        if kind == "coalition_table" and source.players is not None:
-            issues.append(ValidationIssue("source.players", "a coalition table names its own players"))
         if kind == "coalition_table" and self.normalized:
             issues.append(ValidationIssue("normalized", "a coalition table states its own values"))
+        roster = source.players
         if kind in SOURCE_TYPES and kind != "commit_log":
+            if roster is not None:
+                issues.append(ValidationIssue("source.players", "a document source names its own players"))
             if source.cycle != Cycle():
                 issues.append(ValidationIssue("source.cycle", "only a commit_log source has a cycle"))
             if source.aliases_path is not None:
                 issues.append(ValidationIssue("source.aliases", "only a commit_log source reads aliases"))
+        elif kind == "commit_log" and roster is not None:
+            repeated = ", ".join(repr(p) for p, count in Counter(roster).items() if count > 1)
+            if not roster:
+                issues.append(ValidationIssue("source.players", "the roster must not be empty"))
+            elif repeated:
+                issues.append(ValidationIssue("source.players", f"duplicate player id(s) {repeated}"))
         if self.mode not in AGGREGATION_MODES:
             issues.append(ValidationIssue("mode", f"unknown mode {self.mode!r}"))
         solver = self.solver

@@ -108,7 +108,7 @@ def _nullable(doc: dict, key: str, where: str, read, *args):
 
 
 def _describe(value) -> str:
-    """A parsed JSON value, named by its JSON type."""
+    """A parsed JSON value, named by its JSON type and quoted up to 60 characters."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -116,7 +116,8 @@ def _describe(value) -> str:
     if isinstance(value, Fraction):  # JSON floats are parsed as exact Fractions
         return f"float {float(value)}"
     kind = {str: "string", list: "array", dict: "object", int: "integer"}.get(type(value), "value")
-    return f"{kind} {value!r}"
+    text = repr(value)
+    return f"{kind} {text[:60]}…" if len(text) > 60 else f"{kind} {text}"
 
 
 def _list(value, where: str) -> list:
@@ -253,39 +254,28 @@ def load_risk_model(path: Pathish) -> RiskModel:
     return load_json(path, risk_model_from_document)
 
 
-def _envelope(doc, key: str, what: str, *others: str) -> tuple[Optional[tuple[str, ...]], list]:
-    """A bare list of rows, or an object with an optional ``players`` roster, the rows under ``key`` and ``others``."""
-    if isinstance(doc, list):
-        return None, doc
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{what} must be a list or an object")
-    _record(doc, "", ("players", key, *others))
-    return _field(doc, "players", "", _strings, default=None), _expect(doc, key, what)
+def _envelope(doc, key: str, *others: str) -> tuple[Optional[tuple[str, ...]], list]:
+    """An object's optional ``players`` (the document's only roster) and its rows under ``key``, beside ``others``."""
+    doc = _record(doc, "", ("players", key, *others))
+    return _field(doc, "players", "", _strings, default=None), _field(doc, key, "", _list)
 
 
 def coalition_game_from_document(doc, *, label: str = "coalition-table") -> CoalitionGame:
     """Parse a coalition-table document.
 
-    Either a bare list of ``{"coalition": [...], "value": ...}`` rows, or an
-    object with a ``players`` roster plus an ``entries`` list and an optional
-    boolean ``default_zero``. With a bare list the roster is the sorted union
-    of all named players.
+    An object with its required ``players`` roster, an ``entries`` list of
+    ``{"coalition": [...], "value": ...}`` rows and an optional boolean
+    ``default_zero``.
     """
-    if isinstance(doc, dict):
-        _expect(doc, "players", "coalition table")  # required here, optional in the other envelopes
-    roster, rows = _envelope(doc, "entries", "coalition table", "default_zero")
-    default_zero = isinstance(doc, dict) and _field(doc, "default_zero", "", _boolean, default=False)
+    roster, rows = _envelope(doc, "entries", "default_zero")
+    _expect(doc, "players", "document")  # required here, optional in the other documents
+    default_zero = _field(doc, "default_zero", "", _boolean, default=False)
     entries = []
     for where, row in _rows(rows, "entries", ("coalition", "value")):
         coalition = _field(row, "coalition", where, _strings)
         value = _field(row, "value", where, _rational)
         entries.append((coalition, value))
-    if roster is None:
-        roster = sorted({p for coalition, _ in entries for p in coalition})
-        if not roster:
-            raise DocumentError("coalition table names no players")
-    players = PlayerSet(tuple(roster))
-    return game_from_table(players, entries, default_zero=default_zero, label=label)
+    return game_from_table(PlayerSet(roster), entries, default_zero=default_zero, label=label)
 
 
 def load_coalition_game(path: Pathish) -> CoalitionGame:
@@ -293,12 +283,11 @@ def load_coalition_game(path: Pathish) -> CoalitionGame:
 
 
 def attribution_from_document(doc) -> tuple[Optional[tuple[str, ...]], dict[str, frozenset[str]]]:
-    """Parse an attribution document: rows of ``{"leaf": id, "authors": [ids]}``.
+    """Parse an attribution document: an optional ``players`` roster and rows of ``{"leaf": id, "authors": [ids]}``.
 
-    Returns an optional player roster (when the object form carries one) and
-    the leaf-to-authors map.
+    Returns the roster (None when absent) and the leaf-to-authors map.
     """
-    roster, rows = _envelope(doc, "attribution", "attribution document")
+    roster, rows = _envelope(doc, "attribution")
     attribution: dict[str, frozenset[str]] = {}
     for where, row in _rows(rows, "attribution", ("leaf", "authors")):
         leaf = _field(row, "leaf", where, _string)
@@ -313,8 +302,8 @@ def load_attribution(path: Pathish):
 
 
 def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[SubsetResult]]:
-    """Parse subset-evaluation results: rows of ``{"subset": [...], "passing": [...]}``."""
-    roster, rows = _envelope(doc, "results", "subset results document")
+    """Parse subset results: an optional ``players`` roster and rows of ``{"subset": [...], "passing": [...]}``."""
+    roster, rows = _envelope(doc, "results")
     results = []
     for where, row in _rows(rows, "results", ("subset", "passing")):
         subset = _field(row, "subset", where, _strings)

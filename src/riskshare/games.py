@@ -64,9 +64,18 @@ class PlayerSet:
             raise GameDefinitionError(f"unknown player {player!r}") from None
 
     def mask_of(self, subset: Iterable[str]) -> int:
+        """The bitmask of ``subset``; an unknown id raises, naming every unknown id of the subset, sorted."""
+        index = self._index
         mask = 0
-        for player in subset:
-            mask |= 1 << self.index(player)
+        players = iter(subset)
+        for player in players:
+            try:
+                mask |= 1 << index[player]
+            except KeyError:  # the ids before ``player`` are known; look for others only among the rest
+                unknown = sorted({player, *(p for p in players if p not in index)})
+                if len(unknown) == 1:
+                    raise GameDefinitionError(f"unknown player {player!r}") from None
+                raise GameDefinitionError(f"unknown players {', '.join(map(repr, unknown))}") from None
         return mask
 
     def ids_of(self, mask: int) -> tuple[str, ...]:

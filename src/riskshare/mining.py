@@ -193,8 +193,9 @@ def resolve_identities(records: Sequence[CommitRecord], aliases: Mapping[str, st
 class Cycle:
     """The stretch of history one appraisal run covers.
 
-    Either commit-bounded or time-bounded (an inclusive timestamp range).
-    Commit bounds mean what ``git log from_commit..to_commit`` means: the
+    Either commit-bounded or time-bounded (an inclusive timestamp range, its
+    end not before its start). Commit bounds mean what
+    ``git log from_commit..to_commit`` means: the
     commits reachable from ``to_commit`` over ``parent`` links, minus those
     reachable from ``from_commit``. An open end stands for every commit in the
     log, and parents that are not in the log are outside the window, so a
@@ -212,6 +213,8 @@ class Cycle:
         time_bounded = self.from_time is not None or self.to_time is not None
         if commit_bounded and time_bounded:
             raise ValueError("a cycle is bounded by commits or by times, not both")
+        if self.from_time is not None and self.to_time is not None and self.to_time < self.from_time:
+            raise ValueError(f"cycle end time {self.to_time} precedes its start time {self.from_time}")
 
 
 def _ancestry(parents: Mapping[str, tuple[str, ...]], tip: str) -> set[str]:

@@ -33,6 +33,9 @@ def workdir(tmp_path, fixtures_dir) -> Path:
 CONTENT_ERRORS = [
     ("mining_config.json", "mining_config.json", '"cycle": {', '"cycle": {"from_time": 0, ',
      "config.source.cycle: a cycle is bounded by commits or by times, not both"),
+    ("mining_config.json", "mining_config.json", '"cycle": {"from_commit": "0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091"}',
+     '"cycle": {"from_time": 2000000000, "to_time": 1000000000}',
+     "config.source.cycle: cycle end time 1000000000 precedes its start time 2000000000"),
     ("payout_config.json", "payout_config.json", '"mode": "sum"', '"mode": ["sum"]',
      "config.mode: expected a string, got array ['sum']"),
     ("commits.log", "mining_config.json", "author: alice\n", "bogus line\n",
@@ -80,7 +83,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     @pytest.mark.parametrize("name, config, old, new, message", CONTENT_ERRORS,
-                             ids=["config-cycle", "config-mode", "commit-log-line"])
+                             ids=["config-cycle", "config-time-window", "config-mode", "commit-log-line"])
     def test_content_error_exits_2_naming_its_file(self, capsys, workdir, command, name, config, old, new, message):
         path = workdir / WE / name
         text = path.read_text()
@@ -388,6 +391,10 @@ SOURCE_MISTAKES = [
     ("source", {"type": "coalition_table", "path": "coalition_table.json", "players": ["A", "B"]}, "source.players"),
     ("source", {"type": "attribution", "path": "attribution.json", "cycle": {"from_time": 0}}, "source.cycle"),
     ("source", {"type": "subset_results", "path": "subset_results.json", "aliases": "a.json"}, "source.aliases"),
+    ("source", {"type": "attribution", "path": "no_such_attribution.json", "players": ["alice"]}, "source.players"),
+    ("source", {"type": "subset_results", "path": "no_such_results.json", "players": ["alice"]}, "source.players"),
+    ("source", {"type": "commit_log", "path": "commits.log", "players": []}, "source.players"),
+    ("source", {"type": "commit_log", "path": "commits.log", "players": ["alice", "bob", "alice"]}, "source.players"),
 ]
 
 
@@ -416,6 +423,9 @@ class TestStaticChecks:
             ("budget", {"fraction": "1/100", "anchor": "lower", "value": "5"}, "budget.value"),
             ("solver", {"method": "exact", "samples": 10}, "solver.samples"),
             ("solver", {"method": "exact", "seed": 1}, "solver.seed"),
+            ("budget", {"fraction": "3/2", "anchor": "lower"}, "budget.fraction"),
+            ("budget", {"fraction": "-1/100", "anchor": "lower"}, "budget.fraction"),
+            ("budget", {"fraction": "1/100", "anchor": "explicit"}, "budget.value"),
             *SOURCE_MISTAKES,
         ],
     )
@@ -433,9 +443,13 @@ class TestStaticChecks:
         [
             (*SOURCE_MISTAKES[0], "unknown source type 'commit-log'"),
             (*SOURCE_MISTAKES[1], "source type 'commit_log' needs a risk_model for its threat tree"),
-            (*SOURCE_MISTAKES[2], "a coalition table names its own players"),
+            (*SOURCE_MISTAKES[2], "a document source names its own players"),
             (*SOURCE_MISTAKES[3], "only a commit_log source has a cycle"),
             (*SOURCE_MISTAKES[4], "only a commit_log source reads aliases"),
+            (*SOURCE_MISTAKES[5], "a document source names its own players"),
+            (*SOURCE_MISTAKES[6], "a document source names its own players"),
+            (*SOURCE_MISTAKES[7], "the roster must not be empty"),
+            (*SOURCE_MISTAKES[8], "duplicate player id(s) 'alice'"),
         ],
     )
     def test_validate_lists_source_mistakes(self, capsys, workdir, key, value, location, message):
@@ -505,6 +519,111 @@ class TestCommandNeeds:
         extra = ["--subset", "alice,carol"] if command == "plan-cherry-pick" else []
         code, out, err = run(capsys, command, "--config", str(config), *extra)
         assert (code, out, err) == (1, "", f"validation error: {message}\n")
+
+
+#: The worked example's leaf -> authors evidence, as its commit log attributes it.
+WORKED_ATTRIBUTION = [
+    {"leaf": "U-46365-1", "authors": ["alice"]},
+    {"leaf": "U-45802-1", "authors": ["bob", "carol"]},
+    {"leaf": "U-45801-1", "authors": ["alice", "carol"]},
+]
+
+
+class TestRoster:
+    """A document names its roster in its ``players`` key, a commit log in ``source.players``; neither is dropped."""
+
+    @staticmethod
+    def write_source(workdir, kind, roster=None, **source) -> Path:
+        """The commit-log config with a ``kind`` source.
+
+        A document gets the worked example's rows and ``roster``. Subset results with a roster also get
+        the coalitions with dave, each passing what it passes without him.
+        """
+        doc = json.loads((workdir / WE / "mining_config.json").read_text())
+        if kind == "commit_log":
+            doc["source"].update(source)
+        else:
+            if kind == "attribution":
+                rows = {"attribution": WORKED_ATTRIBUTION}
+            else:
+                results = json.loads((workdir / WE / "subset_results.json").read_text())["results"]
+                with_dave = [{**r, "subset": r["subset"] + ["dave"]} for r in results]
+                rows = {"results": results if roster is None else results + with_dave}
+            players = {} if roster is None else {"players": roster}
+            (workdir / WE / f"{kind}.json").write_text(json.dumps({**players, **rows}))
+            doc["source"] = {"type": kind, "path": f"{kind}.json", **source}
+        config = workdir / WE / "roster_config.json"
+        config.write_text(json.dumps(doc))
+        return config
+
+    @pytest.mark.parametrize("kind", ["attribution", "subset_results", "commit_log"])
+    def test_roster_only_player_is_paid_nothing(self, capsys, workdir, kind):
+        roster = ["alice", "bob", "carol", "dave"]
+        if kind == "commit_log":
+            config = self.write_source(workdir, kind, players=roster)
+        else:
+            config = self.write_source(workdir, kind, roster)
+        code, out, _ = run(capsys, "payout", "--config", str(config))
+        assert code == 0
+        report = parse_report(out)
+        assert [row.player for row in report.payouts] == roster
+        dave = report.payouts[3]
+        assert (dave.phi, dave.payment.amount_minor) == (0, 0)
+        assert [row.phi for row in report.payouts[:3]] == [Fraction(3, 2), Fraction(1, 2), Fraction(1)]
+        assert report.axioms.null_player_violations == () and report.axioms.all_ok
+
+    @pytest.mark.parametrize("kind", ["attribution", "subset_results"])
+    @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
+    def test_config_roster_beside_a_document_roster_exits_1(self, capsys, workdir, kind, command):
+        config = self.write_source(workdir, kind, ["alice", "bob", "carol", "dave"], players=["alice", "bob", "carol"])
+        code, out, err = run(capsys, command, "--config", str(config))
+        issue = "source.players: a document source names its own players"
+        if command == "validate":
+            assert (code, out, err) == (1, f"error: {issue}\n1 error(s), 0 warning(s)\n", "")
+        else:
+            assert (code, out, err) == (1, "", f"validation error: {issue}\n")
+
+    @pytest.mark.parametrize("kind", ["attribution", "subset_results"])
+    def test_document_roster_is_inferred_from_its_rows(self, capsys, workdir, kind):
+        code, out, _ = run(capsys, "shapley", "--config", str(self.write_source(workdir, kind)))
+        assert code == 0
+        assert out.splitlines()[:2] == ["players: alice bob carol", "method: exact-subset"]
+
+    def test_source_naming_no_player_exits_1(self, capsys, workdir):
+        path = workdir / WE / "attribution.json"
+        config = self.write_source(workdir, "attribution")
+        path.write_text(json.dumps({"attribution": [{"leaf": "U-46365-1", "authors": []}]}))
+        code, out, err = run(capsys, "shapley", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"validation error: {path}: no players named by the source and none declared\n"
+
+    @pytest.mark.parametrize("kind", ["coalition_table", "attribution", "subset_results"])
+    @pytest.mark.parametrize("command", ["validate", "shapley"])
+    def test_bare_list_document_exits_2_naming_its_file(self, capsys, workdir, kind, command):
+        config = workdir / WE / "payout_config.json" if kind == "coalition_table" else self.write_source(workdir, kind)
+        path = workdir / WE / f"{kind}.json"
+        doc = json.loads(path.read_text())
+        (rows,) = (value for key, value in doc.items() if key != "players")
+        path.write_text(json.dumps(rows))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        prefix = f"input error: {path}: document: expected an object, got array "
+        assert err.startswith(prefix + "[{") and err.endswith("…\n")
+        assert len(err) == len(prefix) + 62
+
+    def test_unknown_ids_are_named_alike_under_any_hash_seed(self, workdir):
+        config = self.write_source(workdir, "commit_log", players=["alice"])
+        errors = []
+        for hash_seed in ("0", "3"):
+            env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+                   "PYTHONHASHSEED": hash_seed}
+            done = subprocess.run([sys.executable, "-m", "riskshare.cli", "shapley", "--config", str(config)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stdout) == (1, "")
+            errors.append(done.stderr)
+        assert errors[0] == errors[1]
+        log = workdir / WE / "commits.log"
+        assert errors[0].splitlines()[-1] == f"validation error: {log}: unknown players 'bob', 'carol'"
 
 
 #: Each input file a run reads, with the config that reads it; ``report`` reads the stored report ``r.json``.
@@ -842,6 +961,13 @@ class TestReport:
         assert "12401.08" in out
         code, out, _ = run(capsys, "report", str(report_path), "--format", "json")
         assert parse_report(out) == parse_report(report_path.read_text())
+
+    def test_payout_out_into_missing_directory_is_io_error(self, capsys, workdir):
+        out_file = workdir / "no_such_dir" / "r.json"
+        code, out, err = run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("io error: [Errno 2] No such file or directory: ") and str(out_file) in err
+        assert not out_file.parent.exists()
 
     def test_report_that_is_not_json_is_input_error_naming_the_file(self, capsys, workdir):
         report_path = workdir / "r.json"

@@ -60,7 +60,7 @@ class TestExactNumbers:
 
     @pytest.mark.parametrize("value", ["1e1000000", '"1e1000000"', '"-2.5E+0001000"'])
     def test_exponent_of_four_digits_is_document_error(self, value):
-        text = f'[{{"coalition": ["a"], "value": {value}}}]'
+        text = f'{{"players": ["a"], "entries": [{{"coalition": ["a"], "value": {value}}}]}}'
         with pytest.raises(DocumentError, match="exponent of more than 3 digits"):
             coalition_game_from_document(loads_exact(text))
         assert loads_exact('[1e999, 1E-999]') == [Fraction(10**999), Fraction(1, 10**999)]
@@ -130,16 +130,22 @@ class TestCoalitionTableDocument:
         assert game.grand_value() == 2
         assert shapley_exact(game).phi["A"] == Fraction(7, 6)
 
-    def test_bare_list_derives_sorted_roster(self):
+    def test_bare_list_is_rejected(self):
         doc = [
             {"coalition": ["b"], "value": "1"},
             {"coalition": ["a"], "value": "0"},
             {"coalition": ["a", "b"], "value": "2"},
             {"coalition": [], "value": 0},
         ]
-        game = coalition_game_from_document(doc)
-        assert game.players.players == ("a", "b")
-        assert game.evaluate(["b"]) == 1
+        with pytest.raises(DocumentError) as error:
+            coalition_game_from_document(doc)
+        assert str(error.value) == (
+            "document: expected an object, got array [{'coalition': ['b'], 'value': '1'}, {'coalition': ['a'], 'v…"
+        )
+
+    def test_players_are_required(self):
+        with pytest.raises(DocumentError, match="^document: missing key 'players'$"):
+            coalition_game_from_document({"entries": [{"coalition": [], "value": 0}]})
 
     def test_round_trips_through_document(self, fixtures_dir):
         game = load_coalition_game(fixtures_dir / "worked_example" / "coalition_table.json")
@@ -155,10 +161,12 @@ class TestCoalitionTableDocument:
 class TestAttributionDocument:
     def test_rows_parse(self):
         roster, attribution = attribution_from_document(
-            [
-                {"leaf": "f1", "authors": ["a", "b"]},
-                {"leaf": "f2", "authors": []},
-            ]
+            {
+                "attribution": [
+                    {"leaf": "f1", "authors": ["a", "b"]},
+                    {"leaf": "f2", "authors": []},
+                ]
+            }
         )
         assert roster is None
         assert attribution == {"f1": frozenset({"a", "b"}), "f2": frozenset()}
@@ -173,7 +181,7 @@ class TestAttributionDocument:
     def test_duplicate_leaf_rejected(self):
         with pytest.raises(DocumentError, match="duplicate leaf"):
             attribution_from_document(
-                [{"leaf": "f1", "authors": []}, {"leaf": "f1", "authors": []}]
+                {"attribution": [{"leaf": "f1", "authors": []}, {"leaf": "f1", "authors": []}]}
             )
 
 
@@ -184,8 +192,8 @@ class TestSubsetResultsDocument:
         assert len(results) == 8
 
     def test_missing_keys(self):
-        with pytest.raises(DocumentError):
-            subset_results_from_document([{"subset": ["a"]}])
+        with pytest.raises(DocumentError, match=r"^results\[0\]: missing key 'passing'$"):
+            subset_results_from_document({"results": [{"subset": ["a"]}]})
 
 
 def assert_located(reader, doc, path, value, location):
@@ -236,6 +244,13 @@ class TestRowShapes:
     def test_risk_model_that_is_not_an_object(self):
         with pytest.raises(DocumentError, match="^document: expected an object, got array"):
             risk_model_from_document([])
+
+    def test_long_value_is_quoted_up_to_60_characters(self):
+        with pytest.raises(DocumentError) as error:
+            risk_model_from_document([{"threat": "T1"}] * 20000)
+        quoted = "[" + "{'threat': 'T1'}, " * 3 + "{'thr"
+        assert len(quoted) == 60
+        assert str(error.value) == f"document: expected an object, got array {quoted}…"
 
     @pytest.mark.parametrize(
         "path, value, location",

@@ -42,6 +42,35 @@ class TestPlayerSet:
         with pytest.raises(GameDefinitionError, match="unknown player"):
             ABC.mask_of(["D"])
 
+    @pytest.mark.parametrize(
+        "subset, message",
+        [
+            (["A", "D"], "unknown player 'D'"),
+            (iter(["E", "A", "D", "E"]), "unknown players 'D', 'E'"),
+            (frozenset({"Z", "B", "Y", "X"}), "unknown players 'X', 'Y', 'Z'"),
+        ],
+        ids=["one", "iterator", "frozenset"],
+    )
+    def test_every_unknown_id_is_named_sorted(self, subset, message):
+        with pytest.raises(GameDefinitionError) as error:
+            ABC.mask_of(subset)
+        assert str(error.value) == message
+
+
+class TestCoalitionGameForms:
+    @pytest.mark.parametrize("forms", [{}, {"table": [0] * 8, "terms": [(0b1, 1)]}], ids=["neither", "both"])
+    def test_exactly_one_form(self, forms):
+        with pytest.raises(GameDefinitionError, match="^provide exactly one of table or terms$"):
+            CoalitionGame(ABC, **forms)
+
+    def test_table_of_the_wrong_length(self):
+        with pytest.raises(GameDefinitionError, match="^table has 4 entries, expected 8$"):
+            CoalitionGame(ABC, table=[0, 1, 1, 2])
+
+    def test_table_with_nonzero_empty_coalition(self):
+        with pytest.raises(GameDefinitionError, match=r"^v\(empty set\) must be 0, got 1/2$"):
+            CoalitionGame(ABC, table=["1/2"] + [1] * 7)
+
 
 class TestGameFromTable:
     def test_joint_feature_table(self):

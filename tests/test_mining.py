@@ -356,6 +356,16 @@ class TestCycles:
         with pytest.raises(ValueError):
             Cycle(from_commit="x", from_time=0)
 
+    def test_inverted_time_window_rejected(self):
+        with pytest.raises(ValueError, match="^cycle end time 1000000000 precedes its start time 2000000000$"):
+            Cycle(from_time=2000000000, to_time=1000000000)
+
+    def test_one_instant_window_selects_its_commits(self):
+        records = parse_commit_log(FULL_LOG)
+        t = records[1].timestamp
+        window = select_cycle(records, Cycle(from_time=t, to_time=t))
+        assert window and all(r.timestamp == t for r in window)
+
 
 class TestAttribution:
     def test_three_fix_scenario(self):

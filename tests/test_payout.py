@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -266,6 +267,30 @@ class TestRendering:
             assert "- symmetry: not audited (sampled estimate)" in text
             assert "- null player: pass" in text
             assert "FAIL" not in text
+
+    def failed_audit_report(self):
+        """A report whose result breaks every audited axiom: a and b are interchangeable, z contributes nothing."""
+        v = CoalitionGame(PlayerSet(("a", "b", "z")), terms=[(0b011, 2)])
+        result = ShapleyResult(players=("a", "b", "z"), phi={"a": Fraction(2), "b": Fraction(0), "z": Fraction(1)},
+                               method="external")
+        axioms = dataclasses.replace(check_axioms(v, result), linearity_ok=False)  # the exact solver is linear
+        provenance = Provenance("table", delta=Interval(1, 2), solver=result.method)
+        return allocate_payments(result, Money(300), provenance=provenance, axioms=axioms)
+
+    def test_markdown_audit_lists_each_failure(self):
+        text = render_report(self.failed_audit_report(), "markdown")
+        assert text.endswith(
+            "## Fairness audit\n\n"
+            "- efficiency: FAIL (residual 1)\n"
+            "- symmetry: FAIL (equal contributors paid differently: a/b)\n"
+            "- null player: FAIL (zero contributors paid: z)\n"
+            "- linearity: FAIL\n"
+        )
+
+    def test_json_round_trip_keeps_symmetry_pairs(self):
+        report = self.failed_audit_report()
+        assert report.axioms.symmetry_violations == (("a", "b"),)
+        assert parse_report(render_report(report, "json")) == report
 
     def test_single_player_report_renders(self):
         report = allocate_payments(result_from_phi([Fraction(1)]), Money(500))
