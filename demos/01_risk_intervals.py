@@ -2,8 +2,8 @@
 """Qualitative risk on exact intervals, from category labels to money.
 
 A walkthrough of the risk side of the library: define small labelled scales,
-classify measured scores, and turn before/after assessments into an exact
-avoided-loss interval. Every number below is an exact rational; nothing is
+check that they partition their range, and turn before/after assessments
+into an exact avoided-loss interval. Every number below is an exact rational; nothing is
 rounded until someone converts to cents at the very end of the pipeline.
 """
 
@@ -12,9 +12,8 @@ from riskshare import (
     QualitativeScale,
     ScaleSet,
     ThreatAssessment,
-    classify,
-    risk_after,
-    risk_before,
+    interval_add,
+    interval_mul,
     risk_delta,
     validate_scale,
 )
@@ -23,8 +22,8 @@ from riskshare import (
 # 1. Scales: ordered labelled categories with exact bounds
 # ---------------------------------------------------------------------------
 
-# A severity-score partition (0..10). Categories are half-open [lo, next lo),
-# the last one closed at the top, so every score lands in exactly one band.
+# A severity-score partition (0..10): each band starts where the previous one
+# ends, so the bands cover the whole range without gaps.
 severity = QualitativeScale(
     "severity-score",
     "impact",
@@ -38,8 +37,8 @@ severity = QualitativeScale(
 )
 
 print("severity scale valid:", validate_scale(severity).ok)
-for score in ("0", "3.9", "4.0", "9.1", "10"):
-    print(f"  score {score:>4} -> {classify(severity, score)}")
+for label, bounds in severity.categories:
+    print(f"  {label:>8}: {bounds}")
 
 # A non-contiguous scale is reported, not silently accepted:
 gappy = QualitativeScale(
@@ -95,8 +94,15 @@ data_breach = ThreatAssessment(
     impact_after="none",
 )
 
-before = risk_before([data_breach], scales)
-after = risk_after([data_breach], scales)
+
+
+def before_and_after(assessment):
+    """Likelihood x impact of a threat before and after mitigation, from its four labels."""
+    likelihood_before, impact_before, likelihood_after, impact_after = assessment.resolve(scales)
+    return interval_mul(likelihood_before, impact_before), interval_mul(likelihood_after, impact_after)
+
+
+before, after = before_and_after(data_breach)
 delta = risk_delta([data_breach], scales)
 print("\nsingle mitigated threat:")
 print("  risk before :", before)
@@ -113,7 +119,8 @@ print("  worst delta  :", risk_delta([web, api], scales, mode="max"))
 
 # The delta is computed threat-wise (before_i - after_i, then aggregate),
 # which is tighter and fairer than subtracting the aggregated intervals:
-loose = risk_before([web, api], scales).lo - risk_after([web, api], scales).hi
+(web_before, web_after), (api_before, api_after) = before_and_after(web), before_and_after(api)
+loose = interval_add(web_before, api_before).lo - interval_add(web_after, api_after).hi
 print("  aggregate-wise lower bound would be", loose, "(can even go negative)")
 print("  threat-wise lower bound stays at   ", risk_delta([web, api], scales).lo)
 

@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Building coalition games: explicit tables, unanimity patterns, leaf coverage.
+"""Building coalition games: explicit tables, unanimity terms, leaf coverage.
 
 The value function v answers one question per coalition S: how much security
 did the members of S deliver on their own? Three constructions are shown,
 ending with the identity that leaf coverage is just a sum of unanimity games.
 """
 
-from fractions import Fraction
-
 from riskshare import (
+    CoalitionGame,
     Control,
     LeafCondition,
     PlayerSet,
@@ -16,9 +15,7 @@ from riskshare import (
     ThreatTree,
     game_add,
     game_from_table,
-    game_scale,
     leaf_coverage_game,
-    unanimity_game,
 )
 
 team = PlayerSet(("ana", "ben", "cho"))
@@ -40,18 +37,24 @@ table = game_from_table(
         (["ana", "ben", "cho"], 3),
     ],
 )
-print("v({ana,cho}) =", table.evaluate(["ana", "cho"]))
+print("v({ana,cho}) =", table.value_of_mask(team.mask_of(["ana", "cho"])))
 print("v(everyone)  =", table.grand_value())
 
 # ---------------------------------------------------------------------------
 # 2. Unanimity games: the pull-request pattern
 # ---------------------------------------------------------------------------
 
+
+def unanimity(ids):
+    """The game worth 1 on every coalition that contains all of ``ids``: one term of weight 1."""
+    return CoalitionGame(team, terms=[(team.mask_of(ids), 1)])
+
+
 # A reviewed change involving exactly {ben, cho} counts only when both are in
 # the coalition; supersets inherit the credit, proper subsets get nothing.
-upload_fix = unanimity_game(team, {"ben", "cho"})
+upload_fix = unanimity(["ben", "cho"])
 for coalition in ([], ["ben"], ["ben", "cho"], ["ana", "ben", "cho"]):
-    print(f"  upload_fix v({coalition}) = {upload_fix.evaluate(coalition)}")
+    print(f"  upload_fix v({coalition}) = {upload_fix.value_of_mask(team.mask_of(coalition))}")
 
 # ---------------------------------------------------------------------------
 # 3. Leaf coverage: the threat tree meets the attribution map
@@ -91,13 +94,11 @@ print("normalized grand value:", normalized.grand_value())
 # 4. The decomposition identity
 # ---------------------------------------------------------------------------
 
-# Coverage = sum of one unanimity game per addressed leaf; normalization is a
-# scalar. Both identities hold exactly, coalition by coalition.
-as_sum = game_add(
-    game_add(unanimity_game(team, {"ana"}), unanimity_game(team, {"ben", "cho"})),
-    unanimity_game(team, {"ana", "cho"}),
-)
-scaled = game_scale(as_sum, Fraction(1, tree.leaf_count))
+# Coverage = sum of one unanimity game per addressed leaf; normalization
+# scales every term by one factor. Both identities hold exactly, coalition by
+# coalition.
+as_sum = game_add(game_add(unanimity(["ana"]), unanimity(["ben", "cho"])), unanimity(["ana", "cho"]))
+scaled = CoalitionGame(team, terms=[(mask, d / tree.leaf_count) for mask, d in as_sum.terms])
 for mask in range(8):
     assert coverage.value_of_mask(mask) == as_sum.value_of_mask(mask)
     assert normalized.value_of_mask(mask) == scaled.value_of_mask(mask)

@@ -49,7 +49,8 @@ for p in result.players:
     print(f"  {p}: phi = {result.phi[p]}, share = {result.share[p]}")
 
 audit = check_axioms(game, result)
-print("audit:", "all pass" if audit.all_ok else "VIOLATIONS", f"(residual {audit.efficiency_residual})")
+passed = audit.efficiency_ok and not audit.symmetry_violations and not audit.null_player_violations
+print("audit:", "all pass" if passed else "VIOLATIONS", f"(residual {audit.efficiency_residual})")
 
 # ---------------------------------------------------------------------------
 # 3. Money side: split the budget, publish the trail

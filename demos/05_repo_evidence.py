@@ -4,7 +4,7 @@
 The evidence channel is a plain ``Satisfies: <leaf-id>`` trailer on commits
 (reviewable in pull requests). This script parses the bundled log, derives
 the per-leaf author sets, emits a cherry-pick plan for one coalition, and
-shows that simulated rebuild evidence defines the exact same game.
+shows that the bundled rebuild evidence defines the exact same game.
 """
 
 import warnings
@@ -19,9 +19,8 @@ from riskshare import (
     leaf_coverage_game,
     parse_commit_log,
     shapley_exact,
-    subset_results_from_attribution,
 )
-from riskshare.documents import load_risk_model
+from riskshare.documents import load_risk_model, load_subset_results
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "worked_example"
 
@@ -71,9 +70,10 @@ print(plan.to_json())
 # 4. The rebuild pathway defines the same game
 # ---------------------------------------------------------------------------
 
-# Simulate the evidence those rebuilds would produce, then reconstruct the
-# game from it. Trailer counting and rebuild counting must agree exactly.
-evidence = subset_results_from_attribution(model.tree, attribution, team)
-rebuilt = game_from_subset_results(evidence, model.tree, team)
+# subset_results.json records what rebuilding each coalition's commits gave:
+# the leaf checks that passed. Trailer counting and rebuild counting must
+# agree exactly.
+roster, evidence = load_subset_results(FIXTURES / "subset_results.json")
+rebuilt = game_from_subset_results(evidence, model.tree, PlayerSet(roster))
 assert rebuilt.value_table() == game.value_table()
 print("rebuild-evidence game == trailer game, coalition by coalition")

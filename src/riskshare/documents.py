@@ -52,7 +52,8 @@ def loads_exact(text: str):
     """json.loads with floats parsed as exact decimal Fractions, within :func:`as_fraction`'s bounds.
 
     A number literal out of bounds is located as ``json`` locates a syntax error:
-    ``<reason>: line L column C (char N)``.
+    ``<reason>: line L column C (char N)``. Nesting deeper than the decoder's
+    recursion limit is an error too, not a RecursionError.
     """
     try:
         return json.loads(text, parse_float=as_fraction)
@@ -62,6 +63,8 @@ def loads_exact(text: str):
         if at is not None:  # int() and as_fraction raise without a position
             reason = str(json.JSONDecodeError(reason, text, at))
         raise DocumentError(f"invalid JSON: {reason}") from exc
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise DocumentError("invalid JSON: nested too deeply") from exc
 
 
 def load(path: Pathish, parse):
@@ -116,7 +119,10 @@ def _describe(value) -> str:
     if isinstance(value, Fraction):  # JSON floats are parsed as exact Fractions
         return f"float {float(value)}"
     kind = {str: "string", list: "array", dict: "object", int: "integer"}.get(type(value), "value")
-    text = repr(value)
+    try:
+        text = repr(value)
+    except RecursionError:  # nested deeper than repr can recurse
+        return f"{kind} nested too deeply to quote"
     return f"{kind} {text[:60]}…" if len(text) > 60 else f"{kind} {text}"
 
 

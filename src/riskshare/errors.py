@@ -22,10 +22,6 @@ class UnknownLabelError(ValidationError):
         self.label = label
 
 
-class ScaleRangeError(ValidationError):
-    """A value lies outside the total range covered by a scale."""
-
-
 class GameDefinitionError(ValidationError):
     """A coalition game definition violates its contract."""
 

@@ -4,8 +4,8 @@ A game is a total value function v over subsets of the player set with
 v(empty) = 0. Subsets are encoded canonically as bitmasks over the player
 ordering. Every game is held the same way, as Harsanyi dividends: v(S) is the
 sum of the weights d_T of the terms whose required set T lies inside S.
-Unanimity and leaf-coverage games come in this basis, it stays closed under
-addition and scaling, and a game with k terms costs O(k) per evaluation and
+A leaf-coverage game comes in this basis, one term per addressed leaf (one
+unanimity game each), and a game with k terms costs O(k) per evaluation and
 O(k) memory at any team size. A full table of ``2**n`` values (coalition
 tables, subset rebuild results) is an input form only: it is converted once
 by the Moebius transform, whose result is unique, and :meth:`value_table`
@@ -33,7 +33,7 @@ MATERIALIZATION_CAP = 24
 
 @dataclass(frozen=True)
 class PlayerSet:
-    """Ordered, unique player ids; the ordering fixes the subset encoding."""
+    """Ordered, unique, nonempty player ids; the ordering fixes the subset encoding."""
 
     players: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
@@ -44,6 +44,8 @@ class PlayerSet:
             raise GameDefinitionError("player set must not be empty")
         index = {}
         for k, p in enumerate(self.players):
+            if not p:
+                raise GameDefinitionError("a player id must not be empty")
             if p in index:
                 raise GameDefinitionError(f"duplicate player id {p!r}")
             index[p] = k
@@ -56,12 +58,6 @@ class PlayerSet:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def index(self, player: str) -> int:
-        try:
-            return self._index[player]
-        except KeyError:
-            raise GameDefinitionError(f"unknown player {player!r}") from None
 
     def mask_of(self, subset: Iterable[str]) -> int:
         """The bitmask of ``subset``; an unknown id raises, naming every unknown id of the subset, sorted."""
@@ -148,10 +144,6 @@ class CoalitionGame:
             raise GameDefinitionError(f"mask {mask:#x} outside subset range")
         return Fraction(sum(w for req, w in self._terms if mask & req == req), self._den)
 
-    def evaluate(self, subset: Iterable[str]) -> Fraction:
-        """v(S) for a subset given as player ids."""
-        return self.value_of_mask(self.players.mask_of(subset))
-
     def grand_value(self) -> Fraction:
         return self.value_of_mask(self.players.full_mask)
 
@@ -234,22 +226,6 @@ def game_from_table(
     return CoalitionGame(players, table=[values.get(m, 0) for m in range(size)], label=label)
 
 
-def unanimity_game(players: PlayerSet, required: Iterable[str]) -> CoalitionGame:
-    """Game worth 1 exactly on supersets of ``required``, else 0.
-
-    This is the pattern induced by a reviewed pull request: the change counts
-    only when everyone whose commits it contains is present.
-    """
-    req_mask = players.mask_of(required)
-    if req_mask == 0:
-        raise GameDefinitionError("required set must be nonempty (v(empty) would be 1)")
-    return CoalitionGame(
-        players,
-        terms=[(req_mask, 1)],
-        label=f"unanimity{sorted(players.ids_of(req_mask))}",
-    )
-
-
 def leaf_coverage_game(
     tree: ThreatTree,
     attribution: Mapping[str, Set[str]],
@@ -283,9 +259,3 @@ def game_add(v: CoalitionGame, w: CoalitionGame) -> CoalitionGame:
     if v.players.players != w.players.players:
         raise GameDefinitionError(f"player sets differ: {v.players.players} vs {w.players.players}")
     return CoalitionGame(v.players, terms=v.terms + w.terms, label=f"({v.label})+({w.label})")
-
-
-def game_scale(v: CoalitionGame, c: Rationalish) -> CoalitionGame:
-    """Pointwise scaling by an exact rational factor (dividends scale)."""
-    c = as_fraction(c)
-    return CoalitionGame(v.players, terms=[(m, c * d) for m, d in v.terms], label=f"{c}*({v.label})")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Set
@@ -64,8 +64,9 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
     and CRLF line ends are ignored. Records end with a ``---`` line, the last
     one also with the end of the text. Unknown trailer keys are kept on the
     record but flagged with a :class:`CommitLogWarning`. Structural problems
-    raise :class:`DocumentError` naming the offending line; a record's missing
-    field or duplicate id is reported at its ``---`` (or the last) line.
+    (an empty commit id or author among them) raise :class:`DocumentError`
+    naming the offending line; a record's missing field or duplicate id is
+    reported at its ``---`` (or the last) line.
     """
     records: list[CommitRecord] = []
     seen_ids: set[str] = set()
@@ -82,6 +83,8 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
         if sep:
             key = key.strip()
             value = value.strip()
+            if not value and (key == "commit" or key == "author"):
+                raise DocumentError(f"line {line_no}: empty {key!r} field")
             if key == "commit":
                 if commit is not None:
                     raise DocumentError(f"line {line_no}: duplicate 'commit' field in record")
@@ -138,20 +141,6 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
             stacklevel=2,
         )
     return records
-
-
-def render_commit_log(records: Iterable[CommitRecord]) -> str:
-    """Inverse of :func:`parse_commit_log` (timestamps rendered as UTC)."""
-    chunks = []
-    for r in records:
-        lines = [f"commit: {r.commit_id}", f"author: {r.author}"]
-        stamp = datetime.fromtimestamp(r.timestamp, tz=timezone.utc)
-        lines.append(f"date: {stamp.isoformat()}")
-        lines.extend(f"parent: {p}" for p in r.parents)
-        lines.extend(f"trailer: {k}: {v}" for k, v in r.trailers)
-        lines.append(RECORD_SEPARATOR)
-        chunks.append("\n".join(lines))
-    return "\n".join(chunks) + ("\n" if chunks else "")
 
 
 def resolve_identities(records: Sequence[CommitRecord], aliases: Mapping[str, str]) -> list[CommitRecord]:
@@ -414,23 +403,3 @@ def game_from_subset_results(
             )
     rows = [(subset, Fraction(len(leaves), denom)) for subset, leaves in passing.items()]
     return game_from_table(players, rows, label="subset-results")
-
-
-def subset_results_from_attribution(
-    tree: ThreatTree,
-    attribution: Mapping[str, Set[str]],
-    players: PlayerSet,
-) -> list[SubsetResult]:
-    """Simulate the evidence an external build harness would produce.
-
-    For each coalition, a leaf passes iff its (nonempty) author set is
-    contained in the coalition. Useful for dry runs and for checking that the
-    trailer pathway and the rebuild pathway define the same game.
-    """
-    out = []
-    req = {leaf: frozenset(a) for leaf, a in attribution.items() if a}
-    for mask in range(1 << players.n):
-        members = set(players.ids_of(mask))
-        passing = [leaf for leaf, authors in req.items() if authors <= members]
-        out.append(SubsetResult(members, passing))
-    return out

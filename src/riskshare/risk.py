@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .errors import ClampWarning, ScaleRangeError, UnknownLabelError
-from .intervals import ZERO, Interval, Rationalish, as_fraction, interval_add, interval_mul, interval_sub
+from .errors import ClampWarning, UnknownLabelError
+from .intervals import ZERO, Interval, interval_add, interval_mul, interval_sub
 
 LIKELIHOOD = "likelihood"
 IMPACT = "impact"
@@ -58,14 +58,14 @@ class ValidationReport:
 class QualitativeScale:
     """Ordered set of labelled categories with exact interval bounds.
 
-    Kinds:
+    Assessments name categories by label, and :meth:`resolve` gives their
+    bounds. :func:`validate_scale` checks that the kinds below hold. Kinds:
 
-    * ``likelihood`` -- partition of [0, 1]; classification is half-open
-      ``[lo_k, lo_{k+1})`` with the last category closed at its top.
-    * ``impact`` -- partition of [0, cap] for classifying measured damages;
-      the finite ``hi`` of the last category stands in for an unbounded top.
+    * ``likelihood`` -- contiguous categories covering [0, 1].
+    * ``impact`` -- contiguous categories covering [0, cap]; the finite
+      ``hi`` of the last category stands in for an unbounded top.
     * ``lookup`` -- plain label-to-range map (e.g. business loss ranges that
-      are not contiguous); resolves labels but cannot classify numbers.
+      are not contiguous); only its labels must be unique.
     """
 
     name: str
@@ -85,10 +85,6 @@ class QualitativeScale:
             if cat_label == label:
                 return bounds
         raise UnknownLabelError(self.name, label)
-
-    @property
-    def span(self) -> Interval:
-        return Interval(self.categories[0][1].lo, self.categories[-1][1].hi)
 
 
 def validate_scale(scale: QualitativeScale) -> ValidationReport:
@@ -137,28 +133,6 @@ def validate_scale(scale: QualitativeScale) -> ValidationReport:
             )
         )
     return ValidationReport(tuple(issues))
-
-
-def classify(scale: QualitativeScale, x: Rationalish) -> str:
-    """Label of the category containing x.
-
-    Categories are half-open ``[lo_k, lo_{k+1})``; the last category is closed
-    at its top so the scale's full range is covered.
-    """
-    if scale.kind == LOOKUP:
-        raise ScaleRangeError(f"scale {scale.name!r} is a lookup scale and cannot classify values")
-    x = as_fraction(x)
-    span = scale.span
-    if not span.contains(x):
-        raise ScaleRangeError(f"value {x} outside range {span} of scale {scale.name!r}")
-    last = len(scale.categories) - 1
-    for k, (label, bounds) in enumerate(scale.categories):
-        if bounds.lo <= x < bounds.hi:
-            return label
-        if k == last and bounds.lo <= x <= bounds.hi:
-            return label
-    # only reachable when x sits on an interior empty category's boundary
-    raise ScaleRangeError(f"value {x} matches no category of scale {scale.name!r}")
 
 
 @dataclass(frozen=True)
@@ -324,41 +298,26 @@ def _aggregate(parts: list[Interval], mode: str) -> Interval:
     return Interval(max(p.lo for p in parts), max(p.hi for p in parts))
 
 
-def _per_threat(assessments: Iterable[ThreatAssessment], scales: ScaleSet) -> Iterator[tuple[str, Interval, Interval]]:
-    """``(threat id, before, after)`` likelihood x impact per assessment, each resolved once."""
-    for a in assessments:
-        lb, ib, la, ia = a.resolve(scales)
-        yield a.threat_id, interval_mul(lb, ib), interval_mul(la, ia)
-
-
-def risk_before(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM) -> Interval:
-    """Aggregate pre-mitigation risk: likelihood x impact per threat, then sum or max."""
-    return _aggregate([before for _, before, _ in _per_threat(assessments, scales)], mode)
-
-
-def risk_after(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM) -> Interval:
-    """Aggregate residual risk using the post-mitigation labels."""
-    return _aggregate([after for _, _, after in _per_threat(assessments, scales)], mode)
-
-
 def risk_delta(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM) -> Interval:
     """Risk reduction achieved by mitigation, evaluated threat-wise.
 
-    Each threat contributes ``before_i - after_i`` (interval subtraction);
-    the per-threat differences are then aggregated with ``mode``. This is
-    deliberately *not* ``risk_before - risk_after`` on the aggregates, which
-    would double-count the spread across threats.
+    Each threat contributes ``before_i - after_i`` (interval subtraction),
+    where each side is likelihood x impact from the threat's labels; the
+    per-threat differences are then aggregated with ``mode``. This is
+    deliberately *not* the aggregated before minus the aggregated after,
+    which would double-count the spread across threats.
 
     A mitigation is assumed not to add risk: a difference whose lower end is
     negative is raised to ``[0, max(hi, 0)]``, with a :class:`ClampWarning`
     naming the threat, so inputs violating that stay visible.
     """
     deltas = []
-    for threat, before, after in _per_threat(assessments, scales):
-        delta = interval_sub(before, after)
+    for a in assessments:
+        lb, ib, la, ia = a.resolve(scales)
+        delta = interval_sub(interval_mul(lb, ib), interval_mul(la, ia))
         if delta.lo < 0:
             clamped = Interval(0, max(delta.hi, 0))
-            message = f"threat {threat!r}: risk difference {delta} clamped to {clamped}"
+            message = f"threat {a.threat_id!r}: risk difference {delta} clamped to {clamped}"
             warnings.warn(message, ClampWarning, stacklevel=2)
             delta = clamped
         deltas.append(delta)

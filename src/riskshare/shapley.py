@@ -261,15 +261,6 @@ class AxiomReport:
     def efficiency_ok(self) -> bool:
         return self.efficiency_residual == 0
 
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.efficiency_ok
-            and not self.symmetry_violations
-            and not self.null_player_violations
-            and self.linearity_ok is not False
-        )
-
 
 def _swap_bits(mask: int, i: int, j: int) -> int:
     if (mask >> i ^ mask >> j) & 1:

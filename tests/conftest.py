@@ -1,10 +1,12 @@
 import random
+from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from riskshare import (
+    AxiomReport,
     CoalitionGame,
     Control,
     Interval,
@@ -12,6 +14,7 @@ from riskshare import (
     PlayerSet,
     QualitativeScale,
     ScaleSet,
+    SubsetResult,
     Threat,
     ThreatAssessment,
     ThreatTree,
@@ -24,6 +27,54 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def unanimity(players: PlayerSet, ids) -> CoalitionGame:
+    """The game worth 1 on every coalition that contains all of ``ids``, else 0: one term."""
+    return CoalitionGame(players, terms=[(players.mask_of(ids), 1)])
+
+
+def scaled(game: CoalitionGame, c) -> CoalitionGame:
+    """The game ``c * v``: every dividend times ``c``."""
+    return CoalitionGame(game.players, terms=[(mask, c * d) for mask, d in game.terms])
+
+
+def value(game: CoalitionGame, ids) -> Fraction:
+    """v(S) for a coalition given as player ids."""
+    return game.value_of_mask(game.players.mask_of(ids))
+
+
+def audit_passes(report: AxiomReport) -> bool:
+    """No axiom the report checked failed."""
+    return (
+        report.efficiency_ok
+        and not report.symmetry_violations
+        and not report.null_player_violations
+        and report.linearity_ok is not False
+    )
+
+
+def render_commit_log(records) -> str:
+    """The commit-log text that ``parse_commit_log`` reads back as ``records`` (timestamps rendered as UTC)."""
+    chunks = []
+    for r in records:
+        stamp = datetime.fromtimestamp(r.timestamp, tz=timezone.utc)
+        lines = [f"commit: {r.commit_id}", f"author: {r.author}", f"date: {stamp.isoformat()}"]
+        lines.extend(f"parent: {p}" for p in r.parents)
+        lines.extend(f"trailer: {k}: {v}" for k, v in r.trailers)
+        lines.append("---")
+        chunks.append("\n".join(lines))
+    return "\n".join(chunks) + ("\n" if chunks else "")
+
+
+def subset_results_from_attribution(attribution, players: PlayerSet) -> list[SubsetResult]:
+    """The evidence a rebuild of every coalition would give: a leaf passes iff all its (nonempty) authors are in."""
+    required = {leaf: frozenset(authors) for leaf, authors in attribution.items() if authors}
+    results = []
+    for mask in range(1 << players.n):
+        members = set(players.ids_of(mask))
+        results.append(SubsetResult(members, [leaf for leaf, authors in required.items() if authors <= members]))
+    return results
 
 
 def build_joint_feature_game() -> CoalitionGame:

@@ -22,7 +22,6 @@ from riskshare import (
     compute_budget,
     derive_attribution,
     game_from_subset_results,
-    game_scale,
     interval_add,
     interval_mul,
     interval_sub,
@@ -32,8 +31,6 @@ from riskshare import (
     shapley_exact,
     shapley_monte_carlo,
     shapley_permutation_oracle,
-    subset_results_from_attribution,
-    unanimity_game,
 )
 from riskshare.documents import load_risk_model
 
@@ -43,6 +40,10 @@ from conftest import (
     build_joint_feature_game,
     random_game,
     random_monotone_game,
+    scaled,
+    subset_results_from_attribution,
+    unanimity,
+    value,
 )
 
 
@@ -165,7 +166,7 @@ def test_criterion_4_axiom_property_suite():
             )
             phi_sum = shapley_exact(combined).phi
             c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            phi_scaled = shapley_exact(game_scale(game, c)).phi
+            phi_scaled = shapley_exact(scaled(game, c)).phi
             for p in players:
                 assert phi_sum[p] == exact.phi[p] + phi_w[p]
                 assert phi_scaled[p] == c * exact.phi[p]
@@ -178,7 +179,7 @@ def test_criterion_5_unanimity_closed_form():
             players = PlayerSet(tuple(f"p{k}" for k in range(n)))
             for req_mask in range(1, 1 << n):
                 required = set(players.ids_of(req_mask))
-                result = shapley_exact(unanimity_game(players, required))
+                result = shapley_exact(unanimity(players, required))
                 for p in players.players:
                     expected = Fraction(1, len(required)) if p in required else Fraction(0)
                     assert result.phi[p] == expected
@@ -240,9 +241,9 @@ def test_criterion_7_pipeline_consistency():
         rename = {"alice": "A", "bob": "B", "carol": "C"}
         for mask in range(8):
             ids = [rename[p] for p in players.ids_of(mask)]
-            assert via_trailers.value_of_mask(mask) == expected.evaluate(ids)
+            assert via_trailers.value_of_mask(mask) == value(expected, ids)
 
-        results = subset_results_from_attribution(model.tree, attribution, players)
+        results = subset_results_from_attribution(attribution, players)
         via_rebuilds = game_from_subset_results(results, model.tree, players)
         assert via_rebuilds.value_table() == via_trailers.value_table()
 
@@ -274,7 +275,7 @@ def test_criterion_8_payout_conservation():
             doc = [[row.player, row.payment.amount_minor] for row in report.payouts]
             return json.dumps(doc).encode()
 
-        assert payment_bytes(game) == payment_bytes(game_scale(game, Fraction(5, 9)))
+        assert payment_bytes(game) == payment_bytes(scaled(game, Fraction(5, 9)))
 
 
 def test_criterion_9_interval_containment_fuzz():

@@ -12,19 +12,16 @@ from riskshare.cli import build_parser
 PUBLIC = {
     "AxiomReport", "CapacityError", "CherryPickPlan", "ClampWarning", "CoalitionGame",
     "CommitLogWarning", "CommitRecord", "Control", "Cycle", "DocumentError", "GameDefinitionError",
-    "Interval", "LeafCondition", "MATERIALIZATION_CAP",
-    "Money", "ORACLE_PLAYER_CAP", "PayoutError", "PayoutReport", "PlayerPayout", "PlayerSet",
-    "Provenance", "QualitativeScale", "RiskModel", "RiskshareError", "ScaleRangeError", "ScaleSet",
-    "ShapleyResult", "SubsetResult", "Threat", "ThreatAssessment", "ThreatTree",
-    "UnknownLabelError", "ValidationError", "ValidationIssue", "ValidationReport",
-    "allocate_payments", "as_fraction", "check_axioms", "cherry_pick_plan", "classify",
-    "compute_budget", "derive_attribution", "game_add", "game_from_subset_results",
-    "game_from_table", "game_scale", "interval_add", "interval_mul", "interval_sub",
-    "leaf_coverage_game", "parse_commit_log", "parse_report", "render_commit_log", "render_report",
-    "resolve_identities", "risk_after", "risk_before", "risk_delta", "sample_permutation",
-    "select_cycle", "shapley_exact", "shapley_monte_carlo", "shapley_permutation_oracle",
-    "subset_results_from_attribution", "unanimity_game", "validate_assessments", "validate_scale",
-    "validate_threat_tree",
+    "Interval", "LeafCondition", "MATERIALIZATION_CAP", "Money", "ORACLE_PLAYER_CAP", "PayoutError",
+    "PayoutReport", "PlayerPayout", "PlayerSet", "Provenance", "QualitativeScale", "RiskModel",
+    "RiskshareError", "ScaleSet", "ShapleyResult", "SubsetResult", "Threat", "ThreatAssessment",
+    "ThreatTree", "UnknownLabelError", "ValidationError", "ValidationIssue", "ValidationReport",
+    "allocate_payments", "as_fraction", "check_axioms", "cherry_pick_plan", "compute_budget",
+    "derive_attribution", "game_add", "game_from_subset_results", "game_from_table", "interval_add",
+    "interval_mul", "interval_sub", "leaf_coverage_game", "parse_commit_log", "parse_report",
+    "render_report", "resolve_identities", "risk_delta", "sample_permutation", "select_cycle",
+    "shapley_exact", "shapley_monte_carlo", "shapley_permutation_oracle", "validate_assessments",
+    "validate_scale", "validate_threat_tree",
 }
 
 
@@ -39,7 +36,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(riskshare.__all__) == PUBLIC
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 60
 
 
 #: Each subcommand's arguments: option strings, or the name of a positional argument.
@@ -77,24 +74,44 @@ def test_every_perfbench_patch_point_exists(monkeypatch):
     assert [f"{owner.__name__}.{attr}" for owner, attr, _ in points if not hasattr(owner, attr)] == []
 
 
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name a module loads, every attribute it reads and every name it imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_module_level_name_is_used():
     """A function, class or constant of ``src/riskshare`` that nothing references is dead code."""
     defined, used = {}, set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in _modules().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[node.name] = path.name
+                defined[node.name] = name
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update((t.id, path.name) for t in targets if isinstance(t, ast.Name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+                defined.update((t.id, name) for t in targets if isinstance(t, ast.Name))
+        used |= _names_used(tree)
     dead = sorted(f"{module}: {name}" for name, module in defined.items()
                   if not (name.startswith("__") and name.endswith("__")) and name not in used)
     assert dead == []
+
+
+#: The independent reference solver: the tests and the benchmark call it, the program never does.
+REFERENCE_ONLY = {"shapley_permutation_oracle"}
+
+
+def test_every_public_name_is_used_by_the_program():
+    """A public name that no module but ``__init__.py`` names is library surface that nothing runs; the re-export is not a use."""
+    used = set().union(*(_names_used(tree) for name, tree in _modules().items() if name != "__init__.py"))
+    assert sorted(set(riskshare.__all__) - used - REFERENCE_ONLY) == []

@@ -13,6 +13,8 @@ from riskshare import parse_report
 from riskshare.cli import build_parser, main
 from riskshare.config import load_run_config
 
+from conftest import audit_passes
+
 WE = "worked_example"
 
 
@@ -40,6 +42,9 @@ CONTENT_ERRORS = [
      "config.mode: expected a string, got array ['sum']"),
     ("commits.log", "mining_config.json", "author: alice\n", "bogus line\n",
      "line 2: malformed line 'bogus line' (expected 'field: value')"),
+    ("commits.log", "mining_config.json", "author: bob\n", "author:\n", "line 13: empty 'author' field"),
+    ("commits.log", "mining_config.json", "commit: 2c5d8f3b0e4a6172839405b6c7d8e9f0a1b2c3d4\n", "commit:   \n",
+     "line 12: empty 'commit' field"),
 ]
 
 #: Semantic errors of the source evidence, as ``(source section, old text, new text, exit code, error line)``;
@@ -83,7 +88,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     @pytest.mark.parametrize("name, config, old, new, message", CONTENT_ERRORS,
-                             ids=["config-cycle", "config-time-window", "config-mode", "commit-log-line"])
+                             ids=["config-cycle", "config-time-window", "config-mode", "commit-log-line",
+                                  "empty-author", "empty-commit"])
     def test_content_error_exits_2_naming_its_file(self, capsys, workdir, command, name, config, old, new, message):
         path = workdir / WE / name
         text = path.read_text()
@@ -570,7 +576,7 @@ class TestRoster:
         dave = report.payouts[3]
         assert (dave.phi, dave.payment.amount_minor) == (0, 0)
         assert [row.phi for row in report.payouts[:3]] == [Fraction(3, 2), Fraction(1, 2), Fraction(1)]
-        assert report.axioms.null_player_violations == () and report.axioms.all_ok
+        assert report.axioms.null_player_violations == () and audit_passes(report.axioms)
 
     @pytest.mark.parametrize("kind", ["attribution", "subset_results"])
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
@@ -596,6 +602,28 @@ class TestRoster:
         code, out, err = run(capsys, "shapley", "--config", str(config))
         assert (code, out) == (1, "")
         assert err == f"validation error: {path}: no players named by the source and none declared\n"
+
+    @pytest.mark.parametrize("case", ["table-roster", "attribution-roster", "attribution-authors", "log-roster",
+                                      "alias-value"])
+    @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
+    def test_empty_player_id_exits_1_naming_the_source(self, capsys, workdir, case, command):
+        source = workdir / WE / "commits.log"
+        if case == "table-roster":
+            config, source = workdir / WE / "payout_config.json", workdir / WE / "coalition_table.json"
+            source.write_text(source.read_text().replace('"players": ["A", "B", "C"]', '"players": ["A", "B", ""]'))
+        elif case == "attribution-roster":
+            config, source = self.write_source(workdir, "attribution", ["alice", "", "carol"]), workdir / WE / "attribution.json"
+        elif case == "attribution-authors":
+            config, source = self.write_source(workdir, "attribution"), workdir / WE / "attribution.json"
+            source.write_text(source.read_text().replace('["bob", "carol"]', '["", "carol"]'))
+        elif case == "log-roster":
+            config = self.write_source(workdir, "commit_log", players=["alice", "bob", "carol", ""])
+        else:
+            (workdir / WE / "aliases.json").write_text(json.dumps({"bob": ""}))
+            config = self.write_source(workdir, "commit_log", aliases="aliases.json")
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"validation error: {source}: a player id must not be empty"
 
     @pytest.mark.parametrize("kind", ["coalition_table", "attribution", "subset_results"])
     @pytest.mark.parametrize("command", ["validate", "shapley"])
@@ -851,7 +879,7 @@ class TestCapacity:
         assert [row.phi for row in report.payouts[:3]] == [Fraction(1, 14), Fraction(1, 13), Fraction(1, 13)]
         assert len(report.payouts) == 40
         assert report.provenance.solver == "exact-subset"
-        assert report.axioms.all_ok
+        assert audit_passes(report.axioms)
         assert report.axioms.symmetry_violations == () and report.axioms.null_player_violations == ()
 
 
@@ -975,6 +1003,14 @@ class TestReport:
         code, out, err = run(capsys, "report", str(report_path))
         assert (code, out) == (2, "")
         assert err == f"input error: {report_path}: invalid JSON: Expecting value: line 1 column 12 (char 11)\n"
+
+    @pytest.mark.parametrize("command", ["report", "validate"])
+    def test_deeply_nested_json_is_input_error_naming_the_file(self, capsys, workdir, command):
+        path = workdir / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["report", str(path)] if command == "report" else ["validate", "--config", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"input error: {path}: invalid JSON: nested too deeply\n")
 
     def test_malformed_report_is_input_error_naming_the_field(self, capsys, workdir):
         report_path = workdir / "r.json"

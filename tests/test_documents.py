@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,19 @@ class TestExactNumbers:
     def test_invalid_json(self):
         with pytest.raises(DocumentError):
             loads_exact("{nope")
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000],
+                             ids=["arrays", "objects"])
+    def test_nesting_deeper_than_the_decoder_recurses_is_document_error(self, text):
+        with pytest.raises(DocumentError, match=r"^invalid JSON: nested too deeply$"):
+            loads_exact(text)
+
+    def test_a_value_too_deep_to_quote_is_still_named(self):
+        value = []
+        for _ in range(sys.getrecursionlimit() + 10):  # built in a loop: deeper than repr can recurse
+            value = [value]
+        with pytest.raises(DocumentError, match=r"^document: expected an object, got array nested too deeply to quote$"):
+            attribution_from_document(value)
 
     def test_integer_beyond_the_digit_limit_is_document_error(self):
         with pytest.raises(DocumentError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)[^;]*: line 2 column 3 \(char 6\)$"):

@@ -9,12 +9,10 @@ from riskshare import (
     PlayerSet,
     game_add,
     game_from_table,
-    game_scale,
     leaf_coverage_game,
-    unanimity_game,
 )
 
-from conftest import build_fix_count_game, build_joint_feature_game, build_three_fix_tree
+from conftest import build_fix_count_game, build_joint_feature_game, build_three_fix_tree, scaled, unanimity, value
 
 ABC = PlayerSet(("A", "B", "C"))
 
@@ -33,6 +31,11 @@ class TestPlayerSet:
     def test_rejects_empty(self):
         with pytest.raises(GameDefinitionError):
             PlayerSet(())
+
+    @pytest.mark.parametrize("players", [("",), ("A", "", "C")])
+    def test_rejects_an_empty_id(self, players):
+        with pytest.raises(GameDefinitionError, match="^a player id must not be empty$"):
+            PlayerSet(players)
 
     def test_mask_round_trip(self):
         mask = ABC.mask_of(["C", "A"])
@@ -75,8 +78,8 @@ class TestCoalitionGameForms:
 class TestGameFromTable:
     def test_joint_feature_table(self):
         game = build_joint_feature_game()
-        assert game.evaluate(["1", "2"]) == 1
-        assert game.evaluate(["3"]) == 1
+        assert value(game, ["1", "2"]) == 1
+        assert value(game, ["3"]) == 1
         assert game.grand_value() == 2
 
     def test_nonzero_empty_coalition_rejected(self):
@@ -85,7 +88,7 @@ class TestGameFromTable:
 
     def test_fix_count_table(self):
         game = build_fix_count_game(3)
-        assert game.evaluate(["A", "C"]) == 2
+        assert value(game, ["A", "C"]) == 2
         assert game.grand_value() == 3
 
     def test_duplicate_entries_rejected(self):
@@ -105,28 +108,28 @@ class TestGameFromTable:
 
     def test_default_zero_fills_gaps(self):
         game = game_from_table(ABC, [(["A", "B", "C"], 5)], default_zero=True)
-        assert game.evaluate(["A"]) == 0
+        assert value(game, ["A"]) == 0
         assert game.grand_value() == 5
 
 
 class TestUnanimity:
     def test_strict_subset_gets_nothing(self):
-        u = unanimity_game(ABC, {"B", "C"})
-        assert u.evaluate(["B"]) == 0
+        u = unanimity(ABC, {"B", "C"})
+        assert value(u, ["B"]) == 0
 
     def test_superset_gets_one(self):
-        u = unanimity_game(ABC, {"B", "C"})
-        assert u.evaluate(["A", "B", "C"]) == 1
+        u = unanimity(ABC, {"B", "C"})
+        assert value(u, ["A", "B", "C"]) == 1
 
     def test_singleton(self):
-        u = unanimity_game(ABC, {"B"})
+        u = unanimity(ABC, {"B"})
         for subset in (["B"], ["A", "B"], ["B", "C"], ["A", "B", "C"]):
-            assert u.evaluate(subset) == 1
-        assert u.evaluate(["A", "C"]) == 0
+            assert value(u, subset) == 1
+        assert value(u, ["A", "C"]) == 0
 
     def test_empty_required_set_rejected(self):
-        with pytest.raises(GameDefinitionError):
-            unanimity_game(ABC, set())
+        with pytest.raises(GameDefinitionError, match="outside nonempty subset range"):
+            unanimity(ABC, set())
 
 
 class TestLeafCoverage:
@@ -158,8 +161,8 @@ class TestLeafCoverage:
         game = leaf_coverage_game(
             tree, {"f1": {"1", "2"}, "f2": {"3"}}, players, normalized=True
         )
-        assert game.evaluate(["1", "2"]) == Fraction(1, 2)
-        assert game.evaluate(["3"]) == Fraction(1, 2)
+        assert value(game, ["1", "2"]) == Fraction(1, 2)
+        assert value(game, ["3"]) == Fraction(1, 2)
         assert game.grand_value() == 1
 
     def test_unknown_leaf_rejected(self):
@@ -181,8 +184,8 @@ class TestLeafCoverage:
     def test_equals_sum_of_unanimity_games(self):
         coverage = leaf_coverage_game(build_three_fix_tree(), WORKED_ATTRIBUTION, ABC)
         total = game_add(
-            game_add(unanimity_game(ABC, {"A"}), unanimity_game(ABC, {"B", "C"})),
-            unanimity_game(ABC, {"A", "C"}),
+            game_add(unanimity(ABC, {"A"}), unanimity(ABC, {"B", "C"})),
+            unanimity(ABC, {"A", "C"}),
         )
         for mask in range(8):
             assert coverage.value_of_mask(mask) == total.value_of_mask(mask)
@@ -205,7 +208,7 @@ class TestLeafCoverage:
             coverage = leaf_coverage_game(tree, attribution, players)
             total = None
             for authors in attribution.values():
-                u = unanimity_game(players, authors)
+                u = unanimity(players, authors)
                 total = u if total is None else game_add(total, u)
             for mask in range(1 << n):
                 expected = 0 if total is None else total.value_of_mask(mask)
@@ -221,12 +224,12 @@ class TestAlgebra:
             assert combined.value_of_mask(mask) == game.value_of_mask(mask)
 
     def test_scale_reproduces_normalized_coverage(self):
-        scaled = game_scale(build_fix_count_game(3), Fraction(1, 3))
+        c_times = scaled(build_fix_count_game(3), Fraction(1, 3))
         normalized = leaf_coverage_game(
             build_three_fix_tree(), WORKED_ATTRIBUTION, ABC, normalized=True
         )
         for mask in range(8):
-            assert scaled.value_of_mask(mask) == normalized.value_of_mask(mask)
+            assert c_times.value_of_mask(mask) == normalized.value_of_mask(mask)
 
     def test_mismatched_player_sets_rejected(self):
         other = CoalitionGame(PlayerSet(("X", "Y")), table=[0, 1, 1, 2])
@@ -241,26 +244,26 @@ class TestAlgebra:
         v, w = CoalitionGame(players, table=t1), CoalitionGame(players, table=t2)
         c = Fraction(3, 7)
         total = game_add(v, w)
-        scaled = game_scale(v, c)
+        c_times = scaled(v, c)
         for mask in range(16):
             assert total.value_of_mask(mask) == v.value_of_mask(mask) + w.value_of_mask(mask)
-            assert scaled.value_of_mask(mask) == c * v.value_of_mask(mask)
+            assert c_times.value_of_mask(mask) == c * v.value_of_mask(mask)
 
 
 class TestEvaluate:
     def test_empty_is_zero(self):
-        assert build_fix_count_game(3).evaluate([]) == 0
+        assert value(build_fix_count_game(3), []) == 0
 
     def test_fix_count_pair(self):
-        assert build_fix_count_game(3).evaluate(["A", "C"]) == 2
+        assert value(build_fix_count_game(3), ["A", "C"]) == 2
 
     def test_unordered_subset(self):
         game = build_joint_feature_game()
-        assert game.evaluate(["3", "1"]) == 1
+        assert value(game, ["3", "1"]) == 1
 
     def test_unknown_player(self):
         with pytest.raises(GameDefinitionError):
-            build_fix_count_game(3).evaluate(["Z"])
+            value(build_fix_count_game(3), ["Z"])
 
 
 def test_relabeling_permutes_values_consistently():
@@ -277,4 +280,4 @@ def test_relabeling_permutes_values_consistently():
     regame = game_from_table(reordered, entries)
     for mask in range(16):
         subset = base_players.ids_of(mask)
-        assert regame.evaluate(subset) == game.evaluate(subset)
+        assert value(regame, subset) == value(game, subset)

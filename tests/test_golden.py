@@ -60,3 +60,14 @@ def test_fixture_config_output_is_pinned(config, tmp_path, monkeypatch, capsys):
         written = {k: v for k, v in after.items() if before.get(k) != v}
         got = transcript(argv, code, captured.out, captured.err, written)
         assert got == (golden / f"{name}.txt").read_text(encoding="utf-8"), name
+
+
+def test_alias_map_pays_as_the_log_under_canonical_ids(tmp_path, monkeypatch, capsys):
+    """The worked example's commits under e-mail identities, mapped back by ``aliases.json``, give the same report."""
+    shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for config in ("worked_example/mining_config.json", "worked_example/alias_mining_config.json"):
+        assert main(["payout", "--config", config]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]

@@ -17,15 +17,13 @@ from riskshare import (
     game_from_subset_results,
     leaf_coverage_game,
     parse_commit_log,
-    render_commit_log,
     resolve_identities,
     select_cycle,
     shapley_exact,
-    subset_results_from_attribution,
 )
 from riskshare.mining import SubsetResult
 
-from conftest import build_fix_count_game, build_three_fix_tree
+from conftest import build_fix_count_game, build_three_fix_tree, render_commit_log, subset_results_from_attribution, value
 
 SIMPLE_LOG = """\
 commit: aaa1
@@ -185,6 +183,8 @@ class TestParseErrors:
             ),
             ("commit: a\nauthor alice\ncommitter: x\n", "line 2: malformed line 'author alice' (expected 'field: value')"),
             ("commit: a\r\ndate: soon\r\nauthor x\r\n", "line 2: invalid RFC3339 date 'soon'"),
+            (f"commit: a\nauthor:\ndate: {DATE}\n---\n", "line 2: empty 'author' field"),
+            (f"commit:  \t\nauthor: x\ndate: {DATE}\n---\n", "line 1: empty 'commit' field"),
         ],
         ids=[
             "malformed",
@@ -204,6 +204,8 @@ class TestParseErrors:
             "unterminated-duplicate-id",
             "first-error-wins",
             "crlf",
+            "empty-author",
+            "empty-commit",
         ],
     )
     def test_message_and_line(self, text, message):
@@ -551,7 +553,7 @@ def test_pathway_equivalence_at_random_sizes():
         }
         coverage = leaf_coverage_game(tree, attribution, players)
         rebuilt = game_from_subset_results(
-            subset_results_from_attribution(tree, attribution, players), tree, players
+            subset_results_from_attribution(attribution, players), tree, players
         )
         assert rebuilt.value_table() == coverage.value_table()
 
@@ -565,7 +567,7 @@ def test_both_evidence_pathways_agree():
 
     via_trailers = leaf_coverage_game(tree, attribution, players)
     via_rebuilds = game_from_subset_results(
-        subset_results_from_attribution(tree, attribution, players), tree, players
+        subset_results_from_attribution(attribution, players), tree, players
     )
     for mask in range(8):
         assert via_trailers.value_of_mask(mask) == via_rebuilds.value_of_mask(mask)
@@ -575,7 +577,7 @@ def test_both_evidence_pathways_agree():
     rename = {"alice": "A", "bob": "B", "carol": "C"}
     for mask in range(8):
         subset = [rename[p] for p in players.ids_of(mask)]
-        assert via_trailers.value_of_mask(mask) == expected.evaluate(subset)
+        assert via_trailers.value_of_mask(mask) == value(expected, subset)
 
     phi = shapley_exact(via_trailers).phi
     assert phi["alice"] == shapley_exact(expected).phi["A"]

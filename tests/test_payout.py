@@ -20,12 +20,13 @@ from riskshare import (
     allocate_payments,
     check_axioms,
     compute_budget,
-    game_scale,
     parse_report,
     render_report,
     shapley_exact,
     shapley_monte_carlo,
 )
+
+from conftest import scaled
 
 WORKED_DELTA = Interval(2125900, 15622700)
 
@@ -190,10 +191,10 @@ def test_scale_invariance_of_payments(reported_variant_game):
     """Replacing v by c*v changes phi but not shares, hence not payments."""
     budget = Money(2125900)
     base = allocate_payments(shapley_exact(reported_variant_game), budget, "largest-remainder")
-    scaled_game = game_scale(reported_variant_game, Fraction(5, 9))
-    scaled = allocate_payments(shapley_exact(scaled_game), budget, "largest-remainder")
-    assert [r.payment for r in base.payouts] == [r.payment for r in scaled.payouts]
-    assert [r.share for r in base.payouts] == [r.share for r in scaled.payouts]
+    scaled_game = scaled(reported_variant_game, Fraction(5, 9))
+    other = allocate_payments(shapley_exact(scaled_game), budget, "largest-remainder")
+    assert [r.payment for r in base.payouts] == [r.payment for r in other.payouts]
+    assert [r.share for r in base.payouts] == [r.share for r in other.payouts]
 
 
 def test_normalization_equivalence_of_payments():

@@ -10,14 +10,11 @@ from riskshare import (
     ClampWarning,
     Interval,
     QualitativeScale,
-    ScaleRangeError,
     ScaleSet,
     ThreatAssessment,
     ThreatTree,
     UnknownLabelError,
-    classify,
-    risk_after,
-    risk_before,
+    interval_mul,
     risk_delta,
     validate_assessments,
     validate_scale,
@@ -31,21 +28,6 @@ from conftest import build_full_mitigation_assessment, build_three_fix_tree, bui
 def two_category_likelihood() -> QualitativeScale:
     return QualitativeScale(
         "simple", "likelihood", (("low", Interval(0, "0.5")), ("high", Interval("0.5", 1)))
-    )
-
-
-def severity_score_scale() -> QualitativeScale:
-    """Contiguous 0-10 severity partition matching the usual rating bands."""
-    return QualitativeScale(
-        "severity-score",
-        "impact",
-        (
-            ("none", Interval(0, "0.1")),
-            ("low", Interval("0.1", 4)),
-            ("medium", Interval(4, 7)),
-            ("high", Interval(7, 9)),
-            ("critical", Interval(9, 10)),
-        ),
     )
 
 
@@ -98,33 +80,6 @@ class TestValidateScale:
         assert not validate_scale(scale).ok
 
 
-class TestClassify:
-    def test_critical_band(self):
-        assert classify(severity_score_scale(), "9.1") == "critical"
-
-    def test_boundary_goes_to_upper_category(self):
-        assert classify(two_category_likelihood(), "0.5") == "high"
-
-    def test_top_of_scale_is_closed(self):
-        assert classify(two_category_likelihood(), 1) == "high"
-        assert classify(severity_score_scale(), 10) == "critical"
-
-    def test_out_of_range_names_the_scale(self):
-        with pytest.raises(ScaleRangeError, match="severity-score"):
-            classify(severity_score_scale(), 11)
-
-    def test_lookup_scales_cannot_classify(self):
-        scales = build_unit_scales()
-        with pytest.raises(ScaleRangeError):
-            classify(scales.impact, 100)
-
-    def test_midpoint_round_trips_each_label(self):
-        scale = severity_score_scale()
-        for label, bounds in scale.categories:
-            midpoint = (bounds.lo + bounds.hi) / 2
-            assert classify(scale, midpoint) == label
-
-
 class TestRiskAggregation:
     def setup_method(self):
         self.scales = ScaleSet(
@@ -150,50 +105,36 @@ class TestRiskAggregation:
         return ThreatAssessment("T", lb, "costly", la, "costly")
 
     def test_empty_list_gives_zero(self):
-        assert risk_before([], self.scales) == Interval(0, 0)
-        assert risk_before([], self.scales, mode="max") == Interval(0, 0)
+        assert risk_delta([], self.scales) == Interval(0, 0)
+        assert risk_delta([], self.scales, mode="max") == Interval(0, 0)
 
     def test_all_zero_likelihoods_give_zero(self):
         quiet = [self._assessment("none", "none") for _ in range(4)]
-        assert risk_before(quiet, self.scales) == Interval(0, 0)
+        assert risk_delta(quiet, self.scales) == Interval(0, 0)
 
     def test_single_certain_threat(self):
         scales = build_unit_scales()
-        a = build_full_mitigation_assessment()
-        assert risk_before([a], scales) == Interval(2125900, 15622700)
+        a = build_full_mitigation_assessment()  # mitigated to none: the delta is the whole risk
+        assert risk_delta([a], scales) == Interval(2125900, 15622700)
 
     def test_two_threat_sum(self):
-        a1 = self._assessment("frequent", "occasional")  # [0.5,0.7] x [100,200]
+        a1 = self._assessment("frequent", "none")  # [0.5,0.7] x [100,200]
         a2 = self._assessment("occasional", "none")  # [0.1,0.2] x [100,200]
-        assert risk_before([a1, a2], self.scales) == Interval(60, 180)
+        assert risk_delta([a1, a2], self.scales) == Interval(60, 180)
 
     def test_two_threat_max(self):
-        a1 = self._assessment("frequent", "occasional")
+        a1 = self._assessment("frequent", "none")
         a2 = self._assessment("occasional", "none")
-        assert risk_before([a1, a2], self.scales, mode="max") == Interval(50, 140)
-
-    def test_risk_after_uses_residual_labels(self):
-        a1 = self._assessment("frequent", "occasional")
-        a2 = self._assessment("occasional", "none")
-        assert risk_after([a1, a2], self.scales) == Interval(10, 40)
-
-    def test_risk_after_equals_before_without_mitigation(self):
-        a = self._assessment("frequent", "frequent")
-        assert risk_after([a], self.scales) == risk_before([a], self.scales)
-
-    def test_fully_mitigated_after_is_zero(self):
-        scales = build_unit_scales()
-        a = build_full_mitigation_assessment()
-        assert risk_after([a], scales) == Interval(0, 0)
+        assert risk_delta([a1, a2], self.scales, mode="max") == Interval(50, 140)
 
     def test_unknown_label_raises(self):
         bad = ThreatAssessment("T", "frequent", "nonexistent", "none", "none")
         with pytest.raises(UnknownLabelError, match="nonexistent"):
-            risk_before([bad], self.scales)
+            risk_delta([bad], self.scales)
 
     def test_unknown_aggregation_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            risk_before([], self.scales, mode="median")
+            risk_delta([], self.scales, mode="median")
 
 
 def certain_lookup_scales(before: Interval, after: Interval) -> ScaleSet:
@@ -269,7 +210,8 @@ class TestRiskDelta:
         a = build_full_mitigation_assessment()
         delta = risk_delta([a], scales)
         assert delta.lo >= 0
-        assert delta.hi <= risk_before([a], scales).hi
+        likelihood, impact, _, _ = a.resolve(scales)
+        assert delta.hi <= interval_mul(likelihood, impact).hi
 
     def test_clamp_raises_lower_endpoint_and_warns(self):
         with pytest.warns(ClampWarning, match=re.escape("threat 'T1': risk difference [-20, 5] clamped to [0, 5]")):

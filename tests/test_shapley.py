@@ -12,15 +12,13 @@ from riskshare import (
     ShapleyResult,
     check_axioms,
     game_add,
-    game_scale,
     sample_permutation,
     shapley_exact,
     shapley_monte_carlo,
     shapley_permutation_oracle,
-    unanimity_game,
 )
 
-from conftest import build_fix_count_game, build_joint_feature_game, random_game
+from conftest import audit_passes, build_fix_count_game, build_joint_feature_game, random_game, scaled, unanimity
 
 
 def additive_game(players: PlayerSet) -> CoalitionGame:
@@ -35,7 +33,7 @@ class TestExact:
 
     def test_unanimity_pair_in_three_player_game(self):
         players = PlayerSet(("1", "2", "3"))
-        result = shapley_exact(unanimity_game(players, {"1", "2"}))
+        result = shapley_exact(unanimity(players, {"1", "2"}))
         assert result.phi == {"1": Fraction(1, 2), "2": Fraction(1, 2), "3": Fraction(0)}
 
     def test_fix_count_table_as_written(self, fix_count_game):
@@ -147,7 +145,7 @@ def test_unanimity_closed_form_up_to_six_players():
         players = PlayerSet(tuple(f"p{k}" for k in range(n)))
         for req_mask in range(1, 1 << n):
             required = set(players.ids_of(req_mask))
-            result = shapley_exact(unanimity_game(players, required))
+            result = shapley_exact(unanimity(players, required))
             expected_share = Fraction(1, len(required))
             for p in players.players:
                 assert result.phi[p] == (expected_share if p in required else 0)
@@ -220,7 +218,7 @@ class TestAxioms:
     def test_exact_result_passes_everything(self, joint_feature_game):
         result = shapley_exact(joint_feature_game)
         report = check_axioms(joint_feature_game, result)
-        assert report.all_ok
+        assert audit_passes(report)
         assert report.efficiency_residual == 0
         assert report.symmetry_violations == ()
         assert report.null_player_violations == ()
@@ -262,10 +260,10 @@ class TestAxioms:
         game = CoalitionGame(players, table=[inner_vals[m & 0b1111] for m in range(32)])
         result = shapley_exact(game)
         assert result.phi["extra"] == 0
-        assert check_axioms(game, result).all_ok
+        assert audit_passes(check_axioms(game, result))
 
     def test_linearity_check_with_second_game(self, joint_feature_game):
-        other = unanimity_game(joint_feature_game.players, {"1"})
+        other = unanimity(joint_feature_game.players, {"1"})
         result = shapley_exact(joint_feature_game)
         report = check_axioms(joint_feature_game, result, w=other)
         assert report.linearity_ok is True
@@ -291,7 +289,7 @@ def test_linearity_and_homogeneity_exact():
         phi_v = shapley_exact(v).phi
         phi_w = shapley_exact(w).phi
         phi_sum = shapley_exact(game_add(v, w)).phi
-        phi_scaled = shapley_exact(game_scale(v, c)).phi
+        phi_scaled = shapley_exact(scaled(v, c)).phi
         for p in v.players.players:
             assert phi_sum[p] == phi_v[p] + phi_w[p]
             assert phi_scaled[p] == c * phi_v[p]
@@ -300,8 +298,7 @@ def test_linearity_and_homogeneity_exact():
 def test_share_vector_invariant_under_positive_scaling():
     rng = random.Random(8)
     game = random_game(rng, 5, lo=0, hi=10)  # keep totals positive
-    scaled = game_scale(game, Fraction(7, 3))
-    a, b = shapley_exact(game), shapley_exact(scaled)
+    a, b = shapley_exact(game), shapley_exact(scaled(game, Fraction(7, 3)))
     if a.share is not None:
         assert a.share == b.share
 
