@@ -13,7 +13,6 @@ from riskshare import (
     PlayerSet,
     Threat,
     ThreatTree,
-    game_add,
     game_from_table,
     leaf_coverage_game,
 )
@@ -96,8 +95,8 @@ print("normalized grand value:", normalized.grand_value())
 
 # Coverage = sum of one unanimity game per addressed leaf; normalization
 # scales every term by one factor. Both identities hold exactly, coalition by
-# coalition.
-as_sum = game_add(game_add(unanimity(["ana"]), unanimity(["ben", "cho"])), unanimity(["ana", "cho"]))
+# coalition. Games add by their dividends, so the sum is one list of terms.
+as_sum = CoalitionGame(team, terms=[(team.mask_of(ids), 1) for ids in (["ana"], ["ben", "cho"], ["ana", "cho"])])
 scaled = CoalitionGame(team, terms=[(mask, d / tree.leaf_count) for mask, d in as_sum.terms])
 for mask in range(8):
     assert coverage.value_of_mask(mask) == as_sum.value_of_mask(mask)

@@ -92,6 +92,8 @@ class RunConfig:
             repeated = ", ".join(repr(p) for p, count in Counter(roster).items() if count > 1)
             if not roster:
                 issues.append(ValidationIssue("source.players", "the roster must not be empty"))
+            elif "" in roster:
+                issues.append(ValidationIssue("source.players", "a player id must not be empty"))
             elif repeated:
                 issues.append(ValidationIssue("source.players", f"duplicate player id(s) {repeated}"))
         if self.mode not in AGGREGATION_MODES:

@@ -325,7 +325,11 @@ def load_subset_results(path: Pathish):
 def _aliases(doc) -> dict[str, str]:
     if not isinstance(doc, dict):
         raise DocumentError("alias document must be an object mapping identity -> player id")
-    return {identity: _string(player, f"aliases[{identity!r}]") for identity, player in doc.items()}
+    aliases = {identity: _string(player, f"aliases[{identity!r}]") for identity, player in doc.items()}
+    for identity, player in aliases.items():
+        if not player:
+            raise DocumentError(f"aliases[{identity!r}]: a player id must not be empty")
+    return aliases
 
 
 def load_aliases(path: Pathish) -> dict[str, str]:

@@ -253,9 +253,3 @@ def leaf_coverage_game(
     label = "leaf-coverage" + ("/normalized" if normalized else "")
     return CoalitionGame(players, terms=terms, label=label)
 
-
-def game_add(v: CoalitionGame, w: CoalitionGame) -> CoalitionGame:
-    """Pointwise sum (dividends add); requires identical player sets (same ids, same order)."""
-    if v.players.players != w.players.players:
-        raise GameDefinitionError(f"player sets differ: {v.players.players} vs {w.players.players}")
-    return CoalitionGame(v.players, terms=v.terms + w.terms, label=f"({v.label})+({w.label})")

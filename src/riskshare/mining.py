@@ -64,9 +64,9 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
     and CRLF line ends are ignored. Records end with a ``---`` line, the last
     one also with the end of the text. Unknown trailer keys are kept on the
     record but flagged with a :class:`CommitLogWarning`. Structural problems
-    (an empty commit id or author among them) raise :class:`DocumentError`
-    naming the offending line; a record's missing field or duplicate id is
-    reported at its ``---`` (or the last) line.
+    (an empty commit id, author, parent, trailer key or trailer value among
+    them) raise :class:`DocumentError` naming the offending line; a record's
+    missing field or duplicate id is reported at its ``---`` (or the last) line.
     """
     records: list[CommitRecord] = []
     seen_ids: set[str] = set()
@@ -83,7 +83,7 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
         if sep:
             key = key.strip()
             value = value.strip()
-            if not value and (key == "commit" or key == "author"):
+            if not value and (key == "commit" or key == "author" or key == "parent"):
                 raise DocumentError(f"line {line_no}: empty {key!r} field")
             if key == "commit":
                 if commit is not None:
@@ -109,10 +109,12 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
                 t_key, t_sep, t_value = value.partition(":")
                 if not t_sep:
                     raise DocumentError(f"line {line_no}: trailer {value!r} is not of the form 'Key: value'")
-                t_key = t_key.strip()
+                t_key, t_value = t_key.strip(), t_value.strip()
+                if not t_key or not t_value:
+                    raise DocumentError(f"line {line_no}: trailer {value!r} has an empty {'value' if t_key else 'key'}")
                 if t_key not in KNOWN_TRAILER_KEYS:
                     unknown_keys.add(t_key)
-                trailers += ((t_key, t_value.strip()),)
+                trailers += ((t_key, t_value),)
             else:
                 raise DocumentError(f"line {line_no}: unknown field {key!r}")
             continue

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .documents import _field, _integer, _list, _nullable, _rational, _record, _string, _strings, loads_exact
+from .documents import _expect, _field, _integer, _list, _nullable, _rational, _record, _string, _strings, loads_exact
 from .errors import DocumentError, PayoutError
 from .intervals import Interval, Rationalish, as_fraction
 from .shapley import AxiomReport, ShapleyResult
@@ -226,7 +226,7 @@ def _axioms_dict(ax: Optional[AxiomReport]):
         "efficiency": "pass" if ax.efficiency_ok else "fail",
         "symmetry_violations": None if ax.symmetry_violations is None else [list(p) for p in ax.symmetry_violations],
         "null_player_violations": list(ax.null_player_violations),
-        "linearity": None if ax.linearity_ok is None else ("pass" if ax.linearity_ok else "fail"),
+        "linearity": None,  # not audited; kept so stored reports stay byte-identical
     }
 
 
@@ -322,8 +322,6 @@ def _render_markdown(report: PayoutReport) -> str:
             lines.append(f"- null player: FAIL (zero contributors paid: {', '.join(ax.null_player_violations)})")
         else:
             lines.append("- null player: pass (only actual contributions are paid)")
-        if ax.linearity_ok is not None:
-            lines.append(f"- linearity: {'pass' if ax.linearity_ok else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -371,12 +369,13 @@ def _axioms(value, where: str) -> AxiomReport:
     efficiency = _field(ax, "efficiency", where, _known, ("pass", "fail"))
     if (efficiency == "pass") != (residual == 0):
         raise DocumentError(f"{where}.efficiency: {efficiency!r} contradicts efficiency_residual {residual}")
-    linearity = _nullable(ax, "linearity", where, _known, ("pass", "fail"))
+    linearity = _expect(ax, "linearity", where)
+    if linearity is not None:
+        raise DocumentError(f"{where}.linearity: expected null, got {linearity!r}")
     return AxiomReport(
         efficiency_residual=residual,
         symmetry_violations=_nullable(ax, "symmetry_violations", where, _each, _pair),
         null_player_violations=_field(ax, "null_player_violations", where, _strings),
-        linearity_ok=None if linearity is None else linearity == "pass",
     )
 
 
@@ -396,7 +395,8 @@ def parse_report(text: str) -> PayoutReport:
     Rationals must be JSON strings and amounts JSON integers, as
     :func:`render_report` writes them, and the anchor and rounding mode must
     be known values. Every object holds exactly the keys the renderer writes,
-    and ``axioms.efficiency`` must agree with ``efficiency_residual``.
+    ``axioms.efficiency`` must agree with ``efficiency_residual``, and
+    ``axioms.linearity`` must be null.
     Anything else is a :class:`DocumentError` naming the field, such as
     ``payouts[0].phi``; for text that is not JSON it begins ``invalid JSON:``.
     """

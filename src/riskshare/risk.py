@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import ClampWarning, UnknownLabelError
 from .intervals import ZERO, Interval, interval_add, interval_mul, interval_sub
@@ -253,11 +253,7 @@ class ThreatAssessment:
         )
 
 
-def validate_assessments(
-    assessments: Iterable[ThreatAssessment],
-    scales: ScaleSet,
-    tree: Optional[ThreatTree] = None,
-) -> ValidationReport:
+def validate_assessments(assessments: Iterable[ThreatAssessment], scales: ScaleSet, tree: ThreatTree) -> ValidationReport:
     """Check label resolution, threat-id references, and mitigation direction.
 
     A mitigation that worsens both likelihood and impact upper bounds is
@@ -265,14 +261,14 @@ def validate_assessments(
     claim deserves scrutiny. The issue is the only report of it.
     """
     issues: list[ValidationIssue] = []
-    known_threats = {t.id for t in tree.threats} if tree is not None else None
+    known_threats = {t.id for t in tree.threats}
     seen_ids: set[str] = set()
     for k, a in enumerate(assessments):
         where = f"assessments[{k}]"
         if a.threat_id in seen_ids:
             issues.append(ValidationIssue(where, f"duplicate assessment for threat {a.threat_id!r}"))
         seen_ids.add(a.threat_id)
-        if known_threats is not None and a.threat_id not in known_threats:
+        if a.threat_id not in known_threats:
             issues.append(ValidationIssue(where, f"unknown threat id {a.threat_id!r}"))
         try:
             lb, ib, la, ia = a.resolve(scales)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CapacityError, GameDefinitionError
-from .games import CoalitionGame, _over_common_denominator, game_add
+from .games import CoalitionGame, _over_common_denominator
 
 #: Full permutation enumeration refuses larger teams (n! orderings).
 ORACLE_PLAYER_CAP = 9
@@ -249,13 +249,11 @@ class AxiomReport:
     symmetric only in expectation and so is not audited for symmetry.
     ``null_player_violations`` lists players whose marginal contribution is
     zero everywhere yet received a nonzero amount; every result is scanned.
-    ``linearity_ok`` is ``None`` unless a second game was supplied.
     """
 
     efficiency_residual: Fraction
     symmetry_violations: Optional[tuple[tuple[str, str], ...]]
     null_player_violations: tuple[str, ...]
-    linearity_ok: Optional[bool] = None
 
     @property
     def efficiency_ok(self) -> bool:
@@ -277,11 +275,7 @@ def _is_null(dividends: dict[int, int], i: int) -> bool:
     return not any(m >> i & 1 for m in dividends)
 
 
-def check_axioms(
-    game: CoalitionGame,
-    result: ShapleyResult,
-    w: Optional[CoalitionGame] = None,
-) -> AxiomReport:
+def check_axioms(game: CoalitionGame, result: ShapleyResult) -> AxiomReport:
     """Audit ``result`` against the game it claims to divide.
 
     * efficiency: residual ``sum(phi) - v(N)`` (zero means nothing is left
@@ -291,9 +285,10 @@ def check_axioms(
       symmetric only in expectation);
     * null player: a player who never changes any coalition's value must
       receive zero (the sampler pays such a player exactly zero, so sampled
-      results are scanned too);
-    * linearity: with a second game ``w``, payments for ``v + w`` must equal
-      the sum of the separate payments (checked with the exact solver).
+      results are scanned too).
+
+    Linearity needs a second game and is not audited: :func:`shapley_exact`
+    splits each dividend on its own, so it is additive by construction.
 
     The symmetry and null scans read the game's dividends, which are unique
     (the Moebius inverse of v): player i is null iff no term contains i, and
@@ -318,16 +313,4 @@ def check_axioms(
         )
     nulls = tuple(players[i] for i in range(n) if phi[i] != 0 and _is_null(dividends, i))
 
-    linearity_ok: Optional[bool] = None
-    if w is not None:
-        phi_v = shapley_exact(game).phi
-        phi_w = shapley_exact(w).phi
-        phi_vw = shapley_exact(game_add(game, w)).phi
-        linearity_ok = all(phi_vw[p] == phi_v[p] + phi_w[p] for p in players)
-
-    return AxiomReport(
-        efficiency_residual=residual,
-        symmetry_violations=symmetry,
-        null_player_violations=nulls,
-        linearity_ok=linearity_ok,
-    )
+    return AxiomReport(efficiency_residual=residual, symmetry_violations=symmetry, null_player_violations=nulls)

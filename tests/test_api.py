@@ -17,7 +17,7 @@ PUBLIC = {
     "RiskshareError", "ScaleSet", "ShapleyResult", "SubsetResult", "Threat", "ThreatAssessment",
     "ThreatTree", "UnknownLabelError", "ValidationError", "ValidationIssue", "ValidationReport",
     "allocate_payments", "as_fraction", "check_axioms", "cherry_pick_plan", "compute_budget",
-    "derive_attribution", "game_add", "game_from_subset_results", "game_from_table", "interval_add",
+    "derive_attribution", "game_from_subset_results", "game_from_table", "interval_add",
     "interval_mul", "interval_sub", "leaf_coverage_game", "parse_commit_log", "parse_report",
     "render_report", "resolve_identities", "risk_delta", "sample_permutation", "select_cycle",
     "shapley_exact", "shapley_monte_carlo", "shapley_permutation_oracle", "validate_assessments",
@@ -36,7 +36,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(riskshare.__all__) == PUBLIC
-    assert len(PUBLIC) == 60
+    assert len(PUBLIC) == 59
 
 
 #: Each subcommand's arguments: option strings, or the name of a positional argument.

@@ -45,6 +45,10 @@ CONTENT_ERRORS = [
     ("commits.log", "mining_config.json", "author: bob\n", "author:\n", "line 13: empty 'author' field"),
     ("commits.log", "mining_config.json", "commit: 2c5d8f3b0e4a6172839405b6c7d8e9f0a1b2c3d4\n", "commit:   \n",
      "line 12: empty 'commit' field"),
+    ("commits.log", "mining_config.json", "parent: 0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091\n", "parent:\n",
+     "line 9: empty 'parent' field"),
+    ("commits.log", "mining_config.json", "trailer: Satisfies: U-46365-1\n", "trailer: Satisfies:\n",
+     "line 10: trailer 'Satisfies:' has an empty value"),
 ]
 
 #: Semantic errors of the source evidence, as ``(source section, old text, new text, exit code, error line)``;
@@ -89,7 +93,7 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     @pytest.mark.parametrize("name, config, old, new, message", CONTENT_ERRORS,
                              ids=["config-cycle", "config-time-window", "config-mode", "commit-log-line",
-                                  "empty-author", "empty-commit"])
+                                  "empty-author", "empty-commit", "empty-parent", "empty-trailer-value"])
     def test_content_error_exits_2_naming_its_file(self, capsys, workdir, command, name, config, old, new, message):
         path = workdir / WE / name
         text = path.read_text()
@@ -401,6 +405,7 @@ SOURCE_MISTAKES = [
     ("source", {"type": "subset_results", "path": "no_such_results.json", "players": ["alice"]}, "source.players"),
     ("source", {"type": "commit_log", "path": "commits.log", "players": []}, "source.players"),
     ("source", {"type": "commit_log", "path": "commits.log", "players": ["alice", "bob", "alice"]}, "source.players"),
+    ("source", {"type": "commit_log", "path": "commits.log", "players": ["alice", ""]}, "source.players"),
 ]
 
 
@@ -456,6 +461,7 @@ class TestStaticChecks:
             (*SOURCE_MISTAKES[6], "a document source names its own players"),
             (*SOURCE_MISTAKES[7], "the roster must not be empty"),
             (*SOURCE_MISTAKES[8], "duplicate player id(s) 'alice'"),
+            (*SOURCE_MISTAKES[9], "a player id must not be empty"),
         ],
     )
     def test_validate_lists_source_mistakes(self, capsys, workdir, key, value, location, message):
@@ -603,27 +609,29 @@ class TestRoster:
         assert (code, out) == (1, "")
         assert err == f"validation error: {path}: no players named by the source and none declared\n"
 
-    @pytest.mark.parametrize("case", ["table-roster", "attribution-roster", "attribution-authors", "log-roster",
-                                      "alias-value"])
+    @pytest.mark.parametrize("case", ["table-roster", "attribution-roster", "attribution-authors"])
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     def test_empty_player_id_exits_1_naming_the_source(self, capsys, workdir, case, command):
-        source = workdir / WE / "commits.log"
         if case == "table-roster":
             config, source = workdir / WE / "payout_config.json", workdir / WE / "coalition_table.json"
             source.write_text(source.read_text().replace('"players": ["A", "B", "C"]', '"players": ["A", "B", ""]'))
         elif case == "attribution-roster":
             config, source = self.write_source(workdir, "attribution", ["alice", "", "carol"]), workdir / WE / "attribution.json"
-        elif case == "attribution-authors":
+        else:
             config, source = self.write_source(workdir, "attribution"), workdir / WE / "attribution.json"
             source.write_text(source.read_text().replace('["bob", "carol"]', '["", "carol"]'))
-        elif case == "log-roster":
-            config = self.write_source(workdir, "commit_log", players=["alice", "bob", "carol", ""])
-        else:
-            (workdir / WE / "aliases.json").write_text(json.dumps({"bob": ""}))
-            config = self.write_source(workdir, "commit_log", aliases="aliases.json")
         code, out, err = run(capsys, command, "--config", str(config))
         assert (code, out) == (1, "")
         assert err.splitlines()[-1] == f"validation error: {source}: a player id must not be empty"
+
+    @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
+    def test_empty_alias_value_exits_2_naming_the_alias_file(self, capsys, workdir, command):
+        aliases = workdir / WE / "aliases.json"
+        aliases.write_text(json.dumps({"bob": ""}))
+        config = self.write_source(workdir, "commit_log", aliases="aliases.json")
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"input error: {aliases}: aliases['bob']: a player id must not be empty"
 
     @pytest.mark.parametrize("kind", ["coalition_table", "attribution", "subset_results"])
     @pytest.mark.parametrize("command", ["validate", "shapley"])
@@ -1021,6 +1029,19 @@ class TestReport:
         code, out, err = run(capsys, "report", str(report_path))
         assert (code, out) == (2, "")
         assert err == f"input error: {report_path}: payouts[0].phi: expected a string, got float 0.1\n"
+
+    @pytest.mark.parametrize("linearity", ["pass", "fail"])
+    def test_report_with_a_linearity_verdict_exits_2(self, capsys, workdir, linearity):
+        """The audit checks one game, so a report states no linearity verdict; a stored one is an input error."""
+        report_path = workdir / "r.json"
+        run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(report_path))
+        doc = json.loads(report_path.read_text())
+        assert doc["axioms"]["linearity"] is None
+        doc["axioms"]["linearity"] = linearity
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", str(report_path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {report_path}: axioms.linearity: expected null, got {linearity!r}\n"
 
 
 class TestParserReuse:

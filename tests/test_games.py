@@ -7,12 +7,11 @@ from riskshare import (
     CoalitionGame,
     GameDefinitionError,
     PlayerSet,
-    game_add,
     game_from_table,
     leaf_coverage_game,
 )
 
-from conftest import build_fix_count_game, build_joint_feature_game, build_three_fix_tree, scaled, unanimity, value
+from conftest import added, build_fix_count_game, build_joint_feature_game, build_three_fix_tree, scaled, unanimity, value
 
 ABC = PlayerSet(("A", "B", "C"))
 
@@ -183,10 +182,7 @@ class TestLeafCoverage:
 
     def test_equals_sum_of_unanimity_games(self):
         coverage = leaf_coverage_game(build_three_fix_tree(), WORKED_ATTRIBUTION, ABC)
-        total = game_add(
-            game_add(unanimity(ABC, {"A"}), unanimity(ABC, {"B", "C"})),
-            unanimity(ABC, {"A", "C"}),
-        )
+        total = added(added(unanimity(ABC, {"A"}), unanimity(ABC, {"B", "C"})), unanimity(ABC, {"A", "C"}))
         for mask in range(8):
             assert coverage.value_of_mask(mask) == total.value_of_mask(mask)
 
@@ -209,7 +205,7 @@ class TestLeafCoverage:
             total = None
             for authors in attribution.values():
                 u = unanimity(players, authors)
-                total = u if total is None else game_add(total, u)
+                total = u if total is None else added(total, u)
             for mask in range(1 << n):
                 expected = 0 if total is None else total.value_of_mask(mask)
                 assert coverage.value_of_mask(mask) == expected
@@ -219,7 +215,7 @@ class TestAlgebra:
     def test_add_zero_game(self):
         game = build_fix_count_game(3)
         zero = CoalitionGame(ABC, table=[0] * 8)
-        combined = game_add(game, zero)
+        combined = added(game, zero)
         for mask in range(8):
             assert combined.value_of_mask(mask) == game.value_of_mask(mask)
 
@@ -230,24 +226,6 @@ class TestAlgebra:
         )
         for mask in range(8):
             assert c_times.value_of_mask(mask) == normalized.value_of_mask(mask)
-
-    def test_mismatched_player_sets_rejected(self):
-        other = CoalitionGame(PlayerSet(("X", "Y")), table=[0, 1, 1, 2])
-        with pytest.raises(GameDefinitionError, match="player sets differ"):
-            game_add(build_fix_count_game(3), other)
-
-    def test_linearity_pointwise(self):
-        rng = random.Random(7)
-        players = PlayerSet(tuple("pqrs"))
-        t1 = [Fraction(0)] + [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(15)]
-        t2 = [Fraction(0)] + [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(15)]
-        v, w = CoalitionGame(players, table=t1), CoalitionGame(players, table=t2)
-        c = Fraction(3, 7)
-        total = game_add(v, w)
-        c_times = scaled(v, c)
-        for mask in range(16):
-            assert total.value_of_mask(mask) == v.value_of_mask(mask) + w.value_of_mask(mask)
-            assert c_times.value_of_mask(mask) == c * v.value_of_mask(mask)
 
 
 class TestEvaluate:

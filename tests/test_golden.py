@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from riskshare import parse_report, render_report
 from riskshare.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -71,3 +72,16 @@ def test_alias_map_pays_as_the_log_under_canonical_ids(tmp_path, monkeypatch, ca
         assert main(["payout", "--config", config]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+def test_every_golden_payout_report_round_trips():
+    """Each ``payout.json`` a golden ``payout --out`` wrote reads back and renders to the same bytes."""
+    reports = 0
+    for path in sorted(GOLDEN.glob("*/*/payout-out.txt")):
+        head, written, body = path.read_text(encoding="utf-8").partition("\n--- file payout.json\n")
+        assert bool(written) == (head.splitlines()[1] == "exit 0"), path
+        if written:
+            assert '"linearity": null' in body, path
+            assert render_report(parse_report(body), "json") == body, path
+            reports += 1
+    assert reports > 0

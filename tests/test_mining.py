@@ -185,6 +185,11 @@ class TestParseErrors:
             ("commit: a\r\ndate: soon\r\nauthor x\r\n", "line 2: invalid RFC3339 date 'soon'"),
             (f"commit: a\nauthor:\ndate: {DATE}\n---\n", "line 2: empty 'author' field"),
             (f"commit:  \t\nauthor: x\ndate: {DATE}\n---\n", "line 1: empty 'commit' field"),
+            (f"commit: a\nauthor: x\ndate: {DATE}\nparent:\n---\n", "line 4: empty 'parent' field"),
+            (f"commit: a\nauthor: x\ndate: {DATE}\ntrailer: Satisfies:\n---\n",
+             "line 4: trailer 'Satisfies:' has an empty value"),
+            (f"commit: a\nauthor: x\ndate: {DATE}\ntrailer: :\n---\n", "line 4: trailer ':' has an empty key"),
+            (f"commit: a\nauthor: x\ndate: {DATE}\ntrailer:  : f1\n---\n", "line 4: trailer ': f1' has an empty key"),
         ],
         ids=[
             "malformed",
@@ -206,6 +211,10 @@ class TestParseErrors:
             "crlf",
             "empty-author",
             "empty-commit",
+            "empty-parent",
+            "empty-trailer-value",
+            "empty-trailer-key-and-value",
+            "empty-trailer-key",
         ],
     )
     def test_message_and_line(self, text, message):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -274,7 +273,7 @@ class TestRendering:
         v = CoalitionGame(PlayerSet(("a", "b", "z")), terms=[(0b011, 2)])
         result = ShapleyResult(players=("a", "b", "z"), phi={"a": Fraction(2), "b": Fraction(0), "z": Fraction(1)},
                                method="external")
-        axioms = dataclasses.replace(check_axioms(v, result), linearity_ok=False)  # the exact solver is linear
+        axioms = check_axioms(v, result)
         provenance = Provenance("table", delta=Interval(1, 2), solver=result.method)
         return allocate_payments(result, Money(300), provenance=provenance, axioms=axioms)
 
@@ -285,7 +284,6 @@ class TestRendering:
             "- efficiency: FAIL (residual 1)\n"
             "- symmetry: FAIL (equal contributors paid differently: a/b)\n"
             "- null player: FAIL (zero contributors paid: z)\n"
-            "- linearity: FAIL\n"
         )
 
     def test_json_round_trip_keeps_symmetry_pairs(self):
@@ -345,7 +343,7 @@ class TestParseReport:
             (("provenance", "delta", "lo"), "99999999", "provenance.delta: invalid interval"),
             (("provenance", "seed"), "7", "provenance.seed: expected an integer, got string '7'"),
             (("axioms", "symmetry_violations"), [["A"]], "axioms.symmetry_violations[0]: expected two player ids, got 1"),
-            (("axioms", "linearity"), "ok", "axioms.linearity: expected one of pass, fail, got 'ok'"),
+            (("axioms", "linearity"), "ok", "axioms.linearity: expected null, got 'ok'"),
             (("axioms", "efficiency_residual"), 0, "axioms.efficiency_residual: expected a string, got integer 0"),
             (("axioms", "efficiency"), "fail", "axioms.efficiency: 'fail' contradicts efficiency_residual 0"),
             (("axioms", "efficiency"), None, "axioms.efficiency: expected a string, got null"),

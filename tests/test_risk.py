@@ -323,7 +323,7 @@ class TestValidateAssessments:
         a = ThreatAssessment("T1", "low", "low", "high", "critical")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the issue is the only report: no Python warning
-            report = validate_assessments([a], build_unit_scales())
+            report = validate_assessments([a], build_unit_scales(), build_three_fix_tree())
         assert report.ok  # a warning, not an error
         assert [str(issue) for issue in report.warnings] == [
             "warning: assessments[0]: mitigation worsens both likelihood (1/2 -> 1) and impact (35730 -> 15622700)"
