@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -117,7 +118,14 @@ def _describe(value) -> str:
     if isinstance(value, bool):
         return f"boolean {str(value).lower()}"
     if isinstance(value, Fraction):  # JSON floats are parsed as exact Fractions
-        return f"float {float(value)}"
+        try:
+            approx = float(value)
+        except OverflowError:
+            approx = 0.0  # quoted exactly below, like a value too small for a float
+        if approx or not value:
+            return f"float {approx}"
+        # beyond float range, as 1e400 and 1e-400 are: quote the exact value
+        return f"float {(Decimal(value.numerator) / value.denominator).normalize():g}"
     kind = {str: "string", list: "array", dict: "object", int: "integer"}.get(type(value), "value")
     try:
         text = repr(value)

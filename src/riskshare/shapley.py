@@ -14,12 +14,12 @@ denominator:
   the tests (up to :data:`ORACLE_PLAYER_CAP` players).
 * :func:`shapley_monte_carlo` -- samples orderings and credits each dividend
   to the member of its term who arrives last, at any team size and with no
-  table. Permutations are derived counter-style from (seed, sample index), so
-  a seed always reproduces the same estimate.
+  table, in O(n + terms) per sample. Permutations are derived counter-style
+  from (seed, sample index), so a seed always reproduces the same estimate.
 
 A dense table (close to 2^n nonzero dividends) therefore costs O(n * 2^n)
-to solve exactly and as much again per sample; no game riskshare builds from
-repository evidence is dense.
+to solve exactly and O(2^n) per sample, so a few samples cost more than the
+exact solve; no game riskshare builds from repository evidence is dense.
 
 All arithmetic on values is exact rational arithmetic. Fairness disputes
 should be about the model, never about floating-point noise.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,6 +44,9 @@ ORACLE_PLAYER_CAP = 9
 METHOD_EXACT = "exact-subset"
 METHOD_ORACLE = "exact-permutation"
 METHOD_MONTE_CARLO = "monte-carlo"
+
+_SPAN = 1 << 64  # values of one stream word
+_FOUR_WORDS = struct.Struct(">4Q")
 
 
 @dataclass(frozen=True)
@@ -133,67 +137,30 @@ def shapley_permutation_oracle(game: CoalitionGame) -> ShapleyResult:
 # --------------------------------------------------------------------------
 
 
-class _CounterStream:
+def _words(seed: int, index: int):
     """Deterministic 64-bit word stream keyed by (seed, sample index).
 
-    SHA-256 of ``seed:index:block`` yields four words per block. The stream
-    depends only on its key, never on call interleaving, so sample k is the
-    same permutation whatever other samples are drawn.
+    SHA-256 of ``seed:index:block`` yields four big-endian words per block,
+    bytes 0-8 first. The stream depends only on its key, never on call
+    interleaving, so sample k is the same permutation whatever other samples
+    are drawn.
     """
-
-    __slots__ = ("_prefix", "_block", "_words")
-
-    def __init__(self, seed: int, index: int):
-        self._prefix = b"%d:%d:" % (seed, index)
-        self._block = 0
-        self._words: list[int] = []
-
-    def _word(self) -> int:
-        if not self._words:
-            digest = hashlib.sha256(self._prefix + b"%d" % self._block).digest()
-            self._block += 1
-            self._words = [int.from_bytes(digest[k : k + 8], "big") for k in (24, 16, 8, 0)]
-        return self._words.pop()
-
-    def randbelow(self, bound: int) -> int:
-        # rejection sampling keeps the draw unbiased
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            w = self._word()
-            if w < limit:
-                return w % bound
+    prefix = b"%d:%d:" % (seed, index)
+    for block in itertools.count():
+        yield from _FOUR_WORDS.unpack(hashlib.sha256(prefix + b"%d" % block).digest())
 
 
 def sample_permutation(seed: int, index: int, n: int) -> list[int]:
     """The permutation used for sample ``index`` under ``seed`` (Fisher-Yates)."""
-    stream = _CounterStream(seed, index)
+    words = _words(seed, index)
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = stream.randbelow(i + 1)
+        w = next(words)
+        while w >= _SPAN - _SPAN % (i + 1):  # rejection sampling keeps the draw unbiased
+            w = next(words)
+        j = w % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
-
-
-def _mc_terms(members, weights, n, seed, samples):
-    """Integer marginal sums and sums of squares from the dividends.
-
-    A term T adds its weight to v(S) once all of T is in S, so in each
-    permutation its weight is exactly the marginal of the member of T who
-    arrives last.
-    """
-    totals = [0] * n
-    sq = [0] * n
-    for index in range(samples):
-        position = [0] * n
-        for k, p in enumerate(sample_permutation(seed, index, n)):
-            position[p] = k
-        diffs = [0] * n
-        for who, weight in zip(members, weights):
-            diffs[max(who, key=position.__getitem__)] += weight
-        for p, diff in enumerate(diffs):
-            totals[p] += diff
-            sq[p] += diff * diff
-    return totals, sq
 
 
 def shapley_monte_carlo(game: CoalitionGame, samples: int, seed: int) -> ShapleyResult:
@@ -203,27 +170,52 @@ def shapley_monte_carlo(game: CoalitionGame, samples: int, seed: int) -> Shapley
     ``samples`` permutations. Because each permutation's marginals telescope
     to v(N), the estimates sum to v(N) *exactly* at every sample count. The
     permutation for sample k depends only on ``(seed, k)``. Marginals are
-    integer sums of the game's dividends over its common denominator, so a
-    sample costs O(terms * max |T|) at any team size and no table is built;
-    for a dense table that is about as much as the exact closed form.
+    integer sums of the game's dividends over its common denominator: a term
+    T adds its weight to v(S) once all of T is in S, so its weight is the
+    marginal of the member of T who arrives last, the first one met walking
+    the permutation backwards. Each player holds a bitmask of its terms, so a
+    sample costs O(n + terms) at any team size and no table is built.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n = game.n
     den = game._den
-    members = [[i for i in range(n) if mask >> i & 1] for mask, _ in game._terms]
     weights = [w for _, w in game._terms]
-    totals, squares = _mc_terms(members, weights, n, seed, samples)
+    holds = [0] * n  # bit t of holds[p]: player p is a member of term t
+    for t, (mask, _) in enumerate(game._terms):
+        for p in range(n):
+            holds[p] |= (mask >> p & 1) << t
+    every = (1 << len(weights)) - 1
+    totals = [0] * n
+    squares = [0] * n
+    for index in range(samples):
+        left = every  # terms whose last member has not been met yet
+        for p in reversed(sample_permutation(seed, index, n)):
+            got = holds[p] & left
+            if got:
+                left ^= got
+                diff = 0
+                while got:
+                    low = got & -got
+                    diff += weights[low.bit_length() - 1]
+                    got ^= low
+                totals[p] += diff
+                squares[p] += diff * diff
+                if not left:
+                    break
     phi = [Fraction(t, samples * den) for t in totals]
 
     stderr: dict[str, float] = {}
     for i, player in enumerate(game.players.players):
-        if samples < 2:
-            stderr[player] = 0.0
-            continue
-        # exact sample variance of the marginals, converted to float at the end
-        variance = (Fraction(squares[i], den * den) - samples * phi[i] * phi[i]) / (samples - 1)
-        stderr[player] = math.sqrt(float(variance) / samples)
+        variance = Fraction(0)
+        if samples > 1:  # exact sample variance of the marginals, converted to float at the end
+            variance = (Fraction(squares[i], den * den) - samples * phi[i] * phi[i]) / (samples - 1)
+        try:
+            stderr[player] = math.sqrt(float(variance) / samples)
+        except OverflowError:
+            raise CapacityError(
+                f"standard error of {player!r} is beyond float range; use solver method 'exact'"
+            ) from None
 
     return _result(
         game,

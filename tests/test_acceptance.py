@@ -186,8 +186,9 @@ def test_criterion_5_unanimity_closed_form():
 
 
 def test_criterion_6_monte_carlo_soundness():
-    """Sampled estimates honor their error bars, telescope exactly, and are
-    independent of worker count."""
+    """Sampled estimates honor their error bars (at least 95% within three
+    standard errors of the exact values) and telescope exactly to v(N) at
+    every sample count."""
     with criterion(6, "sampling soundness", 120.0):
         rng = random.Random(1234321)
         cases: list[tuple[CoalitionGame, list[int]]] = [

@@ -858,6 +858,23 @@ class TestCapacity:
         assert code == 3
         assert "for 40 players needs 2^40 values (cap 24 players)" in err
 
+    def test_sampled_standard_error_beyond_float_range_exits_3(self, capsys, workdir):
+        table = {"players": ["a", "b"], "entries": [
+            {"coalition": [], "value": "0"}, {"coalition": ["a"], "value": "1e400"},
+            {"coalition": ["b"], "value": "0"}, {"coalition": ["a", "b"], "value": "1"},
+        ]}
+        (workdir / WE / "huge.json").write_text(json.dumps(table))
+        config = workdir / WE / "huge_config.json"
+        doc = {"source": {"type": "coalition_table", "path": "huge.json"}, "solver": {"method": "exact"}}
+        config.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "shapley", "--config", str(config))
+        assert code == 0
+        doc["solver"] = {"method": "monte-carlo", "samples": 10, "seed": 1}
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "shapley", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == "capacity error: standard error of 'a' is beyond float range; use solver method 'exact'\n"
+
     def test_40_player_subset_results_are_checked_before_the_cap(self, capsys, workdir):
         rows = {"results": [{"subset": [], "passing": []}, {"subset": ["dev00"], "passing": ["zzz"]}]}
         (workdir / WE / "big.json").write_text(json.dumps({"players": [f"dev{k:02d}" for k in range(40)], **rows}))

@@ -244,11 +244,14 @@ class TestRowShapes:
             (("assessments", 0, "impact_after"), None, "assessments[0].impact_after: expected a string, got null"),
             (("scales", "impact", "name"), False, "scales.impact.name: expected a string, got boolean false"),
             (("scales", "likelihood", "categories", 0, "label"), 0, "scales.likelihood.categories[0].label: expected a string"),
+            (("threats", 0, "label"), Fraction("1e400"), "threats[0].label: expected a string, got float 1e+400"),
+            (("threats", 0, "id"), Fraction("-1e-400"), "threats[0].id: expected a string, got float -1e-400"),
         ],
         ids=[
             "threats", "threat", "control", "leaves", "leaf", "assessment", "scale", "category",
             "threat-id", "threat-label", "control-id", "control-label", "leaf-id", "leaf-label",
-            "assessment-threat", "assessment-label", "scale-name", "category-label",
+            "assessment-threat", "assessment-label", "scale-name", "category-label", "label-beyond-float-range",
+            "id-below-float-range",
         ],
     )
     def test_risk_model_row_that_is_not_an_object(self, fixtures_dir, path, value, location):

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskshare import (
     AxiomReport,
@@ -211,6 +214,142 @@ def test_sample_permutation_is_uniformish():
     assert set(counts) == set(itertools.permutations(range(3)))
     for c in counts.values():
         assert 800 < c < 1200  # 1000 expected per permutation
+
+
+# Literal sampler output, recorded from the original per-dividend sampler: any
+# change to the stream or to the crediting rule shows here. The benchmark's
+# oracle checks only Hoeffding bounds, so these pins are what hold sampled
+# estimates fixed from one version to the next.
+
+
+def _glove_game() -> CoalitionGame:
+    """L pairs with either right glove; the grand coalition has a -1 dividend."""
+    return CoalitionGame(PlayerSet(("L", "R1", "R2")), table=[0, 0, 0, 1, 0, 1, 0, 1])
+
+
+def _signed_table_game() -> CoalitionGame:
+    """A dense 10-player table with values in sevenths; about half its dividends are negative."""
+    players = PlayerSet(tuple(f"p{k}" for k in range(10)))
+    table = [Fraction((mask * 2654435761) % 41 - 20, 7) if mask else 0 for mask in range(1 << 10)]
+    return CoalitionGame(players, table=table)
+
+
+def _coverage_game() -> CoalitionGame:
+    """40 developers, 120 leaves with two or three authors each, weight 1/120 per leaf."""
+    players = PlayerSet(tuple(f"d{k:02d}" for k in range(40)))
+    terms = []
+    for leaf in range(120):
+        authors = {leaf * 7 % 40, (leaf * leaf + 3) % 40}
+        if leaf % 3 == 0:
+            authors.add((leaf * 13 + 5) % 40)
+        terms.append((sum(1 << a for a in authors), Fraction(1, 120)))
+    return CoalitionGame(players, terms=terms)
+
+
+@pytest.mark.parametrize(
+    "game, samples, seed, phi, standard_error",
+    [
+        (_glove_game(), 25, 11,
+         [
+            "16/25", "6/25", "3/25",
+         ],
+         [
+            "0.09797958971132711", "0.08717797887081347", "0.066332495807108",
+         ]),
+        (_signed_table_game(), 200, -7,
+         [
+            "701/1400", "139/1400", "19/56", "-3/20", "-53/200", "99/700", "407/700", "-47/1400",
+            "31/350", "177/1400",
+         ],
+         [
+            "0.19481273664402038", "0.16836578858323578", "0.19565697176420385",
+            "0.1050696766927155", "0.15319854896701673", "0.1693914315463595", "0.1952216330262498",
+            "0.1462587743134947", "0.18386778768275042", "0.18579206913797144",
+         ]),
+        (_coverage_game(), 500, 2024,
+         [
+            "149/10000", "167/12000", "11/800", "343/10000", "6023/60000", "443/30000", "901/60000",
+            "3343/60000", "69/5000", "241/20000", "259/20000", "143/10000", "2129/20000",
+            "277/20000", "89/6000", "26/1875", "901/60000", "71/5000", "69/5000", "1663/30000",
+            "889/60000", "797/60000", "881/60000", "373/10000", "407/30000", "817/60000",
+            "271/20000", "3517/60000", "1139/20000", "827/60000", "1/75", "439/30000", "877/60000",
+            "71/5000", "847/60000", "229/15000", "7/500", "301/20000", "863/60000", "427/7500",
+         ],
+         [
+            "0.0006096912717874413", "0.0006149237859483484", "0.0006092852929848269",
+            "0.0012572736494553542", "0.0033484103747014266", "0.0006033768995589724",
+            "0.0006128490398696208", "0.0019193623400686583", "0.0005890978652243156",
+            "0.0006032694083651595", "0.000580701190104534", "0.0006250522133612075",
+            "0.0032818952867735883", "0.0005968535288800258", "0.0005959019106052732",
+            "0.0006032717152442309", "0.0006078326972468257", "0.0005922455934993287",
+            "0.0006090755759555314", "0.002013747562973983", "0.0006148803316998269",
+            "0.0006035092765598451", "0.00060537330844202", "0.0013113917742841798",
+            "0.000611350735392993", "0.0005954865308441776", "0.0006077557630070404",
+            "0.0020390873991836854", "0.0019681570782255", "0.0006182173717802461",
+            "0.0005940775019969871", "0.0006256219350464164", "0.0006113357110394198",
+            "0.0005992535994214016", "0.0005931824318551501", "0.0006093168128332312",
+            "0.000603559544538202", "0.0006102967692158076", "0.0005976886192604048",
+            "0.0019967051461493",
+         ]),
+    ],
+    ids=["glove", "signed-table", "coverage-40"],
+)
+def test_sampler_output_is_pinned(game, samples, seed, phi, standard_error):
+    result = shapley_monte_carlo(game, samples, seed)
+    assert [str(result.phi[p]) for p in result.players] == phi
+    assert [repr(result.standard_error[p]) for p in result.players] == standard_error
+
+
+@pytest.mark.parametrize(
+    "seed, index, n, expected",
+    [
+        (5, 0, 1, [0]),
+        (5, 3, 2, [1, 0]),
+        (-12, 4, 7, [1, 6, 2, 4, 3, 0, 5]),
+        (2024, 17, 40, [
+            39, 28, 5, 36, 26, 38, 37, 18, 30, 8, 4, 15, 34, 7, 31, 1, 9, 23, 27, 29, 3, 17, 14, 19,
+            2, 0, 13, 10, 6, 25, 16, 35, 21, 20, 11, 12, 22, 32, 24, 33,
+         ]),
+    ],
+)
+def test_sample_permutation_is_pinned(seed, index, n, expected):
+    assert sample_permutation(seed, index, n) == expected
+
+
+def _sampled_by_definition(n, terms, samples, seed):
+    """Mean marginals and standard errors straight from the definition: in each
+    ``sample_permutation`` ordering, a term's weight is the marginal of its
+    member who arrives last."""
+    marginals = [[Fraction(0)] * n for _ in range(samples)]
+    for index in range(samples):
+        position = {p: k for k, p in enumerate(sample_permutation(seed, index, n))}
+        for mask, weight in terms:
+            members = [p for p in range(n) if mask >> p & 1]
+            marginals[index][max(members, key=position.__getitem__)] += Fraction(weight)
+    phi, stderr = [], []
+    for p in range(n):
+        column = [row[p] for row in marginals]
+        mean = sum(column, Fraction(0)) / samples
+        variance = sum((x - mean) ** 2 for x in column) / (samples - 1) if samples > 1 else 0
+        phi.append(mean)
+        stderr.append(math.sqrt(float(variance) / samples))
+    return phi, stderr
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sampler_credits_each_term_to_its_last_arrival(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    pool = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6), label="masks")
+    weight = st.sampled_from([1, 1, -1, 2, Fraction(2, 3), Fraction(-5, 2)])
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), weight), max_size=25), label="terms")
+    samples = data.draw(st.integers(1, 30), label="samples")
+    seed = data.draw(st.integers(-(2**40), 2**40), label="seed")
+    players = PlayerSet(tuple(f"p{k}" for k in range(n)))
+    result = shapley_monte_carlo(CoalitionGame(players, terms=terms), samples, seed)
+    phi, stderr = _sampled_by_definition(n, terms, samples, seed)
+    assert [result.phi[p] for p in players.players] == phi
+    assert [result.standard_error[p] for p in players.players] == stderr
 
 
 class TestAxioms:
