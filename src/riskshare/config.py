@@ -9,11 +9,11 @@ checks (:meth:`RunConfig.issues`) open no file: a command reads the files it nee
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from ._frozen import frozen
 from .documents import load_json, _boolean, _field, _integer, _rational, _record, _string, _strings
 from .errors import DocumentError
 from .mining import Cycle
@@ -34,21 +34,21 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class SolverSpec:
     method: str = "exact"
     samples: Optional[int] = None
     seed: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class BudgetSpec:
     fraction: Fraction
     anchor: str
     explicit_value: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class SourceSpec:
     type: str
     path: Path
@@ -57,7 +57,7 @@ class SourceSpec:
     players: Optional[tuple[str, ...]] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class RunConfig:
     source: SourceSpec
     risk_model_path: Optional[Path] = None

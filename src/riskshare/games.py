@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Set
 
+from ._frozen import frozen
 from .errors import CapacityError, GameDefinitionError
 from .intervals import Rationalish, as_fraction
 from .risk import ThreatTree
@@ -31,12 +31,11 @@ from .risk import ThreatTree
 MATERIALIZATION_CAP = 24
 
 
-@dataclass(frozen=True)
+@frozen
 class PlayerSet:
     """Ordered, unique, nonempty player ids; the ordering fixes the subset encoding."""
 
     players: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(str(p) for p in self.players))

@@ -9,9 +9,10 @@ what a negative risk difference means is decided in :mod:`riskshare.risk`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from ._frozen import frozen
 
 Rationalish = Union[Fraction, int, str]
 
@@ -46,7 +47,7 @@ def as_fraction(value: Rationalish) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class Interval:
     """Closed range [lo, hi] of exact rationals, lo <= hi."""
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Set
 
+from ._frozen import frozen
 from .errors import CommitLogWarning, DocumentError, GameDefinitionError, ValidationError
 from .games import CoalitionGame, PlayerSet, game_from_table
 from .risk import ThreatTree
@@ -180,7 +180,7 @@ def resolve_identities(records: Sequence[CommitRecord], aliases: Mapping[str, st
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Cycle:
     """The stretch of history one appraisal run covers.
 
@@ -283,7 +283,7 @@ def derive_attribution(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class CherryPickPlan:
     """Instructions for rebuilding the product from one coalition's commits.
 
@@ -363,7 +363,7 @@ def cherry_pick_plan(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SubsetResult:
     """Outcome of externally rebuilding one coalition: which leaves passed."""
 

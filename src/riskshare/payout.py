@@ -19,10 +19,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._frozen import frozen
 from .documents import _expect, _field, _integer, _list, _nullable, _rational, _record, _string, _strings, loads_exact
 from .errors import DocumentError, PayoutError
 from .intervals import Interval, Rationalish, as_fraction
@@ -43,7 +43,7 @@ REPORT_FORMATS = ("json", "csv", "markdown")
 MINOR_UNITS_PER_MAJOR = 100
 
 
-@dataclass(frozen=True)
+@frozen
 class Money:
     """Non-negative amount in integer minor units (e.g. cents)."""
 
@@ -64,7 +64,7 @@ class Money:
         return f"{self.currency} {self.display()}"
 
 
-@dataclass(frozen=True)
+@frozen
 class PlayerPayout:
     player: str
     phi: Fraction
@@ -72,7 +72,7 @@ class PlayerPayout:
     payment: Money
 
 
-@dataclass(frozen=True)
+@frozen
 class Provenance:
     """Where the numbers came from: game source, risk delta, solver identity."""
 
@@ -83,7 +83,7 @@ class Provenance:
     seed: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen
 class PayoutReport:
     """Complete, reproducible record of one payment run."""
 
@@ -303,8 +303,9 @@ def _render_markdown(report: PayoutReport) -> str:
         "| player | contribution (phi) | share | payment |",
         "|--------|--------------------|-------|---------|",
     ]
-    for row in report.payouts:
-        lines.append(f"| {row.player} | {row.phi} | {row.share} | {row.payment} |")
+    for row in report.payouts:  # a "|" inside a cell would end the cell early
+        cells = (str(cell).replace("|", "\\|") for cell in (row.player, row.phi, row.share, row.payment))
+        lines.append(f"| {' | '.join(cells)} |")
     ax = report.axioms
     lines += ["", "## Fairness audit", ""]
     if ax is None:

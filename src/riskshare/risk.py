@@ -9,9 +9,9 @@ stay convertible to money without ever committing to a point estimate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import Iterable
 
+from ._frozen import frozen
 from .errors import ClampWarning, UnknownLabelError
 from .intervals import ZERO, Interval, interval_add, interval_mul, interval_sub
 
@@ -25,7 +25,7 @@ MAX = "max"
 AGGREGATION_MODES = (SUM, MAX)
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationIssue:
     location: str
     message: str
@@ -35,7 +35,7 @@ class ValidationIssue:
         return f"{self.severity}: {self.location}: {self.message}"
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     """Accumulated validation findings; empty report means all invariants hold."""
 
@@ -54,7 +54,7 @@ class ValidationReport:
         return tuple(i for i in self.issues if i.severity == "warning")
 
 
-@dataclass(frozen=True)
+@frozen
 class QualitativeScale:
     """Ordered set of labelled categories with exact interval bounds.
 
@@ -135,7 +135,7 @@ def validate_scale(scale: QualitativeScale) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
-@dataclass(frozen=True)
+@frozen
 class ScaleSet:
     """The two scales an assessment resolves against."""
 
@@ -154,7 +154,7 @@ class ScaleSet:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class LeafCondition:
     """A verifiable check (test case, review item) for a control."""
 
@@ -162,7 +162,7 @@ class LeafCondition:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class Control:
     """A countermeasure, verified by one or more leaf conditions."""
 
@@ -174,7 +174,7 @@ class Control:
         object.__setattr__(self, "leaves", tuple(self.leaves))
 
 
-@dataclass(frozen=True)
+@frozen
 class Threat:
     id: str
     label: str = ""
@@ -184,7 +184,7 @@ class Threat:
         object.__setattr__(self, "controls", tuple(self.controls))
 
 
-@dataclass(frozen=True)
+@frozen
 class ThreatTree:
     """Threats -> controls -> leaf conditions; leaves are the unit of attribution."""
 
@@ -233,7 +233,7 @@ def validate_threat_tree(tree: ThreatTree) -> ValidationReport:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class ThreatAssessment:
     """Per-threat category labels before and after mitigation."""
 
@@ -320,13 +320,13 @@ def risk_delta(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: 
     return _aggregate(deltas, mode)
 
 
-@dataclass(frozen=True)
+@frozen
 class RiskModel:
     """Aggregate of everything a risk-model document provides."""
 
     scales: ScaleSet
     tree: ThreatTree
-    assessments: tuple[ThreatAssessment, ...] = field(default_factory=tuple)
+    assessments: tuple[ThreatAssessment, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "assessments", tuple(self.assessments))

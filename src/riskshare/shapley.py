@@ -27,14 +27,13 @@ should be about the model, never about floating-point noise.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._frozen import frozen
 from .errors import CapacityError, GameDefinitionError
 from .games import CoalitionGame, _over_common_denominator
 
@@ -49,7 +48,7 @@ _SPAN = 1 << 64  # values of one stream word
 _FOUR_WORDS = struct.Struct(">4Q")
 
 
-@dataclass(frozen=True)
+@frozen
 class ShapleyResult:
     """Per-player values, normalized shares, and solver provenance.
 
@@ -145,6 +144,8 @@ def _words(seed: int, index: int):
     interleaving, so sample k is the same permutation whatever other samples
     are drawn.
     """
+    import hashlib  # here, not at the top: its OpenSSL backend costs every exact run about 4 ms of start-up
+
     prefix = b"%d:%d:" % (seed, index)
     for block in itertools.count():
         yield from _FOUR_WORDS.unpack(hashlib.sha256(prefix + b"%d" % block).digest())
@@ -232,7 +233,7 @@ def shapley_monte_carlo(game: CoalitionGame, samples: int, seed: int) -> Shapley
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class AxiomReport:
     """Deterministic audit of a value vector against the fairness axioms.
 

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,3 +116,22 @@ def test_every_public_name_is_used_by_the_program():
     """A public name that no module but ``__init__.py`` names is library surface that nothing runs; the re-export is not a use."""
     used = set().union(*(_names_used(tree) for name, tree in _modules().items() if name != "__init__.py"))
     assert sorted(set(riskshare.__all__) - used - REFERENCE_ONLY) == []
+
+
+def _modules_loaded(code: str) -> set[str]:
+    """The module names a fresh isolated interpreter holds after running ``code``."""
+    listing = "; import sys; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-I", "-c", code + listing], capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_import_path_stays_light():
+    """Each command is one short process, so ``import riskshare.cli`` loads no module it can do without.
+
+    ``dataclasses`` drags in ``inspect``, and ``hashlib`` loads OpenSSL; the
+    baseline is a bare interpreter, so a module a site hook loads is not blamed.
+    """
+    baseline = _modules_loaded("pass")
+    loaded = _modules_loaded(f"import sys; sys.path[:0] = [{str(ROOT / 'src')!r}]; import riskshare.cli")
+    assert "riskshare.cli" in loaded
+    assert sorted({"dataclasses", "inspect", "hashlib"} & (loaded - baseline)) == []

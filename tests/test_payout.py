@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,17 @@ class TestRendering:
         report = allocate_payments(result_from_phi([Fraction(1)]), Money(500))
         text = render_report(report, "markdown")
         assert "| p0 |" in text
+
+    def test_markdown_escapes_a_pipe_in_a_player_id(self):
+        """An unescaped ``|`` would split the row into five cells and shift phi, share and payment left."""
+        result = ShapleyResult(players=("Bob | Contractor", "alice"), phi={"Bob | Contractor": Fraction(1, 6),
+                               "alice": Fraction(1, 3)}, method="external")
+        text = render_report(allocate_payments(result, Money(300)), "markdown")
+        rows = [line for line in text.splitlines() if line.startswith("| ") and not line.startswith("| player")]
+        assert [re.split(r"(?<!\\)\|", row)[1:-1] for row in rows] == [
+            [r" Bob \| Contractor ", " 1/6 ", " 1/3 ", " USD 1.00 "],
+            [" alice ", " 1/3 ", " 2/3 ", " USD 2.00 "],
+        ]
 
     def test_unknown_format_rejected(self, reported_variant_game):
         from riskshare import DocumentError
