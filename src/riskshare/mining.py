@@ -23,7 +23,8 @@ import warnings
 from datetime import datetime
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Set
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set
 
 from ._frozen import frozen
 from .errors import CommitLogWarning, DocumentError, GameDefinitionError, ValidationError
@@ -54,6 +55,17 @@ class CommitRecord(NamedTuple):
 #: ``CommitRecord(*fields)`` without the Python-level ``__new__`` that NamedTuple adds; one per parsed commit.
 _record = partial(tuple.__new__, CommitRecord)
 
+_PIECE_SIZE = 1 << 16  # about this many characters of the log are split into lines at a time
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """``text`` in pieces of about ``_PIECE_SIZE``, each cut just after a ``\\n``, so no line end is split."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE_SIZE) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
 
 def parse_commit_log(text: str) -> list[CommitRecord]:
     """Parse the line-oriented log format into ordered records.
@@ -67,18 +79,23 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
     (an empty commit id, author, parent, trailer key or trailer value among
     them) raise :class:`DocumentError` naming the offending line; a record's
     missing field or duplicate id is reported at its ``---`` (or the last) line.
+
+    A line ends where :meth:`str.splitlines` ends one: at ``\\r\\n``, ``\\r``,
+    ``\\n``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 or U+2029.
+    The text is split a piece at a time, so the parse holds the text and its
+    records but never one string per line. A parent id that names an earlier
+    commit of the log is that commit's id string, shared rather than copied.
     """
     records: list[CommitRecord] = []
-    seen_ids: set[str] = set()
+    ids: dict[str, str] = {}  # each commit id to itself, so that parent ids can share it
     unknown_keys: set[str] = set()
-    commit = author = timestamp = None
+    commit = author = timestamp = previous = None
     parents: tuple[str, ...] = ()
     trailers: tuple[tuple[str, str], ...] = ()
 
-    lines = text.splitlines()
-    last_line = len(lines)
-    lines.append(RECORD_SEPARATOR)  # closes an unterminated final record
-    for line_no, raw in enumerate(lines, start=1):
+    lines = chain.from_iterable(map(str.splitlines, _pieces(text)))
+    numbered = enumerate(chain(lines, (RECORD_SEPARATOR,)), start=1)  # closes an unterminated final record
+    for line_no, raw in numbered:
         key, sep, value = raw.partition(":")
         if sep:
             key = key.strip()
@@ -104,7 +121,8 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
                     raise DocumentError(f"line {line_no}: date {value!r} lacks a UTC offset")
                 timestamp = int(stamp.timestamp())
             elif key == "parent":
-                parents += (value,)
+                # exported oldest first, a commit's parent is most often the record just before it
+                parents += (previous if value == previous else ids.get(value, value),)
             elif key == "trailer":
                 t_key, t_sep, t_value = value.partition(":")
                 if not t_sep:
@@ -123,15 +141,15 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
             if line:
                 raise DocumentError(f"line {line_no}: malformed line {raw!r} (expected 'field: value')")
             continue
-        if commit is None or author is None or timestamp is None or commit in seen_ids:
+        if commit is None or author is None or timestamp is None or commit in ids:
             if commit is author is timestamp is None and not parents and not trailers:
                 continue  # no record open: a repeated or trailing separator
-            at = min(line_no, last_line)
+            at = line_no if next(numbered, None) else line_no - 1  # the closing separator reports the last line
             for required, got in (("commit", commit), ("author", author), ("date", timestamp)):
                 if got is None:
                     raise DocumentError(f"line {at}: record missing {required!r} field")
             raise DocumentError(f"line {at}: duplicate commit id {commit!r}")
-        seen_ids.add(commit)
+        ids[commit] = previous = commit
         records.append(_record((commit, author, timestamp, parents, trailers)))
         commit = author = timestamp = None
         parents = trailers = ()

@@ -303,9 +303,9 @@ def _render_markdown(report: PayoutReport) -> str:
         "| player | contribution (phi) | share | payment |",
         "|--------|--------------------|-------|---------|",
     ]
-    for row in report.payouts:  # a "|" inside a cell would end the cell early
-        cells = (str(cell).replace("|", "\\|") for cell in (row.player, row.phi, row.share, row.payment))
-        lines.append(f"| {' | '.join(cells)} |")
+    for row in report.payouts:  # a "|" would end a cell early and a line break the row; "." keeps a final break
+        cells = (str(cell).replace("|", "\\|") + "." for cell in (row.player, row.phi, row.share, row.payment))
+        lines.append(f"| {' | '.join('<br>'.join(cell.splitlines())[:-1] for cell in cells)} |")
     ax = report.axioms
     lines += ["", "## Fairness audit", ""]
     if ax is None:

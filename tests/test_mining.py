@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -21,6 +23,7 @@ from riskshare import (
     select_cycle,
     shapley_exact,
 )
+from riskshare import mining
 from riskshare.mining import SubsetResult
 
 from conftest import build_fix_count_game, build_three_fix_tree, render_commit_log, subset_results_from_attribution, value
@@ -278,6 +281,92 @@ class TestParseLayout:
         unknown = sorted({key for r in records for key, _ in r.trailers if key != "Satisfies"})
         expected = [f"ignoring unknown trailer keys: {unknown}"] if unknown else []
         assert parse_with_warnings(text) == (records, expected)
+
+
+def linear_history(n: int, seed: int = 0) -> list[CommitRecord]:
+    """``n`` commits shaped like an exported repository's log: 40-hex ids, each the parent of the next, few trailers."""
+    rng = random.Random(seed)
+    records, parents = [], ()
+    for k in range(n):
+        commit = f"{rng.getrandbits(160):040x}"
+        trailers = (("Satisfies", f"L-{rng.randrange(120)}"),) if rng.random() < 0.1 else ()
+        records.append(CommitRecord(commit, f"dev{rng.randrange(40)}", 1_672_531_200 + 600 * k, parents, trailers))
+        parents = (commit,)
+    return records
+
+
+def pad_to(text: str, end: int) -> str:
+    """``text`` followed by blank lines up to ``end`` characters."""
+    assert text.endswith("\n") and len(text) < end
+    return text + "\n" * (end - len(text))
+
+
+class TestParsePieces:
+    """The log is split into lines a piece at a time, and a parent id shares the id string of the earlier
+    commit it names: the parse holds the text and its records, and no piece boundary changes a record or a
+    line number."""
+
+    def boundary_log(self, third_cut_line: str, final_date: bool) -> tuple[str, list[CommitRecord]]:
+        """A four-piece log: a CRLF pair ends the first piece, a blank line starts the third and
+        ``third_cut_line`` the fourth; the log ends on an unterminated record, with or without its date."""
+        size = mining._PIECE_SIZE
+        quarter = size // 200  # commits per piece, well under a piece each
+        records = linear_history(4 * quarter)
+
+        crlf_record = render_commit_log(records[quarter - 1 : quarter]).split("\n", 1)
+        text = pad_to(render_commit_log(records[: quarter - 1]), size - len(crlf_record[0]) - 1)
+        text += crlf_record[0] + "\r\n" + crlf_record[1]
+        text = pad_to(text + render_commit_log(records[quarter : 2 * quarter]), 2 * size + 2) + "\n"
+        text += render_commit_log(records[2 * quarter : 3 * quarter]).removesuffix("---\n")
+        text = pad_to(text, 3 * size + 3) + third_cut_line + "\n"
+        final = render_commit_log(records[3 * quarter :]).removesuffix("\n---\n")
+        if not final_date:
+            head, _, tail = final.rpartition("\ndate: ")
+            final = head + tail[tail.index("\n") :]
+        text += final
+
+        pieces = list(mining._pieces(text))
+        assert "".join(pieces) == text and len(pieces) == 4
+        assert len(pieces[0]) == size + 1 and pieces[0].endswith("\r\n")
+        assert pieces[2].startswith("\ncommit: ") and pieces[3].startswith(third_cut_line + "\n")
+        return text, records
+
+    def test_records_survive_every_boundary(self):
+        text, records = self.boundary_log("---", final_date=True)
+        assert not text.endswith(("---", "\n"))
+        assert parse_commit_log(text) == records
+
+    def test_malformed_line_at_a_boundary_keeps_its_line_number(self):
+        text, _ = self.boundary_log("oops", final_date=True)
+        at = text.splitlines().index("oops") + 1
+        with pytest.raises(DocumentError) as error:
+            parse_commit_log(text)
+        assert str(error.value) == f"line {at}: malformed line 'oops' (expected 'field: value')"
+
+    def test_unterminated_final_record_is_reported_at_the_last_line(self):
+        text, _ = self.boundary_log("---", final_date=False)
+        with pytest.raises(DocumentError) as error:
+            parse_commit_log(text)
+        assert str(error.value) == f"line {len(text.splitlines())}: record missing 'date' field"
+
+    def test_peak_memory_stays_a_small_multiple_of_the_text(self):
+        """The parse holds the text and its records; a list of every line would take the peak to about 6.6x."""
+        text = render_commit_log(linear_history(20_000))
+        tracemalloc.start()
+        try:
+            records = parse_commit_log(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
+        assert all(records[k].parents[0] is records[k - 1].commit_id for k in range(1, len(records)))
+
+    def test_parent_ids_share_the_ids_of_earlier_commits(self):
+        records = parse_commit_log(MERGE_LOG)  # "root" is outside the log; "start" names a commit two records back
+        ids = {r.commit_id: r.commit_id for r in records}
+        assert [[parent is ids.get(parent) for parent in r.parents] for r in records] == [
+            [False], [True], [True], [True], [True, True]
+        ]
 
 
 class TestIdentities:

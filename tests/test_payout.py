@@ -297,14 +297,24 @@ class TestRendering:
         text = render_report(report, "markdown")
         assert "| p0 |" in text
 
-    def test_markdown_escapes_a_pipe_in_a_player_id(self):
-        """An unescaped ``|`` would split the row into five cells and shift phi, share and payment left."""
-        result = ShapleyResult(players=("Bob | Contractor", "alice"), phi={"Bob | Contractor": Fraction(1, 6),
-                               "alice": Fraction(1, 3)}, method="external")
+    #: Every line end that ``str.splitlines`` knows (none lies above U+2029).
+    LINE_BREAKS = ["\r\n"] + [c for c in map(chr, range(0x2030)) if len(f"a{c}b".splitlines()) == 2]
+
+    @pytest.mark.parametrize(
+        "player, cell",
+        [("Bob | Contractor", r"Bob \| Contractor"), ("ann\r\n", "ann<br>")]
+        + [(f"ann{brk}| x | y | z | w |", r"ann<br>\| x \| y \| z \| w \|") for brk in LINE_BREAKS],
+        ids=["pipe", "final-break"] + [f"break-{brk.encode('unicode_escape').decode()}" for brk in LINE_BREAKS],
+    )
+    def test_markdown_escapes_a_pipe_in_a_player_id(self, player, cell):
+        """An unescaped ``|`` would split the row into five cells and shift phi, share and payment left;
+        a raw line break would end the row early and leave the rest of it outside the table."""
+        result = ShapleyResult(players=(player, "alice"), phi={player: Fraction(1, 6), "alice": Fraction(1, 3)},
+                               method="external")
         text = render_report(allocate_payments(result, Money(300)), "markdown")
         rows = [line for line in text.splitlines() if line.startswith("| ") and not line.startswith("| player")]
         assert [re.split(r"(?<!\\)\|", row)[1:-1] for row in rows] == [
-            [r" Bob \| Contractor ", " 1/6 ", " 1/3 ", " USD 1.00 "],
+            [f" {cell} ", " 1/6 ", " 1/3 ", " USD 1.00 "],
             [" alice ", " 1/3 ", " 2/3 ", " USD 2.00 "],
         ]
 
