@@ -3,13 +3,13 @@
 Every command that takes ``--config`` runs ``validate``'s static checks, then its own
 needs, before it reads any input; ``validate`` then reads every input and builds the
 game, as ``game``, ``shapley`` and ``payout`` do. Exit codes: 0 success, 1 validation
-failure, 2 usage error (an unknown command or a missing required option; argparse
-prints its usage line) or input parse/IO error (a missing file too; a content error
-starts with its file's path), 3 capacity exceeded (a table input or ``game``'s value
-table above 24 players). Diagnostics go to stderr; output to stdout or ``--out``. A
-failed check is one ``validation error:`` line on stderr, which starts with the file it
-is about (the risk model, the source); only ``validate`` lists its findings on stdout,
-since the listing is its result.
+failure, 2 usage error (an unknown command or a missing required option; argparse prints
+its usage line) or input parse/IO error (a missing file too; a content error starts with
+its file's path), 3 capacity exceeded (a table input or ``game``'s value table above 24
+players, or a sampled standard error beyond float range). Diagnostics go to stderr;
+output to stdout or ``--out``. A failed check is one ``validation error:`` line on
+stderr, which starts with the file it is about (the risk model, the source); only
+``validate`` lists its findings on stdout, since the listing is its result.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ def _emit(text: str, path, what: str) -> int:
 
 
 def _load_records(config: RunConfig):
-    records = documents.load(config.source.path, parse_commit_log)
+    with documents.reading(config.source.path), open(config.source.path, "rb") as log:
+        records = parse_commit_log(log)  # read, decoded and parsed a piece at a time
     if config.source.aliases_path is not None:
         aliases = documents.load_aliases(config.source.aliases_path)
         records = resolve_identities(records, aliases)

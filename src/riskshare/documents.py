@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -68,16 +69,21 @@ def loads_exact(text: str):
         raise DocumentError("invalid JSON: nested too deeply") from exc
 
 
-def load(path: Pathish, parse):
-    """``parse`` applied to an input file's text; a read error or a DocumentError of ``parse`` names the file."""
+@contextmanager
+def reading(path: Pathish):
+    """A read error (a missing file, bytes that are not UTF-8) or a DocumentError raised inside names ``path``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        yield
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse(text)
     except DocumentError as exc:
         raise DocumentError(f"{path}: {exc}") from exc
+
+
+def load(path: Pathish, parse):
+    """``parse`` applied to an input file's text, inside :func:`reading`."""
+    with reading(path):
+        return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def load_json(path: Pathish, read=lambda doc: doc):

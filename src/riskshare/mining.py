@@ -24,7 +24,7 @@ from datetime import datetime
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
 
 from ._frozen import frozen
 from .errors import CommitLogWarning, DocumentError, GameDefinitionError, ValidationError
@@ -55,7 +55,7 @@ class CommitRecord(NamedTuple):
 #: ``CommitRecord(*fields)`` without the Python-level ``__new__`` that NamedTuple adds; one per parsed commit.
 _record = partial(tuple.__new__, CommitRecord)
 
-_PIECE_SIZE = 1 << 16  # about this many characters of the log are split into lines at a time
+_PIECE_SIZE = 1 << 16  # characters of a log's text, or bytes of a log file, split into lines at a time
 
 
 def _pieces(text: str) -> Iterator[str]:
@@ -67,8 +67,28 @@ def _pieces(text: str) -> Iterator[str]:
         start = end
 
 
-def parse_commit_log(text: str) -> list[CommitRecord]:
+def _file_pieces(log: BinaryIO) -> Iterator[str]:
+    """The UTF-8 text of the binary file ``log`` in pieces of about ``_PIECE_SIZE`` bytes.
+
+    Each piece is read up to just after a ``b"\\n"``, a byte that no multi-byte character contains, and is
+    decoded on its own; a decoding error quotes its position in the file, as decoding the whole file would.
+    """
+    offset = 0
+    for piece in iter(lambda: log.read(_PIECE_SIZE) + log.readline(), b""):
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:  # zero bytes stand in for the pieces already parsed
+            raise UnicodeDecodeError(
+                exc.encoding, bytes(offset) + piece, offset + exc.start, offset + exc.end, exc.reason
+            ) from None
+        offset += len(piece)
+        yield text
+
+
+def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
     """Parse the line-oriented log format into ordered records.
+
+    ``text`` is the log's text, or a binary file to read it from as UTF-8.
 
     Fields: ``commit:``, ``author:``, ``date:`` (RFC 3339 with a UTC offset,
     ``Z`` or ``z``), ``parent:`` (repeatable), ``trailer:`` (repeatable,
@@ -82,18 +102,27 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
 
     A line ends where :meth:`str.splitlines` ends one: at ``\\r\\n``, ``\\r``,
     ``\\n``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 or U+2029.
-    The text is split a piece at a time, so the parse holds the text and its
-    records but never one string per line. A parent id that names an earlier
-    commit of the log is that commit's id string, shared rather than copied.
+    The log is split into lines a piece at a time; a file is also read and
+    decoded a piece at a time, so its parse holds the records and one piece,
+    never the whole text. A file's undecodable byte raises
+    :class:`UnicodeDecodeError` (quoting its offset in the file) when its
+    piece is reached, so an error on an earlier line is raised first.
+    Records share their repeated strings rather than copy them: a parent id
+    that names an earlier commit of the log is that commit's id string, equal
+    authors are one string, and equal ``trailer:`` values one ``(key, value)``
+    pair.
     """
     records: list[CommitRecord] = []
     ids: dict[str, str] = {}  # each commit id to itself, so that parent ids can share it
+    authors: dict[str, str] = {}  # each author to itself, so that the records of one author share it
+    pairs: dict[str, tuple[str, str]] = {}  # each raw trailer value to its checked (key, value) pair
     unknown_keys: set[str] = set()
     commit = author = timestamp = previous = None
     parents: tuple[str, ...] = ()
     trailers: tuple[tuple[str, str], ...] = ()
 
-    lines = chain.from_iterable(map(str.splitlines, _pieces(text)))
+    pieces = _pieces(text) if isinstance(text, str) else _file_pieces(text)
+    lines = chain.from_iterable(map(str.splitlines, pieces))
     numbered = enumerate(chain(lines, (RECORD_SEPARATOR,)), start=1)  # closes an unterminated final record
     for line_no, raw in numbered:
         key, sep, value = raw.partition(":")
@@ -109,7 +138,7 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
             elif key == "author":
                 if author is not None:
                     raise DocumentError(f"line {line_no}: duplicate 'author' field in record")
-                author = value
+                author = authors.setdefault(value, value)
             elif key == "date":
                 if timestamp is not None:
                     raise DocumentError(f"line {line_no}: duplicate 'date' field in record")
@@ -124,15 +153,18 @@ def parse_commit_log(text: str) -> list[CommitRecord]:
                 # exported oldest first, a commit's parent is most often the record just before it
                 parents += (previous if value == previous else ids.get(value, value),)
             elif key == "trailer":
-                t_key, t_sep, t_value = value.partition(":")
-                if not t_sep:
-                    raise DocumentError(f"line {line_no}: trailer {value!r} is not of the form 'Key: value'")
-                t_key, t_value = t_key.strip(), t_value.strip()
-                if not t_key or not t_value:
-                    raise DocumentError(f"line {line_no}: trailer {value!r} has an empty {'value' if t_key else 'key'}")
-                if t_key not in KNOWN_TRAILER_KEYS:
-                    unknown_keys.add(t_key)
-                trailers += ((t_key, t_value),)
+                pair = pairs.get(value)
+                if pair is None:  # a value seen before was checked then
+                    t_key, t_sep, t_value = value.partition(":")
+                    if not t_sep:
+                        raise DocumentError(f"line {line_no}: trailer {value!r} is not of the form 'Key: value'")
+                    t_key, t_value = t_key.strip(), t_value.strip()
+                    if not t_key or not t_value:
+                        raise DocumentError(f"line {line_no}: trailer {value!r} has an empty {'value' if t_key else 'key'}")
+                    if t_key not in KNOWN_TRAILER_KEYS:
+                        unknown_keys.add(t_key)
+                    pair = pairs[value] = (t_key, t_value)
+                trailers += (pair,)
             else:
                 raise DocumentError(f"line {line_no}: unknown field {key!r}")
             continue

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._frozen import frozen
-from .documents import _expect, _field, _integer, _list, _nullable, _rational, _record, _string, _strings, loads_exact
+from .documents import _expect, _field, _integer, _list, _nullable, _rational, _record, _string, loads_exact
 from .errors import DocumentError, PayoutError
 from .intervals import Interval, Rationalish, as_fraction
 from .shapley import AxiomReport, ShapleyResult
@@ -279,6 +279,11 @@ def render_report(report: PayoutReport, format: str = "json") -> str:
     raise DocumentError(f"unknown report format {format!r}; expected one of {REPORT_FORMATS}")
 
 
+def _escaped(cell) -> str:
+    """``cell`` as markdown text: a "|" would end a table cell and a line break the line; "." keeps a final break."""
+    return "<br>".join((str(cell).replace("|", "\\|") + ".").splitlines())[:-1]
+
+
 def _render_markdown(report: PayoutReport) -> str:
     prov = report.provenance
     lines = [
@@ -303,9 +308,8 @@ def _render_markdown(report: PayoutReport) -> str:
         "| player | contribution (phi) | share | payment |",
         "|--------|--------------------|-------|---------|",
     ]
-    for row in report.payouts:  # a "|" would end a cell early and a line break the row; "." keeps a final break
-        cells = (str(cell).replace("|", "\\|") + "." for cell in (row.player, row.phi, row.share, row.payment))
-        lines.append(f"| {' | '.join('<br>'.join(cell.splitlines())[:-1] for cell in cells)} |")
+    for row in report.payouts:
+        lines.append(f"| {' | '.join(map(_escaped, (row.player, row.phi, row.share, row.payment)))} |")
     ax = report.axioms
     lines += ["", "## Fairness audit", ""]
     if ax is None:
@@ -315,19 +319,20 @@ def _render_markdown(report: PayoutReport) -> str:
         if ax.symmetry_violations is None:
             lines.append("- symmetry: not audited (sampled estimate)")
         elif ax.symmetry_violations:
-            pairs = ", ".join(f"{a}/{b}" for a, b in ax.symmetry_violations)
+            pairs = ", ".join(f"{_escaped(a)}/{_escaped(b)}" for a, b in ax.symmetry_violations)
             lines.append(f"- symmetry: FAIL (equal contributors paid differently: {pairs})")
         else:
             lines.append("- symmetry: pass (equal contributors are paid equally)")
         if ax.null_player_violations:
-            lines.append(f"- null player: FAIL (zero contributors paid: {', '.join(ax.null_player_violations)})")
+            paid = ", ".join(map(_escaped, ax.null_player_violations))
+            lines.append(f"- null player: FAIL (zero contributors paid: {paid})")
         else:
             lines.append("- null player: pass (only actual contributions are paid)")
     return "\n".join(lines) + "\n"
 
 
-def _each(value, where: str, read) -> tuple:
-    return tuple(read(item, f"{where}[{k}]") for k, item in enumerate(_list(value, where)))
+def _each(value, where: str, read, *args) -> tuple:
+    return tuple(read(item, f"{where}[{k}]", *args) for k, item in enumerate(_list(value, where)))
 
 
 def _ratio(value, where: str) -> Fraction:
@@ -356,14 +361,22 @@ def _delta(value, where: str) -> Interval:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _pair(value, where: str) -> tuple[str, ...]:
-    pair = _strings(value, where)
-    if len(pair) != 2:
-        raise DocumentError(f"{where}: expected two player ids, got {len(pair)}")
+def _player(value, where: str, players: set[str]) -> str:
+    if _string(value, where) not in players:
+        raise DocumentError(f"{where}: {value!r} is not a player of the report's payouts")
+    return value
+
+
+def _pair(value, where: str, players: set[str]) -> tuple[str, ...]:
+    if len(_list(value, where)) != 2:
+        raise DocumentError(f"{where}: expected two player ids, got {len(value)}")
+    pair = _each(value, where, _player, players)
+    if pair[0] == pair[1]:
+        raise DocumentError(f"{where}: names player {pair[0]!r} twice")
     return pair
 
 
-def _axioms(value, where: str) -> AxiomReport:
+def _axioms(value, where: str, players: set[str]) -> AxiomReport:
     keys = ("efficiency_residual", "efficiency", "symmetry_violations", "null_player_violations", "linearity")
     ax = _record(value, where, keys)
     residual = _field(ax, "efficiency_residual", where, _ratio)
@@ -375,8 +388,8 @@ def _axioms(value, where: str) -> AxiomReport:
         raise DocumentError(f"{where}.linearity: expected null, got {linearity!r}")
     return AxiomReport(
         efficiency_residual=residual,
-        symmetry_violations=_nullable(ax, "symmetry_violations", where, _each, _pair),
-        null_player_violations=_field(ax, "null_player_violations", where, _strings),
+        symmetry_violations=_nullable(ax, "symmetry_violations", where, _each, _pair, players),
+        null_player_violations=_field(ax, "null_player_violations", where, _each, _player, players),
     )
 
 
@@ -396,8 +409,9 @@ def parse_report(text: str) -> PayoutReport:
     Rationals must be JSON strings and amounts JSON integers, as
     :func:`render_report` writes them, and the anchor and rounding mode must
     be known values. Every object holds exactly the keys the renderer writes,
-    ``axioms.efficiency`` must agree with ``efficiency_residual``, and
-    ``axioms.linearity`` must be null.
+    ``axioms.efficiency`` must agree with ``efficiency_residual``,
+    ``axioms.linearity`` must be null, and every id in the audit's violation
+    lists must be a player of ``payouts``, a symmetry pair naming two different ones.
     Anything else is a :class:`DocumentError` naming the field, such as
     ``payouts[0].phi``; for text that is not JSON it begins ``invalid JSON:``.
     """
@@ -410,7 +424,7 @@ def parse_report(text: str) -> PayoutReport:
         anchor=_field(doc, "anchor", "", _known, ANCHORS),
         fraction=_field(doc, "fraction", "", _ratio),
         rounding_mode=_field(doc, "rounding_mode", "", _known, ROUNDING_MODES),
-        payouts=_field(doc, "payouts", "", _each, _payout),
+        payouts=(payouts := _field(doc, "payouts", "", _each, _payout)),
         residual_minor=_field(doc, "residual_minor", "", _integer),
         provenance=Provenance(
             game_source=_field(prov, "game_source", "provenance", _string),
@@ -419,6 +433,6 @@ def parse_report(text: str) -> PayoutReport:
             samples=_nullable(prov, "samples", "provenance", _integer),
             seed=_nullable(prov, "seed", "provenance", _integer),
         ),
-        axioms=_nullable(doc, "axioms", "", _axioms),
+        axioms=_nullable(doc, "axioms", "", _axioms, {row.player for row in payouts}),
         notice=_nullable(doc, "notice", "", _string),
     )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from riskshare import parse_report
+from riskshare import mining, parse_report
 from riskshare.cli import build_parser, main
 from riskshare.config import load_run_config
 
@@ -688,6 +688,44 @@ class TestUnreadableInput:
         assert (code, out) == (2, "")
         last = err.splitlines()[-1]  # after any warning the commit log raised
         assert last.startswith(f"input error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
+#: Every command that reads the commit log of ``mining_config.json``, with the arguments it needs.
+LOG_COMMANDS = [["validate"], ["game"], ["shapley"], ["payout"], ["plan-cherry-pick", "--subset", "alice"]]
+
+
+class TestStreamedCommitLog:
+    """The commit log is read a piece at a time; its faults still exit 2 with a located message."""
+
+    def run_log(self, capsys, workdir, command, data: bytes):
+        log = workdir / WE / "commits.log"
+        log.write_bytes(data)
+        code, out, err = run(capsys, command[0], "--config", str(workdir / WE / "mining_config.json"), *command[1:])
+        assert (code, out) == (2, "")
+        return log, err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", LOG_COMMANDS, ids=lambda command: command[0])
+    def test_undecodable_bytes_beyond_the_first_piece_quote_their_file_offset(self, capsys, workdir, command):
+        data = (workdir / WE / "commits.log").read_bytes() + b"\n" * (2 * mining._PIECE_SIZE) + b"caf\xe9\n"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        log, last = self.run_log(capsys, workdir, command, data)
+        assert last == f"input error: cannot read {log}: {whole.value}"
+        assert f"decode byte 0xe9 in position {len(data) - 2}: " in last
+
+    @pytest.mark.parametrize("command", LOG_COMMANDS, ids=lambda command: command[0])
+    def test_content_error_is_reported_before_later_undecodable_bytes(self, capsys, workdir, command):
+        data = b"commit: a\nbogus\n" + b"\n" * (2 * mining._PIECE_SIZE) + b"\xff\n"
+        log, last = self.run_log(capsys, workdir, command, data)
+        assert last == f"input error: {log}: line 2: malformed line 'bogus' (expected 'field: value')"
+
+    @pytest.mark.parametrize("command", LOG_COMMANDS, ids=lambda command: command[0])
+    def test_log_that_is_a_directory_exits_2_naming_it(self, capsys, workdir, command):
+        log = workdir / WE / "commits.log"
+        log.unlink()
+        log.mkdir()
+        code, out, err = run(capsys, command[0], "--config", str(workdir / WE / "mining_config.json"), *command[1:])
+        assert (code, out, err) == (2, "", f"input error: cannot read {log}: [Errno 21] Is a directory: '{log}'\n")
 
 
 class TestCoalitionTableShape:

@@ -1,3 +1,4 @@
+import json
 import shutil
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from riskshare import Cycle, parse_commit_log, select_cycle
+from riskshare import Cycle, parse_commit_log, parse_report, select_cycle
+from riskshare.cli import main
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "export_commit_log.py"
 
@@ -101,3 +103,41 @@ def test_commit_window_matches_git_across_a_merge(tmp_path):
             expected = rev_list(revisions) & set(order)
             assert window(records, cycle) == [c for c in order if c in expected]
         assert len(window(records, Cycle(from_commit=start))) == 4  # feature-1, after-start, feature-2, merge
+
+
+def test_exported_file_pays_as_the_fixture_log_does(tmp_path, fixtures_dir, capsys):
+    """The worked example's history, committed to git, exported to a file and paid through the command line's
+    piece-at-a-time reader, pays exactly what the bundled ``commits.log`` pays."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    history = [
+        ("alice", "2023-01-09T08:45:00+00:00", "Release-Tag: v1.0.0"),
+        ("alice", "2023-01-10T09:12:00+00:00", "Satisfies: U-46365-1"),
+        ("bob", "2023-01-11T14:03:00+00:00", "Satisfies: U-45802-1"),
+        ("carol", "2023-01-12T10:41:00+00:00", "Satisfies: U-45802-1"),
+        ("alice", "2023-01-13T16:20:00+00:00", "Satisfies: U-45801-1"),
+        ("carol", "2023-01-16T11:55:00+00:00", "Satisfies: U-45801-1"),
+    ]
+    for k, (author, stamp, trailer) in enumerate(history):
+        (repo / "f.txt").write_text(f"{k}\n")
+        git(repo, "add", "f.txt")
+        git(repo, "commit", "-q", "-m", f"change {k}\n\n{trailer}",
+            GIT_AUTHOR_NAME=author, GIT_AUTHOR_DATE=stamp, GIT_COMMITTER_DATE=stamp)
+
+    work = tmp_path / "worked_example"
+    shutil.copytree(fixtures_dir / "worked_example", work)
+    with open(work / "exported.log", "w", encoding="utf-8") as out:
+        subprocess.run([sys.executable, str(TOOL), str(repo), "--author-field", "name"], check=True, stdout=out)
+
+    reports = []
+    for log in ("commits.log", "exported.log"):
+        doc = json.loads((work / "mining_config.json").read_text())
+        doc["source"] = {"type": "commit_log", "path": log}  # no cycle: the first commit claims no leaf
+        (work / "config.json").write_text(json.dumps(doc))
+        assert main(["payout", "--config", str(work / "config.json")]) == 0
+        reports.append(parse_report(capsys.readouterr().out))
+    assert reports[1] == reports[0]
+    assert [(row.player, row.payment.amount_minor) for row in reports[1].payouts] == [
+        ("alice", 1062950), ("bob", 354317), ("carol", 708633)
+    ]

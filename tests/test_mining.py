@@ -1,3 +1,5 @@
+import io
+import json
 import random
 import tracemalloc
 import warnings
@@ -23,10 +25,18 @@ from riskshare import (
     select_cycle,
     shapley_exact,
 )
-from riskshare import mining
+from riskshare import cli, mining
+from riskshare.config import load_run_config
 from riskshare.mining import SubsetResult
 
-from conftest import build_fix_count_game, build_three_fix_tree, render_commit_log, subset_results_from_attribution, value
+from conftest import (
+    FIXTURES,
+    build_fix_count_game,
+    build_three_fix_tree,
+    render_commit_log,
+    subset_results_from_attribution,
+    value,
+)
 
 SIMPLE_LOG = """\
 commit: aaa1
@@ -220,9 +230,9 @@ class TestParseErrors:
             "empty-trailer-key",
         ],
     )
-    def test_message_and_line(self, text, message):
+    def test_message_and_line(self, text, message, tmp_path):
         with pytest.raises(DocumentError) as error:
-            parse_commit_log(text)
+            parse_both_ways(text, tmp_path)
         assert str(error.value) == message
 
 
@@ -254,6 +264,27 @@ def parse_with_warnings(text):
     return records, [str(w.message) for w in caught if w.category is CommitLogWarning]
 
 
+def parse_file(path) -> list[CommitRecord]:
+    """The records of the log file at ``path``, read as the command line reads it: a piece at a time."""
+    with open(path, "rb") as log:
+        return parse_commit_log(log)
+
+
+def parse_both_ways(text: str, tmp_path) -> list[CommitRecord]:
+    """``parse_commit_log`` of ``text`` and of a UTF-8 file holding it, which give equal records or equal errors."""
+    path = tmp_path / "commits.log"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        records = parse_commit_log(text)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as error:
+            parse_file(path)
+        assert str(error.value) == str(exc)
+        raise
+    assert parse_file(path) == records
+    return records
+
+
 class TestParseLayout:
     """Whitespace, blank lines, line endings and a missing final ``---`` do not change the records."""
 
@@ -281,6 +312,7 @@ class TestParseLayout:
         unknown = sorted({key for r in records for key, _ in r.trailers if key != "Satisfies"})
         expected = [f"ignoring unknown trailer keys: {unknown}"] if unknown else []
         assert parse_with_warnings(text) == (records, expected)
+        assert parse_with_warnings(io.BytesIO(text.encode("utf-8"))) == (records, expected)  # as a file is read
 
 
 def linear_history(n: int, seed: int = 0) -> list[CommitRecord]:
@@ -302,13 +334,13 @@ def pad_to(text: str, end: int) -> str:
 
 
 class TestParsePieces:
-    """The log is split into lines a piece at a time, and a parent id shares the id string of the earlier
-    commit it names: the parse holds the text and its records, and no piece boundary changes a record or a
-    line number."""
+    """The log is split into lines a piece at a time, and a file is also read and decoded a piece at a time;
+    records share their repeated strings. No piece boundary changes a record, a line number or an error."""
 
     def boundary_log(self, third_cut_line: str, final_date: bool) -> tuple[str, list[CommitRecord]]:
-        """A four-piece log: a CRLF pair ends the first piece, a blank line starts the third and
-        ``third_cut_line`` the fourth; the log ends on an unterminated record, with or without its date."""
+        """A four-piece log: a CRLF pair ends the first piece (its ``\\r`` ends the first read of a file), a blank
+        line starts the third and ``third_cut_line`` the fourth; the log ends on an unterminated record, with or
+        without its date. A file holding it is cut at the same places as the text."""
         size = mining._PIECE_SIZE
         quarter = size // 200  # commits per piece, well under a piece each
         records = linear_history(4 * quarter)
@@ -329,24 +361,25 @@ class TestParsePieces:
         assert "".join(pieces) == text and len(pieces) == 4
         assert len(pieces[0]) == size + 1 and pieces[0].endswith("\r\n")
         assert pieces[2].startswith("\ncommit: ") and pieces[3].startswith(third_cut_line + "\n")
+        assert list(mining._file_pieces(io.BytesIO(text.encode("utf-8")))) == pieces
         return text, records
 
-    def test_records_survive_every_boundary(self):
+    def test_records_survive_every_boundary(self, tmp_path):
         text, records = self.boundary_log("---", final_date=True)
         assert not text.endswith(("---", "\n"))
-        assert parse_commit_log(text) == records
+        assert parse_both_ways(text, tmp_path) == records
 
-    def test_malformed_line_at_a_boundary_keeps_its_line_number(self):
+    def test_malformed_line_at_a_boundary_keeps_its_line_number(self, tmp_path):
         text, _ = self.boundary_log("oops", final_date=True)
         at = text.splitlines().index("oops") + 1
         with pytest.raises(DocumentError) as error:
-            parse_commit_log(text)
+            parse_both_ways(text, tmp_path)
         assert str(error.value) == f"line {at}: malformed line 'oops' (expected 'field: value')"
 
-    def test_unterminated_final_record_is_reported_at_the_last_line(self):
+    def test_unterminated_final_record_is_reported_at_the_last_line(self, tmp_path):
         text, _ = self.boundary_log("---", final_date=False)
         with pytest.raises(DocumentError) as error:
-            parse_commit_log(text)
+            parse_both_ways(text, tmp_path)
         assert str(error.value) == f"line {len(text.splitlines())}: record missing 'date' field"
 
     def test_peak_memory_stays_a_small_multiple_of_the_text(self):
@@ -361,12 +394,69 @@ class TestParsePieces:
         assert peak < 4 * len(text)
         assert all(records[k].parents[0] is records[k - 1].commit_id for k in range(1, len(records)))
 
+    def test_loading_a_log_file_peaks_below_two_and_a_half_times_its_size(self, tmp_path):
+        """The command line reads the file a piece at a time: it never holds the file's bytes or its text,
+        which would take the peak to about 3.7x the file."""
+        log = tmp_path / "commits.log"
+        log.write_text(render_commit_log(linear_history(20_000)), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": {"type": "commit_log", "path": log.name}}), encoding="utf-8")
+        loaded = load_run_config(config)
+        tracemalloc.start()
+        try:
+            records = cli._load_records(loaded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 20_000
+        assert peak < 2.5 * log.stat().st_size
+
+    def test_equal_authors_and_trailer_values_share_one_object(self, tmp_path):
+        text = render_commit_log(linear_history(2_000))
+        path = tmp_path / "commits.log"
+        path.write_text(text, encoding="utf-8")
+        for records in (parse_commit_log(text), parse_file(path)):
+            authors, pairs = {}, {}
+            for r in records:
+                assert authors.setdefault(r.author, r.author) is r.author
+                for pair in r.trailers:
+                    assert pairs.setdefault(pair, pair) is pair
+            assert len(authors) == 40 and sum(len(r.trailers) for r in records) > len(pairs)  # repeats shared
+
     def test_parent_ids_share_the_ids_of_earlier_commits(self):
         records = parse_commit_log(MERGE_LOG)  # "root" is outside the log; "start" names a commit two records back
         ids = {r.commit_id: r.commit_id for r in records}
         assert [[parent is ids.get(parent) for parent in r.parents] for r in records] == [
             [False], [True], [True], [True], [True, True]
         ]
+
+
+class TestReadLogFile:
+    """A log file is read and decoded a piece at a time, and parses as its text does."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*/*.log")), ids=lambda path: path.name)
+    def test_fixture_logs_parse_alike_from_text_and_file(self, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CommitLogWarning)
+            records = parse_file(path)
+            assert records and records == parse_commit_log(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"caf\xe9", b"\xe2\x82", b"\xf0\x9f\x98"], ids=bytes.hex)
+    @pytest.mark.parametrize("end", [b"\n", b""], ids=["line-end", "file-end"])
+    def test_undecodable_bytes_are_located_in_the_file(self, bad, end):
+        """The error quotes the bytes' offset in the file, as decoding the whole file at once would."""
+        data = render_commit_log(linear_history(1_000)).encode("utf-8") + b"\n" * mining._PIECE_SIZE + bad + end
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        with pytest.raises(UnicodeDecodeError) as error:
+            parse_commit_log(io.BytesIO(data))
+        assert str(error.value) == str(whole.value)
+        assert error.value.start > 2 * mining._PIECE_SIZE
+
+    def test_a_content_error_is_raised_before_later_undecodable_bytes(self):
+        data = b"commit: a\nbogus\n" + b"\n" * (2 * mining._PIECE_SIZE) + b"\xff\n"
+        with pytest.raises(DocumentError, match="^line 2: malformed line 'bogus'"):
+            parse_commit_log(io.BytesIO(data))
 
 
 class TestIdentities:

@@ -63,6 +63,10 @@ class TestComputeBudget:
     def test_midpoint_anchor(self):
         assert compute_budget(Interval(100, 200), 1, "midpoint") == Money(15000)
 
+    def test_midpoint_of_an_odd_sum_keeps_its_half(self):
+        """(100 + 201) / 2 is 150.5 major units, 15050 minor; flooring the midpoint first would give 15000."""
+        assert compute_budget(Interval(100, 201), 1, "midpoint") == Money(15050)
+
     def test_explicit_anchor_inside_delta(self):
         assert compute_budget(WORKED_DELTA, "1/100", "explicit", explicit_value=3000000) == Money(3000000)
 
@@ -100,6 +104,13 @@ class TestAllocate:
         report = allocate_payments(result, Money(2125900), "largest-remainder")
         assert [row.payment.amount_minor for row in report.payouts] == [1240109, 177158, 708633]
         assert report.residual_minor == 0
+
+    @pytest.mark.parametrize("budget, paid", [(1, 1), (3, 2), (5, 3)])
+    def test_per_recipient_rounds_an_exact_half_cent_up(self, budget, paid):
+        """Two equal shares of an odd budget are each a whole number of minor units and a half: half-up pays more."""
+        report = allocate_payments(result_from_phi([1, 1]), Money(budget), "per-recipient")
+        assert [row.payment.amount_minor for row in report.payouts] == [paid, paid]
+        assert report.residual_minor == 1
 
     def test_single_player_gets_everything(self):
         result = result_from_phi([Fraction(5)])
@@ -292,6 +303,22 @@ class TestRendering:
         assert report.axioms.symmetry_violations == (("a", "b"),)
         assert parse_report(render_report(report, "json")) == report
 
+    def test_markdown_audit_lines_escape_player_ids(self):
+        """Ids in the audit lines are escaped as table cells are: a raw break would start a markdown heading."""
+        a, b, z = "a|x", "B\n\n# all payments void", "z\r\n"
+        v = CoalitionGame(PlayerSet((a, b, z)), terms=[(0b011, 2)])
+        result = ShapleyResult(players=(a, b, z), phi={a: Fraction(2), b: Fraction(0), z: Fraction(1)},
+                               method="external")
+        report = allocate_payments(result, Money(300), axioms=check_axioms(v, result))
+        text = render_report(report, "markdown")
+        assert text.endswith(
+            "- symmetry: FAIL (equal contributors paid differently: a\\|x/B<br><br># all payments void)\n"
+            "- null player: FAIL (zero contributors paid: z<br>)\n"
+        )
+        assert [line for line in text.splitlines() if line.startswith("#")] == ["# Security bonus report",
+                                                                               "## Fairness audit"]
+        assert parse_report(render_report(report, "json")) == report
+
     def test_single_player_report_renders(self):
         report = allocate_payments(result_from_phi([Fraction(1)]), Money(500))
         text = render_report(report, "markdown")
@@ -365,6 +392,26 @@ class TestParseReport:
             (("provenance", "delta", "lo"), "99999999", "provenance.delta: invalid interval"),
             (("provenance", "seed"), "7", "provenance.seed: expected an integer, got string '7'"),
             (("axioms", "symmetry_violations"), [["A"]], "axioms.symmetry_violations[0]: expected two player ids, got 1"),
+            (
+                ("axioms", "symmetry_violations"),
+                [["A", "B"], ["C", "Z"]],
+                "axioms.symmetry_violations[1][1]: 'Z' is not a player of the report's payouts",
+            ),
+            (
+                ("axioms", "symmetry_violations"),
+                [["B", "B"]],
+                "axioms.symmetry_violations[0]: names player 'B' twice",
+            ),
+            (
+                ("axioms", "null_player_violations"),
+                ["B\n\n# all payments void"],
+                "axioms.null_player_violations[0]: 'B\\n\\n# all payments void' is not a player of the report's payouts",
+            ),
+            (
+                ("axioms", "null_player_violations"),
+                ["C", 7],
+                "axioms.null_player_violations[1]: expected a string, got integer 7",
+            ),
             (("axioms", "linearity"), "ok", "axioms.linearity: expected null, got 'ok'"),
             (("axioms", "efficiency_residual"), 0, "axioms.efficiency_residual: expected a string, got integer 0"),
             (("axioms", "efficiency"), "fail", "axioms.efficiency: 'fail' contradicts efficiency_residual 0"),
@@ -386,7 +433,8 @@ class TestParseReport:
             "phi-float", "null-players-string", "null-players-null", "player-integer", "rounding-mode",
             "notice-array", "fraction-zero-denominator", "anchor", "amount-string", "amount-bool", "amount-negative",
             "currency-null", "payout-row", "residual-float", "delta-integer", "delta-reversed",
-            "seed-string", "symmetry-pair", "linearity", "efficiency-residual-integer",
+            "seed-string", "symmetry-pair", "symmetry-unknown-player", "symmetry-same-player",
+            "null-player-unknown", "null-player-integer", "linearity", "efficiency-residual-integer",
             "efficiency-contradicts-residual", "efficiency-null", "unknown-key", "unknown-provenance-key",
             "unknown-payment-key",
         ],
