@@ -38,11 +38,13 @@ class PlayerSet:
     players: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "players", tuple(str(p) for p in self.players))
+        object.__setattr__(self, "players", tuple(self.players))
         if not self.players:
             raise GameDefinitionError("player set must not be empty")
         index = {}
         for k, p in enumerate(self.players):
+            if not isinstance(p, str):
+                raise GameDefinitionError(f"player id {p!r} is not a string")
             if not p:
                 raise GameDefinitionError("a player id must not be empty")
             if p in index:

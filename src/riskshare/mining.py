@@ -18,6 +18,7 @@ trees that need human judgment.
 
 from __future__ import annotations
 
+import io
 import json
 import warnings
 from datetime import datetime
@@ -55,16 +56,7 @@ class CommitRecord(NamedTuple):
 #: ``CommitRecord(*fields)`` without the Python-level ``__new__`` that NamedTuple adds; one per parsed commit.
 _record = partial(tuple.__new__, CommitRecord)
 
-_PIECE_SIZE = 1 << 16  # characters of a log's text, or bytes of a log file, split into lines at a time
-
-
-def _pieces(text: str) -> Iterator[str]:
-    """``text`` in pieces of about ``_PIECE_SIZE``, each cut just after a ``\\n``, so no line end is split."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _PIECE_SIZE) + 1 or len(text)
-        yield text[start:end]
-        start = end
+_PIECE_SIZE = 1 << 16  # bytes of a log file read, decoded and split into lines at a time
 
 
 def _file_pieces(log: BinaryIO) -> Iterator[str]:
@@ -88,7 +80,10 @@ def _file_pieces(log: BinaryIO) -> Iterator[str]:
 def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
     """Parse the line-oriented log format into ordered records.
 
-    ``text`` is the log's text, or a binary file to read it from as UTF-8.
+    ``text`` is a binary file to read the log from as UTF-8, or the log's
+    text, which is encoded to UTF-8 strictly and read the same way: a ``str``
+    holding a lone surrogate (which no UTF-8 file can hold) raises
+    :class:`UnicodeEncodeError` before any line is parsed.
 
     Fields: ``commit:``, ``author:``, ``date:`` (RFC 3339 with a UTC offset,
     ``Z`` or ``z``), ``parent:`` (repeatable), ``trailer:`` (repeatable,
@@ -102,11 +97,11 @@ def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
 
     A line ends where :meth:`str.splitlines` ends one: at ``\\r\\n``, ``\\r``,
     ``\\n``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 or U+2029.
-    The log is split into lines a piece at a time; a file is also read and
-    decoded a piece at a time, so its parse holds the records and one piece,
-    never the whole text. A file's undecodable byte raises
-    :class:`UnicodeDecodeError` (quoting its offset in the file) when its
-    piece is reached, so an error on an earlier line is raised first.
+    The log is read, decoded and split into lines a piece at a time, so a
+    file's parse holds the records and one piece, never the whole text. An
+    undecodable byte raises :class:`UnicodeDecodeError` (quoting its offset
+    in the file) when its piece is reached, so an error on an earlier line
+    is raised first.
     Records share their repeated strings rather than copy them: a parent id
     that names an earlier commit of the log is that commit's id string, equal
     authors are one string, and equal ``trailer:`` values one ``(key, value)``
@@ -121,8 +116,8 @@ def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
     parents: tuple[str, ...] = ()
     trailers: tuple[tuple[str, str], ...] = ()
 
-    pieces = _pieces(text) if isinstance(text, str) else _file_pieces(text)
-    lines = chain.from_iterable(map(str.splitlines, pieces))
+    log = io.BytesIO(text.encode("utf-8")) if isinstance(text, str) else text
+    lines = chain.from_iterable(map(str.splitlines, _file_pieces(log)))
     numbered = enumerate(chain(lines, (RECORD_SEPARATOR,)), start=1)  # closes an unterminated final record
     for line_no, raw in numbered:
         key, sep, value = raw.partition(":")

@@ -77,8 +77,8 @@ class Provenance:
     """Where the numbers came from: game source, risk delta, solver identity."""
 
     game_source: str
-    delta: Optional[Interval] = None
-    solver: str = "unspecified"
+    delta: Interval
+    solver: str
     samples: Optional[int] = None
     seed: Optional[int] = None
 
@@ -94,7 +94,7 @@ class PayoutReport:
     payouts: tuple[PlayerPayout, ...]
     residual_minor: int
     provenance: Provenance
-    axioms: Optional[AxiomReport] = None
+    axioms: AxiomReport
     notice: Optional[str] = None
 
 
@@ -142,14 +142,16 @@ def allocate_payments(
     *,
     anchor: str = ANCHOR_EXPLICIT,
     fraction: Rationalish = 1,
-    provenance: Optional[Provenance] = None,
-    axioms: Optional[AxiomReport] = None,
+    provenance: Provenance,
+    axioms: AxiomReport,
 ) -> PayoutReport:
     """Split ``budget`` across players in proportion to their shares.
 
     ``anchor`` and ``fraction`` only annotate the report with how the budget
     was derived; when a caller supplies a ready-made budget the defaults
-    ("explicit", 1) state exactly that.
+    ("explicit", 1) state exactly that. ``provenance`` and ``axioms`` (the
+    :func:`~riskshare.shapley.check_axioms` audit of ``result``) go into the
+    report unchanged, so that every report explains its payments.
 
     Any negative contribution is rejected outright rather than clamped: the
     games this library builds are monotone, so a negative value signals a
@@ -162,14 +164,6 @@ def allocate_payments(
     negatives = [p for p in players if result.phi[p] < 0]
     if negatives:
         raise PayoutError(f"negative contribution unsupported (players {negatives})")
-
-    if provenance is None:
-        provenance = Provenance(
-            game_source="unspecified",
-            solver=result.method,
-            samples=result.samples,
-            seed=result.seed,
-        )
 
     shares = result.share
     notice = None
@@ -212,15 +206,7 @@ def allocate_payments(
 # --------------------------------------------------------------------------
 
 
-def _interval_dict(iv: Optional[Interval]):
-    if iv is None:
-        return None
-    return {"lo": str(iv.lo), "hi": str(iv.hi)}
-
-
-def _axioms_dict(ax: Optional[AxiomReport]):
-    if ax is None:
-        return None
+def _axioms_dict(ax: AxiomReport) -> dict:
     return {
         "efficiency_residual": str(ax.efficiency_residual),
         "efficiency": "pass" if ax.efficiency_ok else "fail",
@@ -248,7 +234,7 @@ def report_to_dict(report: PayoutReport) -> dict:
         ],
         "provenance": {
             "game_source": report.provenance.game_source,
-            "delta": _interval_dict(report.provenance.delta),
+            "delta": {"lo": str(report.provenance.delta.lo), "hi": str(report.provenance.delta.hi)},
             "solver": report.provenance.solver,
             "samples": report.provenance.samples,
             "seed": report.provenance.seed,
@@ -286,23 +272,21 @@ def _escaped(cell) -> str:
 
 def _render_markdown(report: PayoutReport) -> str:
     prov = report.provenance
+    # the header's strings come from a config or a stored report: escaped, a line break cannot start a heading
+    header = (report.budget.currency, report.anchor, prov.game_source, prov.solver)
+    currency, anchor, source, solver = map(_escaped, header)
     lines = [
         "# Security bonus report",
         "",
-        f"- budget: **{report.budget}** "
-        f"(anchor `{report.anchor}`, fraction `{report.fraction}` of the avoided loss)",
+        f"- budget: **{currency} {report.budget.display()}** "
+        f"(anchor `{anchor}`, fraction `{report.fraction}` of the avoided loss)",
         f"- rounding: `{report.rounding_mode}`, residual {report.residual_minor} minor unit(s)",
-        f"- game source: `{prov.game_source}`",
-        f"- solver: `{prov.solver}`"
-        + (f" (samples={prov.samples}, seed={prov.seed})" if prov.samples is not None else ""),
+        f"- game source: `{source}`",
+        f"- solver: `{solver}`" + (f" (samples={prov.samples}, seed={prov.seed})" if prov.samples is not None else ""),
+        f"- avoided-loss range: **[{prov.delta.lo}, {prov.delta.hi}]** ({currency}, exact bounds)",
     ]
-    if prov.delta is not None:
-        lines.append(
-            f"- avoided-loss range: **[{prov.delta.lo}, {prov.delta.hi}]** "
-            f"({report.budget.currency}, exact bounds)"
-        )
     if report.notice:
-        lines += ["", f"> {report.notice}"]
+        lines += ["", f"> {_escaped(report.notice)}"]
     lines += [
         "",
         "| player | contribution (phi) | share | payment |",
@@ -311,23 +295,20 @@ def _render_markdown(report: PayoutReport) -> str:
     for row in report.payouts:
         lines.append(f"| {' | '.join(map(_escaped, (row.player, row.phi, row.share, row.payment)))} |")
     ax = report.axioms
-    lines += ["", "## Fairness audit", ""]
-    if ax is None:
-        lines.append("No axiom audit was attached to this run.")
+    lines += ["", "## Fairness audit", "",
+              f"- efficiency: {'pass' if ax.efficiency_ok else 'FAIL'} (residual {ax.efficiency_residual})"]
+    if ax.symmetry_violations is None:
+        lines.append("- symmetry: not audited (sampled estimate)")
+    elif ax.symmetry_violations:
+        pairs = ", ".join(f"{_escaped(a)}/{_escaped(b)}" for a, b in ax.symmetry_violations)
+        lines.append(f"- symmetry: FAIL (equal contributors paid differently: {pairs})")
     else:
-        lines.append(f"- efficiency: {'pass' if ax.efficiency_ok else 'FAIL'} (residual {ax.efficiency_residual})")
-        if ax.symmetry_violations is None:
-            lines.append("- symmetry: not audited (sampled estimate)")
-        elif ax.symmetry_violations:
-            pairs = ", ".join(f"{_escaped(a)}/{_escaped(b)}" for a, b in ax.symmetry_violations)
-            lines.append(f"- symmetry: FAIL (equal contributors paid differently: {pairs})")
-        else:
-            lines.append("- symmetry: pass (equal contributors are paid equally)")
-        if ax.null_player_violations:
-            paid = ", ".join(map(_escaped, ax.null_player_violations))
-            lines.append(f"- null player: FAIL (zero contributors paid: {paid})")
-        else:
-            lines.append("- null player: pass (only actual contributions are paid)")
+        lines.append("- symmetry: pass (equal contributors are paid equally)")
+    if ax.null_player_violations:
+        paid = ", ".join(map(_escaped, ax.null_player_violations))
+        lines.append(f"- null player: FAIL (zero contributors paid: {paid})")
+    else:
+        lines.append("- null player: pass (only actual contributions are paid)")
     return "\n".join(lines) + "\n"
 
 
@@ -428,11 +409,11 @@ def parse_report(text: str) -> PayoutReport:
         residual_minor=_field(doc, "residual_minor", "", _integer),
         provenance=Provenance(
             game_source=_field(prov, "game_source", "provenance", _string),
-            delta=_nullable(prov, "delta", "provenance", _delta),
+            delta=_field(prov, "delta", "provenance", _delta),
             solver=_field(prov, "solver", "provenance", _string),
             samples=_nullable(prov, "samples", "provenance", _integer),
             seed=_nullable(prov, "seed", "provenance", _integer),
         ),
-        axioms=_nullable(doc, "axioms", "", _axioms, {row.player for row in payouts}),
+        axioms=_field(doc, "axioms", "", _axioms, {row.player for row in payouts}),
         notice=_nullable(doc, "notice", "", _string),
     )

@@ -75,7 +75,10 @@ class QualitativeScale:
     def __post_init__(self):
         if self.kind not in SCALE_KINDS:
             raise ValueError(f"unknown scale kind {self.kind!r}; expected one of {SCALE_KINDS}")
-        object.__setattr__(self, "categories", tuple((str(l), b) for l, b in self.categories))
+        object.__setattr__(self, "categories", tuple((l, b) for l, b in self.categories))
+        for label, _ in self.categories:
+            if not isinstance(label, str):
+                raise ValueError(f"scale {self.name!r}: category label {label!r} is not a string")
         if not self.categories:
             raise ValueError(f"scale {self.name!r} has no categories")
 

@@ -11,13 +11,18 @@ from riskshare import (
     Control,
     Interval,
     LeafCondition,
+    Money,
+    PayoutReport,
     PlayerSet,
+    Provenance,
     QualitativeScale,
     ScaleSet,
+    ShapleyResult,
     SubsetResult,
     Threat,
     ThreatAssessment,
     ThreatTree,
+    allocate_payments,
     game_from_table,
 )
 
@@ -56,6 +61,14 @@ def audit_passes(report: AxiomReport) -> bool:
         and not report.symmetry_violations
         and not report.null_player_violations
     )
+
+
+def allocate(result: ShapleyResult, budget: Money, rounding_mode: str = "per-recipient", **annotations) -> PayoutReport:
+    """``allocate_payments`` for a test of the payments alone: unless ``annotations`` pass them, the report's
+    provenance names a ``test`` source with a zero delta, and its audit is a clean one that no game checked."""
+    annotations.setdefault("provenance", Provenance("test", Interval(0, 0), result.method, result.samples, result.seed))
+    annotations.setdefault("axioms", AxiomReport(Fraction(0), (), ()))
+    return allocate_payments(result, budget, rounding_mode, **annotations)
 
 
 def render_commit_log(records) -> str:

@@ -17,7 +17,6 @@ from riskshare import (
     Money,
     PlayerSet,
     ShapleyResult,
-    allocate_payments,
     check_axioms,
     compute_budget,
     derive_attribution,
@@ -36,6 +35,7 @@ from riskshare.documents import load_risk_model
 
 from conftest import (
     FIXTURES,
+    allocate,
     build_fix_count_game,
     build_joint_feature_game,
     random_game,
@@ -94,7 +94,7 @@ def test_criterion_3_payments_and_companion_checks():
         result = shapley_exact(reported)
         assert result.phi == {"A": Fraction(7, 6), "B": Fraction(1, 6), "C": Fraction(2, 3)}
         budget = compute_budget(Interval(2125900, 15622700), Fraction(1, 100), "lower")
-        report = allocate_payments(result, budget, "per-recipient")
+        report = allocate(result, budget, "per-recipient")
         payments = [row.payment.amount_minor for row in report.payouts]
         assert payments == [1240108, 177158, 708633]
 
@@ -261,10 +261,10 @@ def test_criterion_8_payout_conservation():
             players = tuple(f"p{k}" for k in range(n))
             result = ShapleyResult(players=players, phi=dict(zip(players, phi)), method="external")
             budget = Money(rng.randint(0, 10**7))
-            exact_total = allocate_payments(result, budget, "largest-remainder")
+            exact_total = allocate(result, budget, "largest-remainder")
             assert sum(r.payment.amount_minor for r in exact_total.payouts) == budget.amount_minor
             assert exact_total.residual_minor == 0
-            drift = allocate_payments(result, budget, "per-recipient")
+            drift = allocate(result, budget, "per-recipient")
             assert abs(drift.residual_minor) <= n - 1 if n > 1 else drift.residual_minor == 0
 
         # scale invariance: v and (5/9)v produce byte-identical payment sections
@@ -272,7 +272,7 @@ def test_criterion_8_payout_conservation():
         budget = Money(2125900)
 
         def payment_bytes(g):
-            report = allocate_payments(shapley_exact(g), budget, "per-recipient")
+            report = allocate(shapley_exact(g), budget, "per-recipient")
             doc = [[row.player, row.payment.amount_minor] for row in report.payouts]
             return json.dumps(doc).encode()
 

@@ -1098,6 +1098,19 @@ class TestReport:
         assert (code, out) == (2, "")
         assert err == f"input error: {report_path}: axioms.linearity: expected null, got {linearity!r}\n"
 
+    def test_a_line_break_in_the_configured_currency_starts_no_heading(self, capsys, workdir):
+        config = workdir / WE / "payout_config.json"
+        doc = json.loads(config.read_text())
+        doc["currency"] = "USD\n# all payments void"
+        config.write_text(json.dumps(doc))
+        report_path = workdir / "r.json"
+        assert run(capsys, "payout", "--config", str(config), "--out", str(report_path))[0] == 0
+        code, out, _ = run(capsys, "report", str(report_path), "--format", "markdown")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("#")] == ["# Security bonus report",
+                                                                              "## Fairness audit"]
+        assert "- budget: **USD<br># all payments void 21259.00**" in out
+
 
 class TestParserReuse:
     """``main`` reuses one parser across calls; no option of one call reaches the next.

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,12 @@ class TestPlayerSet:
     @pytest.mark.parametrize("players", [("",), ("A", "", "C")])
     def test_rejects_an_empty_id(self, players):
         with pytest.raises(GameDefinitionError, match="^a player id must not be empty$"):
+            PlayerSet(players)
+
+    @pytest.mark.parametrize("players, bad", [(("a", None), "None"), ((1, 2), "1"), (("a", b"b"), "b'b'")])
+    def test_rejects_an_id_that_is_not_a_string(self, players, bad):
+        """An id is never converted: ``1`` would become a player ``"1"`` that no evidence names."""
+        with pytest.raises(GameDefinitionError, match=f"^player id {re.escape(bad)} is not a string$"):
             PlayerSet(players)
 
     def test_mask_round_trip(self):

@@ -334,13 +334,13 @@ def pad_to(text: str, end: int) -> str:
 
 
 class TestParsePieces:
-    """The log is split into lines a piece at a time, and a file is also read and decoded a piece at a time;
-    records share their repeated strings. No piece boundary changes a record, a line number or an error."""
+    """The log is read, decoded and split into lines a piece at a time, and records share their repeated
+    strings. No piece boundary changes a record, a line number or an error."""
 
     def boundary_log(self, third_cut_line: str, final_date: bool) -> tuple[str, list[CommitRecord]]:
         """A four-piece log: a CRLF pair ends the first piece (its ``\\r`` ends the first read of a file), a blank
         line starts the third and ``third_cut_line`` the fourth; the log ends on an unterminated record, with or
-        without its date. A file holding it is cut at the same places as the text."""
+        without its date."""
         size = mining._PIECE_SIZE
         quarter = size // 200  # commits per piece, well under a piece each
         records = linear_history(4 * quarter)
@@ -357,11 +357,10 @@ class TestParsePieces:
             final = head + tail[tail.index("\n") :]
         text += final
 
-        pieces = list(mining._pieces(text))
+        pieces = list(mining._file_pieces(io.BytesIO(text.encode("utf-8"))))
         assert "".join(pieces) == text and len(pieces) == 4
         assert len(pieces[0]) == size + 1 and pieces[0].endswith("\r\n")
         assert pieces[2].startswith("\ncommit: ") and pieces[3].startswith(third_cut_line + "\n")
-        assert list(mining._file_pieces(io.BytesIO(text.encode("utf-8")))) == pieces
         return text, records
 
     def test_records_survive_every_boundary(self, tmp_path):
@@ -383,7 +382,8 @@ class TestParsePieces:
         assert str(error.value) == f"line {len(text.splitlines())}: record missing 'date' field"
 
     def test_peak_memory_stays_a_small_multiple_of_the_text(self):
-        """The parse holds the text and its records; a list of every line would take the peak to about 6.6x."""
+        """The parse holds the text's UTF-8 copy and the records, about 3.0x the text; a list of every line would
+        take the peak to about 6.6x."""
         text = render_commit_log(linear_history(20_000))
         tracemalloc.start()
         try:
@@ -457,6 +457,12 @@ class TestReadLogFile:
         data = b"commit: a\nbogus\n" + b"\n" * (2 * mining._PIECE_SIZE) + b"\xff\n"
         with pytest.raises(DocumentError, match="^line 2: malformed line 'bogus'"):
             parse_commit_log(io.BytesIO(data))
+
+    def test_text_with_a_lone_surrogate_is_rejected_before_any_line(self):
+        """Text is read as the UTF-8 file holding it, and no UTF-8 file holds a lone surrogate."""
+        text = "commit: a\nbogus\n" + SIMPLE_LOG.replace("alice", "al\ud800ice")
+        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+            parse_commit_log(text)
 
 
 class TestIdentities:

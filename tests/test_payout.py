@@ -26,7 +26,7 @@ from riskshare import (
     shapley_monte_carlo,
 )
 
-from conftest import scaled
+from conftest import allocate, scaled
 
 WORKED_DELTA = Interval(2125900, 15622700)
 
@@ -94,50 +94,51 @@ class TestComputeBudget:
 class TestAllocate:
     def test_reported_shares_reproduce_published_payments(self):
         result = result_from_phi([Fraction(7, 6), Fraction(1, 6), Fraction(2, 3)])
-        report = allocate_payments(result, Money(2125900), "per-recipient")
+        report = allocate(result, Money(2125900), "per-recipient")
         assert [row.payment.amount_minor for row in report.payouts] == [1240108, 177158, 708633]
         assert report.residual_minor == -1
 
     def test_largest_remainder_conserves_and_breaks_tie_by_id(self):
         # all three dropped fractions are exactly 1/3; the first player id wins
         result = result_from_phi([Fraction(7, 6), Fraction(1, 6), Fraction(2, 3)])
-        report = allocate_payments(result, Money(2125900), "largest-remainder")
+        report = allocate(result, Money(2125900), "largest-remainder")
         assert [row.payment.amount_minor for row in report.payouts] == [1240109, 177158, 708633]
         assert report.residual_minor == 0
 
     @pytest.mark.parametrize("budget, paid", [(1, 1), (3, 2), (5, 3)])
     def test_per_recipient_rounds_an_exact_half_cent_up(self, budget, paid):
         """Two equal shares of an odd budget are each a whole number of minor units and a half: half-up pays more."""
-        report = allocate_payments(result_from_phi([1, 1]), Money(budget), "per-recipient")
+        report = allocate(result_from_phi([1, 1]), Money(budget), "per-recipient")
         assert [row.payment.amount_minor for row in report.payouts] == [paid, paid]
         assert report.residual_minor == 1
 
     def test_single_player_gets_everything(self):
         result = result_from_phi([Fraction(5)])
         for mode in ("per-recipient", "largest-remainder"):
-            report = allocate_payments(result, Money(123457), mode)
+            report = allocate(result, Money(123457), mode)
             assert report.payouts[0].payment == Money(123457)
             assert report.residual_minor == 0
 
     def test_negative_contribution_rejected(self):
         result = result_from_phi([Fraction(2), Fraction(-1)])
         with pytest.raises(PayoutError, match="negative contribution"):
-            allocate_payments(result, Money(100))
+            allocate(result, Money(100))
 
     def test_zero_total_pays_nobody_with_notice(self):
         result = result_from_phi([0, 0, 0])
-        report = allocate_payments(result, Money(100))
+        report = allocate(result, Money(100))
         assert all(row.payment.amount_minor == 0 for row in report.payouts)
         assert "zero" in report.notice
 
     def test_unknown_rounding_mode(self):
         with pytest.raises(PayoutError):
-            allocate_payments(result_from_phi([1]), Money(1), "stochastic")
+            allocate(result_from_phi([1]), Money(1), "stochastic")
 
-    def test_default_provenance_records_solver(self):
+    def test_provenance_and_audit_are_required(self):
+        """Every report explains its payments: there is no report without a provenance or an axiom audit."""
         result = result_from_phi([1, 1], method="exact-subset")
-        report = allocate_payments(result, Money(100))
-        assert report.provenance.solver == "exact-subset"
+        with pytest.raises(TypeError, match="'provenance' and 'axioms'"):
+            allocate_payments(result, Money(100))
 
 
 def random_share_result(rng: random.Random) -> ShapleyResult:
@@ -152,7 +153,7 @@ def test_largest_remainder_conservation_fuzz():
         if result.total == 0:
             continue
         budget = Money(rng.randint(0, 10**7))
-        report = allocate_payments(result, budget, "largest-remainder")
+        report = allocate(result, budget, "largest-remainder")
         assert sum(row.payment.amount_minor for row in report.payouts) == budget.amount_minor
         assert report.residual_minor == 0
 
@@ -164,7 +165,7 @@ def test_per_recipient_residual_bound_fuzz():
         if result.total == 0:
             continue
         budget = Money(rng.randint(0, 10**7))
-        report = allocate_payments(result, budget, "per-recipient")
+        report = allocate(result, budget, "per-recipient")
         n = len(report.payouts)
         assert abs(report.residual_minor) <= max(n - 1, 0)
 
@@ -177,7 +178,7 @@ def test_monotonicity_in_both_modes():
             continue
         budget = Money(rng.randint(0, 10**6))
         for mode in ("per-recipient", "largest-remainder"):
-            report = allocate_payments(result, budget, mode)
+            report = allocate(result, budget, mode)
             rows = list(report.payouts)
             for a in rows:
                 for b in rows:
@@ -192,7 +193,7 @@ def test_monotonicity_in_both_modes():
 )
 def test_largest_remainder_conservation_property(phis, budget_minor):
     result = result_from_phi(phis)
-    report = allocate_payments(result, Money(budget_minor), "largest-remainder")
+    report = allocate(result, Money(budget_minor), "largest-remainder")
     assert sum(row.payment.amount_minor for row in report.payouts) == budget_minor or result.total == 0
     if result.total == 0:
         assert all(row.payment.amount_minor == 0 for row in report.payouts)
@@ -201,9 +202,9 @@ def test_largest_remainder_conservation_property(phis, budget_minor):
 def test_scale_invariance_of_payments(reported_variant_game):
     """Replacing v by c*v changes phi but not shares, hence not payments."""
     budget = Money(2125900)
-    base = allocate_payments(shapley_exact(reported_variant_game), budget, "largest-remainder")
+    base = allocate(shapley_exact(reported_variant_game), budget, "largest-remainder")
     scaled_game = scaled(reported_variant_game, Fraction(5, 9))
-    other = allocate_payments(shapley_exact(scaled_game), budget, "largest-remainder")
+    other = allocate(shapley_exact(scaled_game), budget, "largest-remainder")
     assert [r.payment for r in base.payouts] == [r.payment for r in other.payouts]
     assert [r.share for r in base.payouts] == [r.share for r in other.payouts]
 
@@ -224,8 +225,8 @@ def test_normalization_equivalence_of_payments():
     budget = Money(2125900)
     raw = leaf_coverage_game(tree, attribution, players, normalized=False)
     norm = leaf_coverage_game(tree, attribution, players, normalized=True)
-    pay_raw = allocate_payments(shapley_exact(raw), budget, "per-recipient")
-    pay_norm = allocate_payments(shapley_exact(norm), budget, "per-recipient")
+    pay_raw = allocate(shapley_exact(raw), budget, "per-recipient")
+    pay_norm = allocate(shapley_exact(norm), budget, "per-recipient")
     assert [r.payment for r in pay_raw.payouts] == [r.payment for r in pay_norm.payouts]
 
 
@@ -275,7 +276,7 @@ class TestRendering:
             result = shapley_monte_carlo(game, 11, seed)
             axioms = check_axioms(game, result)
             assert axioms == AxiomReport(Fraction(0), None, ())
-            text = render_report(allocate_payments(result, Money(100), axioms=axioms), "markdown")
+            text = render_report(allocate(result, Money(100), axioms=axioms), "markdown")
             assert "- symmetry: not audited (sampled estimate)" in text
             assert "- null player: pass" in text
             assert "FAIL" not in text
@@ -309,7 +310,7 @@ class TestRendering:
         v = CoalitionGame(PlayerSet((a, b, z)), terms=[(0b011, 2)])
         result = ShapleyResult(players=(a, b, z), phi={a: Fraction(2), b: Fraction(0), z: Fraction(1)},
                                method="external")
-        report = allocate_payments(result, Money(300), axioms=check_axioms(v, result))
+        report = allocate(result, Money(300), axioms=check_axioms(v, result))
         text = render_report(report, "markdown")
         assert text.endswith(
             "- symmetry: FAIL (equal contributors paid differently: a\\|x/B<br><br># all payments void)\n"
@@ -320,7 +321,7 @@ class TestRendering:
         assert parse_report(render_report(report, "json")) == report
 
     def test_single_player_report_renders(self):
-        report = allocate_payments(result_from_phi([Fraction(1)]), Money(500))
+        report = allocate(result_from_phi([Fraction(1)]), Money(500))
         text = render_report(report, "markdown")
         assert "| p0 |" in text
 
@@ -338,12 +339,37 @@ class TestRendering:
         a raw line break would end the row early and leave the rest of it outside the table."""
         result = ShapleyResult(players=(player, "alice"), phi={player: Fraction(1, 6), "alice": Fraction(1, 3)},
                                method="external")
-        text = render_report(allocate_payments(result, Money(300)), "markdown")
+        text = render_report(allocate(result, Money(300)), "markdown")
         rows = [line for line in text.splitlines() if line.startswith("| ") and not line.startswith("| player")]
         assert [re.split(r"(?<!\\)\|", row)[1:-1] for row in rows] == [
             [f" {cell} ", " 1/6 ", " 1/3 ", " USD 1.00 "],
             [" alice ", " 1/3 ", " 2/3 ", " USD 2.00 "],
         ]
+
+    #: Where each header string sits in a stored report; a config's currency is also each payment's.
+    HEADER_FIELDS = {
+        "currency": [("budget", "currency")] + [("payouts", k, "payment", "currency") for k in range(3)],
+        "game_source": [("provenance", "game_source")],
+        "solver": [("provenance", "solver")],
+        "notice": [("notice",)],
+    }
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[brk.encode("unicode_escape").decode() for brk in LINE_BREAKS])
+    @pytest.mark.parametrize("field", HEADER_FIELDS)
+    def test_markdown_header_escapes_config_and_report_strings(self, reported_variant_game, field, brk):
+        """A line break in a header string renders as ``<br>``: raw, it would start a heading of its own."""
+        doc = json.loads(render_report(self.make_report(reported_variant_game), "json"))
+        for *parents, key in self.HEADER_FIELDS[field]:
+            node = doc
+            for parent in parents:
+                node = node[parent]
+            node[key] = f"USD{brk}# all payments void"
+        clean = render_report(self.make_report(reported_variant_game), "markdown").splitlines()
+        text = render_report(parse_report(json.dumps(doc)), "markdown")
+        assert [line for line in text.splitlines() if line.startswith("#")] == ["# Security bonus report",
+                                                                               "## Fairness audit"]
+        assert len(text.splitlines()) == len(clean) + (2 if field == "notice" else 0)  # a blank and the quote
+        assert "USD<br># all payments void" in text
 
     def test_unknown_format_rejected(self, reported_variant_game):
         from riskshare import DocumentError
@@ -391,6 +417,8 @@ class TestParseReport:
             (("provenance", "delta", "lo"), 2125900, "provenance.delta.lo: expected a string, got integer 2125900"),
             (("provenance", "delta", "lo"), "99999999", "provenance.delta: invalid interval"),
             (("provenance", "seed"), "7", "provenance.seed: expected an integer, got string '7'"),
+            (("provenance", "delta"), None, "provenance.delta: expected an object, got null"),
+            (("axioms",), None, "axioms: expected an object, got null"),
             (("axioms", "symmetry_violations"), [["A"]], "axioms.symmetry_violations[0]: expected two player ids, got 1"),
             (
                 ("axioms", "symmetry_violations"),
@@ -433,7 +461,7 @@ class TestParseReport:
             "phi-float", "null-players-string", "null-players-null", "player-integer", "rounding-mode",
             "notice-array", "fraction-zero-denominator", "anchor", "amount-string", "amount-bool", "amount-negative",
             "currency-null", "payout-row", "residual-float", "delta-integer", "delta-reversed",
-            "seed-string", "symmetry-pair", "symmetry-unknown-player", "symmetry-same-player",
+            "seed-string", "delta-null", "axioms-null", "symmetry-pair", "symmetry-unknown-player", "symmetry-same-player",
             "null-player-unknown", "null-player-integer", "linearity", "efficiency-residual-integer",
             "efficiency-contradicts-residual", "efficiency-null", "unknown-key", "unknown-provenance-key",
             "unknown-payment-key",

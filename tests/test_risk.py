@@ -73,6 +73,12 @@ class TestValidateScale:
         report = validate_scale(scale)
         assert any("end at 1" in issue.message for issue in report.issues)
 
+    @pytest.mark.parametrize("label", [5, None, ("low",)])
+    def test_a_label_that_is_not_a_string_is_rejected(self, label):
+        """A label is never converted: ``5`` would become a category ``"5"``."""
+        with pytest.raises(ValueError, match=f"^scale 'L': category label {re.escape(repr(label))} is not a string$"):
+            QualitativeScale("L", "lookup", (("low", Interval(0, 1)), (label, Interval(1, 2))))
+
     def test_duplicate_labels_flagged(self):
         scale = QualitativeScale(
             "dup", "likelihood", (("x", Interval(0, "0.5")), ("x", Interval("0.5", 1)))

@@ -71,10 +71,10 @@ CASES = [
     (Money, {"amount_minor": 500, "currency": "EUR"}, {"currency": "USD"}),
     (PlayerPayout, {"player": "alice", "phi": Fraction(1, 2), "share": Fraction(1, 3), "payment": MONEY}, {}),
     (Provenance, {"game_source": "commit-log", "delta": Interval(1, 2), "solver": "exact-subset", "samples": 10,
-                  "seed": 3}, {"delta": None, "solver": "unspecified", "samples": None, "seed": None}),
+                  "seed": 3}, {"samples": None, "seed": None}),
     (PayoutReport, {"budget": MONEY, "anchor": "lower", "fraction": Fraction(1, 10), "rounding_mode": "per-recipient",
                     "payouts": (PAYOUT,), "residual_minor": 0, "provenance": PROVENANCE, "axioms": AXIOMS,
-                    "notice": "n"}, {"axioms": None, "notice": None}),
+                    "notice": "n"}, {"notice": None}),
     (AxiomReport, {"efficiency_residual": Fraction(0), "symmetry_violations": (("a", "b"),),
                    "null_player_violations": ("c",)}, {}),
     (ShapleyResult, {"players": ("a",), "phi": {"a": Fraction(1)}, "method": "monte-carlo", "samples": 5, "seed": 1,
