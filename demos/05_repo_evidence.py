@@ -71,8 +71,10 @@ print(plan.to_json())
 # ---------------------------------------------------------------------------
 
 # subset_results.json records what rebuilding each coalition's commits gave:
-# the leaf checks that passed. Trailer counting and rebuild counting must
-# agree exactly.
+# the leaf checks that passed. The reader returns them as (subset, passing)
+# pairs of ids, and game_from_subset_results counts each coalition's passes
+# into a value table, as leaf_coverage_game counts its trailers. Trailer
+# counting and rebuild counting must agree exactly.
 roster, evidence = load_subset_results(FIXTURES / "subset_results.json")
 rebuilt = game_from_subset_results(evidence, model.tree, PlayerSet(roster))
 assert rebuilt.value_table() == game.value_table()

@@ -26,14 +26,8 @@ from typing import Optional
 from . import documents
 from .config import RunConfig, SolverSpec, load_run_config
 from .errors import CapacityError, DocumentError, RiskshareError, ValidationError
-from .games import CoalitionGame, PlayerSet, leaf_coverage_game
-from .mining import (
-    cherry_pick_plan,
-    derive_attribution,
-    game_from_subset_results,
-    parse_commit_log,
-    resolve_identities,
-)
+from .games import CoalitionGame, PlayerSet, game_from_subset_results, leaf_coverage_game
+from .mining import cherry_pick_plan, derive_attribution, parse_commit_log, resolve_identities
 from .payout import Provenance, allocate_payments, compute_budget, render_report, parse_report
 from .risk import RiskModel, ValidationIssue, ValidationReport, risk_delta
 from .shapley import ShapleyResult, check_axioms, shapley_exact, shapley_monte_carlo
@@ -94,7 +88,7 @@ def _naming(path):
 def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
     """The checked config's game; a validation or capacity error of the source names its file.
 
-    Coalition tables and subset results end in ``game_from_table``, the other sources in ``leaf_coverage_game``.
+    Every source's builder is in :mod:`riskshare.games`; attribution and commit-log sources share ``leaf_coverage_game``.
     """
     kind = config.source.type
     with _naming(config.source.path):
@@ -102,7 +96,7 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
             return documents.load_coalition_game(config.source.path)
         if kind == "subset_results":
             declared, results = documents.load_subset_results(config.source.path)
-            players = _roster(declared, {p for r in results for p in r.subset})
+            players = _roster(declared, {p for subset, _ in results for p in subset})
             return game_from_subset_results(results, model.tree, players, config.normalized)
         if kind == "attribution":
             declared, attribution = documents.load_attribution(config.source.path)

@@ -18,7 +18,6 @@ from typing import Optional, Union
 from .errors import DocumentError
 from .games import CoalitionGame, PlayerSet, game_from_table
 from .intervals import Interval, as_fraction
-from .mining import SubsetResult
 from .risk import (
     Control,
     LeafCondition,
@@ -321,14 +320,16 @@ def load_attribution(path: Pathish):
     return load_json(path, attribution_from_document)
 
 
-def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[SubsetResult]]:
-    """Parse subset results: an optional ``players`` roster and rows of ``{"subset": [...], "passing": [...]}``."""
+def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[tuple[tuple[str, ...], tuple[str, ...]]]]:
+    """Parse subset results: an optional ``players`` roster and rows of ``{"subset": [...], "passing": [...]}``.
+
+    Returns the roster (None when absent) and one ``(subset, passing)`` pair of id tuples per row.
+    """
     roster, rows = _envelope(doc, "results")
-    results = []
-    for where, row in _rows(rows, "results", ("subset", "passing")):
-        subset = _field(row, "subset", where, _strings)
-        passing = _field(row, "passing", where, _strings)
-        results.append(SubsetResult(subset, passing))
+    results = [
+        (_field(row, "subset", where, _strings), _field(row, "passing", where, _strings))
+        for where, row in _rows(rows, "results", ("subset", "passing"))
+    ]
     return roster, results
 
 

@@ -4,13 +4,14 @@ A game is a total value function v over subsets of the player set with
 v(empty) = 0. Subsets are encoded canonically as bitmasks over the player
 ordering. Every game is held the same way, as Harsanyi dividends: v(S) is the
 sum of the weights d_T of the terms whose required set T lies inside S.
-A leaf-coverage game comes in this basis, one term per addressed leaf (one
-unanimity game each), and a game with k terms costs O(k) per evaluation and
-O(k) memory at any team size. A full table of ``2**n`` values (coalition
-tables, subset rebuild results) is an input form only: it is converted once
-by the Moebius transform, whose result is unique, and :meth:`value_table`
-rebuilds it by the inverse (zeta) transform within :data:`MATERIALIZATION_CAP`.
-Both transforms run in integers over one common denominator in O(n * 2^n).
+Every evidence-to-game builder is here. :func:`leaf_coverage_game` gives one
+term per addressed leaf (one unanimity game each), and a game with k terms
+costs O(k) per evaluation and O(k) memory at any team size. A full table of
+``2**n`` values (:func:`game_from_table`, :func:`game_from_subset_results`)
+is an input form only: it is converted once by the Moebius transform, whose
+result is unique, and :meth:`value_table` rebuilds it by the inverse (zeta)
+transform within :data:`MATERIALIZATION_CAP`. Both transforms run in integers
+over one common denominator in O(n * 2^n).
 """
 
 from __future__ import annotations
@@ -190,6 +191,35 @@ def _subset_transform(values: list[int], n: int, op) -> None:
                 values[upper] = map(op, values[upper], values[base : base + step])
 
 
+def _check_capacity(players: PlayerSet, label: str) -> None:
+    if players.n > MATERIALIZATION_CAP:
+        n = players.n
+        raise CapacityError(f"{label} for {n} players needs 2^{n} values (cap {MATERIALIZATION_CAP} players)")
+
+
+def _leaf_weight(tree: ThreatTree, normalized: bool) -> Fraction:
+    """The value of one leaf: 1, or one over the tree's leaf count with ``normalized``."""
+    if not normalized:
+        return Fraction(1)
+    if tree.leaf_count == 0:
+        raise GameDefinitionError("cannot normalize over a tree with no leaves")
+    return Fraction(1, tree.leaf_count)
+
+
+def _table_game(players: PlayerSet, values: dict[int, Fraction], label: str, default_zero=False) -> CoalitionGame:
+    """The game of a ``mask -> value`` map: v(empty) is 0, and each coalition has a value unless ``default_zero``."""
+    if values.setdefault(0, Fraction(0)) != 0:
+        raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
+    size = 1 << players.n
+    missing = size - len(values)
+    if missing and not default_zero:
+        first = itertools.islice((m for m in range(size) if m not in values), 8)
+        shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in first)
+        more = "" if missing <= 8 else f" (+{missing - 8} more)"
+        raise GameDefinitionError(f"missing coalitions: {shown}{more}")
+    return CoalitionGame(players, table=[values.get(m, 0) for m in range(size)], label=label)
+
+
 def game_from_table(
     players: PlayerSet,
     entries: Iterable[tuple[Iterable[str], Rationalish]],
@@ -200,31 +230,49 @@ def game_from_table(
     """Build a game from explicit (coalition, value) rows.
 
     Rows must cover all ``2**n`` subsets unless ``default_zero`` fills the
-    gaps. A duplicate row, an unknown player, a nonzero value for the empty
-    coalition or a roster above :data:`MATERIALIZATION_CAP` is an error.
+    gaps. A roster above :data:`MATERIALIZATION_CAP` (checked before any row),
+    a duplicate row, an unknown player or a nonzero value for the empty
+    coalition is an error.
     """
-    if players.n > MATERIALIZATION_CAP:
-        raise CapacityError(
-            f"{label} for {players.n} players needs 2^{players.n} values "
-            f"(cap {MATERIALIZATION_CAP} players)"
-        )
+    _check_capacity(players, label)
     values: dict[int, Fraction] = {}
     for subset, value in entries:
         mask = players.mask_of(subset)
         if mask in values:
             raise GameDefinitionError(f"duplicate entry for coalition {players.ids_of(mask)}")
         values[mask] = as_fraction(value)
-    if values.get(0, Fraction(0)) != 0:
-        raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
-    values[0] = Fraction(0)
-    size = 1 << players.n
-    missing = size - len(values)
-    if missing and not default_zero:
-        first = itertools.islice((m for m in range(size) if m not in values), 8)
-        shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in first)
-        more = "" if missing <= 8 else f" (+{missing - 8} more)"
-        raise GameDefinitionError(f"missing coalitions: {shown}{more}")
-    return CoalitionGame(players, table=[values.get(m, 0) for m in range(size)], label=label)
+    return _table_game(players, values, label, default_zero)
+
+
+def game_from_subset_results(
+    results: Iterable[tuple[Iterable[str], Iterable[str]]],
+    tree: ThreatTree,
+    players: PlayerSet,
+    normalized: bool = False,
+) -> CoalitionGame:
+    """Build a game from ``(subset, passing)`` rows: the leaves that passed when only ``subset``'s commits were rebuilt.
+
+    v(S) counts S's passing leaves (as a share of the tree's with ``normalized``).
+    Unknown leaves or players, conflicting duplicates (in any id order) and a
+    nonempty pass list for the empty coalition are errors, found before the
+    player cap; so is a coalition with no row.
+    """
+    weight = _leaf_weight(tree, normalized)
+    known = set(tree.leaf_ids())
+    passing: dict[int, frozenset[str]] = {}
+    for subset, leaves in results:
+        leaves = frozenset(leaves)
+        bad = sorted(leaves - known)
+        if bad:
+            raise GameDefinitionError(f"subset result references unknown leaf ids: {bad}")
+        mask = players.mask_of(subset)
+        if passing.setdefault(mask, leaves) != leaves:
+            raise GameDefinitionError(f"conflicting duplicate results for coalition {players.ids_of(mask)}")
+        if not mask and leaves:
+            raise GameDefinitionError(f"empty coalition cannot pass leaves, got {sorted(leaves)}")
+    _check_capacity(players, "subset-results")
+    values = {mask: len(leaves) * weight for mask, leaves in passing.items()}
+    return _table_game(players, values, "subset-results")
 
 
 def leaf_coverage_game(
@@ -245,12 +293,7 @@ def leaf_coverage_game(
     unknown = sorted(set(attribution) - known)
     if unknown:
         raise GameDefinitionError(f"attribution references unknown leaf ids: {unknown}")
-    weight = Fraction(1)
-    if normalized:
-        if tree.leaf_count == 0:
-            raise GameDefinitionError("cannot normalize over a tree with no leaves")
-        weight = Fraction(1, tree.leaf_count)
+    weight = _leaf_weight(tree, normalized)
     terms = [(players.mask_of(authors), weight) for authors in attribution.values() if authors]
     label = "leaf-coverage" + ("/normalized" if normalized else "")
     return CoalitionGame(players, terms=terms, label=label)
-

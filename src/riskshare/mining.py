@@ -1,19 +1,17 @@
-"""Version-control evidence -> attribution maps and coalition games.
+"""Version-control evidence: commit logs, attribution maps and cherry-pick plans.
 
 The input is a line-oriented commit log (one field per line, records separated
 by ``---``) that any hosted repository can export; commits claim credit for
 leaf conditions through repeatable ``Satisfies: <leaf-id>`` trailers, which are
-reviewable in pull requests like any other change.
+reviewable in pull requests like any other change. :func:`derive_attribution`
+turns them into a leaf -> authors map, which ``games.leaf_coverage_game``
+makes a game.
 
-Evidence comes in two shapes, each with one game builder in :mod:`riskshare.games`:
-
-* leaf -> authors, from trailers via :func:`derive_attribution` -> ``leaf_coverage_game``;
-* a value per coalition, from subset rebuilds via :func:`game_from_subset_results` -> ``game_from_table``.
-
-Rebuilding a product from only a subset's commits is never done here; the
-library emits :func:`cherry_pick_plan` documents and consumes the resulting
-pass/fail evidence, because partial cherry-picks can produce non-compiling
-trees that need human judgment.
+Rebuilding a product from only a subset's commits is never done here, because
+partial cherry-picks can produce non-compiling trees that need human judgment.
+The library emits :func:`cherry_pick_plan` documents, and
+``games.game_from_subset_results`` turns the resulting pass/fail evidence
+into a game.
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ import io
 import json
 import warnings
 from datetime import datetime
-from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
+from typing import BinaryIO, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
 
 from ._frozen import frozen
-from .errors import CommitLogWarning, DocumentError, GameDefinitionError, ValidationError
-from .games import CoalitionGame, PlayerSet, game_from_table
+from .errors import CommitLogWarning, DocumentError, ValidationError
 from .risk import ThreatTree
 
 SATISFIES_KEY = "Satisfies"
@@ -401,52 +397,3 @@ def cherry_pick_plan(
         picks=picks,
         warnings=tuple(plan_warnings),
     )
-
-
-# --------------------------------------------------------------------------
-# Subset evaluation results
-# --------------------------------------------------------------------------
-
-
-@frozen
-class SubsetResult:
-    """Outcome of externally rebuilding one coalition: which leaves passed."""
-
-    subset: frozenset[str]
-    passing: frozenset[str]
-
-    def __init__(self, subset: Iterable[str], passing: Iterable[str]):
-        object.__setattr__(self, "subset", frozenset(subset))
-        object.__setattr__(self, "passing", frozenset(passing))
-
-
-def game_from_subset_results(
-    results: Iterable[SubsetResult],
-    tree: ThreatTree,
-    players: PlayerSet,
-    normalized: bool = False,
-) -> CoalitionGame:
-    """Build a game from per-coalition pass lists, through :func:`game_from_table`.
-
-    Unknown leaves, conflicting duplicates and a nonempty pass list for the
-    empty coalition are errors here; the table builder checks the player cap,
-    unknown players and the coverage of all ``2**n`` coalitions.
-    """
-    if normalized and tree.leaf_count == 0:
-        raise GameDefinitionError("cannot normalize over a tree with no leaves")
-    denom = tree.leaf_count if normalized else 1
-    known = set(tree.leaf_ids())
-    passing: dict[frozenset[str], frozenset[str]] = {}
-    for result in results:
-        bad = sorted(result.passing - known)
-        if bad:
-            raise GameDefinitionError(f"subset result references unknown leaf ids: {bad}")
-        if passing.setdefault(result.subset, result.passing) != result.passing:
-            coalition = players.ids_of(players.mask_of(result.subset))
-            raise GameDefinitionError(f"conflicting duplicate results for coalition {coalition}")
-        if not result.subset and result.passing:
-            raise GameDefinitionError(
-                f"empty coalition cannot pass leaves, got {sorted(result.passing)}"
-            )
-    rows = [(subset, Fraction(len(leaves), denom)) for subset, leaves in passing.items()]
-    return game_from_table(players, rows, label="subset-results")

@@ -98,6 +98,13 @@ class PayoutReport:
     notice: Optional[str] = None
 
 
+def _budget_fraction(value: Rationalish) -> Fraction:
+    fraction = as_fraction(value)
+    if fraction < 0 or fraction > 1:
+        raise PayoutError(f"fraction must lie in [0, 1], got {fraction}")
+    return fraction
+
+
 def compute_budget(
     delta: Interval,
     fraction: Rationalish,
@@ -112,9 +119,7 @@ def compute_budget(
     or an explicit caller-supplied value that must lie inside the interval.
     The product is floored to minor units.
     """
-    fraction = as_fraction(fraction)
-    if fraction < 0 or fraction > 1:
-        raise PayoutError(f"fraction must lie in [0, 1], got {fraction}")
+    fraction = _budget_fraction(fraction)
     if delta.lo < 0:
         raise PayoutError(f"risk delta must be non-negative, got {delta}")
     if anchor == ANCHOR_LOWER:
@@ -149,7 +154,9 @@ def allocate_payments(
 
     ``anchor`` and ``fraction`` only annotate the report with how the budget
     was derived; when a caller supplies a ready-made budget the defaults
-    ("explicit", 1) state exactly that. ``provenance`` and ``axioms`` (the
+    ("explicit", 1) state exactly that. They are checked as
+    :func:`compute_budget` checks them, so that :func:`parse_report` reads
+    back every report this writes. ``provenance`` and ``axioms`` (the
     :func:`~riskshare.shapley.check_axioms` audit of ``result``) go into the
     report unchanged, so that every report explains its payments.
 
@@ -160,6 +167,9 @@ def allocate_payments(
     """
     if rounding_mode not in ROUNDING_MODES:
         raise PayoutError(f"unknown rounding mode {rounding_mode!r}; expected one of {ROUNDING_MODES}")
+    if anchor not in ANCHORS:
+        raise PayoutError(f"unknown anchor {anchor!r}; expected one of {ANCHORS}")
+    fraction = _budget_fraction(fraction)
     players = result.players
     negatives = [p for p in players if result.phi[p] < 0]
     if negatives:
@@ -191,7 +201,7 @@ def allocate_payments(
     return PayoutReport(
         budget=budget,
         anchor=anchor,
-        fraction=as_fraction(fraction),
+        fraction=fraction,
         rounding_mode=rounding_mode,
         payouts=payouts,
         residual_minor=residual,
@@ -374,10 +384,14 @@ def _axioms(value, where: str, players: set[str]) -> AxiomReport:
     )
 
 
-def _payout(value, where: str) -> PlayerPayout:
+def _payout(value, where: str, seen: set[str]) -> PlayerPayout:
     row = _record(value, where, ("player", "phi", "share", "payment"))
+    player = _field(row, "player", where, _string)
+    if player in seen:
+        raise DocumentError(f"{where}.player: duplicate player {player!r}")
+    seen.add(player)
     return PlayerPayout(
-        player=_field(row, "player", where, _string),
+        player=player,
         phi=_field(row, "phi", where, _ratio),
         share=_field(row, "share", where, _ratio),
         payment=_field(row, "payment", where, _money),
@@ -391,8 +405,9 @@ def parse_report(text: str) -> PayoutReport:
     :func:`render_report` writes them, and the anchor and rounding mode must
     be known values. Every object holds exactly the keys the renderer writes,
     ``axioms.efficiency`` must agree with ``efficiency_residual``,
-    ``axioms.linearity`` must be null, and every id in the audit's violation
-    lists must be a player of ``payouts``, a symmetry pair naming two different ones.
+    ``axioms.linearity`` must be null, ``payouts`` must name each player once,
+    and every id in the audit's violation lists must be a player of
+    ``payouts``, a symmetry pair naming two different ones.
     Anything else is a :class:`DocumentError` naming the field, such as
     ``payouts[0].phi``; for text that is not JSON it begins ``invalid JSON:``.
     """
@@ -405,7 +420,7 @@ def parse_report(text: str) -> PayoutReport:
         anchor=_field(doc, "anchor", "", _known, ANCHORS),
         fraction=_field(doc, "fraction", "", _ratio),
         rounding_mode=_field(doc, "rounding_mode", "", _known, ROUNDING_MODES),
-        payouts=(payouts := _field(doc, "payouts", "", _each, _payout)),
+        payouts=(payouts := _field(doc, "payouts", "", _each, _payout, set())),
         residual_minor=_field(doc, "residual_minor", "", _integer),
         provenance=Provenance(
             game_source=_field(prov, "game_source", "provenance", _string),

@@ -18,7 +18,6 @@ from riskshare import (
     QualitativeScale,
     ScaleSet,
     ShapleyResult,
-    SubsetResult,
     Threat,
     ThreatAssessment,
     ThreatTree,
@@ -84,13 +83,13 @@ def render_commit_log(records) -> str:
     return "\n".join(chunks) + ("\n" if chunks else "")
 
 
-def subset_results_from_attribution(attribution, players: PlayerSet) -> list[SubsetResult]:
+def subset_results_from_attribution(attribution, players: PlayerSet) -> list[tuple[set[str], list[str]]]:
     """The evidence a rebuild of every coalition would give: a leaf passes iff all its (nonempty) authors are in."""
     required = {leaf: frozenset(authors) for leaf, authors in attribution.items() if authors}
     results = []
     for mask in range(1 << players.n):
         members = set(players.ids_of(mask))
-        results.append(SubsetResult(members, [leaf for leaf, authors in required.items() if authors <= members]))
+        results.append((members, [leaf for leaf, authors in required.items() if authors <= members]))
     return results
 
 

@@ -15,7 +15,7 @@ PUBLIC = {
     "CommitLogWarning", "CommitRecord", "Control", "Cycle", "DocumentError", "GameDefinitionError",
     "Interval", "LeafCondition", "MATERIALIZATION_CAP", "Money", "ORACLE_PLAYER_CAP", "PayoutError",
     "PayoutReport", "PlayerPayout", "PlayerSet", "Provenance", "QualitativeScale", "RiskModel",
-    "RiskshareError", "ScaleSet", "ShapleyResult", "SubsetResult", "Threat", "ThreatAssessment",
+    "RiskshareError", "ScaleSet", "ShapleyResult", "Threat", "ThreatAssessment",
     "ThreatTree", "UnknownLabelError", "ValidationError", "ValidationIssue", "ValidationReport",
     "allocate_payments", "as_fraction", "check_axioms", "cherry_pick_plan", "compute_budget",
     "derive_attribution", "game_from_subset_results", "game_from_table", "interval_add",
@@ -37,7 +37,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(riskshare.__all__) == PUBLIC
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 58
 
 
 #: Each subcommand's arguments: option strings, or the name of a positional argument.
@@ -106,6 +106,34 @@ def test_every_module_level_name_is_used():
     dead = sorted(f"{module}: {name}" for name, module in defined.items()
                   if not (name.startswith("__") and name.endswith("__")) and name not in used)
     assert dead == []
+
+
+#: Each module of ``src/riskshare`` and the sibling modules it imports from, anywhere in its body.
+IMPORTS = {
+    "__init__": ["errors", "games", "intervals", "mining", "payout", "risk", "shapley"],
+    "_frozen": [],
+    "cli": ["config", "documents", "errors", "games", "mining", "payout", "risk", "shapley"],
+    "config": ["_frozen", "documents", "errors", "mining", "payout", "risk"],
+    "documents": ["errors", "games", "intervals", "risk"],
+    "errors": [],
+    "games": ["_frozen", "errors", "intervals", "risk"],
+    "intervals": ["_frozen"],
+    "mining": ["_frozen", "errors", "risk"],
+    "payout": ["_frozen", "documents", "errors", "intervals", "shapley"],
+    "risk": ["_frozen", "errors", "intervals"],
+    "shapley": ["_frozen", "errors", "games"],
+}
+
+
+def test_import_graph_is_pinned():
+    """An import between two of the package's modules is added or removed on purpose, as a public name is."""
+    graph = {}
+    for name, tree in _modules().items():
+        relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+        # ``from .games import x`` names its module; ``from . import documents`` names the modules it imports
+        graph[name.removesuffix(".py")] = sorted({n.module for n in relative if n.module} |
+                                                 {a.name for n in relative if not n.module for a in n.names})
+    assert graph == IMPORTS
 
 
 #: The independent reference solver: the tests and the benchmark call it, the program never does.

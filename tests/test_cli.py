@@ -1085,6 +1085,16 @@ class TestReport:
         assert (code, out) == (2, "")
         assert err == f"input error: {report_path}: payouts[0].phi: expected a string, got float 0.1\n"
 
+    def test_report_that_pays_a_player_twice_exits_2(self, capsys, workdir):
+        report_path = workdir / "r.json"
+        run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(report_path))
+        doc = json.loads(report_path.read_text())
+        doc["payouts"].append(dict(doc["payouts"][0]))
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", str(report_path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {report_path}: payouts[3].player: duplicate player 'A'\n"
+
     @pytest.mark.parametrize("linearity", ["pass", "fail"])
     def test_report_with_a_linearity_verdict_exits_2(self, capsys, workdir, linearity):
         """The audit checks one game, so a report states no linearity verdict; a stored one is an input error."""

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -27,7 +28,6 @@ from riskshare import (
 )
 from riskshare import cli, mining
 from riskshare.config import load_run_config
-from riskshare.mining import SubsetResult
 
 from conftest import (
     FIXTURES,
@@ -668,7 +668,7 @@ class TestSubsetResults:
                 passing.append("f1")
             if "3" in subset:
                 passing.append("f2")
-            rows.append(SubsetResult(subset, passing))
+            rows.append((subset, passing))
         return rows
 
     def two_leaf_tree(self):
@@ -694,13 +694,13 @@ class TestSubsetResults:
             assert game.value_of_mask(mask) == joint_feature_game.value_of_mask(mask)
 
     def test_empty_subset_with_passes_rejected(self):
-        rows = [SubsetResult(set(), {"f1"})]
+        rows = [(set(), {"f1"})]
         with pytest.raises(GameDefinitionError, match="empty coalition"):
             game_from_subset_results(rows, self.two_leaf_tree(), self.players())
 
     def test_all_failing_gives_zero_game(self):
         rows = [
-            SubsetResult({p for k, p in enumerate(("1", "2", "3")) if mask >> k & 1}, [])
+            ({p for k, p in enumerate(("1", "2", "3")) if mask >> k & 1}, [])
             for mask in range(8)
         ]
         game = game_from_subset_results(rows, self.two_leaf_tree(), self.players())
@@ -712,7 +712,7 @@ class TestSubsetResults:
             game_from_subset_results(rows, self.two_leaf_tree(), self.players())
 
     def test_conflicting_duplicates_rejected(self):
-        rows = self.joint_feature_results() + [SubsetResult({"3"}, [])]
+        rows = self.joint_feature_results() + [({"3"}, [])]
         with pytest.raises(GameDefinitionError, match="conflicting"):
             game_from_subset_results(rows, self.two_leaf_tree(), self.players())
 
@@ -721,9 +721,23 @@ class TestSubsetResults:
         game = game_from_subset_results(rows + rows[:2], self.two_leaf_tree(), self.players())
         assert game.grand_value() == 2
 
+    def test_duplicate_naming_its_coalition_in_another_order(self):
+        rows = self.joint_feature_results()  # row 3 is ({"1", "2"}, ["f1"])
+        game = game_from_subset_results(rows + [(["2", "1"], ["f1"])], self.two_leaf_tree(), self.players())
+        assert game.value_of_mask(0b011) == 1
+        message = re.escape("conflicting duplicate results for coalition ('1', '2')")
+        with pytest.raises(GameDefinitionError, match=f"^{message}$"):
+            game_from_subset_results(rows + [(["2", "1"], [])], self.two_leaf_tree(), self.players())
+
+    def test_unknown_player_is_reported_at_its_row_before_the_cap(self):
+        players = PlayerSet(tuple(f"p{k}" for k in range(40)))
+        rows = [(["zz"], []), (["p0"], ["zzz"])]
+        with pytest.raises(GameDefinitionError, match="^unknown player 'zz'$"):
+            game_from_subset_results(rows, self.two_leaf_tree(), players)
+
     def test_unknown_leaf_rejected(self):
         rows = self.joint_feature_results()
-        rows[7] = SubsetResult({"1", "2", "3"}, {"f1", "f2", "zzz"})
+        rows[7] = ({"1", "2", "3"}, {"f1", "f2", "zzz"})
         with pytest.raises(GameDefinitionError, match="zzz"):
             game_from_subset_results(rows, self.two_leaf_tree(), self.players())
 

@@ -134,6 +134,16 @@ class TestAllocate:
         with pytest.raises(PayoutError):
             allocate(result_from_phi([1]), Money(1), "stochastic")
 
+    def test_unknown_anchor(self):
+        """A report with an anchor that ``parse_report`` would refuse is never written."""
+        with pytest.raises(PayoutError, match=r"^unknown anchor 'middle'; expected one of \("):
+            allocate(result_from_phi([1]), Money(1), anchor="middle")
+
+    @pytest.mark.parametrize("fraction", [5, "-1/100"])
+    def test_fraction_outside_the_unit_interval(self, fraction):
+        with pytest.raises(PayoutError, match=r"^fraction must lie in \[0, 1\], got "):
+            allocate(result_from_phi([1]), Money(1), fraction=fraction)
+
     def test_provenance_and_audit_are_required(self):
         """Every report explains its payments: there is no report without a provenance or an axiom audit."""
         result = result_from_phi([1, 1], method="exact-subset")

@@ -25,7 +25,6 @@ from riskshare import (
     RiskModel,
     ScaleSet,
     ShapleyResult,
-    SubsetResult,
     Threat,
     ThreatAssessment,
     ThreatTree,
@@ -56,7 +55,6 @@ CASES = [
     (Cycle, {"from_commit": "a", "to_commit": "b", "from_time": None, "to_time": None},
      {"from_commit": None, "to_commit": None, "from_time": None, "to_time": None}),
     (CherryPickPlan, {"base_commit": "c0", "subset": ("a",), "picks": ("c1",), "warnings": ("w",)}, {"warnings": ()}),
-    (SubsetResult, {"subset": frozenset({"a"}), "passing": frozenset({"l1"})}, {}),
     (ValidationIssue, {"location": "a", "message": "b", "severity": "warning"}, {"severity": "error"}),
     (ValidationReport, {"issues": (ValidationIssue("a", "b"),)}, {"issues": ()}),
     (QualitativeScale, {"name": "L", "kind": "likelihood", "categories": (("low", Interval(0, 1)),)}, {}),
@@ -99,7 +97,6 @@ REPRS = {
     PlayerSet: "PlayerSet(players=('a', 'b'))",
     Cycle: "Cycle(from_commit='a', to_commit='b', from_time=None, to_time=None)",
     CherryPickPlan: "CherryPickPlan(base_commit='c0', subset=('a',), picks=('c1',), warnings=('w',))",
-    SubsetResult: "SubsetResult(subset=frozenset({'a'}), passing=frozenset({'l1'}))",
     ValidationIssue: "ValidationIssue(location='a', message='b', severity='warning')",
     ValidationReport: "ValidationReport(issues=(ValidationIssue(location='a', message='b', severity='error'),))",
     LeafCondition: "LeafCondition(id='l1', label='a leaf')",
@@ -207,6 +204,5 @@ def test_post_init_normalizes_fields():
     assert PlayerSet(["a", "b"]).players == ("a", "b")
     assert Control("c", leaves=[LEAF]).leaves == (LEAF,)
     assert RiskModel(SCALES, TREE, [ASSESSMENT]).assessments == (ASSESSMENT,)
-    assert SubsetResult(["a"], []).subset == frozenset({"a"})
     with pytest.raises(ValueError):
         Interval(2, 1)
