@@ -8,8 +8,10 @@ its usage line) or input parse/IO error (a missing file too; a content error sta
 its file's path), 3 capacity exceeded (a table input or ``game``'s value table above 24
 players, or a sampled standard error beyond float range). Diagnostics go to stderr;
 output to stdout or ``--out``. A failed check is one ``validation error:`` line on
-stderr, which starts with the file it is about (the risk model, the source); only
-``validate`` lists its findings on stdout, since the listing is its result.
+stderr, which starts with the file it is about (the risk model, the source, whose
+game gives a negative contribution too); only ``validate`` lists its findings on
+stdout, since the listing is its result. Every such path comes from
+:func:`documents.reading` around the code that uses the file's content.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import functools
 import json
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -74,35 +75,27 @@ def _roster(declared: Optional[tuple[str, ...]], named: set[str]) -> PlayerSet:
     return PlayerSet(tuple(sorted(named)))
 
 
-@contextmanager
-def _naming(path):
-    """A validation or capacity error raised inside starts with ``path``, the file it is about."""
-    try:
-        yield
-    except CapacityError as exc:
-        raise CapacityError(f"{path}: {exc}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
 def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
     """The checked config's game; a validation or capacity error of the source names its file.
 
     Every source's builder is in :mod:`riskshare.games`; attribution and commit-log sources share ``leaf_coverage_game``.
+    Each loader names its own file; the game is built after it, inside the source's :func:`documents.reading`.
     """
-    kind = config.source.type
-    with _naming(config.source.path):
-        if kind == "coalition_table":
-            return documents.load_coalition_game(config.source.path)
+    kind, path = config.source.type, config.source.path
+    if kind == "coalition_table":
+        return documents.load_coalition_game(path)
+    if kind == "subset_results":
+        declared, results = documents.load_subset_results(path)
+    elif kind == "attribution":
+        declared, attribution = documents.load_attribution(path)
+    else:
+        declared, records = config.source.players, _load_records(config)
+    with documents.reading(path):
         if kind == "subset_results":
-            declared, results = documents.load_subset_results(config.source.path)
             players = _roster(declared, {p for subset, _ in results for p in subset})
             return game_from_subset_results(results, model.tree, players, config.normalized)
-        if kind == "attribution":
-            declared, attribution = documents.load_attribution(config.source.path)
-        else:
-            declared = config.source.players
-            attribution = derive_attribution(_load_records(config), model.tree, config.source.cycle)
+        if kind == "commit_log":
+            attribution = derive_attribution(records, model.tree, config.source.cycle)
         players = _roster(declared, {a for people in attribution.values() for a in people})
         return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 
@@ -149,7 +142,7 @@ def _valid_model(config: RunConfig) -> Optional[RiskModel]:
         return None
     model = documents.load_risk_model(config.risk_model_path)
     validation = model.validate()
-    with _naming(config.risk_model_path):
+    with documents.reading(config.risk_model_path):
         _raise_issues(validation.errors)
     for issue in validation.warnings:
         _err(issue)
@@ -242,15 +235,9 @@ def cmd_payout(args) -> int:
         samples=result.samples,
         seed=result.seed,
     )
-    report = allocate_payments(
-        result,
-        budget,
-        config.rounding,
-        anchor=config.budget.anchor,
-        fraction=config.budget.fraction,
-        provenance=provenance,
-        axioms=axioms,
-    )
+    with documents.reading(config.source.path):  # a negative contribution is the source's
+        report = allocate_payments(result, budget, config.rounding, anchor=config.budget.anchor,
+                                   fraction=config.budget.fraction, provenance=provenance, axioms=axioms)
     return _emit(render_report(report, config.output_format), args.out, "report")
 
 
@@ -259,7 +246,7 @@ def cmd_plan_cherry_pick(args) -> int:
     cycle = config.source.cycle
     subset = {s for s in (p.strip() for p in args.subset.split(",")) if s}
     records = _load_records(config)
-    with _naming(config.source.path):
+    with documents.reading(config.source.path):
         plan = cherry_pick_plan(records, cycle.from_commit, subset, to_commit=cycle.to_commit)
     players = config.source.players if config.source.players is not None else {r.author for r in records}
     unknown = sorted(subset.difference(players))

@@ -14,8 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from ._frozen import frozen
-from .documents import load_json, _boolean, _field, _integer, _rational, _record, _string, _strings
-from .errors import DocumentError
+from .documents import load_json, _boolean, _built, _field, _integer, _rational, _record, _string, _strings
 from .mining import Cycle
 from .payout import ANCHORS, PER_RECIPIENT, REPORT_FORMATS, ROUNDING_MODES
 from .risk import AGGREGATION_MODES, SUM, ValidationIssue
@@ -138,15 +137,14 @@ def _path(value, where: str, base_dir: Path) -> Path:
 
 def _cycle(value, where: str) -> Cycle:
     doc = _section(value, where)
-    try:
-        return Cycle(
-            from_commit=_field(doc, "from_commit", where, _string, default=None),
-            to_commit=_field(doc, "to_commit", where, _string, default=None),
-            from_time=_field(doc, "from_time", where, _integer, default=None),
-            to_time=_field(doc, "to_time", where, _integer, default=None),
-        )
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
+    return _built(
+        where,
+        Cycle,
+        from_commit=_field(doc, "from_commit", where, _string, default=None),
+        to_commit=_field(doc, "to_commit", where, _string, default=None),
+        from_time=_field(doc, "from_time", where, _integer, default=None),
+        to_time=_field(doc, "to_time", where, _integer, default=None),
+    )
 
 
 def _budget(value, where: str) -> BudgetSpec:

@@ -3,6 +3,10 @@
 All numeric fields accept decimal strings, integers, or JSON numbers; every
 number is parsed straight into an exact rational (JSON floats are hooked into
 Fraction before any binary rounding can happen).
+
+:func:`reading` is the one place that puts a file on an error: a read error, or
+an input, validation or capacity error raised while a file's content is read or
+used, starts with that file's path.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import DocumentError
+from .errors import CapacityError, DocumentError, ValidationError
 from .games import CoalitionGame, PlayerSet, game_from_table
 from .intervals import Interval, as_fraction
 from .risk import (
@@ -70,13 +74,19 @@ def loads_exact(text: str):
 
 @contextmanager
 def reading(path: Pathish):
-    """A read error (a missing file, bytes that are not UTF-8) or a DocumentError raised inside names ``path``."""
+    """An error raised inside names ``path``: a read error (a missing file, bytes not UTF-8) as a DocumentError,
+    an input, validation or capacity error as its own kind, a ValidationError subclass as a ValidationError.
+    """
     try:
         yield
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except DocumentError as exc:
         raise DocumentError(f"{path}: {exc}") from exc
+    except CapacityError as exc:
+        raise CapacityError(f"{path}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load(path: Pathish, parse):
@@ -205,13 +215,17 @@ def _rational(value, where: str) -> Fraction:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _interval(doc: dict, where: str) -> Interval:
-    lo = _field(doc, "lo", where, _rational)
-    hi = _field(doc, "hi", where, _rational)
+def _built(where: str, cls, /, *args, **fields):
+    """``cls(*args, **fields)``; the ValueError of a value class's own checks is a DocumentError at ``where``."""
     try:
-        return Interval(lo, hi)
+        return cls(*args, **fields)
     except ValueError as exc:
         raise DocumentError(f"{where}: {exc}") from exc
+
+
+def _interval(doc: dict, where: str, read=_rational) -> Interval:
+    """The Interval of ``doc``'s ``lo`` and ``hi``, each read by ``read``."""
+    return _built(where, Interval, _field(doc, "lo", where, read), _field(doc, "hi", where, read))
 
 
 def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
@@ -222,10 +236,7 @@ def scale_from_document(doc: dict, where: str = "scale") -> QualitativeScale:
     for cat_where, cat in _field(doc, "categories", where, _rows, ("label", "lo", "hi")):
         label = _field(cat, "label", cat_where, _string)
         categories.append((label, _interval(cat, cat_where)))
-    try:
-        return QualitativeScale(name=name, kind=kind, categories=tuple(categories))
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
+    return _built(where, QualitativeScale, name=name, kind=kind, categories=tuple(categories))
 
 
 def _named(doc: dict, where: str) -> tuple[str, str]:
@@ -244,10 +255,7 @@ def risk_model_from_document(doc: dict) -> RiskModel:
     scales_doc = _field(doc, "scales", "", _record, ("likelihood", "impact"))
     likelihood = _field(scales_doc, "likelihood", "scales", scale_from_document)
     impact = _field(scales_doc, "impact", "scales", scale_from_document)
-    try:
-        scales = ScaleSet(likelihood=likelihood, impact=impact)
-    except ValueError as exc:
-        raise DocumentError(f"scales: {exc}") from exc
+    scales = _built("scales", ScaleSet, likelihood=likelihood, impact=impact)
 
     threats = []
     for t_where, t_doc in _field(doc, "threats", "", _rows, ("id", "label", "controls")):

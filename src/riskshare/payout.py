@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from ._frozen import frozen
-from .documents import _expect, _field, _integer, _list, _nullable, _rational, _record, _string, loads_exact
+from .documents import _expect, _field, _integer, _interval, _list, _nullable, _rational, _record, _string, loads_exact
 from .errors import DocumentError, PayoutError
 from .intervals import Interval, Rationalish, as_fraction
 from .shapley import AxiomReport, ShapleyResult
@@ -330,6 +330,13 @@ def _ratio(value, where: str) -> Fraction:
     return _rational(_string(value, where), where)  # a string, as render_report writes every rational
 
 
+def _fraction(value, where: str) -> Fraction:
+    fraction = _ratio(value, where)
+    if not 0 <= fraction <= 1:  # compute_budget's rule
+        raise DocumentError(f"{where}: must lie in [0, 1], got {fraction}")
+    return fraction
+
+
 def _known(value, where: str, options: tuple[str, ...]) -> str:
     if _string(value, where) not in options:
         raise DocumentError(f"{where}: expected one of {', '.join(options)}, got {value!r}")
@@ -342,14 +349,6 @@ def _money(value, where: str) -> Money:
     if amount < 0:
         raise DocumentError(f"{where}.amount_minor: money amounts must be >= 0, got {amount}")
     return Money(amount, _field(doc, "currency", where, _string))
-
-
-def _delta(value, where: str) -> Interval:
-    doc = _record(value, where, ("lo", "hi"))
-    try:
-        return Interval(_field(doc, "lo", where, _ratio), _field(doc, "hi", where, _ratio))
-    except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
 
 
 def _player(value, where: str, players: set[str]) -> str:
@@ -403,7 +402,8 @@ def parse_report(text: str) -> PayoutReport:
 
     Rationals must be JSON strings and amounts JSON integers, as
     :func:`render_report` writes them, and the anchor and rounding mode must
-    be known values. Every object holds exactly the keys the renderer writes,
+    be known values, and ``fraction`` must lie in [0, 1], as :func:`compute_budget`
+    requires. Every object holds exactly the keys the renderer writes,
     ``axioms.efficiency`` must agree with ``efficiency_residual``,
     ``axioms.linearity`` must be null, ``payouts`` must name each player once,
     and every id in the audit's violation lists must be a player of
@@ -418,13 +418,13 @@ def parse_report(text: str) -> PayoutReport:
     return PayoutReport(
         budget=_field(doc, "budget", "", _money),
         anchor=_field(doc, "anchor", "", _known, ANCHORS),
-        fraction=_field(doc, "fraction", "", _ratio),
+        fraction=_field(doc, "fraction", "", _fraction),
         rounding_mode=_field(doc, "rounding_mode", "", _known, ROUNDING_MODES),
         payouts=(payouts := _field(doc, "payouts", "", _each, _payout, set())),
         residual_minor=_field(doc, "residual_minor", "", _integer),
         provenance=Provenance(
             game_source=_field(prov, "game_source", "provenance", _string),
-            delta=_field(prov, "delta", "provenance", _delta),
+            delta=_interval(_field(prov, "delta", "provenance", _record, ("lo", "hi")), "provenance.delta", _ratio),
             solver=_field(prov, "solver", "provenance", _string),
             samples=_nullable(prov, "samples", "provenance", _integer),
             seed=_nullable(prov, "seed", "provenance", _integer),

@@ -113,7 +113,7 @@ IMPORTS = {
     "__init__": ["errors", "games", "intervals", "mining", "payout", "risk", "shapley"],
     "_frozen": [],
     "cli": ["config", "documents", "errors", "games", "mining", "payout", "risk", "shapley"],
-    "config": ["_frozen", "documents", "errors", "mining", "payout", "risk"],
+    "config": ["_frozen", "documents", "mining", "payout", "risk"],
     "documents": ["errors", "games", "intervals", "risk"],
     "errors": [],
     "games": ["_frozen", "errors", "intervals", "risk"],
@@ -134,6 +134,27 @@ def test_import_graph_is_pinned():
         graph[name.removesuffix(".py")] = sorted({n.module for n in relative if n.module} |
                                                  {a.name for n in relative if not n.module for a in n.names})
     assert graph == IMPORTS
+
+
+#: The modules with an ``except`` handler that raises an input, validation or capacity error. ``documents`` puts
+#: the file on an error (``reading``) and turns a value class's ValueError into a located input error;
+#: ``mining`` locates a commit log's unparsable date line; ``shapley`` turns the sampler's float overflow into a
+#: capacity error. Every other module lets its errors through, to be located by ``documents.reading``.
+RELOCATING = ["documents", "mining", "shapley"]
+
+
+def test_relocation_sites_are_pinned():
+    """A new place that catches an error to raise a located one is added on purpose, as an import is."""
+    raised = {"DocumentError", "ValidationError", "CapacityError"}
+    sites = sorted(
+        name.removesuffix(".py")
+        for name, tree in _modules().items()
+        if any(isinstance(node, ast.Raise) and node.exc is not None
+               and raised & {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+               for handler in ast.walk(tree) if isinstance(handler, ast.ExceptHandler)
+               for node in ast.walk(handler))
+    )
+    assert sites == RELOCATING
 
 
 #: The independent reference solver: the tests and the benchmark call it, the program never does.

@@ -269,6 +269,16 @@ class TestPayout:
         assert payments == {"alice": 1062950, "bob": 354317, "carol": 708633}
         assert sum(payments.values()) - 2125900 == report.residual_minor
 
+    def test_negative_contribution_exits_1_naming_the_table(self, capsys, workdir):
+        table = workdir / WE / "coalition_table.json"
+        text = table.read_text()
+        old = '{"coalition": ["A"], "value": "1"}'
+        assert old in text
+        table.write_text(text.replace(old, '{"coalition": ["A"], "value": "-5"}'))
+        code, out, err = run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"))
+        assert (code, out) == (1, "")
+        assert err == f"validation error: {table}: negative contribution unsupported (players ['A'])\n"
+
     @pytest.mark.parametrize(
         "player, got",
         [(None, "null"), (7, "integer 7"), (["alice"], "array ['alice']"), ({"id": "bob"}, "object")],
@@ -1084,6 +1094,17 @@ class TestReport:
         code, out, err = run(capsys, "report", str(report_path))
         assert (code, out) == (2, "")
         assert err == f"input error: {report_path}: payouts[0].phi: expected a string, got float 0.1\n"
+
+    @pytest.mark.parametrize("fraction", ["5", "-1"])
+    def test_report_with_a_fraction_outside_0_1_exits_2(self, capsys, workdir, fraction):
+        report_path = workdir / "r.json"
+        run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"), "--out", str(report_path))
+        doc = json.loads(report_path.read_text())
+        doc["fraction"] = fraction
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", str(report_path), "--format", "markdown")
+        assert (code, out) == (2, "")
+        assert err == f"input error: {report_path}: fraction: must lie in [0, 1], got {fraction}\n"
 
     def test_report_that_pays_a_player_twice_exits_2(self, capsys, workdir):
         report_path = workdir / "r.json"

@@ -7,13 +7,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riskshare import (
+    CapacityError,
     CoalitionGame,
     DocumentError,
+    GameDefinitionError,
     Interval,
     Money,
     PlayerSet,
     Provenance,
     RiskshareError,
+    ValidationError,
     allocate_payments,
     check_axioms,
     parse_report,
@@ -31,6 +34,7 @@ from riskshare.documents import (
     load_risk_model,
     load_subset_results,
     loads_exact,
+    reading,
     risk_model_from_document,
     subset_results_from_document,
 )
@@ -220,6 +224,24 @@ def assert_located(reader, doc, path, value, location):
     with pytest.raises(DocumentError) as error:
         reader(doc)
     assert str(error.value).startswith(location)
+
+
+class TestReading:
+    @pytest.mark.parametrize("raised, kind", [(GameDefinitionError, ValidationError), (CapacityError, CapacityError)])
+    def test_a_validation_or_capacity_error_inside_names_the_file_once(self, tmp_path, raised, kind):
+        path = tmp_path / "source.json"
+        with pytest.raises(RiskshareError) as error:
+            with reading(path):
+                raise raised("too many players")
+        assert type(error.value) is kind  # a subclass comes out as ValidationError, as the command line reports it
+        assert str(error.value) == f"{path}: too many players"
+
+    def test_a_game_built_while_loading_names_the_file_once(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"players": ["a"], "entries": [{"coalition": [], "value": "1"}]}))
+        with pytest.raises(ValidationError) as error:
+            load_coalition_game(path)
+        assert str(error.value) == f"{path}: v(empty set) must be 0, got 1"
 
 
 class TestRowShapes:
