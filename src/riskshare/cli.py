@@ -22,7 +22,7 @@ import json
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import documents
 from .config import RunConfig, SolverSpec, load_run_config
@@ -66,10 +66,14 @@ def _load_records(config: RunConfig):
     return records
 
 
-def _roster(declared: Optional[tuple[str, ...]], named: set[str]) -> PlayerSet:
-    """The declared roster (a document's ``players``, a commit log's ``source.players``), else the named ids, sorted."""
+def _roster(declared: Optional[tuple[str, ...]], named: Iterable[str]) -> PlayerSet:
+    """The declared roster (a document's ``players``, a commit log's ``source.players``), else the named ids, sorted.
+
+    ``named`` is read only when no roster is declared, so a lazy iterable of the ids costs nothing otherwise.
+    """
     if declared is not None:
         return PlayerSet(declared)
+    named = set(named)
     if not named:
         raise ValidationError("no players named by the source and none declared")
     return PlayerSet(tuple(sorted(named)))
@@ -92,11 +96,11 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
         declared, records = config.source.players, _load_records(config)
     with documents.reading(path):
         if kind == "subset_results":
-            players = _roster(declared, {p for subset, _ in results for p in subset})
+            players = _roster(declared, (p for subset, _ in results for p in subset))
             return game_from_subset_results(results, model.tree, players, config.normalized)
         if kind == "commit_log":
             attribution = derive_attribution(records, model.tree, config.source.cycle)
-        players = _roster(declared, {a for people in attribution.values() for a in people})
+        players = _roster(declared, (a for people in attribution.values() for a in people))
         return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 
 
@@ -218,6 +222,12 @@ def cmd_payout(args) -> int:
     config = _checked_config(args)
     model = _valid_model(config)
     delta = risk_delta(model.assessments, model.scales, mode=config.mode)
+    point = config.budget.explicit_value  # set only with the explicit anchor, by the static checks
+    if point is not None and not delta.contains(point):
+        with documents.reading(args.config):
+            _raise_issues([ValidationIssue(
+                "budget.value", f"explicit budget anchor {point} outside the risk delta {delta} of {config.risk_model_path}"
+            )])
     budget = compute_budget(
         delta,
         config.budget.fraction,

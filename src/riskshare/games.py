@@ -120,9 +120,7 @@ class CoalitionGame:
                 )
             if values[0] != 0:
                 raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
-            dividends, self._den = _over_common_denominator(values)
-            _subset_transform(dividends, players.n, operator.sub)
-            self._terms = tuple((m, d) for m, d in enumerate(dividends) if d)
+            self._hold_table(*_over_common_denominator(values))
         else:
             merged: dict[int, Fraction] = {}
             for mask, weight in terms:
@@ -131,6 +129,14 @@ class CoalitionGame:
                 merged[mask] = merged.get(mask, Fraction(0)) + as_fraction(weight)
             weights, self._den = _over_common_denominator(merged.values())
             self._terms = tuple((m, w) for m, w in zip(merged, weights) if w)
+
+    def _hold_table(self, numerators: list[int], den: int) -> CoalitionGame:
+        """The game holds v(mask) = ``numerators[mask] / den``, unchecked, as its dividends: the one way every
+        table builder makes a game. The list is Moebius-transformed in place."""
+        _subset_transform(numerators, self.players.n, operator.sub)
+        self._terms = tuple(filter(operator.itemgetter(1), enumerate(numerators)))  # the nonzero (mask, dividend)
+        self._den = den
+        return self
 
     @property
     def n(self) -> int:
@@ -206,18 +212,28 @@ def _leaf_weight(tree: ThreatTree, normalized: bool) -> Fraction:
     return Fraction(1, tree.leaf_count)
 
 
-def _table_game(players: PlayerSet, values: dict[int, Fraction], label: str, default_zero=False) -> CoalitionGame:
-    """The game of a ``mask -> value`` map: v(empty) is 0, and each coalition has a value unless ``default_zero``."""
-    if values.setdefault(0, Fraction(0)) != 0:
-        raise GameDefinitionError(f"v(empty set) must be 0, got {values[0]}")
-    size = 1 << players.n
-    missing = size - len(values)
-    if missing and not default_zero:
-        first = itertools.islice((m for m in range(size) if m not in values), 8)
-        shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in first)
-        more = "" if missing <= 8 else f" (+{missing - 8} more)"
-        raise GameDefinitionError(f"missing coalitions: {shown}{more}")
-    return CoalitionGame(players, table=[values.get(m, 0) for m in range(size)], label=label)
+def _table_game(players: PlayerSet, nums: list, dens: list[int], label: str, default_zero=False) -> CoalitionGame:
+    """The game whose v(mask) is ``nums[mask] / dens[mask]``, a None numerator marking a coalition with no row.
+
+    v(empty) is 0, and each coalition needs a row unless ``default_zero``. ``nums`` is changed in place.
+    """
+    if nums[0]:
+        raise GameDefinitionError(f"v(empty set) must be 0, got {Fraction(nums[0], dens[0])}")
+    nums[0] = 0
+    missing = nums.count(None)
+    if missing:
+        if not default_zero:
+            first = itertools.islice((m for m, v in enumerate(nums) if v is None), 8)
+            shown = ", ".join("{" + ",".join(players.ids_of(m)) + "}" for m in first)
+            more = "" if missing <= 8 else f" (+{missing - 8} more)"
+            raise GameDefinitionError(f"missing coalitions: {shown}{more}")
+        nums = [v or 0 for v in nums]
+    den = math.lcm(*dens)
+    if den > 1:
+        nums = [v * (den // d) for v, d in zip(nums, dens)]
+    game = CoalitionGame.__new__(CoalitionGame)  # the rows are checked: no second check of every value
+    game.players, game.label = players, label
+    return game._hold_table(nums, den)
 
 
 def game_from_table(
@@ -235,13 +251,15 @@ def game_from_table(
     coalition is an error.
     """
     _check_capacity(players, label)
-    values: dict[int, Fraction] = {}
+    size = 1 << players.n
+    nums, dens = [None] * size, [1] * size
     for subset, value in entries:
         mask = players.mask_of(subset)
-        if mask in values:
+        if nums[mask] is not None:
             raise GameDefinitionError(f"duplicate entry for coalition {players.ids_of(mask)}")
-        values[mask] = as_fraction(value)
-    return _table_game(players, values, label, default_zero)
+        value = as_fraction(value)
+        nums[mask], dens[mask] = value.numerator, value.denominator
+    return _table_game(players, nums, dens, label, default_zero)
 
 
 def game_from_subset_results(
@@ -262,17 +280,19 @@ def game_from_subset_results(
     passing: dict[int, frozenset[str]] = {}
     for subset, leaves in results:
         leaves = frozenset(leaves)
-        bad = sorted(leaves - known)
-        if bad:
-            raise GameDefinitionError(f"subset result references unknown leaf ids: {bad}")
+        if not leaves <= known:
+            raise GameDefinitionError(f"subset result references unknown leaf ids: {sorted(leaves - known)}")
         mask = players.mask_of(subset)
         if passing.setdefault(mask, leaves) != leaves:
             raise GameDefinitionError(f"conflicting duplicate results for coalition {players.ids_of(mask)}")
         if not mask and leaves:
             raise GameDefinitionError(f"empty coalition cannot pass leaves, got {sorted(leaves)}")
     _check_capacity(players, "subset-results")
-    values = {mask: len(leaves) * weight for mask, leaves in passing.items()}
-    return _table_game(players, values, "subset-results")
+    counts = [None] * (1 << players.n)
+    for mask, leaves in passing.items():
+        counts[mask] = len(leaves)
+    # a leaf is worth 1 over the weight's denominator
+    return _table_game(players, counts, [weight.denominator] * len(counts), "subset-results")
 
 
 def leaf_coverage_game(

@@ -10,7 +10,7 @@ what a negative risk difference means is decided in :mod:`riskshare.risk`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from ._frozen import frozen
 
@@ -38,13 +38,30 @@ def as_fraction(value: Rationalish) -> Fraction:
         if len(text.lower().partition("e")[2].lstrip("+-0")) > _EXPONENT_DIGITS:
             raise ValueError(f"not a rational literal: {value!r} (exponent of more than {_EXPONENT_DIGITS} digits)")
         try:
-            return Fraction(text)
+            pair = _plain_ratio(text)
+            return Fraction(text) if pair is None else Fraction(*pair)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(
         f"expected int, str or Fraction, got {type(value).__name__}; "
         "pass decimal strings instead of floats to keep arithmetic exact"
     )
+
+
+def _plain_ratio(text: str) -> Optional[tuple[int, int]]:
+    """``text`` as a ``(numerator, denominator)`` pair when it is an ASCII ``-?[0-9]+`` or ``-?[0-9]+/[0-9]+``
+    with a nonzero denominator, else None: such a literal needs no regex. Beyond ``int``'s digit limit it raises
+    ValueError, as ``Fraction`` does.
+    """
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if not slash:
+        return int(num), 1
+    if den.isascii() and den.isdigit() and den.strip("0"):
+        return int(num), int(den)
+    return None
 
 
 @frozen

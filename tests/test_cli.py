@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from riskshare import mining, parse_report
-from riskshare.cli import build_parser, main
+from riskshare.cli import _roster, build_parser, main
 from riskshare.config import load_run_config
 
 from conftest import audit_passes
@@ -278,6 +278,25 @@ class TestPayout:
         code, out, err = run(capsys, "payout", "--config", str(workdir / WE / "payout_config.json"))
         assert (code, out) == (1, "")
         assert err == f"validation error: {table}: negative contribution unsupported (players ['A'])\n"
+
+    @pytest.mark.parametrize("value, paid", [("1", None), ("15622701", None), ("2125900", 2125900), ("15622700", 15622700)])
+    def test_explicit_anchor_outside_the_delta_exits_1_naming_the_config_key_and_the_model(
+        self, capsys, workdir, value, paid
+    ):
+        config = workdir / WE / "payout_config.json"
+        config.write_text(config.read_text().replace(
+            '"anchor": "lower"}', f'"anchor": "explicit", "value": "{value}"}}'
+        ))
+        code, out, err = run(capsys, "payout", "--config", str(config))
+        if paid is None:
+            assert (code, out) == (1, "")
+            assert err == (
+                f"validation error: {config}: budget.value: explicit budget anchor {value} outside the risk delta "
+                f"[2125900, 15622700] of {workdir / WE / 'risk_model.json'}\n"
+            )
+        else:  # the ends of the delta are inside it
+            assert code == 0
+            assert parse_report(out).budget.amount_minor == paid
 
     @pytest.mark.parametrize(
         "player, got",
@@ -610,6 +629,14 @@ class TestRoster:
         code, out, _ = run(capsys, "shapley", "--config", str(self.write_source(workdir, kind)))
         assert code == 0
         assert out.splitlines()[:2] == ["players: alice bob carol", "method: exact-subset"]
+
+    def test_named_ids_are_read_only_without_a_declared_roster(self):
+        def unread():
+            raise AssertionError("the named ids were read beside a declared roster")
+            yield
+
+        assert _roster(("b", "a"), unread()).players == ("b", "a")
+        assert _roster(None, iter(["b", "a", "b"])).players == ("a", "b")
 
     def test_source_naming_no_player_exits_1(self, capsys, workdir):
         path = workdir / WE / "attribution.json"

@@ -1,5 +1,7 @@
+import copy
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from riskshare import (
     ValidationError,
     allocate_payments,
     check_axioms,
+    game_from_table,
     parse_report,
     render_report,
     risk_delta,
@@ -212,6 +215,198 @@ class TestSubsetResultsDocument:
     def test_missing_keys(self):
         with pytest.raises(DocumentError, match=r"^results\[0\]: missing key 'passing'$"):
             subset_results_from_document({"results": [{"subset": ["a"]}]})
+
+
+#: A well-formed two-player table: v(a) = 1/2, v(b) = 1, v(ab) = 3/2.
+TABLE = {
+    "players": ["a", "b"],
+    "entries": [
+        {"coalition": [], "value": 0},
+        {"coalition": ["a"], "value": "1/2"},
+        {"coalition": ["b"], "value": 1},
+        {"coalition": ["b", "a"], "value": "3/2"},
+    ],
+}
+
+
+#: An edit's value that deletes its key or row.
+DROP = object()
+
+
+def edited(doc, *edits) -> dict:
+    """A copy of ``doc`` with each ``(path, value)`` set, a value of ``DROP`` deleting its key or row."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        *parents, key = path
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+class TestCoalitionTableReader:
+    """The one-pass reader gives the located reader's game, and its exact message for every refused table."""
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            ([(("entries", 1), 5)], "DocumentError: entries[1]: expected an object, got integer 5"),
+            ([(("entries", 2, "coalition"), "b")], "DocumentError: entries[2].coalition: expected an array, got string 'b'"),
+            ([(("entries", 2, "value"), True)], "DocumentError: entries[2].value: bool is not a rational value"),
+            ([(("entries", 2, "value"), None)], "DocumentError: entries[2].value: expected int, str or Fraction, got "
+             "NoneType; pass decimal strings instead of floats to keep arithmetic exact"),
+            ([(("entries", 3, "note"), "x")], "DocumentError: entries[3].note: unknown key (expected one of coalition, value)"),
+            ([(("entries", 1, "value"), DROP)], "DocumentError: entries[1]: missing key 'value'"),
+            ([(("entries", 3, "coalition", 1), "c")], "GameDefinitionError: unknown player 'c'"),
+            ([(("entries", 3, "coalition"), ["c", "a", "d"])], "GameDefinitionError: unknown players 'c', 'd'"),
+            ([(("entries", 3, "coalition", 0), 1)], "DocumentError: entries[3].coalition[0]: expected a string, got integer 1"),
+            ([(("entries", 3, "coalition", 0), ["b"])], "DocumentError: entries[3].coalition[0]: expected a string, got array ['b']"),
+            ([(("entries", 1, "value"), "1/0")], "DocumentError: entries[1].value: not a rational literal: '1/0'"),
+            ([(("entries", 1, "value"), "half")], "DocumentError: entries[1].value: not a rational literal: 'half'"),
+            ([(("entries", 1, "value"), "1" * 5000)], "DocumentError: entries[1].value: not a rational literal: '" + "1" * 5000 + "'"),
+            ([(("entries", 2, "coalition"), ["a"])], "GameDefinitionError: duplicate entry for coalition ('a',)"),
+            ([(("entries", 0, "coalition"), ["b", "a"])], "GameDefinitionError: duplicate entry for coalition ('a', 'b')"),
+            ([(("entries", 3), DROP)], "GameDefinitionError: missing coalitions: {a,b}"),
+            ([(("entries", 0, "value"), "1/3")], "GameDefinitionError: v(empty set) must be 0, got 1/3"),
+            ([(("players",), ["a", "a"])], "GameDefinitionError: duplicate player id 'a'"),
+            ([(("players",), [f"p{k}" for k in range(25)])],
+             "CapacityError: coalition-table for 25 players needs 2^25 values (cap 24 players)"),
+            # a refused row wins over an unknown player, a bad roster or the cap, wherever it stands
+            ([(("entries", 1, "coalition"), ["c"]), (("entries", 3, "value"), "x")],
+             "DocumentError: entries[3].value: not a rational literal: 'x'"),
+            ([(("players",), ["a", "a"]), (("entries", 3, "note"), 1)],
+             "DocumentError: entries[3].note: unknown key (expected one of coalition, value)"),
+            ([(("players",), [f"p{k}" for k in range(25)]), (("entries", 3), [])],
+             "DocumentError: entries[3]: expected an object, got array []"),
+            # the player before a duplicate, a duplicate before v(empty), v(empty) before a missing row
+            ([(("entries", 2, "coalition"), ["a"]), (("entries", 3, "coalition"), ["z"])],
+             "GameDefinitionError: duplicate entry for coalition ('a',)"),
+            ([(("entries", 0, "value"), 1), (("entries", 2, "coalition"), ["a"])],
+             "GameDefinitionError: duplicate entry for coalition ('a',)"),
+            ([(("entries", 0, "value"), 1), (("entries", 3), DROP)], "GameDefinitionError: v(empty set) must be 0, got 1"),
+        ],
+        ids=[
+            "row", "coalition", "bool-value", "null-value", "extra-key", "missing-key", "unknown-id", "unknown-ids",
+            "integer-id", "array-id", "zero-denominator", "word", "beyond-int-digits", "duplicate",
+            "duplicate-in-another-order", "missing-row", "nonzero-empty", "roster", "cap", "row-before-player",
+            "row-before-roster", "row-before-cap", "duplicate-before-later-player", "duplicate-before-empty",
+            "empty-before-missing",
+        ],
+    )
+    def test_refused_table_gives_the_located_message(self, edits, error):
+        with pytest.raises(RiskshareError) as raised:
+            coalition_game_from_document(edited(TABLE, *edits))
+        assert f"{type(raised.value).__name__}: {raised.value}" == error
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(("entries", 2, "coalition"), ["b", "b"])],
+            [(("entries", 1, "value"), " 1/2 "), (("entries", 3, "value"), "1.5")],
+            [(("entries", 1, "value"), Fraction(1, 2)), (("entries", 3, "value"), "15e-1")],
+            [(("entries", 1, "value"), "2/4"), (("entries", 3, "value"), "-0/7"), (("entries", 2, "value"), "3/3")],
+        ],
+        ids=["repeated-id", "padded-and-decimal", "float-and-exponent", "unreduced"],
+    )
+    def test_accepted_rows_outside_the_one_pass_read_as_before(self, edits):
+        doc = edited(TABLE, *edits)
+        entries = [(row["coalition"], row["value"]) for row in doc["entries"]]
+        expected = game_from_table(PlayerSet(doc["players"]), entries, label="coalition-table")
+        game = coalition_game_from_document(doc)
+        assert (game.terms, game.label) == (expected.terms, expected.label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), default_zero=st.booleans())
+    def test_one_pass_game_equals_the_game_of_the_rows(self, data, n, default_zero):
+        players = data.draw(st.permutations([f"p{k}" for k in range(n)]))
+        rows, entries = [], []
+        for mask in range(1 << n):
+            coalition = data.draw(st.permutations([p for k, p in enumerate(players) if mask >> k & 1]))
+            if default_zero and data.draw(st.booleans()):
+                continue
+            value, token = (Fraction(0), "0") if mask == 0 else data.draw(value_tokens())
+            rows.append('{"coalition": %s, "value": %s}' % (json.dumps(coalition), token))
+            entries.append((coalition, value))
+        order = data.draw(st.permutations(range(len(rows))))
+        text = '{"players": %s, "default_zero": %s, "entries": [%s]}' % (
+            json.dumps(players), json.dumps(default_zero), ", ".join(rows[k] for k in order))
+        game = coalition_game_from_document(loads_exact(text))
+        expected = game_from_table(PlayerSet(players), entries, default_zero=default_zero)
+        assert game.terms == expected.terms
+
+    def test_reading_a_table_of_ratio_literals_builds_no_fraction_per_row(self, tmp_path):
+        n = 8
+        players = [f"p{k}" for k in range(n)]
+        entries = [{"coalition": [p for k, p in enumerate(players) if m >> k & 1], "value": f"{m % 7}/{m % 5 + 1}"}
+                   for m in range(1 << n)]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"players": players, "entries": entries}))
+        built = 0
+
+        def count(frame, event, arg):
+            nonlocal built
+            built += event == "call" and frame.f_code is Fraction.__new__.__code__
+
+        sys.setprofile(count)
+        try:
+            game = load_coalition_game(path)
+        finally:
+            sys.setprofile(None)
+        assert game.grand_value() == Fraction(255 % 7, 255 % 5 + 1)
+        assert built < n  # none per row; a Fraction per row would make 2^n of them
+
+
+class TestSubsetResultsReader:
+    """Rows are read without a location; a refused row is located by the checked reader, at its own index."""
+
+    RESULTS = {"players": ["a", "b"], "results": [
+        {"subset": [], "passing": []}, {"subset": ["a"], "passing": ["f1"]},
+        {"subset": ["b"], "passing": []}, {"subset": ["a", "b"], "passing": ["f1", "f2"]},
+    ]}
+
+    def test_rows_read_as_id_lists(self):
+        roster, results = subset_results_from_document(self.RESULTS)
+        assert roster == ("a", "b")
+        assert results == [([], []), (["a"], ["f1"]), (["b"], []), (["a", "b"], ["f1", "f2"])]
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            ([(("results", 1, "note"), "x")], "results[1].note: unknown key (expected one of subset, passing)"),
+            ([(("results", 2, "passing"), DROP)], "results[2]: missing key 'passing'"),
+            ([(("results", 3, "subset", 1), 2)], "results[3].subset[1]: expected a string, got integer 2"),
+            ([(("results", 3, "passing"), None)], "results[3].passing: expected an array, got null"),
+            ([(("results", 3, "passing", 0), ["f1"]), (("results", 1, "subset"), "a")],
+             "results[1].subset: expected an array, got string 'a'"),
+        ],
+        ids=["extra-key", "missing-key", "integer-id", "null-passing", "first-refused-row"],
+    )
+    def test_refused_row_is_located(self, edits, error):
+        with pytest.raises(DocumentError) as raised:
+            subset_results_from_document(edited(self.RESULTS, *edits))
+        assert str(raised.value) == error
+
+
+@st.composite
+def value_tokens(draw):
+    """A rational and a JSON token for it: an integer, a float, or a string of an integer, ratio, decimal or exponent."""
+    num = draw(st.integers(-60, 60))
+    kind = draw(st.sampled_from(["int", "ratio", "decimal", "exponent", "float", "float-exponent"]))
+    if kind == "int":
+        return Fraction(num), str(num)
+    if kind == "ratio":
+        den = draw(st.integers(1, 12))
+        return Fraction(num, den), json.dumps(f"{num}/{den}")
+    exp = draw(st.integers(-3, 3))
+    if kind in ("decimal", "float"):
+        text = str(Decimal(num).scaleb(-abs(exp)))
+        return Fraction(text), (json.dumps(text) if kind == "decimal" else text)
+    text = f"{num}e{exp}"
+    return Fraction(text), (json.dumps(text) if kind == "exponent" else text)
 
 
 def assert_located(reader, doc, path, value, location):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riskshare import Interval, as_fraction, interval_add, interval_mul, interval_sub
+from riskshare.intervals import _plain_ratio
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=50)
 
@@ -29,6 +30,31 @@ class TestConstruction:
             Interval(0.5, 1)
         with pytest.raises(TypeError):
             as_fraction(0.5)
+
+class TestPlainLiterals:
+    """``as_fraction`` reads ``-?[0-9]+`` and ``-?[0-9]+/[0-9]+`` without ``Fraction``'s regex, to the same value."""
+
+    @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True) | st.text(max_size=12))
+    def test_a_literal_read_without_the_regex_equals_fraction_of_it(self, text):
+        pair = _plain_ratio(text)
+        if pair is not None:
+            assert Fraction(*pair) == Fraction(text) == as_fraction(text)
+
+    @pytest.mark.parametrize("text, pair", [("7", (7, 1)), ("-007", (-7, 1)), ("0/5", (0, 5)), ("-2/4", (-2, 4))])
+    def test_plain_literals(self, text, pair):
+        assert _plain_ratio(text) == pair
+
+    @pytest.mark.parametrize("text", ["+3", " 3", "3 ", "1_000", "\u0661\u0662", "0.5", "1e3"])
+    def test_other_literals_take_the_regex_and_read_as_before(self, text):
+        assert _plain_ratio(text) is None
+        assert as_fraction(text) == Fraction(text.strip())
+
+    @pytest.mark.parametrize("text", ["1/0", "1/000", "3/-4", "--1", "-", "/2", "1/", "1//2", "1/2/3", "-/1"])
+    def test_invalid_ratios_are_refused_as_before(self, text):
+        assert _plain_ratio(text) is None
+        with pytest.raises(ValueError, match="^not a rational literal: "):
+            as_fraction(text)
+
 
 class TestAdd:
     def test_additive_identity(self):

@@ -90,6 +90,15 @@ class TestComputeBudget:
         # 1/3 of [1, 1] dollars = 33.33... cents -> 33
         assert compute_budget(Interval(1, 1), Fraction(1, 3), "lower") == Money(33)
 
+    @pytest.mark.parametrize("point, fraction, minor", [(2, Fraction(1, 3), 66), ("0.015", 1, 1), ("0.0251", 1, 2)])
+    def test_a_fractional_cent_of_one_half_or_more_is_floored(self, point, fraction, minor):
+        """66.67, 1.5 and 2.51 cents: rounding would pay 67, 2 and 3; flooring pays 66, 1 and 2."""
+        assert compute_budget(Interval(point, 3), fraction, "lower") == Money(minor)
+
+    def test_delta_reaching_below_zero_by_less_than_one_is_rejected(self):
+        with pytest.raises(PayoutError, match=r"^risk delta must be non-negative, got \[-1/2, 5\]$"):
+            compute_budget(Interval("-1/2", 5), "1/100", "lower")
+
 
 class TestAllocate:
     def test_reported_shares_reproduce_published_payments(self):
@@ -104,6 +113,15 @@ class TestAllocate:
         report = allocate(result, Money(2125900), "largest-remainder")
         assert [row.payment.amount_minor for row in report.payouts] == [1240109, 177158, 708633]
         assert report.residual_minor == 0
+
+    def test_largest_remainder_tie_at_the_cut_goes_by_player_id_not_roster_order(self):
+        """Four equal shares of 102 units leave 25.5 each: the two leftover units go to ids a and b."""
+        roster = ("c", "a", "d", "b")
+        result = ShapleyResult(players=roster, phi={p: Fraction(1) for p in roster}, method="external")
+        report = allocate(result, Money(102), "largest-remainder")
+        assert [(row.player, row.payment.amount_minor) for row in report.payouts] == [
+            ("c", 25), ("a", 26), ("d", 25), ("b", 26)
+        ]
 
     @pytest.mark.parametrize("budget, paid", [(1, 1), (3, 2), (5, 3)])
     def test_per_recipient_rounds_an_exact_half_cent_up(self, budget, paid):
