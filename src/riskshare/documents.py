@@ -20,9 +20,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import CapacityError, DocumentError, GameDefinitionError, ValidationError
-from .games import MATERIALIZATION_CAP, CoalitionGame, PlayerSet, _table_game, game_from_table
-from .intervals import Interval, _plain_ratio, as_fraction
+from .errors import CapacityError, DocumentError, ValidationError
+from .games import CoalitionGame, PlayerSet, game_from_table
+from .intervals import Interval, as_fraction
 from .risk import (
     Control,
     LeafCondition,
@@ -293,70 +293,37 @@ def coalition_game_from_document(doc, *, label: str = "coalition-table") -> Coal
 
     An object with its required ``players`` roster, an ``entries`` list of
     ``{"coalition": [...], "value": ...}`` rows and an optional boolean
-    ``default_zero``. Well-formed rows are read in one pass, each value once,
-    into integers; any other document is read again by the located reader,
-    whose message names the first error.
+    ``default_zero``. :func:`game_from_table` reads the rows in one pass. A
+    refused row or value is the error wherever it stands, before any roster,
+    cap or coalition error: whatever the build raises, the rows are read again
+    only to name the first refused one.
     """
     roster, rows = _envelope(doc, "entries", "default_zero")
     _expect(doc, "players", "document")  # required here, optional in the other documents
     default_zero = _field(doc, "default_zero", "", _boolean, default=False)
-    game = _dense_table(roster, rows, default_zero, label)
-    if game is None:  # the located reader names what the one-pass reader refused
-        entries = []
-        for where, row in _rows(rows, "entries", ("coalition", "value")):
-            coalition = _field(row, "coalition", where, _strings)
-            value = _field(row, "value", where, _rational)
-            entries.append((coalition, value))
-        game = game_from_table(PlayerSet(roster), entries, default_zero=default_zero, label=label)
-    return game
-
-
-def _dense_table(roster, rows: list, default_zero: bool, label: str) -> Optional[CoalitionGame]:
-    """The game of a table with a valid roster and well-formed rows, read in one pass into integer numerators
-    and denominators, each value once and with no location string.
-
-    None at the first thing the located reader must read instead: a roster or a row it refuses or names an
-    error in, an id repeated within a coalition, or a repeated coalition. A missing row and a nonzero v(empty)
-    are left to the game's own checks, which both readers share.
-    """
     try:
-        players = PlayerSet(roster)
-    except GameDefinitionError:
-        return None
-    if players.n > MATERIALIZATION_CAP:
-        return None
-    bits = {player: 1 << k for k, player in enumerate(players.players)}
-    size = 1 << players.n
-    nums, dens = [None] * size, [1] * size
-    try:
-        for row in rows:
-            if type(row) is not dict or len(row) != 2:
-                return None
-            coalition, value = row.get("coalition"), row.get("value")
-            if type(coalition) is not list:
-                return None
-            mask = sum(map(bits.__getitem__, coalition))
-            if mask.bit_count() != len(coalition) or nums[mask] is not None:  # an id or a coalition repeated
-                return None
-            pair = _value_pair(value)
-            if pair is None:
-                return None
-            nums[mask], dens[mask] = pair
-    except (KeyError, TypeError):  # an id that is unknown, or not a string
-        return None
-    return _table_game(players, nums, dens, label, default_zero)
+        return game_from_table(PlayerSet(roster), _entries(rows), default_zero=default_zero, label=label)
+    except (CapacityError, DocumentError, ValidationError, TypeError, ValueError):  # whatever the build raises
+        _refuse_row(rows, "entries", {"coalition": _strings, "value": _rational})
+        raise
 
 
-def _value_pair(value) -> Optional[tuple[int, int]]:
-    """``as_fraction(value)`` as a numerator and denominator, with no Fraction built for a plain ratio literal;
-    None where :func:`as_fraction` refuses the value."""
-    try:
-        if type(value) is not str or not (pair := _plain_ratio(value)):
-            value = as_fraction(value)
-            pair = value.numerator, value.denominator
-    except (TypeError, ValueError):
-        return None
-    return pair
+def _entries(rows: list):
+    """Each row's coalition and value; a row that is not an object of exactly an array ``coalition`` and a
+    ``value`` raises, to be named by :func:`_refuse_row`."""
+    for row in rows:
+        if isinstance(row, dict) and len(row) == 2 and isinstance(ids := row.get("coalition"), list) and "value" in row:
+            yield ids, row["value"]
+        else:
+            raise DocumentError("entries: a row is not a coalition and its value")
+
+
+def _refuse_row(rows: list, where: str, fields: dict) -> None:
+    """Raise the located error of the first row that is not an object of exactly ``fields``' keys, each value
+    accepted by its reader; return if there is none. It builds nothing."""
+    for at, row in _rows(rows, where, tuple(fields)):
+        for key, read in fields.items():
+            _field(row, key, at, read)
 
 
 def load_coalition_game(path: Pathish) -> CoalitionGame:
@@ -385,18 +352,14 @@ def load_attribution(path: Pathish):
 def subset_results_from_document(doc) -> tuple[Optional[tuple[str, ...]], list[tuple[list[str], list[str]]]]:
     """Parse subset results: an optional ``players`` roster and rows of ``{"subset": [...], "passing": [...]}``.
 
-    Returns the roster (None when absent) and one ``(subset, passing)`` pair of id lists per row.
+    Returns the roster (None when absent) and one ``(subset, passing)`` pair of id lists per row. The rows are
+    checked in bulk; a refused row is the error, named at its own index.
     """
     roster, rows = _envelope(doc, "results")
-    # well-formed rows are checked in bulk; the located reader names the first refused one
-    results = [(row.get("subset"), row.get("passing")) for row in rows if type(row) is dict and len(row) == 2]
-    if (len(results) == len(rows) and {type(ids) for pair in results for ids in pair} <= {list}
+    results = [(row.get("subset"), row.get("passing")) for row in rows if isinstance(row, dict) and len(row) == 2]
+    if not (len(results) == len(rows) and {type(ids) for pair in results for ids in pair} <= {list}
             and set(map(type, chain.from_iterable(chain.from_iterable(results)))) <= {str}):
-        return roster, results
-    results = [
-        (_field(row, "subset", where, _strings), _field(row, "passing", where, _strings))
-        for where, row in _rows(rows, "results", ("subset", "passing"))
-    ]
+        _refuse_row(rows, "results", {"subset": _strings, "passing": _strings})
     return roster, results
 
 

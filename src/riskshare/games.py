@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Set
 
 from ._frozen import frozen
 from .errors import CapacityError, GameDefinitionError
-from .intervals import Rationalish, as_fraction
+from .intervals import Rationalish, _ratio, as_fraction
 from .risk import ThreatTree
 
 #: Value tables are only rebuilt up to this many players; games of any size
@@ -42,16 +42,16 @@ class PlayerSet:
         object.__setattr__(self, "players", tuple(self.players))
         if not self.players:
             raise GameDefinitionError("player set must not be empty")
-        index = {}
+        bits = {}
         for k, p in enumerate(self.players):
             if not isinstance(p, str):
                 raise GameDefinitionError(f"player id {p!r} is not a string")
             if not p:
                 raise GameDefinitionError("a player id must not be empty")
-            if p in index:
+            if p in bits:
                 raise GameDefinitionError(f"duplicate player id {p!r}")
-            index[p] = k
-        object.__setattr__(self, "_index", index)
+            bits[p] = 1 << k
+        object.__setattr__(self, "_bits", bits)  # each id's bit in a mask
 
     @property
     def n(self) -> int:
@@ -63,14 +63,14 @@ class PlayerSet:
 
     def mask_of(self, subset: Iterable[str]) -> int:
         """The bitmask of ``subset``; an unknown id raises, naming every unknown id of the subset, sorted."""
-        index = self._index
+        bits = self._bits
         mask = 0
         players = iter(subset)
         for player in players:
             try:
-                mask |= 1 << index[player]
+                mask |= bits[player]
             except KeyError:  # the ids before ``player`` are known; look for others only among the rest
-                unknown = sorted({player, *(p for p in players if p not in index)})
+                unknown = sorted({player, *(p for p in players if p not in bits)})
                 if len(unknown) == 1:
                     raise GameDefinitionError(f"unknown player {player!r}") from None
                 raise GameDefinitionError(f"unknown players {', '.join(map(repr, unknown))}") from None
@@ -251,14 +251,21 @@ def game_from_table(
     coalition is an error.
     """
     _check_capacity(players, label)
+    bits = players._bits
     size = 1 << players.n
     nums, dens = [None] * size, [1] * size
     for subset, value in entries:
-        mask = players.mask_of(subset)
+        if type(subset) is not list:
+            subset = list(subset)
+        try:
+            mask = sum(map(bits.__getitem__, subset))
+        except KeyError:  # an unknown id
+            mask = 0
+        if mask.bit_count() != len(subset):  # an unknown id, which mask_of names, or a repeated one, which it ORs
+            mask = players.mask_of(subset)
         if nums[mask] is not None:
             raise GameDefinitionError(f"duplicate entry for coalition {players.ids_of(mask)}")
-        value = as_fraction(value)
-        nums[mask], dens[mask] = value.numerator, value.denominator
+        nums[mask], dens[mask] = _ratio(value)
     return _table_game(players, nums, dens, label, default_zero)
 
 

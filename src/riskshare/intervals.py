@@ -27,21 +27,30 @@ def as_fraction(value: Rationalish) -> Fraction:
     an exponent has at most three digits. Floats raise TypeError: binary
     rounding must not leak into exact results.
     """
-    if isinstance(value, Fraction):
-        return value
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
+def _ratio(value: Rationalish) -> tuple[int, int]:
+    """``value`` read as :func:`as_fraction` reads it, and refused as it refuses it, as a numerator and a positive
+    denominator, not always in lowest terms. A plain literal (:func:`_plain_ratio`) builds no Fraction."""
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            pair = _plain_ratio(text)
+            if pair is None and len(text.lower().partition("e")[2].lstrip("+-0")) <= _EXPONENT_DIGITS:
+                fraction = Fraction(text)
+                return fraction.numerator, fraction.denominator
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational literal: {value!r}") from exc
+        if pair is None:
+            raise ValueError(f"not a rational literal: {value!r} (exponent of more than {_EXPONENT_DIGITS} digits)")
+        return pair
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if len(text.lower().partition("e")[2].lstrip("+-0")) > _EXPONENT_DIGITS:
-            raise ValueError(f"not a rational literal: {value!r} (exponent of more than {_EXPONENT_DIGITS} digits)")
-        try:
-            pair = _plain_ratio(text)
-            return Fraction(text) if pair is None else Fraction(*pair)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(
         f"expected int, str or Fraction, got {type(value).__name__}; "
         "pass decimal strings instead of floats to keep arithmetic exact"
@@ -54,7 +63,7 @@ def _plain_ratio(text: str) -> Optional[tuple[int, int]]:
     ValueError, as ``Fraction`` does.
     """
     num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
+    digits = num.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         return None
     if not slash:

@@ -49,7 +49,15 @@ CONTENT_ERRORS = [
      "line 9: empty 'parent' field"),
     ("commits.log", "mining_config.json", "trailer: Satisfies: U-46365-1\n", "trailer: Satisfies:\n",
      "line 10: trailer 'Satisfies:' has an empty value"),
+    # a refused value wins over an unknown id in an earlier row
+    ("coalition_table.json", "payout_config.json",
+     '{"coalition": ["B"], "value": "0"},\n    {"coalition": ["C"], "value": "0"}',
+     '{"coalition": ["Z"], "value": "0"},\n    {"coalition": ["C"], "value": "x"}',
+     "entries[3].value: not a rational literal: 'x'"),
 ]
+
+#: The worked example's coalition table, as a config's source section.
+TABLE_SOURCE = {"type": "coalition_table", "path": "coalition_table.json"}
 
 #: Semantic errors of the source evidence, as ``(source section, old text, new text, exit code, error line)``;
 #: the edit is made in the source's file, and ``{path}`` stands for that file's path.
@@ -62,9 +70,15 @@ SOURCE_ERRORS = [
      "validation error: {path}: cycle boundary commit '0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091' not found in the log"),
     ({"type": "subset_results", "path": "subset_results.json"}, '"U-46365-1"', '"U-99999-9"', 1,
      "validation error: {path}: subset result references unknown leaf ids: ['U-99999-9']"),
-    ({"type": "coalition_table", "path": "coalition_table.json"},
+    (TABLE_SOURCE,
      '"players": ["A", "B", "C"]', '"players": [%s]' % ", ".join(f'"p{k}"' for k in range(25)), 3,
      "capacity error: {path}: coalition-table:coalition_table.json for 25 players needs 2^25 values (cap 24 players)"),
+    (TABLE_SOURCE, '{"coalition": ["B"], "value": "0"}', '{"coalition": ["A"], "value": "0"}', 1,
+     "validation error: {path}: duplicate entry for coalition ('A',)"),
+    (TABLE_SOURCE, '    {"coalition": ["A", "B"], "value": "1"},\n', "", 1,
+     "validation error: {path}: missing coalitions: {{A,B}}"),
+    (TABLE_SOURCE, '{"coalition": ["C"], "value": "0"}', '{"coalition": ["Z"], "value": "0"}', 1,
+     "validation error: {path}: unknown player 'Z'"),
 ]
 
 
@@ -93,7 +107,8 @@ class TestValidate:
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     @pytest.mark.parametrize("name, config, old, new, message", CONTENT_ERRORS,
                              ids=["config-cycle", "config-time-window", "config-mode", "commit-log-line",
-                                  "empty-author", "empty-commit", "empty-parent", "empty-trailer-value"])
+                                  "empty-author", "empty-commit", "empty-parent", "empty-trailer-value",
+                                  "table-value-after-unknown-id"])
     def test_content_error_exits_2_naming_its_file(self, capsys, workdir, command, name, config, old, new, message):
         path = workdir / WE / name
         text = path.read_text()
@@ -104,7 +119,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     @pytest.mark.parametrize("source, old, new, exit_code, line", SOURCE_ERRORS,
-                             ids=["trailer-leaf", "cycle-boundary", "subset-leaf", "table-capacity"])
+                             ids=["trailer-leaf", "cycle-boundary", "subset-leaf", "table-capacity",
+                                  "table-duplicate", "table-missing-row", "table-unknown-id"])
     def test_source_error_names_its_file(self, capsys, workdir, command, source, old, new, exit_code, line):
         path = workdir / WE / source["path"]
         text = path.read_text()

@@ -28,6 +28,10 @@ from riskshare import (
     shapley_exact,
 )
 from riskshare.documents import (
+    _field,
+    _rational,
+    _rows,
+    _strings,
     attribution_from_document,
     coalition_game_from_document,
     coalition_table_document,
@@ -249,7 +253,8 @@ def edited(doc, *edits) -> dict:
 
 
 class TestCoalitionTableReader:
-    """The one-pass reader gives the located reader's game, and its exact message for every refused table."""
+    """``game_from_table`` builds the document's game from its rows; a refused table gives the exact message of its
+    first refused row, or else the build's own error."""
 
     @pytest.mark.parametrize(
         "edits, error",
@@ -361,7 +366,7 @@ class TestCoalitionTableReader:
 
 
 class TestSubsetResultsReader:
-    """Rows are read without a location; a refused row is located by the checked reader, at its own index."""
+    """Rows are checked in bulk; the first refused row is the error, named at its own index."""
 
     RESULTS = {"players": ["a", "b"], "results": [
         {"subset": [], "passing": []}, {"subset": ["a"], "passing": ["f1"]},
@@ -389,6 +394,114 @@ class TestSubsetResultsReader:
         with pytest.raises(DocumentError) as raised:
             subset_results_from_document(edited(self.RESULTS, *edits))
         assert str(raised.value) == error
+
+
+def _outcome(read, doc):
+    """What ``read(doc)`` gives, or ``<error type>: <message>`` for what it raises."""
+    try:
+        return read(doc)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _table_in_two_stages(doc) -> tuple:
+    """The reference reader: every row through the located readers, then the roster, then the build over Fractions."""
+    entries = [(_field(row, "coalition", at, _strings), _field(row, "value", at, _rational))
+               for at, row in _rows(doc["entries"], "entries", ("coalition", "value"))]
+    game = game_from_table(PlayerSet(doc["players"]), entries, default_zero=doc["default_zero"], label="coalition-table")
+    return game.terms, game.label
+
+
+def _results_in_one_stage(doc) -> tuple:
+    """The reference reader of subset results: every row through the located readers, in order."""
+    results = [(list(_field(row, "subset", at, _strings)), list(_field(row, "passing", at, _strings)))
+               for at, row in _rows(doc["results"], "results", ("subset", "passing"))]
+    return (tuple(doc["players"]) if "players" in doc else None), results
+
+
+def _coalitions(draw, n: int) -> list[list[str]]:
+    """Each coalition of ``p0 … p{n-1}`` by mask, its ids in a drawn order."""
+    ids = [f"p{k}" for k in range(n)]
+    return [draw(st.permutations([p for k, p in enumerate(ids) if m >> k & 1])) for m in range(1 << n)]
+
+
+#: Ways a row can be refused for its shape, each made from a well-formed row ``{key: ids, other: value}``.
+REFUSED_SHAPES = [
+    lambda key, row: 5,
+    lambda key, row: [],
+    lambda key, row: None,
+    lambda key, row: {**row, "note": 1},
+    lambda key, row: {k: v for k, v in row.items() if k != key},
+    lambda key, row: {k: v for k, v in row.items() if k == key},
+    lambda key, row: {**row, key: "p0"},
+    lambda key, row: {**row, key: {"p0": 1}},
+    lambda key, row: {**row, key: [*row[key], 1]},
+    lambda key, row: {**row, key: [["p0"], *row[key]]},
+    lambda key, row: {**row, key: [None]},
+]
+
+#: The kinds of defect planted in a table, in the order they are planted: a refused shape after the other row
+#: defects, so that each of those finds its row an object, and a bad roster after the cap, so that it can extend it.
+TABLE_DEFECTS = ("unknown-id", "repeat", "value", "shape", "cap", "roster")
+
+
+@st.composite
+def defective_tables(draw) -> dict:
+    """A valid table of n <= 5 players, its rows shuffled, with 1 to 3 defects of different kinds at drawn rows."""
+    n = draw(st.integers(1, 5))
+    default_zero = draw(st.booleans())
+    rows = []
+    for mask, ids in enumerate(_coalitions(draw, n)):
+        if default_zero and draw(st.booleans()):
+            continue
+        value = draw(st.fractions(-20, 20, max_denominator=12)) if mask else Fraction(0)
+        forms = [str(value), value] + ([value.numerator] if value.denominator == 1 else [])
+        rows.append({"coalition": ids, "value": draw(st.sampled_from(forms))})
+    rows = draw(st.permutations(rows))
+    players = [f"p{k}" for k in range(n)]
+    targets = iter(draw(st.permutations(range(len(rows)))))
+    for kind in sorted(draw(st.lists(st.sampled_from(TABLE_DEFECTS), min_size=1, max_size=3, unique=True)),
+                       key=TABLE_DEFECTS.index):
+        if kind == "cap":
+            players = players + [f"q{k}" for k in range(25 - n)]
+        elif kind == "roster":
+            players = draw(st.sampled_from([players + players[:1], [], players + [""]]))
+        elif (k := next(targets, None)) is None:  # every row already has a defect, or there is none
+            continue
+        elif kind == "unknown-id":
+            ids = rows[k]["coalition"]
+            ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(["zz", "P0", "p0 "])))
+        elif kind == "repeat":
+            rows[k]["coalition"] = list(reversed(draw(st.sampled_from(rows))["coalition"]))
+        elif kind == "value":
+            rows[k]["value"] = draw(st.sampled_from(["x", "1/0", "1e1000", " ", True, None, [1], 0.5, "1" * 5000]))
+        else:
+            rows[k] = draw(st.sampled_from(REFUSED_SHAPES))("coalition", rows[k])
+    return {"players": players, "default_zero": default_zero, "entries": rows}
+
+
+class TestWhichErrorWins:
+    """The document readers raise what a reader of every row first, and of the whole table after, would raise."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=defective_tables())
+    def test_a_table_reads_as_its_rows_first_then_its_roster_then_its_game(self, doc):
+        game = _outcome(coalition_game_from_document, copy.deepcopy(doc))
+        expected = _outcome(_table_in_two_stages, doc)
+        assert (game if isinstance(game, str) else (game.terms, game.label)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), roster=st.booleans())
+    def test_subset_results_read_as_their_rows_in_order(self, data, n, roster):
+        leaves = st.lists(st.sampled_from(["f1", "f2", "f3"]), unique=True)
+        rows = data.draw(st.permutations([{"subset": ids, "passing": data.draw(leaves)} for ids in _coalitions(data.draw, n)]))
+        targets = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3, unique=True))
+        shapes = data.draw(st.lists(st.sampled_from(REFUSED_SHAPES), min_size=len(targets), max_size=len(targets),
+                                    unique_by=REFUSED_SHAPES.index))
+        for k, shape in zip(targets, shapes):
+            rows[k] = shape(data.draw(st.sampled_from(["subset", "passing"])), rows[k])
+        doc = {"players": [f"p{k}" for k in range(n)], "results": rows} if roster else {"results": rows}
+        assert _outcome(subset_results_from_document, copy.deepcopy(doc)) == _outcome(_results_in_one_stage, doc)
 
 
 @st.composite

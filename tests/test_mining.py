@@ -594,6 +594,13 @@ class TestAttribution:
             records = parse_commit_log(text)
         assert derive_attribution(records, build_three_fix_tree())["U-46365-1"] == frozenset()
 
+    def test_the_satisfies_key_matches_case_included(self):
+        text = SIMPLE_LOG.replace("trailer: Satisfies: U-46365-1", "trailer: satisfies: U-46365-1")
+        with pytest.warns(CommitLogWarning) as warned:
+            records = parse_commit_log(text)
+        assert [str(w.message) for w in warned] == ["ignoring unknown trailer keys: ['satisfies']"]
+        assert derive_attribution(records, build_three_fix_tree())["U-46365-1"] == frozenset()
+
     def test_unknown_leaf_lists_offenders(self):
         text = SIMPLE_LOG.replace("U-46365-1", "U-00000-9")
         records = parse_commit_log(text)
