@@ -28,7 +28,9 @@ from . import documents
 from .config import RunConfig, SolverSpec, load_run_config
 from .errors import CapacityError, DocumentError, RiskshareError, ValidationError
 from .games import CoalitionGame, PlayerSet, game_from_subset_results, leaf_coverage_game
-from .mining import cherry_pick_plan, derive_attribution, parse_commit_log, resolve_identities
+from .mining import (
+    _records, _warn_provisional, cherry_pick_plan, derive_attribution, parse_commit_log, resolve_identities,
+)
 from .payout import Provenance, allocate_payments, compute_budget, render_report, parse_report
 from .risk import RiskModel, ValidationIssue, ValidationReport, risk_delta
 from .shapley import ShapleyResult, check_axioms, shapley_exact, shapley_monte_carlo
@@ -66,6 +68,29 @@ def _load_records(config: RunConfig):
     return records
 
 
+def _log_attribution(config: RunConfig, tree) -> dict[str, frozenset[str]]:
+    """The commit log's attribution, read once without keeping its records; an alias file then renames its authors.
+
+    Errors and warnings come in the order :func:`_load_records` meets them: the log's, the alias file's, the
+    provisional identities, then the cycle's and the claims' (each naming the log).
+    """
+    source = config.source
+    authors: dict[str, str] = {}  # every author of the log, in order of first appearance
+    failure = None
+    try:
+        with documents.reading(source.path), open(source.path, "rb") as log:
+            attribution = derive_attribution(_records(log, authors), tree, source.cycle)
+    except ValidationError as exc:  # raised after the alias file's errors and warning
+        failure = exc
+    aliases = {}
+    if source.aliases_path is not None:
+        aliases = documents.load_aliases(source.aliases_path)
+        _warn_provisional(authors, aliases)
+    if failure is not None:
+        raise failure
+    return {leaf: frozenset(aliases.get(a, a) for a in people) for leaf, people in attribution.items()}
+
+
 def _roster(declared: Optional[tuple[str, ...]], named: Iterable[str]) -> PlayerSet:
     """The declared roster (a document's ``players``, a commit log's ``source.players``), else the named ids, sorted.
 
@@ -93,13 +118,11 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
     elif kind == "attribution":
         declared, attribution = documents.load_attribution(path)
     else:
-        declared, records = config.source.players, _load_records(config)
+        declared, attribution = config.source.players, _log_attribution(config, model.tree)
     with documents.reading(path):
         if kind == "subset_results":
             players = _roster(declared, (p for subset, _ in results for p in subset))
             return game_from_subset_results(results, model.tree, players, config.normalized)
-        if kind == "commit_log":
-            attribution = derive_attribution(records, model.tree, config.source.cycle)
         players = _roster(declared, (a for people in attribution.values() for a in people))
         return leaf_coverage_game(model.tree, attribution, players, config.normalized)
 

@@ -22,7 +22,7 @@ import warnings
 from datetime import datetime
 from functools import partial
 from itertools import chain
-from typing import BinaryIO, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
 
 from ._frozen import frozen
 from .errors import CommitLogWarning, DocumentError, ValidationError
@@ -103,16 +103,24 @@ def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
     authors are one string, and equal ``trailer:`` values one ``(key, value)``
     pair.
     """
-    records: list[CommitRecord] = []
+    log = io.BytesIO(text.encode("utf-8")) if isinstance(text, str) else text
+    return list(_records(log, {}))
+
+
+def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[CommitRecord]:
+    """:func:`parse_commit_log`'s records of the binary file ``log``, each yielded once its record is complete.
+
+    ``authors`` maps each author to itself, in order of first appearance: the records of one author share its
+    string, and a reader that keeps no records still learns every author. The unknown-key warning follows the
+    last record.
+    """
     ids: dict[str, str] = {}  # each commit id to itself, so that parent ids can share it
-    authors: dict[str, str] = {}  # each author to itself, so that the records of one author share it
     pairs: dict[str, tuple[str, str]] = {}  # each raw trailer value to its checked (key, value) pair
     unknown_keys: set[str] = set()
     commit = author = timestamp = previous = None
     parents: tuple[str, ...] = ()
     trailers: tuple[tuple[str, str], ...] = ()
 
-    log = io.BytesIO(text.encode("utf-8")) if isinstance(text, str) else text
     lines = chain.from_iterable(map(str.splitlines, _file_pieces(log)))
     numbered = enumerate(chain(lines, (RECORD_SEPARATOR,)), start=1)  # closes an unterminated final record
     for line_no, raw in numbered:
@@ -173,7 +181,7 @@ def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
                     raise DocumentError(f"line {at}: record missing {required!r} field")
             raise DocumentError(f"line {at}: duplicate commit id {commit!r}")
         ids[commit] = previous = commit
-        records.append(_record((commit, author, timestamp, parents, trailers)))
+        yield _record((commit, author, timestamp, parents, trailers))
         commit = author = timestamp = None
         parents = trailers = ()
 
@@ -181,9 +189,23 @@ def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
         warnings.warn(
             f"ignoring unknown trailer keys: {sorted(unknown_keys)}",
             CommitLogWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return records
+
+
+def _warn_provisional(authors: Iterable[str], aliases: Mapping[str, str]) -> None:
+    """One :class:`CommitLogWarning` naming the ``authors`` that are neither an alias nor a canonical id.
+
+    They stay players under their raw identity; each is named once, in order of first appearance.
+    """
+    canonical = set(aliases.values())
+    provisional = [a for a in dict.fromkeys(authors) if a not in aliases and a not in canonical]
+    if provisional:
+        warnings.warn(
+            f"identities without alias entries kept as provisional players: {provisional}",
+            CommitLogWarning,
+            stacklevel=3,
+        )
 
 
 def resolve_identities(records: Sequence[CommitRecord], aliases: Mapping[str, str]) -> list[CommitRecord]:
@@ -194,26 +216,11 @@ def resolve_identities(records: Sequence[CommitRecord], aliases: Mapping[str, st
     first appearance, and is not fatal. An identity that already *is* a
     canonical id passes through silently.
     """
-    known = set(aliases.values())  # canonical ids, then each provisional identity once seen
-    resolved: list[CommitRecord] = []
-    provisional: list[str] = []  # in order of first appearance
-    for r in records:
-        if r.author in aliases:
-            resolved.append(
-                CommitRecord(r.commit_id, aliases[r.author], r.timestamp, r.parents, r.trailers)
-            )
-        else:
-            if r.author not in known:
-                known.add(r.author)
-                provisional.append(r.author)
-            resolved.append(r)
-    if provisional:
-        warnings.warn(
-            f"identities without alias entries kept as provisional players: {provisional}",
-            CommitLogWarning,
-            stacklevel=2,
-        )
-    return resolved
+    _warn_provisional((r.author for r in records), aliases)
+    return [
+        CommitRecord(r.commit_id, aliases[r.author], r.timestamp, r.parents, r.trailers) if r.author in aliases else r
+        for r in records
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +268,33 @@ def _ancestry(parents: Mapping[str, tuple[str, ...]], tip: str) -> set[str]:
     return reached
 
 
+def _time_range(cycle: Cycle) -> tuple[float, float]:
+    """The cycle's inclusive timestamp range; an open end, or a commit-bounded cycle's, is unbounded."""
+    return (
+        float("-inf") if cycle.from_time is None else cycle.from_time,
+        float("inf") if cycle.to_time is None else cycle.to_time,
+    )
+
+
+def _window(parents: Mapping[str, tuple[str, ...]], cycle: Cycle) -> Callable[[str], bool]:
+    """Whether a commit of the log, given by id, is inside the commit-bounded ``cycle``.
+
+    ``parents`` maps every commit of the log to its parent ids. A bound missing from the log, or a ``to_commit``
+    that ``from_commit`` already reaches, is a :class:`ValidationError`.
+    """
+    for bound in (cycle.from_commit, cycle.to_commit):
+        if bound is not None and bound not in parents:
+            raise ValidationError(f"cycle boundary commit {bound!r} not found in the log")
+    before = set() if cycle.from_commit is None else _ancestry(parents, cycle.from_commit)
+    if cycle.to_commit is None:
+        return lambda commit: commit not in before
+    if cycle.to_commit in before:
+        raise ValidationError(
+            f"cycle end {cycle.to_commit!r} precedes its start {cycle.from_commit!r}"
+        )
+    return (_ancestry(parents, cycle.to_commit) - before).__contains__
+
+
 def select_cycle(records: Sequence[CommitRecord], cycle: Cycle) -> list[CommitRecord]:
     """Records inside the cycle, in log order.
 
@@ -270,29 +304,15 @@ def select_cycle(records: Sequence[CommitRecord], cycle: Cycle) -> list[CommitRe
     missing from the log, or a ``to_commit`` that ``from_commit`` already
     reaches, is a :class:`ValidationError`.
     """
-    if cycle.from_time is not None or cycle.to_time is not None:
-        lo = cycle.from_time if cycle.from_time is not None else float("-inf")
-        hi = cycle.to_time if cycle.to_time is not None else float("inf")
-        return [r for r in records if lo <= r.timestamp <= hi]
     if cycle.from_commit is None and cycle.to_commit is None:
-        return list(records)
-    parents = {r.commit_id: r.parents for r in records}
-    for bound in (cycle.from_commit, cycle.to_commit):
-        if bound is not None and bound not in parents:
-            raise ValidationError(f"cycle boundary commit {bound!r} not found in the log")
-    before = set() if cycle.from_commit is None else _ancestry(parents, cycle.from_commit)
-    if cycle.to_commit is None:
-        return [r for r in records if r.commit_id not in before]
-    if cycle.to_commit in before:
-        raise ValidationError(
-            f"cycle end {cycle.to_commit!r} precedes its start {cycle.from_commit!r}"
-        )
-    window = _ancestry(parents, cycle.to_commit) - before
-    return [r for r in records if r.commit_id in window]
+        lo, hi = _time_range(cycle)
+        return [r for r in records if lo <= r.timestamp <= hi]
+    inside = _window({r.commit_id: r.parents for r in records}, cycle)
+    return [r for r in records if inside(r.commit_id)]
 
 
 def derive_attribution(
-    records: Sequence[CommitRecord],
+    records: Iterable[CommitRecord],
     tree: ThreatTree,
     cycle: Cycle = Cycle(),
 ) -> dict[str, frozenset[str]]:
@@ -300,22 +320,35 @@ def derive_attribution(
 
     Every tree leaf appears in the result; a leaf no in-cycle commit claimed
     maps to the empty set (covered by no coalition). A trailer naming an
-    unknown leaf is a validation error listing all offenders.
+    unknown leaf is a validation error listing all offenders; a cycle that
+    :func:`select_cycle` refuses is refused first, with its error.
+
+    ``records`` is read once, in log order, so it may be a stream. Of each
+    record only its ``Satisfies`` claims are kept (those in range, for a
+    time-bounded cycle), and for a commit-bounded cycle its parent ids, until
+    the window is known.
     """
-    known = set(tree.leaf_ids())
+    lo, hi = _time_range(cycle)
+    graph: Optional[dict[str, tuple[str, ...]]] = None  # each commit's parents, for a commit-bounded cycle
+    if cycle.from_commit is not None or cycle.to_commit is not None:
+        graph = {}
+    claims: list[tuple[str, str, str]] = []  # (commit id, author, leaf id) in log order
+    for commit_id, author, timestamp, parents, trailers in records:
+        if graph is not None:
+            graph[commit_id] = parents
+        if trailers and lo <= timestamp <= hi:
+            for key, leaf in trailers:
+                if key == SATISFIES_KEY:
+                    claims.append((commit_id, author, leaf))
+    if graph is not None:
+        inside = _window(graph, cycle)
+        claims = [claim for claim in claims if inside(claim[0])]
     authors: dict[str, set[str]] = {leaf: set() for leaf in tree.leaf_ids()}
-    offenders: list[tuple[str, str]] = []
-    for r in select_cycle(records, cycle):
-        for key, leaf_id in r.trailers:
-            if key != SATISFIES_KEY:
-                continue
-            if leaf_id not in known:
-                offenders.append((r.commit_id, leaf_id))
-            else:
-                authors[leaf_id].add(r.author)
+    offenders = [f"{commit}->{leaf}" for commit, _, leaf in claims if leaf not in authors]
     if offenders:
-        shown = ", ".join(f"{c}->{leaf}" for c, leaf in offenders)
-        raise ValidationError(f"trailers reference unknown leaf ids: {shown}")
+        raise ValidationError(f"trailers reference unknown leaf ids: {', '.join(offenders)}")
+    for _, author, leaf in claims:
+        authors[leaf].add(author)
     return {leaf: frozenset(people) for leaf, people in authors.items()}
 
 

@@ -27,6 +27,7 @@ should be about the model, never about floating-point noise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -144,11 +145,27 @@ def _words(seed: int, index: int):
     interleaving, so sample k is the same permutation whatever other samples
     are drawn.
     """
-    import hashlib  # here, not at the top: its OpenSSL backend costs every exact run about 4 ms of start-up
-
+    sha256 = _sha256()
     prefix = b"%d:%d:" % (seed, index)
     for block in itertools.count():
-        yield from _FOUR_WORDS.unpack(hashlib.sha256(prefix + b"%d" % block).digest())
+        yield from _FOUR_WORDS.unpack(sha256(prefix + b"%d" % block).digest())
+
+
+@functools.cache
+def _sha256():
+    """CPython's own SHA-256 constructor, imported on the first sample and not at start-up.
+
+    ``hashlib`` would load OpenSSL, about 3.5 MiB more memory, for the same digests; it is used only by an
+    interpreter built without the built-in module.
+    """
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def sample_permutation(seed: int, index: int, n: int) -> list[int]:

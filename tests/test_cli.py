@@ -49,6 +49,25 @@ CONTENT_ERRORS = [
      "line 9: empty 'parent' field"),
     ("commits.log", "mining_config.json", "trailer: Satisfies: U-46365-1\n", "trailer: Satisfies:\n",
      "line 10: trailer 'Satisfies:' has an empty value"),
+    ("commits.log", "mining_config.json", "author: bob\n", "commit: x\nauthor: bob\n",
+     "line 13: duplicate 'commit' field in record"),
+    ("commits.log", "mining_config.json", "author: bob\n", "author: bob\nauthor: bob\n",
+     "line 14: duplicate 'author' field in record"),
+    ("commits.log", "mining_config.json", "date: 2023-01-11T14:03:00+00:00\n",
+     "date: 2023-01-11T14:03:00+00:00\ndate: 2023-01-11T14:03:00+00:00\n", "line 15: duplicate 'date' field in record"),
+    ("commits.log", "mining_config.json", "date: 2023-01-11T14:03:00+00:00", "date: yesterday",
+     "line 14: invalid RFC3339 date 'yesterday'"),
+    ("commits.log", "mining_config.json", "date: 2023-01-11T14:03:00+00:00", "date: 2023-01-11T14:03:00",
+     "line 14: date '2023-01-11T14:03:00' lacks a UTC offset"),
+    ("commits.log", "mining_config.json", "trailer: Satisfies: U-45802-1\n", "trailer: Satisfies\n",
+     "line 16: trailer 'Satisfies' is not of the form 'Key: value'"),
+    ("commits.log", "mining_config.json", "author: bob\n", "author: bob\nreviewer: z\n",
+     "line 14: unknown field 'reviewer'"),
+    ("commits.log", "mining_config.json", "date: 2023-01-11T14:03:00+00:00\n", "",
+     "line 16: record missing 'date' field"),
+    ("commits.log", "mining_config.json", "commit: 1b4c7e2a9d3f5061728394a5b6c7d8e9f0a1b2c3\n",
+     "commit: 0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091\n",
+     "line 11: duplicate commit id '0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091'"),
     # a refused value wins over an unknown id in an earlier row
     ("coalition_table.json", "payout_config.json",
      '{"coalition": ["B"], "value": "0"},\n    {"coalition": ["C"], "value": "0"}',
@@ -108,7 +127,8 @@ class TestValidate:
     @pytest.mark.parametrize("name, config, old, new, message", CONTENT_ERRORS,
                              ids=["config-cycle", "config-time-window", "config-mode", "commit-log-line",
                                   "empty-author", "empty-commit", "empty-parent", "empty-trailer-value",
-                                  "table-value-after-unknown-id"])
+                                  "duplicate-commit", "duplicate-author", "duplicate-date", "invalid-date", "naive-date", "bad-trailer",
+                                  "unknown-field", "missing-date", "duplicate-id", "table-value-after-unknown-id"])
     def test_content_error_exits_2_naming_its_file(self, capsys, workdir, command, name, config, old, new, message):
         path = workdir / WE / name
         text = path.read_text()
@@ -116,6 +136,23 @@ class TestValidate:
         path.write_text(text.replace(old, new, 1))
         code, out, err = run(capsys, command, "--config", str(workdir / WE / config))
         assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
+    def test_a_malformed_last_line_wins_over_an_earlier_unknown_leaf(self, capsys, workdir, command):
+        """The whole log is parsed before any claim is checked, as when its records were listed first."""
+        path = workdir / WE / "commits.log"
+        path.write_text(path.read_text().replace("Satisfies: U-46365-1", "Satisfies: U-99999-9") + "bogus\n")
+        code, out, err = run(capsys, command, "--config", str(workdir / WE / "mining_config.json"))
+        assert (code, out, err) == (2, "", f"input error: {path}: line 36: malformed line 'bogus' (expected 'field: value')\n")
+
+    @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
+    def test_a_broken_log_wins_over_a_broken_alias_file(self, capsys, workdir, command):
+        """The log is read before the alias file, so only the log's error is reported."""
+        path = workdir / WE / "commits_by_email.log"
+        path.write_text(path.read_text().replace("author: bob@example.com", "bogus"))
+        (workdir / WE / "aliases.json").write_text("{")
+        code, out, err = run(capsys, command, "--config", str(workdir / WE / "alias_mining_config.json"))
+        assert (code, out, err) == (2, "", f"input error: {path}: line 13: malformed line 'bogus' (expected 'field: value')\n")
 
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     @pytest.mark.parametrize("source, old, new, exit_code, line", SOURCE_ERRORS,

@@ -4,18 +4,23 @@ import random
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riskshare import (
     CommitLogWarning,
     CommitRecord,
+    Control,
     Cycle,
     DocumentError,
     GameDefinitionError,
+    LeafCondition,
     PlayerSet,
+    Threat,
+    ThreatTree,
     ValidationError,
     cherry_pick_plan,
     derive_attribution,
@@ -26,7 +31,7 @@ from riskshare import (
     select_cycle,
     shapley_exact,
 )
-from riskshare import cli, mining
+from riskshare import cli, documents, mining
 from riskshare.config import load_run_config
 
 from conftest import (
@@ -411,6 +416,27 @@ class TestParsePieces:
         assert len(records) == 20_000
         assert peak < 2.5 * log.stat().st_size
 
+    def test_a_command_reads_a_log_file_below_one_point_six_times_its_size(self, tmp_path):
+        """A command streams the log into the attribution and keeps only the parent graph and the claims; holding
+        every record as well, as :func:`cli._load_records` does, would take the peak to about 2.05x the file."""
+        records = linear_history(20_000)
+        log = tmp_path / "commits.log"
+        log.write_text(render_commit_log(records), encoding="utf-8")
+        source = {"type": "commit_log", "path": log.name, "cycle": {"from_commit": records[0].commit_id}}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"source": source}), encoding="utf-8")
+        loaded = load_run_config(config)
+        leaves = tuple(LeafCondition(f"L-{k}") for k in range(120))
+        model = SimpleNamespace(tree=ThreatTree((Threat("T", controls=(Control("C", leaves=leaves),)),)))
+        tracemalloc.start()
+        try:
+            game = cli.build_game(loaded, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert game.n == 40
+        assert peak < 1.6 * log.stat().st_size
+
     def test_equal_authors_and_trailer_values_share_one_object(self, tmp_path):
         text = render_commit_log(linear_history(2_000))
         path = tmp_path / "commits.log"
@@ -606,6 +632,113 @@ class TestAttribution:
         records = parse_commit_log(text)
         with pytest.raises(ValidationError, match="U-00000-9"):
             derive_attribution(records, build_three_fix_tree())
+
+
+AUTHORS = ("alice", "bob", "carol@corp", "dave")
+
+
+@st.composite
+def histories(draw):
+    """A small log and the bounds of a cycle over it.
+
+    Commits may merge, name parents outside the log or later in it, repeat a claim, claim an unknown leaf or carry
+    an unknown trailer key. The cycle is open, bounded by ``from_commit``, ``to_commit`` or both (a bound may be
+    missing from the log), or bounded by times.
+    """
+    ids = [f"c{k}" for k in range(draw(st.integers(0, 7)))]
+    parent = st.sampled_from(ids + ["root", "gone"])
+    leaf = st.sampled_from(build_three_fix_tree().leaf_ids() + ("U-99999-9",))
+    trailer = st.tuples(st.sampled_from(["Satisfies", "Satisfies", "Reviewed-by"]), leaf)
+    records = [
+        CommitRecord(commit, draw(st.sampled_from(AUTHORS)), draw(st.integers(0, 9)),
+                     tuple(draw(st.lists(parent, max_size=2))), tuple(draw(st.lists(trailer, max_size=3))))
+        for commit in ids
+    ]
+    bound = st.sampled_from(ids + ["missing"])
+    kind = draw(st.sampled_from(["open", "from", "to", "both", "time"]))
+    if kind == "time":
+        lo, hi = sorted(draw(st.lists(st.integers(0, 9), min_size=2, max_size=2)))
+        bounds = {"from_time": draw(st.sampled_from([None, lo])), "to_time": draw(st.sampled_from([None, hi]))}
+    else:
+        bounds = {"from_commit": draw(bound) if kind in ("from", "both") else None,
+                  "to_commit": draw(bound) if kind in ("to", "both") else None}
+    return records, {key: value for key, value in bounds.items() if value is not None}
+
+
+def listed_attribution(records, tree, cycle):
+    """The attribution of a list of records: the window that :func:`select_cycle` keeps, then each claim in it."""
+    authors = {leaf: set() for leaf in tree.leaf_ids()}
+    offenders = []
+    for r in select_cycle(records, cycle):
+        for key, leaf in r.trailers:
+            if key == "Satisfies":
+                if leaf in authors:
+                    authors[leaf].add(r.author)
+                else:
+                    offenders.append(f"{r.commit_id}->{leaf}")
+    if offenders:
+        raise ValidationError(f"trailers reference unknown leaf ids: {', '.join(offenders)}")
+    return {leaf: frozenset(people) for leaf, people in authors.items()}
+
+
+def listed_game(config, tree):
+    """The config's game with the log's records listed, and renamed by the alias file, before the cycle is applied."""
+    records = cli._load_records(config)
+    with documents.reading(config.source.path):
+        attribution = listed_attribution(records, tree, config.source.cycle)
+        players = cli._roster(config.source.players, (a for people in attribution.values() for a in people))
+        return leaf_coverage_game(tree, attribution, players)
+
+
+def outcome(build):
+    """``build()``'s result, or its validation error as ``type: message``."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def command_outcome(build):
+    """``build()``'s game as ``(players, terms)``, and the stderr lines ``cli.main`` prints for its warnings and error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            game, error = build(), []
+        except ValidationError as exc:
+            game, error = None, [f"validation error: {exc}"]
+    lines = [f"warning: {w.category.__name__}: {w.message}" for w in caught] + error
+    return (game.players.players, game.terms) if game else None, lines
+
+
+class TestStreamedAttribution:
+    """``derive_attribution`` reads its records once, as a stream, and attributes what a list of them attributes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(history=histories())
+    def test_a_stream_attributes_as_the_listed_records(self, history):
+        records, bounds = history
+        cycle, tree, text = Cycle(**bounds), build_three_fix_tree(), render_commit_log(records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CommitLogWarning)
+            listed = parse_commit_log(text)
+            expected = outcome(lambda: listed_attribution(listed, tree, cycle))
+            assert outcome(lambda: derive_attribution(iter(records), tree, cycle)) == expected
+            log = io.BytesIO(text.encode("utf-8"))
+            assert outcome(lambda: derive_attribution(mining._records(log, {}), tree, cycle)) == expected
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(history=histories(), aliases=st.dictionaries(st.sampled_from(AUTHORS), st.sampled_from(["alice", "zed"])))
+    def test_a_command_renames_the_streamed_authors_as_the_listed_records(self, tmp_path, history, aliases):
+        """The game, the warnings and the error of ``build_game`` are those of the records listed and renamed first."""
+        records, bounds = history
+        (tmp_path / "commits.log").write_text(render_commit_log(records), encoding="utf-8")
+        (tmp_path / "aliases.json").write_text(json.dumps(aliases), encoding="utf-8")
+        source = {"type": "commit_log", "path": "commits.log", "aliases": "aliases.json", "cycle": bounds}
+        (tmp_path / "config.json").write_text(json.dumps({"source": source}), encoding="utf-8")
+        config = load_run_config(tmp_path / "config.json")
+        model = SimpleNamespace(tree=build_three_fix_tree())
+        streamed = command_outcome(lambda: cli.build_game(config, model))
+        assert streamed == command_outcome(lambda: listed_game(config, model.tree))
 
 
 class TestCherryPickPlan:

@@ -1,7 +1,11 @@
+import importlib.util
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +318,25 @@ def test_sampler_output_is_pinned(game, samples, seed, phi, standard_error):
 )
 def test_sample_permutation_is_pinned(seed, index, n, expected):
     assert sample_permutation(seed, index, n) == expected
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+    reason="this interpreter has no built-in SHA-256 module (_sha2 or _sha256), so sampling loads hashlib",
+)
+def test_a_sampled_run_never_loads_openssl():
+    """The sampler hashes with CPython's own SHA-256: ``hashlib`` would load OpenSSL, about 3.5 MiB of memory."""
+    code = (
+        f"import sys; sys.path[:0] = [{str(SRC)!r}]; import riskshare.cli; "
+        "from riskshare import CoalitionGame, PlayerSet, shapley_monte_carlo; "
+        "shapley_monte_carlo(CoalitionGame(PlayerSet(('a', 'b')), terms=[(0b11, 1)]), 50, 3); "
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _sampled_by_definition(n, terms, samples, seed):
