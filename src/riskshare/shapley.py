@@ -31,6 +31,7 @@ import functools
 import itertools
 import math
 import struct
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -155,16 +156,16 @@ def _words(seed: int, index: int):
 def _sha256():
     """CPython's own SHA-256 constructor, imported on the first sample and not at start-up.
 
-    ``hashlib`` would load OpenSSL, about 3.5 MiB more memory, for the same digests; it is used only by an
-    interpreter built without the built-in module.
+    ``hashlib`` would load OpenSSL, about 3.5 MiB more memory, for the same digests; it is used by other
+    interpreters, whose modules of these names may be written in Python, and by a CPython built without them.
     """
-    try:
-        from _sha2 import sha256  # CPython 3.12 and later
-    except ImportError:
-        try:
-            from _sha256 import sha256  # CPython 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
+    if sys.implementation.name == "cpython":
+        for name in ("_sha2", "_sha256"):  # CPython 3.12 and later; 3.10 and 3.11
+            try:
+                return __import__(name).sha256
+            except ImportError:
+                pass
+    from hashlib import sha256
     return sha256
 
 

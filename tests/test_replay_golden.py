@@ -23,22 +23,25 @@ def test_every_transcript_replays_under_this_interpreter():
     assert done.stdout.endswith(f" transcripts match under {sys.version.split()[0]}\n")
 
 
-def test_the_tool_runs_in_the_golden_tests_order():
+def load_tool():
     spec = importlib.util.spec_from_file_location("replay_golden", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    assert tool.RUN_ORDER == [name for name, _ in RUNS + REPORT_RUNS]
+    return tool
 
 
-def test_a_difference_stops_the_replay_with_its_diff(tmp_path):
+def test_the_tool_runs_in_the_golden_tests_order():
+    assert load_tool().RUN_ORDER == [name for name, _ in RUNS + REPORT_RUNS]
+
+
+def test_a_difference_stops_the_replay_with_its_diff(tmp_path, capsys):
     golden = tmp_path / "golden"
     shutil.copytree(GOLDEN / "small_team", golden / "small_team")
     path = golden / "small_team" / "shapley_config" / "game.txt"
     path.write_text(path.read_text(encoding="utf-8").replace("exit 0", "exit 9"), encoding="utf-8")
-    done = replay(sys.executable, "--golden", str(golden))
-    assert done.returncode == 1
-    assert "DIFFERS" in done.stdout and "\n-exit 9\n+exit 0\n" in done.stdout
-    assert " match " not in done.stdout
+    assert load_tool().replay(sys.executable, "this", golden) is False
+    out = capsys.readouterr().out
+    assert "DIFFERS this small_team/shapley_config/game.txt" in out and "\n-exit 9\n+exit 0\n" in out
 
 
 def test_no_interpreter_claims_no_pass():

@@ -324,8 +324,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.skipif(
-    importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
-    reason="this interpreter has no built-in SHA-256 module (_sha2 or _sha256), so sampling loads hashlib",
+    sys.implementation.name != "cpython"
+    or importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+    reason="only CPython's built-in SHA-256 module (_sha2 or _sha256) is used, and this interpreter lacks it",
 )
 def test_a_sampled_run_never_loads_openssl():
     """The sampler hashes with CPython's own SHA-256: ``hashlib`` would load OpenSSL, about 3.5 MiB of memory."""

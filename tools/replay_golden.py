@@ -11,7 +11,7 @@ transcripts are checked on interpreters that the test suite does not run on.
 
 Usage (from anywhere; stdlib only)::
 
-    python3 tools/replay_golden.py PYTHON [PYTHON ...] [--golden DIR]
+    python3 tools/replay_golden.py PYTHON [PYTHON ...]
 
 It prints one line per transcript and interpreter, and stops at the first
 transcript that differs, printing a unified diff and exiting 1. Without an
@@ -80,7 +80,6 @@ def replay(python: str, version: str, golden: Path) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pythons", nargs="*", metavar="PYTHON", help="interpreters to replay under")
-    parser.add_argument("--golden", type=Path, default=GOLDEN, help="transcript directory (default: tests/golden)")
     args = parser.parse_args(argv)
     if not args.pythons:
         print("no interpreter given: nothing replayed, nothing passed", file=sys.stderr)
@@ -90,10 +89,10 @@ def main(argv=None) -> int:
         version = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
                                  capture_output=True, text=True, check=True).stdout.strip()
         print(f"# replaying under {python} (CPython {version})")
-        if not replay(python, version, args.golden):
+        if not replay(python, version, GOLDEN):
             return 1
         versions.append(version)
-    count = sum(1 for _ in args.golden.glob("*/*/*.txt"))
+    count = sum(1 for _ in GOLDEN.glob("*/*/*.txt"))
     print(f"# all {count} transcripts match under {', '.join(versions)}")
     return 0
 
