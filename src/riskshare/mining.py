@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 import warnings
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from functools import partial
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
@@ -31,15 +31,17 @@ from .risk import ThreatTree
 SATISFIES_KEY = "Satisfies"
 RECORD_SEPARATOR = "---"
 KNOWN_TRAILER_KEYS = frozenset({SATISFIES_KEY})
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
 
 
 class CommitRecord(NamedTuple):
     """One commit of the log: id, author, time, ancestry and trailers.
 
     An immutable tuple compared field by field. ``timestamp`` is in epoch
-    seconds; ``parents`` holds the parent ids as the log lists them (ids
-    outside the log are kept); ``trailers`` holds the ``(key, value)`` pairs
-    in log order, unknown keys included.
+    seconds, rounded down; ``parents`` holds the parent ids as the log lists
+    them (ids outside the log are kept); ``trailers`` holds the
+    ``(key, value)`` pairs in log order, unknown keys included.
     """
 
     commit_id: str
@@ -147,7 +149,7 @@ def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[CommitRecord]:
                     raise DocumentError(f"line {line_no}: invalid RFC3339 date {value!r}") from exc
                 if stamp.tzinfo is None:
                     raise DocumentError(f"line {line_no}: date {value!r} lacks a UTC offset")
-                timestamp = int(stamp.timestamp())
+                timestamp = (stamp - _EPOCH) // _SECOND  # exact floor; timestamp() rounds through a float
             elif key == "parent":
                 # exported oldest first, a commit's parent is most often the record just before it
                 parents += (previous if value == previous else ids.get(value, value),)
@@ -256,12 +258,17 @@ class Cycle:
             raise ValueError(f"cycle end time {self.to_time} precedes its start time {self.from_time}")
 
 
-def _ancestry(parents: Mapping[str, tuple[str, ...]], tip: str) -> set[str]:
+#: A commit's parent ids, or the one id of a commit that has one parent.
+_Parents = Union[str, tuple[str, ...]]
+
+
+def _ancestry(parents: Mapping[str, _Parents], tip: str) -> set[str]:
     """``tip`` and every log commit reachable from it over parent links."""
     reached = {tip}
     stack = [tip]
     while stack:
-        for parent in parents[stack.pop()]:
+        links = parents[stack.pop()]
+        for parent in (links,) if isinstance(links, str) else links:
             if parent in parents and parent not in reached:
                 reached.add(parent)
                 stack.append(parent)
@@ -276,7 +283,7 @@ def _time_range(cycle: Cycle) -> tuple[float, float]:
     )
 
 
-def _window(parents: Mapping[str, tuple[str, ...]], cycle: Cycle) -> Callable[[str], bool]:
+def _window(parents: Mapping[str, _Parents], cycle: Cycle) -> Callable[[str], bool]:
     """Whether a commit of the log, given by id, is inside the commit-bounded ``cycle``.
 
     ``parents`` maps every commit of the log to its parent ids. A bound missing from the log, or a ``to_commit``
@@ -329,13 +336,13 @@ def derive_attribution(
     the window is known.
     """
     lo, hi = _time_range(cycle)
-    graph: Optional[dict[str, tuple[str, ...]]] = None  # each commit's parents, for a commit-bounded cycle
+    graph: Optional[dict[str, _Parents]] = None  # each commit's parents, for a commit-bounded cycle
     if cycle.from_commit is not None or cycle.to_commit is not None:
         graph = {}
     claims: list[tuple[str, str, str]] = []  # (commit id, author, leaf id) in log order
     for commit_id, author, timestamp, parents, trailers in records:
-        if graph is not None:
-            graph[commit_id] = parents
+        if graph is not None:  # a lone parent is kept as its id, an earlier commit's string, not as a new tuple
+            graph[commit_id] = parents[0] if len(parents) == 1 else parents
         if trailers and lo <= timestamp <= hi:
             for key, leaf in trailers:
                 if key == SATISFIES_KEY:

@@ -1,12 +1,15 @@
 """Pinned command-line output on every fixture config.
 
 Each run's exit code, stdout, stderr and the files it writes are rendered as
-one text (see :func:`transcript`) and compared byte for byte with the file of
-the same name under ``tests/golden/<fixture>/<config>/``. The runs use a copy
-of the fixtures and relative paths, so the transcripts name no machine path.
+one text and compared byte for byte with the file of the same name under
+``tests/golden/<fixture>/<config>/``. The runs and the format are those of
+``tools/replay_golden.py``, which replays them one process per command. The
+runs use a copy of the fixtures and relative paths, so the transcripts name no
+machine path.
 A golden file changes only by hand, together with the output change it records.
 """
 
+import importlib.util
 import shutil
 from pathlib import Path
 
@@ -15,52 +18,34 @@ import pytest
 from riskshare import parse_report, render_report
 from riskshare.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "replay_golden.py"
+
+
+def _load_replay_golden():
+    """``tools/replay_golden.py``, the stdlib-only tool that defines the runs and the transcript format."""
+    spec = importlib.util.spec_from_file_location("replay_golden", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+replay_golden = _load_replay_golden()
+GOLDEN, FIXTURES = replay_golden.GOLDEN, replay_golden.FIXTURES
 CONFIGS = sorted(str(p.relative_to(FIXTURES)) for p in FIXTURES.glob("*/*config*.json"))
-
-#: ``(name, argv after --config <config>)`` in run order; the report runs read ``payout.json``.
-RUNS = [
-    ("validate", ["validate"]),
-    ("game", ["game"]),
-    ("shapley", ["shapley"]),
-    ("shapley-json", ["shapley", "--format", "json"]),
-    ("payout", ["payout"]),
-    ("payout-out", ["payout", "--out", "payout.json"]),
-    ("plan", ["plan-cherry-pick", "--subset", "alice,carol"]),
-    ("plan-out", ["plan-cherry-pick", "--subset", "alice,carol", "--out", "plan.json"]),
-]
-REPORT_RUNS = [
-    ("report-markdown", ["report", "payout.json", "--format", "markdown"]),
-    ("report-csv", ["report", "payout.json", "--format", "csv", "--out", "report.csv"]),
-]
-
-
-def snapshot(root: Path) -> dict[str, bytes]:
-    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-
-def transcript(argv, code, out, err, written) -> str:
-    parts = [f"$ riskshare {' '.join(argv)}", f"exit {code}", "--- stdout", out, "--- stderr", err]
-    for name, data in written.items():
-        parts += [f"--- file {name}", data.decode("utf-8")]
-    return "\n".join(parts)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_fixture_config_output_is_pinned(config, tmp_path, monkeypatch, capsys):
     shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
-    golden = GOLDEN / Path(config).with_suffix("")
-    runs = [(name, [argv[0], "--config", config, *argv[1:]]) for name, argv in RUNS] + REPORT_RUNS
-    for name, argv in runs:
-        before = snapshot(tmp_path)
+
+    def run(argv):
         code = main(argv)
         captured = capsys.readouterr()
-        after = snapshot(tmp_path)
-        written = {k: v for k, v in after.items() if before.get(k) != v}
-        got = transcript(argv, code, captured.out, captured.err, written)
-        assert got == (golden / f"{name}.txt").read_text(encoding="utf-8"), name
+        return code, captured.out, captured.err
+
+    for name, expected, got in replay_golden.transcripts(config, GOLDEN, tmp_path, run):
+        assert got == expected, name
 
 
 def test_alias_map_pays_as_the_log_under_canonical_ids(tmp_path, monkeypatch, capsys):

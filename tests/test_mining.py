@@ -7,7 +7,7 @@ import warnings
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from riskshare import (
@@ -144,6 +144,19 @@ class TestParse:
     def test_zulu_offset_accepted(self):
         text = SIMPLE_LOG.replace("+00:00", "Z")
         assert parse_commit_log(text)[0].timestamp == parse_commit_log(SIMPLE_LOG)[0].timestamp
+
+    @pytest.mark.parametrize(
+        "date, seconds",
+        [
+            ("9999-12-31T23:59:59.999999Z", 253402300799),  # a float's rounding read 253402300800
+            ("1969-12-31T23:59:59.5Z", -1),  # and 0 here
+            ("1970-01-01T00:00:00.5Z", 0),
+            ("0001-01-01T00:00:00+14:00", -62135647200),
+            ("9999-12-31T23:59:59-01:00", 253402304399),
+        ],
+    )
+    def test_timestamp_is_the_floor_of_the_epoch_seconds(self, date, seconds):
+        assert parse_commit_log(SIMPLE_LOG.replace("2023-01-10T09:00:00+00:00", date))[0].timestamp == seconds
 
     def test_final_record_without_separator_is_flushed(self):
         records = parse_commit_log(SIMPLE_LOG.rstrip().rstrip("-"))
@@ -416,9 +429,9 @@ class TestParsePieces:
         assert len(records) == 20_000
         assert peak < 2.5 * log.stat().st_size
 
-    def test_a_command_reads_a_log_file_below_one_point_six_times_its_size(self, tmp_path):
-        """A command streams the log into the attribution and keeps only the parent graph and the claims; holding
-        every record as well, as :func:`cli._load_records` does, would take the peak to about 2.05x the file."""
+    def command_peak(self, tmp_path) -> tuple[int, int]:
+        """The peak of building a 40-player game from a 20k-commit linear log over a commit-bounded cycle, and the
+        size of the log file."""
         records = linear_history(20_000)
         log = tmp_path / "commits.log"
         log.write_text(render_commit_log(records), encoding="utf-8")
@@ -435,7 +448,19 @@ class TestParsePieces:
         finally:
             tracemalloc.stop()
         assert game.n == 40
-        assert peak < 1.6 * log.stat().st_size
+        return peak, log.stat().st_size
+
+    def test_a_command_reads_a_log_file_below_one_point_six_times_its_size(self, tmp_path):
+        """A command streams the log into the attribution and keeps only the parent graph and the claims; holding
+        every record as well, as :func:`cli._load_records` does, would take the peak to about 2.05x the file."""
+        peak, size = self.command_peak(tmp_path)
+        assert peak < 1.6 * size
+
+    def test_a_command_reads_a_log_file_below_one_point_one_five_times_its_size(self, tmp_path):
+        """The parent graph maps a commit with one parent to that parent's id, the string of an earlier commit:
+        the peak is about 1.03x the file (154 B per commit), where a one-element tuple per commit took 1.34x (201 B)."""
+        peak, size = self.command_peak(tmp_path)
+        assert peak < 1.15 * size
 
     def test_equal_authors_and_trailer_values_share_one_object(self, tmp_path):
         text = render_commit_log(linear_history(2_000))
@@ -548,6 +573,12 @@ class TestCycles:
         window = select_cycle(records, Cycle(from_time=t["c-bob-1"], to_time=t["c-alice-2"]))
         assert [r.commit_id for r in window] == ["c-bob-1", "c-carol-1", "c-alice-2"]
 
+    def test_time_window_ends_at_the_last_second_of_9999(self):
+        records = parse_commit_log(SIMPLE_LOG.replace("2023-01-10T09:00:00+00:00", "9999-12-31T23:59:59.999999Z"))
+        cycle = Cycle(from_time=253402300799, to_time=253402300799)
+        assert select_cycle(records, cycle) == records
+        assert derive_attribution(records, build_three_fix_tree(), cycle)["U-46365-1"] == {"alice"}
+
     def test_linear_log_window_is_positional(self):
         records = parse_commit_log(FULL_LOG)
         ids = [r.commit_id for r in records]
@@ -641,9 +672,9 @@ AUTHORS = ("alice", "bob", "carol@corp", "dave")
 def histories(draw):
     """A small log and the bounds of a cycle over it.
 
-    Commits may merge, name parents outside the log or later in it, repeat a claim, claim an unknown leaf or carry
-    an unknown trailer key. The cycle is open, bounded by ``from_commit``, ``to_commit`` or both (a bound may be
-    missing from the log), or bounded by times.
+    Commits may have no parent, one or two (a merge), name parents outside the log or later in it, repeat a
+    claim, claim an unknown leaf or carry an unknown trailer key. The cycle is open, bounded by ``from_commit``,
+    ``to_commit`` or both (a bound may be missing from the log), or bounded by times.
     """
     ids = [f"c{k}" for k in range(draw(st.integers(0, 7)))]
     parent = st.sampled_from(ids + ["root", "gone"])
@@ -715,6 +746,13 @@ class TestStreamedAttribution:
 
     @settings(max_examples=300, deadline=None)
     @given(history=histories())
+    @example(history=(  # merges, a root and parents outside the log or later in it, each form in the window
+        [CommitRecord(c, AUTHORS[k % 4], k, parents, (("Satisfies", "U-45802-1"),)) for k, (c, parents) in enumerate(
+            [("c0", ()), ("c1", ("c0",)), ("c2", ("gone",)), ("c3", ("c1", "c2")), ("c4", ("c5",)),
+             ("c5", ("c3", "c6")), ("c6", ())]
+        )],
+        {"from_commit": "c1", "to_commit": "c4"},
+    ))
     def test_a_stream_attributes_as_the_listed_records(self, history):
         records, bounds = history
         cycle, tree, text = Cycle(**bounds), build_three_fix_tree(), render_commit_log(records)

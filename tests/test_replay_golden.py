@@ -1,14 +1,10 @@
 """``tools/replay_golden.py`` replays every golden transcript, one fresh process per command."""
 
-import importlib.util
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
-from test_golden import GOLDEN, REPORT_RUNS, RUNS
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "replay_golden.py"
+from test_golden import GOLDEN, TOOL, replay_golden
 
 
 def replay(*args):
@@ -23,23 +19,12 @@ def test_every_transcript_replays_under_this_interpreter():
     assert done.stdout.endswith(f" transcripts match under {sys.version.split()[0]}\n")
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("replay_golden", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
-
-
-def test_the_tool_runs_in_the_golden_tests_order():
-    assert load_tool().RUN_ORDER == [name for name, _ in RUNS + REPORT_RUNS]
-
-
 def test_a_difference_stops_the_replay_with_its_diff(tmp_path, capsys):
     golden = tmp_path / "golden"
     shutil.copytree(GOLDEN / "small_team", golden / "small_team")
     path = golden / "small_team" / "shapley_config" / "game.txt"
     path.write_text(path.read_text(encoding="utf-8").replace("exit 0", "exit 9"), encoding="utf-8")
-    assert load_tool().replay(sys.executable, "this", golden) is False
+    assert replay_golden.replay(sys.executable, "this", golden) is False
     out = capsys.readouterr().out
     assert "DIFFERS this small_team/shapley_config/game.txt" in out and "\n-exit 9\n+exit 0\n" in out
 

@@ -5,7 +5,8 @@
 ``riskshare.cli.main`` in one process. This tool replays the same transcripts
 with the same protocol (a fresh copy of ``fixtures/`` per config, commands run
 from its root in the same order, relative paths), but runs each command as its
-own ``<python> -m riskshare.cli`` process, under every interpreter given. A state
+own ``<python> -m riskshare.cli`` process, under every interpreter given; both
+take the runs and the transcript format from :func:`transcripts`. A state
 that leaks from one call to the next in-process cannot pass here, and the
 transcripts are checked on interpreters that the test suite does not run on.
 
@@ -26,14 +27,25 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = ROOT / "tests" / "golden"
-#: The transcripts of one config, in the order ``tests/test_golden.py`` runs them; the report runs read payout.json.
-RUN_ORDER = [
-    "validate", "game", "shapley", "shapley-json", "payout", "payout-out", "plan", "plan-out",
-    "report-markdown", "report-csv",
+#: ``(name, argv after --config <config>)`` of a config's transcripts in run order; the report runs read payout.json.
+RUNS = [
+    ("validate", ["validate"]),
+    ("game", ["game"]),
+    ("shapley", ["shapley"]),
+    ("shapley-json", ["shapley", "--format", "json"]),
+    ("payout", ["payout"]),
+    ("payout-out", ["payout", "--out", "payout.json"]),
+    ("plan", ["plan-cherry-pick", "--subset", "alice,carol"]),
+    ("plan-out", ["plan-cherry-pick", "--subset", "alice,carol", "--out", "plan.json"]),
+]
+REPORT_RUNS = [
+    ("report-markdown", ["report", "payout.json", "--format", "markdown"]),
+    ("report-csv", ["report", "payout.json", "--format", "csv", "--out", "report.csv"]),
 ]
 
 
@@ -42,30 +54,43 @@ def snapshot(root: Path) -> dict[str, bytes]:
 
 
 def transcript(argv, code, out, err, written) -> str:
-    """As ``tests/test_golden.py`` renders one run: its command, exit code, output and the files it wrote."""
+    """One run rendered as its golden file holds it: its command, exit code, output and the files it wrote."""
     parts = [f"$ riskshare {' '.join(argv)}", f"exit {code}", "--- stdout", out, "--- stderr", err]
     for name, data in written.items():
         parts += [f"--- file {name}", data.decode("utf-8")]
     return "\n".join(parts)
 
 
+def transcripts(config: str, golden: Path, work: Path, run) -> Iterator[tuple[str, str, str]]:
+    """Each transcript of ``config`` (a path under ``fixtures/``) in run order: its name, its golden text and the
+    text its command gives now.
+
+    ``run(argv)`` runs one command from ``work``, a fresh copy of ``fixtures/``, and returns its exit code, stdout
+    and stderr; the golden files are ``golden/<config without .json>/<name>.txt``.
+    """
+    runs = [(name, [argv[0], "--config", config, *argv[1:]]) for name, argv in RUNS] + REPORT_RUNS
+    for name, argv in runs:
+        before = snapshot(work)
+        code, out, err = run(argv)
+        after = snapshot(work)
+        written = {k: v for k, v in after.items() if before.get(k) != v}
+        expected = (golden / Path(config).with_suffix("") / f"{name}.txt").read_text(encoding="utf-8")
+        yield name, expected, transcript(argv, code, out, err, written)
+
+
 def replay(python: str, version: str, golden: Path) -> bool:
     """Replay every config's transcripts under ``python``; False at the first difference, after printing its diff."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
-    for config in sorted(p for p in golden.glob("*/*") if p.is_dir()):
+
+    def run(argv):  # from ``work``, the copy of the config being replayed
+        done = subprocess.run([python, "-m", "riskshare.cli", *argv], cwd=work, env=env, capture_output=True)
+        return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+    for config in sorted(p.relative_to(golden).as_posix() for p in golden.glob("*/*") if p.is_dir()):
         with tempfile.TemporaryDirectory() as work:
-            work = Path(work)
             shutil.copytree(FIXTURES, work, dirs_exist_ok=True)
-            for name in RUN_ORDER:
-                path = config / f"{name}.txt"
-                expected = path.read_text(encoding="utf-8")
-                argv = expected.split("\n", 1)[0].removeprefix("$ riskshare ").split(" ")
-                before = snapshot(work)
-                done = subprocess.run([python, "-m", "riskshare.cli", *argv], cwd=work, env=env, capture_output=True)
-                after = snapshot(work)
-                written = {k: v for k, v in after.items() if before.get(k) != v}
-                got = transcript(argv, done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8"), written)
-                shown = path.relative_to(golden)
+            for name, expected, got in transcripts(f"{config}.json", golden, Path(work), run):
+                shown = f"{config}/{name}.txt"
                 if got != expected:
                     print(f"DIFFERS {version} {shown}")
                     sys.stdout.writelines(difflib.unified_diff(
