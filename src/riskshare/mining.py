@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import json
 import warnings
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from functools import partial
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
@@ -32,7 +32,6 @@ SATISFIES_KEY = "Satisfies"
 RECORD_SEPARATOR = "---"
 KNOWN_TRAILER_KEYS = frozenset({SATISFIES_KEY})
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
 
 
 class CommitRecord(NamedTuple):
@@ -50,6 +49,9 @@ class CommitRecord(NamedTuple):
     parents: tuple[str, ...] = ()
     trailers: tuple[tuple[str, str], ...] = ()
 
+
+#: A record's fields in :class:`CommitRecord` order, as a plain tuple or a :class:`CommitRecord`.
+_Fields = tuple[str, str, int, tuple[str, ...], tuple[tuple[str, str], ...]]
 
 #: ``CommitRecord(*fields)`` without the Python-level ``__new__`` that NamedTuple adds; one per parsed commit.
 _record = partial(tuple.__new__, CommitRecord)
@@ -106,11 +108,12 @@ def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
     pair.
     """
     log = io.BytesIO(text.encode("utf-8")) if isinstance(text, str) else text
-    return list(_records(log, {}))
+    return list(map(_record, _records(log, {})))
 
 
-def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[CommitRecord]:
-    """:func:`parse_commit_log`'s records of the binary file ``log``, each yielded once its record is complete.
+def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[_Fields]:
+    """:func:`parse_commit_log`'s records of the binary file ``log`` as plain tuples in :class:`CommitRecord` field
+    order, each yielded once its record is complete.
 
     ``authors`` maps each author to itself, in order of first appearance: the records of one author share its
     string, and a reader that keeps no records still learns every author. The unknown-key warning follows the
@@ -122,6 +125,8 @@ def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[CommitRecord]:
     commit = author = timestamp = previous = None
     parents: tuple[str, ...] = ()
     trailers: tuple[tuple[str, str], ...] = ()
+    fromisoformat, shared_author = datetime.fromisoformat, authors.setdefault  # bound once, called once a line
+    shared_id, checked_pair = ids.get, pairs.get
 
     lines = chain.from_iterable(map(str.splitlines, _file_pieces(log)))
     numbered = enumerate(chain(lines, (RECORD_SEPARATOR,)), start=1)  # closes an unterminated final record
@@ -139,22 +144,23 @@ def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[CommitRecord]:
             elif key == "author":
                 if author is not None:
                     raise DocumentError(f"line {line_no}: duplicate 'author' field in record")
-                author = authors.setdefault(value, value)
+                author = shared_author(value, value)
             elif key == "date":
                 if timestamp is not None:
                     raise DocumentError(f"line {line_no}: duplicate 'date' field in record")
-                try:  # Python 3.10's fromisoformat rejects a "Z" suffix
-                    stamp = datetime.fromisoformat(value[:-1] + "+00:00" if value.endswith(("Z", "z")) else value)
+                try:  # Python 3.10's fromisoformat rejects a "Z" suffix; an empty value, read as "+00:00", fails too
+                    stamp = fromisoformat(value[:-1] + "+00:00" if value[-1:] in "Zz" else value)
                 except ValueError as exc:
                     raise DocumentError(f"line {line_no}: invalid RFC3339 date {value!r}") from exc
                 if stamp.tzinfo is None:
                     raise DocumentError(f"line {line_no}: date {value!r} lacks a UTC offset")
-                timestamp = (stamp - _EPOCH) // _SECOND  # exact floor; timestamp() rounds through a float
+                span = stamp - _EPOCH  # whole days and seconds, the exact floor; timestamp() rounds through a float
+                timestamp = span.days * 86400 + span.seconds
             elif key == "parent":
                 # exported oldest first, a commit's parent is most often the record just before it
-                parents += (previous if value == previous else ids.get(value, value),)
+                parents += (previous if value == previous else shared_id(value, value),)
             elif key == "trailer":
-                pair = pairs.get(value)
+                pair = checked_pair(value)
                 if pair is None:  # a value seen before was checked then
                     t_key, t_sep, t_value = value.partition(":")
                     if not t_sep:
@@ -183,7 +189,7 @@ def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[CommitRecord]:
                     raise DocumentError(f"line {at}: record missing {required!r} field")
             raise DocumentError(f"line {at}: duplicate commit id {commit!r}")
         ids[commit] = previous = commit
-        yield _record((commit, author, timestamp, parents, trailers))
+        yield commit, author, timestamp, parents, trailers
         commit = author = timestamp = None
         parents = trailers = ()
 
@@ -319,7 +325,7 @@ def select_cycle(records: Sequence[CommitRecord], cycle: Cycle) -> list[CommitRe
 
 
 def derive_attribution(
-    records: Iterable[CommitRecord],
+    records: Iterable[_Fields],
     tree: ThreatTree,
     cycle: Cycle = Cycle(),
 ) -> dict[str, frozenset[str]]:
@@ -330,7 +336,9 @@ def derive_attribution(
     unknown leaf is a validation error listing all offenders; a cycle that
     :func:`select_cycle` refuses is refused first, with its error.
 
-    ``records`` is read once, in log order, so it may be a stream. Of each
+    ``records`` hold each commit's fields in :class:`CommitRecord` order, as
+    records or plain tuples, and are read once, in log order, so they may be a
+    stream (the commands pass :func:`_records`' tuples). Of each
     record only its ``Satisfies`` claims are kept (those in range, for a
     time-bounded cycle), and for a commit-bounded cycle its parent ids, until
     the window is known.

@@ -89,6 +89,13 @@ SOURCE_ERRORS = [
      "validation error: {path}: cycle boundary commit '0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091' not found in the log"),
     ({"type": "subset_results", "path": "subset_results.json"}, '"U-46365-1"', '"U-99999-9"', 1,
      "validation error: {path}: subset result references unknown leaf ids: ['U-99999-9']"),
+    ({"type": "subset_results", "path": "subset_results.json"},
+     '{"subset": ["bob", "carol"], "passing": ["U-45802-1"]}',
+     '{"subset": ["bob", "carol"], "passing": ["U-45802-1"]},\n    {"subset": ["carol", "bob"], "passing": []}', 1,
+     "validation error: {path}: conflicting duplicate results for coalition ('bob', 'carol')"),
+    ({"type": "subset_results", "path": "subset_results.json"},
+     '{"subset": [], "passing": []}', '{"subset": [], "passing": ["U-45801-1"]}', 1,
+     "validation error: {path}: empty coalition cannot pass leaves, got ['U-45801-1']"),
     (TABLE_SOURCE,
      '"players": ["A", "B", "C"]', '"players": [%s]' % ", ".join(f'"p{k}"' for k in range(25)), 3,
      "capacity error: {path}: coalition-table:coalition_table.json for 25 players needs 2^25 values (cap 24 players)"),
@@ -156,8 +163,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "shapley", "payout"])
     @pytest.mark.parametrize("source, old, new, exit_code, line", SOURCE_ERRORS,
-                             ids=["trailer-leaf", "cycle-boundary", "subset-leaf", "table-capacity",
-                                  "table-duplicate", "table-missing-row", "table-unknown-id"])
+                             ids=["trailer-leaf", "cycle-boundary", "subset-leaf", "subset-conflict", "subset-empty-passes",
+                                  "table-capacity", "table-duplicate", "table-missing-row", "table-unknown-id"])
     def test_source_error_names_its_file(self, capsys, workdir, command, source, old, new, exit_code, line):
         path = workdir / WE / source["path"]
         text = path.read_text()

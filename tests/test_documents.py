@@ -1,5 +1,7 @@
 import copy
+import gc
 import json
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -27,6 +29,7 @@ from riskshare import (
     risk_delta,
     shapley_exact,
 )
+from riskshare import documents
 from riskshare.documents import (
     _field,
     _rational,
@@ -181,6 +184,30 @@ class TestCoalitionTableDocument:
     def test_rejects_non_table(self):
         with pytest.raises(DocumentError):
             coalition_game_from_document("nope")
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+    def test_loading_leaves_the_garbage_collector_as_it_found_it(self, collecting, fixtures_dir, tmp_path, monkeypatch):
+        """The collector is paused while a table is built, and left as it was after a load and a refusal alike."""
+        refused = tmp_path / "table.json"
+        refused.write_text(json.dumps({"players": ["A"], "entries": [{"coalition": ["B"], "value": 1}]}))
+        during = []
+
+        def build(*args, **kwargs):
+            during.append(gc.isenabled())
+            return game_from_table(*args, **kwargs)
+
+        monkeypatch.setattr(documents, "game_from_table", build)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert load_coalition_game(fixtures_dir / "worked_example" / "coalition_table.json").n == 3
+            assert gc.isenabled() is collecting
+            with pytest.raises(ValidationError, match="^" + re.escape(f"{refused}: ")):
+                load_coalition_game(refused)
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False, False]
 
 
 class TestAttributionDocument:

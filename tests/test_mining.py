@@ -256,7 +256,8 @@ class TestParseErrors:
 
 #: Field values: no surrounding whitespace (the parser strips it) and no line breaks.
 TOKENS = st.text("ab1@.:_- ", min_size=1, max_size=6).map(str.strip).filter(bool)
-PADDING = ("", " ", "\t", "  ")
+#: Padding that :meth:`str.strip` removes and that ends no line, so that it cannot split a field.
+PADDING = ("", " ", "\t", "  ", "\xa0", "\u3000", "\x1f")
 
 
 @st.composite
@@ -286,6 +287,19 @@ def parse_file(path) -> list[CommitRecord]:
     """The records of the log file at ``path``, read as the command line reads it: a piece at a time."""
     with open(path, "rb") as log:
         return parse_commit_log(log)
+
+
+def stream_file(path) -> list[tuple]:
+    """The records that the commands stream from the log file at ``path``: plain tuples in ``CommitRecord`` order."""
+    with open(path, "rb") as log:
+        return list(mining._records(log, {}))
+
+
+def assert_streamed_as_listed(path, records: list[CommitRecord]) -> None:
+    """The streamed records of ``path`` equal ``records`` field for field; only the list holds ``CommitRecord``s."""
+    streamed = stream_file(path)
+    assert {type(r) for r in records} == {CommitRecord} and {type(r) for r in streamed} == {tuple}
+    assert streamed == [tuple(r) for r in records]
 
 
 def parse_both_ways(text: str, tmp_path) -> list[CommitRecord]:
@@ -466,13 +480,14 @@ class TestParsePieces:
         text = render_commit_log(linear_history(2_000))
         path = tmp_path / "commits.log"
         path.write_text(text, encoding="utf-8")
-        for records in (parse_commit_log(text), parse_file(path)):
+        assert_streamed_as_listed(path, parse_file(path))
+        for records in (parse_commit_log(text), parse_file(path), stream_file(path)):
             authors, pairs = {}, {}
-            for r in records:
-                assert authors.setdefault(r.author, r.author) is r.author
-                for pair in r.trailers:
+            for _, author, _, _, trailers in records:
+                assert authors.setdefault(author, author) is author
+                for pair in trailers:
                     assert pairs.setdefault(pair, pair) is pair
-            assert len(authors) == 40 and sum(len(r.trailers) for r in records) > len(pairs)  # repeats shared
+            assert len(authors) == 40 and sum(len(r[4]) for r in records) > len(pairs)  # repeats shared
 
     def test_parent_ids_share_the_ids_of_earlier_commits(self):
         records = parse_commit_log(MERGE_LOG)  # "root" is outside the log; "start" names a commit two records back
@@ -491,6 +506,7 @@ class TestReadLogFile:
             warnings.simplefilter("ignore", CommitLogWarning)
             records = parse_file(path)
             assert records and records == parse_commit_log(path.read_text(encoding="utf-8"))
+            assert_streamed_as_listed(path, records)
 
     @pytest.mark.parametrize("bad", [b"\xff", b"caf\xe9", b"\xe2\x82", b"\xf0\x9f\x98"], ids=bytes.hex)
     @pytest.mark.parametrize("end", [b"\n", b""], ids=["line-end", "file-end"])
