@@ -2,9 +2,10 @@
 """From commit log to coalition game, two ways.
 
 The evidence channel is a plain ``Satisfies: <leaf-id>`` trailer on commits
-(reviewable in pull requests). This script parses the bundled log, derives
-the per-leaf author sets, emits a cherry-pick plan for one coalition, and
-shows that the bundled rebuild evidence defines the exact same game.
+(reviewable in pull requests). This script streams the bundled log from its
+file, derives the per-leaf author sets, emits a cherry-pick plan for one
+coalition, and shows that the bundled rebuild evidence defines the exact same
+game.
 """
 
 import warnings
@@ -24,31 +25,39 @@ from riskshare.documents import load_risk_model, load_subset_results
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "worked_example"
 
+
+def commits():
+    """The bundled log's records, read from the file as a stream of (id, author, time, parents, trailers)."""
+    with open(FIXTURES / "commits.log", "rb") as log:
+        yield from parse_commit_log(log, {})
+
+
 # ---------------------------------------------------------------------------
 # 1. Parse the log and scope the appraisal cycle
 # ---------------------------------------------------------------------------
 
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    records = parse_commit_log((FIXTURES / "commits.log").read_text())
+    ids = [commit for commit, *_ in commits()]
 for w in caught:
     print("parser note:", w.message)  # the release tag trailer is not attribution
+warnings.simplefilter("ignore")  # each later read of the log would repeat that note
 
-base = records[0].commit_id  # everything after the release tag counts
+base = ids[0]  # everything after the release tag counts
 cycle = Cycle(from_commit=base)
-print(f"\n{len(records)} commits parsed; appraising work after {base[:10]}...")
+print(f"\n{len(ids)} commits parsed; appraising work after {base[:10]}...")
 
 # ---------------------------------------------------------------------------
 # 2. Attribution: which authors addressed which leaf checks
 # ---------------------------------------------------------------------------
 
 model = load_risk_model(FIXTURES / "risk_model.json")
-attribution = derive_attribution(records, model.tree, cycle)
+attribution = derive_attribution(commits(), model.tree, cycle)
 print("\nattribution:")
 for leaf, authors in attribution.items():
     print(f"  {leaf}: {sorted(authors) or 'nobody yet'}")
 
-team = PlayerSet(tuple(sorted({r.author for r in records[1:]})))
+team = PlayerSet(tuple(sorted(set().union(*attribution.values()))))
 game = leaf_coverage_game(model.tree, attribution, team)
 print("\ncontribution values from trailers:")
 result = shapley_exact(game)
@@ -62,7 +71,7 @@ for p in result.players:
 # To evaluate v({bob, carol}) empirically, replay only their commits on a
 # branch from the base, rebuild, and run the leaf checks. The plan is emitted
 # as a document; executing it (and judging broken builds) stays external.
-plan = cherry_pick_plan(records, base, {"bob", "carol"})
+plan = cherry_pick_plan(commits(), base, {"bob", "carol"})
 print(f"\nplan for {plan.subset}: picks {len(plan.picks)} commit(s)")
 print(plan.to_json())
 

@@ -28,13 +28,10 @@ from .games import (
 from .intervals import Interval, as_fraction, interval_add, interval_mul, interval_sub
 from .mining import (
     CherryPickPlan,
-    CommitRecord,
     Cycle,
     cherry_pick_plan,
     derive_attribution,
     parse_commit_log,
-    resolve_identities,
-    select_cycle,
 )
 from .payout import (
     Money,
@@ -82,7 +79,6 @@ __all__ = [
     "ClampWarning",
     "CoalitionGame",
     "CommitLogWarning",
-    "CommitRecord",
     "Control",
     "Cycle",
     "DocumentError",
@@ -124,10 +120,8 @@ __all__ = [
     "parse_commit_log",
     "parse_report",
     "render_report",
-    "resolve_identities",
     "risk_delta",
     "sample_permutation",
-    "select_cycle",
     "shapley_exact",
     "shapley_monte_carlo",
     "shapley_permutation_oracle",

@@ -22,15 +22,13 @@ import json
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import documents
 from .config import RunConfig, SolverSpec, load_run_config
 from .errors import CapacityError, DocumentError, RiskshareError, ValidationError
 from .games import CoalitionGame, PlayerSet, game_from_subset_results, leaf_coverage_game
-from .mining import (
-    _records, _warn_provisional, cherry_pick_plan, derive_attribution, parse_commit_log, resolve_identities,
-)
+from .mining import _warn_provisional, cherry_pick_plan, derive_attribution, parse_commit_log
 from .payout import Provenance, allocate_payments, compute_budget, render_report, parse_report
 from .risk import RiskModel, ValidationIssue, ValidationReport, risk_delta
 from .shapley import ShapleyResult, check_axioms, shapley_exact, shapley_monte_carlo
@@ -59,36 +57,31 @@ def _emit(text: str, path, what: str) -> int:
     return EXIT_OK
 
 
-def _load_records(config: RunConfig):
-    with documents.reading(config.source.path), open(config.source.path, "rb") as log:
-        records = parse_commit_log(log)  # read, decoded and parsed a piece at a time
-    if config.source.aliases_path is not None:
-        aliases = documents.load_aliases(config.source.aliases_path)
-        records = resolve_identities(records, aliases)
-    return records
+def _read_log(config: RunConfig, read: Callable) -> tuple:
+    """``read(records, aliases)`` for the commit log, and each author of the log mapped to its player id.
 
-
-def _log_attribution(config: RunConfig, tree) -> dict[str, frozenset[str]]:
-    """The commit log's attribution, read once without keeping its records; an alias file then renames its authors.
-
-    Errors and warnings come in the order :func:`_load_records` meets them: the log's, the alias file's, the
-    provisional identities, then the cycle's and the claims' (each naming the log).
+    ``records`` stream the log once, and ``read`` decides nothing before they end. When they end, the alias file
+    (if any) is read into ``aliases``, and one warning names the authors it leaves provisional. So errors and
+    warnings come in this order: the log's (its unknown trailer keys too), the alias file's, the provisional
+    identities, then ``read``'s own (a refused cycle, an unknown leaf), which name the log.
     """
     source = config.source
     authors: dict[str, str] = {}  # every author of the log, in order of first appearance
-    failure = None
-    try:
+    aliases: dict[str, str] = {}
+
+    def records():
         with documents.reading(source.path), open(source.path, "rb") as log:
-            attribution = derive_attribution(_records(log, authors), tree, source.cycle)
-    except ValidationError as exc:  # raised after the alias file's errors and warning
-        failure = exc
-    aliases = {}
-    if source.aliases_path is not None:
-        aliases = documents.load_aliases(source.aliases_path)
-        _warn_provisional(authors, aliases)
-    if failure is not None:
-        raise failure
-    return {leaf: frozenset(aliases.get(a, a) for a in people) for leaf, people in attribution.items()}
+            yield from parse_commit_log(log, authors)  # read, decoded and parsed a piece at a time
+        if source.aliases_path is not None:
+            aliases.update(documents.load_aliases(source.aliases_path))
+            _warn_provisional(authors, aliases)
+
+    try:
+        result = read(records(), aliases)
+    except ValidationError as exc:  # read's own, about the log; the files' errors are DocumentErrors, located
+        with documents.reading(source.path):
+            raise exc
+    return result, {author: aliases.get(author, author) for author in authors}
 
 
 def _roster(declared: Optional[tuple[str, ...]], named: Iterable[str]) -> PlayerSet:
@@ -118,7 +111,9 @@ def build_game(config: RunConfig, model: Optional[RiskModel]) -> CoalitionGame:
     elif kind == "attribution":
         declared, attribution = documents.load_attribution(path)
     else:
-        declared, attribution = config.source.players, _log_attribution(config, model.tree)
+        declared, cycle = config.source.players, config.source.cycle
+        claims, player_of = _read_log(config, lambda records, _: derive_attribution(records, model.tree, cycle))
+        attribution = {leaf: frozenset(player_of[a] for a in people) for leaf, people in claims.items()}
     with documents.reading(path):
         if kind == "subset_results":
             players = _roster(declared, (p for subset, _ in results for p in subset))
@@ -278,10 +273,9 @@ def cmd_plan_cherry_pick(args) -> int:
     config = _checked_config(args)
     cycle = config.source.cycle
     subset = {s for s in (p.strip() for p in args.subset.split(",")) if s}
-    records = _load_records(config)
-    with documents.reading(config.source.path):
-        plan = cherry_pick_plan(records, cycle.from_commit, subset, to_commit=cycle.to_commit)
-    players = config.source.players if config.source.players is not None else {r.author for r in records}
+    plan, player_of = _read_log(config, lambda records, aliases: cherry_pick_plan(
+        records, cycle.from_commit, subset, to_commit=cycle.to_commit, aliases=aliases))
+    players = config.source.players if config.source.players is not None else player_of.values()
     unknown = sorted(subset.difference(players))
     if unknown:
         raise ValidationError(f"--subset: unknown player id(s) {', '.join(map(repr, unknown))}")

@@ -16,13 +16,11 @@ into a game.
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 from datetime import datetime, timezone
-from functools import partial
 from itertools import chain
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Set, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Set, Union
 
 from ._frozen import frozen
 from .errors import CommitLogWarning, DocumentError, ValidationError
@@ -34,27 +32,9 @@ KNOWN_TRAILER_KEYS = frozenset({SATISFIES_KEY})
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-class CommitRecord(NamedTuple):
-    """One commit of the log: id, author, time, ancestry and trailers.
-
-    An immutable tuple compared field by field. ``timestamp`` is in epoch
-    seconds, rounded down; ``parents`` holds the parent ids as the log lists
-    them (ids outside the log are kept); ``trailers`` holds the
-    ``(key, value)`` pairs in log order, unknown keys included.
-    """
-
-    commit_id: str
-    author: str
-    timestamp: int
-    parents: tuple[str, ...] = ()
-    trailers: tuple[tuple[str, str], ...] = ()
-
-
-#: A record's fields in :class:`CommitRecord` order, as a plain tuple or a :class:`CommitRecord`.
+#: A commit's fields: its id, author, time in epoch seconds (rounded down), parent ids (as the log lists them; ids
+#: outside the log are kept) and ``(key, value)`` trailer pairs (in log order, unknown keys included).
 _Fields = tuple[str, str, int, tuple[str, ...], tuple[tuple[str, str], ...]]
-
-#: ``CommitRecord(*fields)`` without the Python-level ``__new__`` that NamedTuple adds; one per parsed commit.
-_record = partial(tuple.__new__, CommitRecord)
 
 _PIECE_SIZE = 1 << 16  # bytes of a log file read, decoded and split into lines at a time
 
@@ -77,47 +57,37 @@ def _file_pieces(log: BinaryIO) -> Iterator[str]:
         yield text
 
 
-def parse_commit_log(text: Union[str, BinaryIO]) -> list[CommitRecord]:
-    """Parse the line-oriented log format into ordered records.
+def parse_commit_log(log: BinaryIO, authors: dict[str, str]) -> Iterator[_Fields]:
+    """The records of the line-oriented log in the binary file ``log``, read as UTF-8, in log order.
 
-    ``text`` is a binary file to read the log from as UTF-8, or the log's
-    text, which is encoded to UTF-8 strictly and read the same way: a ``str``
-    holding a lone surrogate (which no UTF-8 file can hold) raises
-    :class:`UnicodeEncodeError` before any line is parsed.
+    Each record is a plain tuple ``(commit id, author, timestamp, parents, trailers)``, yielded once it is
+    complete: the timestamp is in epoch seconds, rounded down; the parents are the parent ids as the log lists
+    them (ids outside the log are kept); the trailers are ``(key, value)`` pairs in log order, unknown keys
+    included. The records are read once, as a stream, and nothing keeps them but the reader.
 
     Fields: ``commit:``, ``author:``, ``date:`` (RFC 3339 with a UTC offset,
     ``Z`` or ``z``), ``parent:`` (repeatable), ``trailer:`` (repeatable,
     value is ``Key: value``). Whitespace around keys and values, blank lines
     and CRLF line ends are ignored. Records end with a ``---`` line, the last
-    one also with the end of the text. Unknown trailer keys are kept on the
-    record but flagged with a :class:`CommitLogWarning`. Structural problems
-    (an empty commit id, author, parent, trailer key or trailer value among
-    them) raise :class:`DocumentError` naming the offending line; a record's
-    missing field or duplicate id is reported at its ``---`` (or the last) line.
+    one also with the end of the file. Unknown trailer keys are kept on the
+    record and named by one :class:`CommitLogWarning` after the last record.
+    Structural problems (an empty commit id, author, parent, trailer key or
+    trailer value among them) raise :class:`DocumentError` naming the offending
+    line; a record's missing field or duplicate id is reported at its ``---``
+    (or the last) line.
 
     A line ends where :meth:`str.splitlines` ends one: at ``\\r\\n``, ``\\r``,
     ``\\n``, ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, U+2028 or U+2029.
-    The log is read, decoded and split into lines a piece at a time, so a
-    file's parse holds the records and one piece, never the whole text. An
-    undecodable byte raises :class:`UnicodeDecodeError` (quoting its offset
-    in the file) when its piece is reached, so an error on an earlier line
-    is raised first.
+    The log is read, decoded and split into lines a piece at a time, so the
+    reader holds one piece, never the whole text. An undecodable byte raises
+    :class:`UnicodeDecodeError` (quoting its offset in the file) when its
+    piece is reached, so an error on an earlier line is raised first.
+
     Records share their repeated strings rather than copy them: a parent id
     that names an earlier commit of the log is that commit's id string, equal
     authors are one string, and equal ``trailer:`` values one ``(key, value)``
-    pair.
-    """
-    log = io.BytesIO(text.encode("utf-8")) if isinstance(text, str) else text
-    return list(map(_record, _records(log, {})))
-
-
-def _records(log: BinaryIO, authors: dict[str, str]) -> Iterator[_Fields]:
-    """:func:`parse_commit_log`'s records of the binary file ``log`` as plain tuples in :class:`CommitRecord` field
-    order, each yielded once its record is complete.
-
-    ``authors`` maps each author to itself, in order of first appearance: the records of one author share its
-    string, and a reader that keeps no records still learns every author. The unknown-key warning follows the
-    last record.
+    pair. ``authors`` maps each author to itself, in order of first
+    appearance, so a reader that keeps no records still learns every author.
     """
     ids: dict[str, str] = {}  # each commit id to itself, so that parent ids can share it
     pairs: dict[str, tuple[str, str]] = {}  # each raw trailer value to its checked (key, value) pair
@@ -216,21 +186,6 @@ def _warn_provisional(authors: Iterable[str], aliases: Mapping[str, str]) -> Non
         )
 
 
-def resolve_identities(records: Sequence[CommitRecord], aliases: Mapping[str, str]) -> list[CommitRecord]:
-    """Map author identities (emails, display names) to canonical player ids.
-
-    Identities without an alias entry become provisional players under their
-    raw identity: one :class:`CommitLogWarning` names them all, in order of
-    first appearance, and is not fatal. An identity that already *is* a
-    canonical id passes through silently.
-    """
-    _warn_provisional((r.author for r in records), aliases)
-    return [
-        CommitRecord(r.commit_id, aliases[r.author], r.timestamp, r.parents, r.trailers) if r.author in aliases else r
-        for r in records
-    ]
-
-
 # --------------------------------------------------------------------------
 # Appraisal cycles
 # --------------------------------------------------------------------------
@@ -308,22 +263,6 @@ def _window(parents: Mapping[str, _Parents], cycle: Cycle) -> Callable[[str], bo
     return (_ancestry(parents, cycle.to_commit) - before).__contains__
 
 
-def select_cycle(records: Sequence[CommitRecord], cycle: Cycle) -> list[CommitRecord]:
-    """Records inside the cycle, in log order.
-
-    A commit-bounded window is git's ``from_commit..to_commit`` over the
-    log's parent links (see :class:`Cycle`); on a linear log it is the
-    records after ``from_commit`` up to and including ``to_commit``. A bound
-    missing from the log, or a ``to_commit`` that ``from_commit`` already
-    reaches, is a :class:`ValidationError`.
-    """
-    if cycle.from_commit is None and cycle.to_commit is None:
-        lo, hi = _time_range(cycle)
-        return [r for r in records if lo <= r.timestamp <= hi]
-    inside = _window({r.commit_id: r.parents for r in records}, cycle)
-    return [r for r in records if inside(r.commit_id)]
-
-
 def derive_attribution(
     records: Iterable[_Fields],
     tree: ThreatTree,
@@ -333,12 +272,12 @@ def derive_attribution(
 
     Every tree leaf appears in the result; a leaf no in-cycle commit claimed
     maps to the empty set (covered by no coalition). A trailer naming an
-    unknown leaf is a validation error listing all offenders; a cycle that
-    :func:`select_cycle` refuses is refused first, with its error.
+    unknown leaf is a validation error listing all offenders; a commit bound
+    missing from the log, or a ``to_commit`` that ``from_commit`` already
+    reaches, is refused first, with its own validation error.
 
-    ``records`` hold each commit's fields in :class:`CommitRecord` order, as
-    records or plain tuples, and are read once, in log order, so they may be a
-    stream (the commands pass :func:`_records`' tuples). Of each
+    ``records`` hold each commit's fields in :func:`parse_commit_log`'s order
+    and are read once, in log order, so they may be its stream. Of each
     record only its ``Satisfies`` claims are kept (those in range, for a
     time-bounded cycle), and for a commit-bounded cycle its parent ids, until
     the window is known.
@@ -372,6 +311,10 @@ def derive_attribution(
 # --------------------------------------------------------------------------
 
 
+#: The bytes of a player id that a plan's branch name keeps as they are.
+_BRANCH_BYTES = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_@")
+
+
 @frozen
 class CherryPickPlan:
     """Instructions for rebuilding the product from one coalition's commits.
@@ -386,7 +329,18 @@ class CherryPickPlan:
     warnings: tuple[str, ...] = ()
 
     def branch_name(self) -> str:
-        return "coalition-" + "-".join(self.subset) if self.subset else "coalition-empty"
+        """``coalition``, then each player id of the subset, joined by ``-``.
+
+        Each byte of an id's UTF-8 outside ``[A-Za-z0-9_@]`` is written ``%XX``,
+        so distinct subsets name distinct branches and every name is one that
+        ``git check-ref-format --branch`` accepts. A lone surrogate, which a
+        JSON roster and a command line can both hold, counts as its three bytes.
+        """
+        parts = ["coalition"]
+        for player in self.subset:
+            utf8 = player.encode("utf-8", "surrogatepass")
+            parts.append("".join(chr(b) if b in _BRANCH_BYTES else f"%{b:02X}" for b in utf8))
+        return "-".join(parts)
 
     def to_document(self) -> dict:
         return {
@@ -420,20 +374,34 @@ class CherryPickPlan:
 
 
 def cherry_pick_plan(
-    records: Sequence[CommitRecord],
+    records: Iterable[_Fields],
     base_commit: str,
     subset: Set[str],
     *,
     to_commit: Optional[str] = None,
+    aliases: Optional[Mapping[str, str]] = None,
 ) -> CherryPickPlan:
-    """Plan for evaluating coalition ``subset`` from commits after ``base_commit``.
+    """Plan for evaluating coalition ``subset`` from the commits after ``base_commit``.
 
-    Picks are the in-window commits authored by the subset, in their original
-    log order (so interleaved authors replay in the order they landed). An
-    empty pick list is allowed but marked with a warning.
+    The window is the :class:`Cycle` from ``base_commit`` to ``to_commit``,
+    refused as :func:`derive_attribution` refuses it. Picks are the in-window
+    commits whose author, or the player id ``aliases`` maps it to, is in the
+    subset, in their original log order (so interleaved authors replay in the
+    order they landed). An empty pick list is allowed but marked with a warning.
+
+    ``records`` are read once, as :func:`derive_attribution` reads them: of
+    each commit only its parent ids and its author are kept, until the window
+    is known. ``aliases`` is read after the last record.
     """
-    window = select_cycle(records, Cycle(from_commit=base_commit, to_commit=to_commit))
-    picks = tuple(r.commit_id for r in window if r.author in subset)
+    graph: dict[str, _Parents] = {}  # a lone parent is kept as its id, as derive_attribution keeps it
+    authors: dict[str, str] = {}  # each commit's author, in log order
+    for commit_id, author, _, parents, _ in records:
+        graph[commit_id] = parents[0] if len(parents) == 1 else parents
+        authors[commit_id] = author
+    inside = _window(graph, Cycle(from_commit=base_commit, to_commit=to_commit))
+    window = [commit for commit in authors if inside(commit)]
+    player_of = (aliases or {}).get
+    picks = tuple(commit for commit in window if player_of(authors[commit], authors[commit]) in subset)
     plan_warnings = []
     if not window:
         plan_warnings.append("window after base commit contains no commits")

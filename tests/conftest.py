@@ -1,14 +1,20 @@
+import argparse
+import io
 import random
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
 from riskshare import (
     AxiomReport,
+    CherryPickPlan,
     CoalitionGame,
     Control,
+    Cycle,
     Interval,
     LeafCondition,
     Money,
@@ -21,9 +27,13 @@ from riskshare import (
     Threat,
     ThreatAssessment,
     ThreatTree,
+    ValidationError,
     allocate_payments,
+    derive_attribution,
     game_from_table,
+    parse_commit_log,
 )
+from riskshare import cli, documents, mining
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -81,6 +91,91 @@ def render_commit_log(records) -> str:
         lines.append("---")
         chunks.append("\n".join(lines))
     return "\n".join(chunks) + ("\n" if chunks else "")
+
+
+class CommitRecord(NamedTuple):
+    """One commit of a log as a tuple of :func:`parse_commit_log`'s fields, named."""
+
+    commit_id: str
+    author: str
+    timestamp: int
+    parents: tuple[str, ...] = ()
+    trailers: tuple[tuple[str, str], ...] = ()
+
+
+def parse_records(log) -> list[CommitRecord]:
+    """The records of a log, listed: ``log`` is a binary file, or text read as the UTF-8 file holding it."""
+    if isinstance(log, str):
+        log = io.BytesIO(log.encode("utf-8"))
+    return [CommitRecord(*fields) for fields in parse_commit_log(log, {})]
+
+
+def commits_in_cycle(records, cycle: Cycle) -> list[str]:
+    """The ids of ``records`` that :func:`derive_attribution` counts inside ``cycle``, in log order: each commit is
+    given its own id as author and claims the one leaf named by that id."""
+    ids = [commit for commit, *_ in records]
+    tree = ThreatTree((Threat("T", controls=(Control("C", leaves=tuple(map(LeafCondition, ids))),)),))
+    claims = ((c, c, stamp, parents, (("Satisfies", c),)) for c, _, stamp, parents, _ in records)
+    attribution = derive_attribution(claims, tree, cycle)
+    return [commit for commit in ids if attribution[commit]]
+
+
+# The list path that the commit-log commands took before they streamed the log: every record parsed into a list,
+# renamed by the alias file, then the cycle's window selected from the list. The streamed commands must print what
+# it prints, errors and warnings in the same order.
+
+
+def resolve_identities(records: list[CommitRecord], aliases) -> list[CommitRecord]:
+    """``records`` with each author the alias file maps renamed; one warning names the provisional identities."""
+    mining._warn_provisional((r.author for r in records), aliases)
+    return [r._replace(author=aliases[r.author]) if r.author in aliases else r for r in records]
+
+
+def select_cycle(records: list[CommitRecord], cycle: Cycle) -> list[CommitRecord]:
+    """The records inside ``cycle``, in log order."""
+    if cycle.from_commit is None and cycle.to_commit is None:
+        lo, hi = mining._time_range(cycle)
+        return [r for r in records if lo <= r.timestamp <= hi]
+    inside = mining._window({r.commit_id: r.parents for r in records}, cycle)
+    return [r for r in records if inside(r.commit_id)]
+
+
+def load_records(config) -> list[CommitRecord]:
+    """The config's commit log, listed and renamed by its alias file."""
+    with documents.reading(config.source.path), open(config.source.path, "rb") as log:
+        records = parse_records(log)
+    if config.source.aliases_path is not None:
+        records = resolve_identities(records, documents.load_aliases(config.source.aliases_path))
+    return records
+
+
+def listed_plan_command(args) -> int:
+    """``plan-cherry-pick`` over the listed records: the window of the renamed list, then its picks."""
+    config = cli._checked_config(args)
+    cycle = config.source.cycle
+    subset = {s for s in (p.strip() for p in args.subset.split(",")) if s}
+    records = load_records(config)
+    with documents.reading(config.source.path):
+        window = select_cycle(records, Cycle(from_commit=cycle.from_commit, to_commit=cycle.to_commit))
+    picks = tuple(r.commit_id for r in window if r.author in subset)
+    plan_warnings = []
+    if not window:
+        plan_warnings.append("window after base commit contains no commits")
+    elif not picks:
+        plan_warnings.append("no commits in the window were authored by the subset")
+    plan = CherryPickPlan(cycle.from_commit, tuple(sorted(subset)), picks, tuple(plan_warnings))
+    players = config.source.players if config.source.players is not None else {r.author for r in records}
+    unknown = sorted(subset.difference(players))
+    if unknown:
+        raise ValidationError(f"--subset: unknown player id(s) {', '.join(map(repr, unknown))}")
+    return cli._emit(plan.to_json(), args.out, "plan")
+
+
+def listed_main(argv) -> int:
+    """``cli.main(argv)``, with ``plan-cherry-pick`` run by :func:`listed_plan_command`."""
+    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    with mock.patch.dict(commands.choices["plan-cherry-pick"]._defaults, func=listed_plan_command):
+        return cli.main(argv)
 
 
 def subset_results_from_attribution(attribution, players: PlayerSet) -> list[tuple[set[str], list[str]]]:

@@ -225,16 +225,14 @@ def test_criterion_7_pipeline_consistency():
     """Commit log -> attribution -> coverage game matches the count table, and
     the rebuild-evidence pathway produces the identical game."""
     with criterion(7, "evidence pipeline consistency", 1.0):
-        text = (FIXTURES / "worked_example" / "commits.log").read_text()
         import warnings
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # fixture log carries a non-attribution trailer
-            records = parse_commit_log(text)
         model = load_risk_model(FIXTURES / "worked_example" / "risk_model.json")
-        attribution = derive_attribution(
-            records, model.tree, Cycle(from_commit="0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091")
-        )
+        with warnings.catch_warnings(), open(FIXTURES / "worked_example" / "commits.log", "rb") as log:
+            warnings.simplefilter("ignore")  # fixture log carries a non-attribution trailer
+            attribution = derive_attribution(
+                parse_commit_log(log, {}), model.tree, Cycle(from_commit="0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091")
+            )
         players = PlayerSet(("alice", "bob", "carol"))
         via_trailers = leaf_coverage_game(model.tree, attribution, players)
 

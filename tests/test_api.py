@@ -12,7 +12,7 @@ from riskshare.cli import build_parser
 
 PUBLIC = {
     "AxiomReport", "CapacityError", "CherryPickPlan", "ClampWarning", "CoalitionGame",
-    "CommitLogWarning", "CommitRecord", "Control", "Cycle", "DocumentError", "GameDefinitionError",
+    "CommitLogWarning", "Control", "Cycle", "DocumentError", "GameDefinitionError",
     "Interval", "LeafCondition", "MATERIALIZATION_CAP", "Money", "ORACLE_PLAYER_CAP", "PayoutError",
     "PayoutReport", "PlayerPayout", "PlayerSet", "Provenance", "QualitativeScale", "RiskModel",
     "RiskshareError", "ScaleSet", "ShapleyResult", "Threat", "ThreatAssessment",
@@ -20,9 +20,8 @@ PUBLIC = {
     "allocate_payments", "as_fraction", "check_axioms", "cherry_pick_plan", "compute_budget",
     "derive_attribution", "game_from_subset_results", "game_from_table", "interval_add",
     "interval_mul", "interval_sub", "leaf_coverage_game", "parse_commit_log", "parse_report",
-    "render_report", "resolve_identities", "risk_delta", "sample_permutation", "select_cycle",
-    "shapley_exact", "shapley_monte_carlo", "shapley_permutation_oracle", "validate_assessments",
-    "validate_scale", "validate_threat_tree",
+    "render_report", "risk_delta", "sample_permutation", "shapley_exact", "shapley_monte_carlo",
+    "shapley_permutation_oracle", "validate_assessments", "validate_scale", "validate_threat_tree",
 }
 
 
@@ -37,7 +36,7 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_pinned():
     assert set(riskshare.__all__) == PUBLIC
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 55
 
 
 #: Each subcommand's arguments: option strings, or the name of a positional argument.

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from riskshare import Cycle, parse_commit_log, parse_report, select_cycle
+from riskshare import Cycle, cherry_pick_plan, parse_report
 from riskshare.cli import main
+
+from conftest import commits_in_cycle, parse_records
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "export_commit_log.py"
 
@@ -48,7 +50,7 @@ def test_export_round_trips_through_parser(tmp_path):
     out = subprocess.run(
         [sys.executable, str(TOOL), str(repo)], check=True, capture_output=True, text=True
     ).stdout
-    records = parse_commit_log(out)
+    records = parse_records(out)
     assert len(records) == 2
     assert records[0].parents == ()
     assert records[1].parents == (records[0].commit_id,)
@@ -88,21 +90,22 @@ def test_commit_window_matches_git_across_a_merge(tmp_path):
     def rev_list(revisions):
         return set(git(repo, "rev-list", revisions).stdout.split())
 
-    def window(records, cycle):
-        return [r.commit_id for r in select_cycle(records, cycle)]
-
     for export_range in (None, f"{fork}..HEAD"):  # the whole history, and one without its root
         argv = [sys.executable, str(TOOL), str(repo)] + ([export_range] if export_range else [])
-        records = parse_commit_log(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+        records = parse_records(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
         order = [r.commit_id for r in records]
         for cycle, revisions in [
             (Cycle(from_commit=start, to_commit=end), f"{start}..{end}"),
             (Cycle(from_commit=start), f"{start}..HEAD"),
             (Cycle(to_commit=start), start),
         ]:
-            expected = rev_list(revisions) & set(order)
-            assert window(records, cycle) == [c for c in order if c in expected]
-        assert len(window(records, Cycle(from_commit=start))) == 4  # feature-1, after-start, feature-2, merge
+            reached = rev_list(revisions)
+            expected = [c for c in order if c in reached]
+            assert commits_in_cycle(records, cycle) == expected
+            if cycle.from_commit is not None:  # one author made every commit, so a plan of that author picks the window
+                plan = cherry_pick_plan(records, start, {"alice@example.org"}, to_commit=cycle.to_commit)
+                assert list(plan.picks) == expected
+        assert len(commits_in_cycle(records, Cycle(from_commit=start))) == 4  # feature-1, after-start, feature-2, merge
 
 
 def test_exported_file_pays_as_the_fixture_log_does(tmp_path, fixtures_dir, capsys):

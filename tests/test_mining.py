@@ -2,6 +2,8 @@ import io
 import json
 import random
 import re
+import shutil
+import subprocess
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -11,8 +13,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from riskshare import (
+    CherryPickPlan,
     CommitLogWarning,
-    CommitRecord,
     Control,
     Cycle,
     DocumentError,
@@ -27,8 +29,6 @@ from riskshare import (
     game_from_subset_results,
     leaf_coverage_game,
     parse_commit_log,
-    resolve_identities,
-    select_cycle,
     shapley_exact,
 )
 from riskshare import cli, documents, mining
@@ -36,9 +36,15 @@ from riskshare.config import load_run_config
 
 from conftest import (
     FIXTURES,
+    CommitRecord,
     build_fix_count_game,
     build_three_fix_tree,
+    commits_in_cycle,
+    listed_main,
+    load_records,
+    parse_records,
     render_commit_log,
+    select_cycle,
     subset_results_from_attribution,
     value,
 )
@@ -91,59 +97,59 @@ trailer: Satisfies: U-45801-1
 
 class TestParse:
     def test_single_commit_with_trailer(self):
-        records = parse_commit_log(SIMPLE_LOG)
+        records = parse_records(SIMPLE_LOG)
         assert len(records) == 1
         assert records[0].commit_id == "aaa1"
         assert records[0].author == "alice"
         assert records[0].trailers == (("Satisfies", "U-46365-1"),)
 
     def test_empty_document(self):
-        assert parse_commit_log("") == []
-        assert parse_commit_log("\n\n") == []
+        assert parse_records("") == []
+        assert parse_records("\n\n") == []
 
     def test_two_satisfies_trailers_both_captured(self):
         text = SIMPLE_LOG.replace(
             "trailer: Satisfies: U-46365-1",
             "trailer: Satisfies: U-46365-1\ntrailer: Satisfies: U-45801-1",
         )
-        (record,) = parse_commit_log(text)
+        (record,) = parse_records(text)
         assert record.trailers == (("Satisfies", "U-46365-1"), ("Satisfies", "U-45801-1"))
 
     def test_malformed_line_reports_line_number(self):
         bad = SIMPLE_LOG.replace("author: alice", "author alice")
         with pytest.raises(DocumentError, match="line 2"):
-            parse_commit_log(bad)
+            parse_records(bad)
 
     def test_unknown_field_rejected(self):
         bad = SIMPLE_LOG.replace("author:", "committer:")
         with pytest.raises(DocumentError, match="unknown field"):
-            parse_commit_log(bad)
+            parse_records(bad)
 
     def test_unknown_trailer_key_warns_but_parses(self):
         text = SIMPLE_LOG.replace(
             "trailer: Satisfies: U-46365-1", "trailer: Reviewed-by: bob"
         )
         with pytest.warns(CommitLogWarning, match="Reviewed-by"):
-            (record,) = parse_commit_log(text)
+            (record,) = parse_records(text)
         assert record.trailers == (("Reviewed-by", "bob"),)
 
     def test_duplicate_commit_id_rejected(self):
         with pytest.raises(DocumentError, match="duplicate commit id"):
-            parse_commit_log(SIMPLE_LOG + SIMPLE_LOG)
+            parse_records(SIMPLE_LOG + SIMPLE_LOG)
 
     def test_missing_date_rejected(self):
         bad = "commit: x\nauthor: a\n---\n"
         with pytest.raises(DocumentError, match="date"):
-            parse_commit_log(bad)
+            parse_records(bad)
 
     def test_invalid_date_rejected(self):
         bad = SIMPLE_LOG.replace("2023-01-10T09:00:00+00:00", "last tuesday")
         with pytest.raises(DocumentError, match="RFC3339"):
-            parse_commit_log(bad)
+            parse_records(bad)
 
     def test_zulu_offset_accepted(self):
         text = SIMPLE_LOG.replace("+00:00", "Z")
-        assert parse_commit_log(text)[0].timestamp == parse_commit_log(SIMPLE_LOG)[0].timestamp
+        assert parse_records(text)[0].timestamp == parse_records(SIMPLE_LOG)[0].timestamp
 
     @pytest.mark.parametrize(
         "date, seconds",
@@ -156,15 +162,15 @@ class TestParse:
         ],
     )
     def test_timestamp_is_the_floor_of_the_epoch_seconds(self, date, seconds):
-        assert parse_commit_log(SIMPLE_LOG.replace("2023-01-10T09:00:00+00:00", date))[0].timestamp == seconds
+        assert parse_records(SIMPLE_LOG.replace("2023-01-10T09:00:00+00:00", date))[0].timestamp == seconds
 
     def test_final_record_without_separator_is_flushed(self):
-        records = parse_commit_log(SIMPLE_LOG.rstrip().rstrip("-"))
+        records = parse_records(SIMPLE_LOG.rstrip().rstrip("-"))
         assert len(records) == 1
 
     def test_round_trip(self):
-        records = parse_commit_log(FULL_LOG)
-        assert parse_commit_log(render_commit_log(records)) == records
+        records = parse_records(FULL_LOG)
+        assert parse_records(render_commit_log(records)) == records
 
 
 DATE = "2023-01-10T09:00:00+00:00"
@@ -279,35 +285,28 @@ def commit_records(draw):
 def parse_with_warnings(text):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = parse_commit_log(text)
+        records = parse_records(text)
     return records, [str(w.message) for w in caught if w.category is CommitLogWarning]
 
 
 def parse_file(path) -> list[CommitRecord]:
     """The records of the log file at ``path``, read as the command line reads it: a piece at a time."""
     with open(path, "rb") as log:
-        return parse_commit_log(log)
+        return parse_records(log)
 
 
-def stream_file(path) -> list[tuple]:
-    """The records that the commands stream from the log file at ``path``: plain tuples in ``CommitRecord`` order."""
-    with open(path, "rb") as log:
-        return list(mining._records(log, {}))
-
-
-def assert_streamed_as_listed(path, records: list[CommitRecord]) -> None:
-    """The streamed records of ``path`` equal ``records`` field for field; only the list holds ``CommitRecord``s."""
-    streamed = stream_file(path)
-    assert {type(r) for r in records} == {CommitRecord} and {type(r) for r in streamed} == {tuple}
-    assert streamed == [tuple(r) for r in records]
+def stream(text: str):
+    """The stream of records that ``parse_commit_log`` reads from the UTF-8 file holding ``text``: plain tuples."""
+    return parse_commit_log(io.BytesIO(text.encode("utf-8")), {})
 
 
 def parse_both_ways(text: str, tmp_path) -> list[CommitRecord]:
-    """``parse_commit_log`` of ``text`` and of a UTF-8 file holding it, which give equal records or equal errors."""
+    """``text``'s records read from memory and from a UTF-8 file holding it, which give equal records or equal
+    errors."""
     path = tmp_path / "commits.log"
     path.write_bytes(text.encode("utf-8"))
     try:
-        records = parse_commit_log(text)
+        records = parse_records(text)
     except DocumentError as exc:
         with pytest.raises(DocumentError) as error:
             parse_file(path)
@@ -344,7 +343,6 @@ class TestParseLayout:
         unknown = sorted({key for r in records for key, _ in r.trailers if key != "Satisfies"})
         expected = [f"ignoring unknown trailer keys: {unknown}"] if unknown else []
         assert parse_with_warnings(text) == (records, expected)
-        assert parse_with_warnings(io.BytesIO(text.encode("utf-8"))) == (records, expected)  # as a file is read
 
 
 def linear_history(n: int, seed: int = 0) -> list[CommitRecord]:
@@ -413,84 +411,56 @@ class TestParsePieces:
             parse_both_ways(text, tmp_path)
         assert str(error.value) == f"line {len(text.splitlines())}: record missing 'date' field"
 
-    def test_peak_memory_stays_a_small_multiple_of_the_text(self):
-        """The parse holds the text's UTF-8 copy and the records, about 3.0x the text; a list of every line would
-        take the peak to about 6.6x."""
-        text = render_commit_log(linear_history(20_000))
-        tracemalloc.start()
-        try:
-            records = parse_commit_log(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * len(text)
-        assert all(records[k].parents[0] is records[k - 1].commit_id for k in range(1, len(records)))
-
-    def test_loading_a_log_file_peaks_below_two_and_a_half_times_its_size(self, tmp_path):
-        """The command line reads the file a piece at a time: it never holds the file's bytes or its text,
-        which would take the peak to about 3.7x the file."""
-        log = tmp_path / "commits.log"
-        log.write_text(render_commit_log(linear_history(20_000)), encoding="utf-8")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"source": {"type": "commit_log", "path": log.name}}), encoding="utf-8")
-        loaded = load_run_config(config)
-        tracemalloc.start()
-        try:
-            records = cli._load_records(loaded)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(records) == 20_000
-        assert peak < 2.5 * log.stat().st_size
-
-    def command_peak(self, tmp_path) -> tuple[int, int]:
-        """The peak of building a 40-player game from a 20k-commit linear log over a commit-bounded cycle, and the
-        size of the log file."""
+    def command_peak(self, tmp_path, command: str) -> tuple[int, int]:
+        """The peak of a 40-player ``game`` build or a two-player ``plan`` from a 20k-commit linear log over a
+        commit-bounded cycle, and the size of the log file."""
         records = linear_history(20_000)
         log = tmp_path / "commits.log"
         log.write_text(render_commit_log(records), encoding="utf-8")
         source = {"type": "commit_log", "path": log.name, "cycle": {"from_commit": records[0].commit_id}}
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"source": source}), encoding="utf-8")
+        config.write_text(json.dumps({"source": source, "risk_model": "unread.json"}), encoding="utf-8")
+        plan = ["plan-cherry-pick", "--config", str(config), "--subset", "dev1,dev2", "--out", str(tmp_path / "plan")]
         loaded = load_run_config(config)
         leaves = tuple(LeafCondition(f"L-{k}") for k in range(120))
         model = SimpleNamespace(tree=ThreatTree((Threat("T", controls=(Control("C", leaves=leaves),)),)))
         tracemalloc.start()
         try:
-            game = cli.build_game(loaded, model)
+            built = cli.build_game(loaded, model) if command == "game" else cli.main(plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert game.n == 40
+        if command == "game":
+            assert built.n == 40
+        else:
+            picks = json.loads((tmp_path / "plan").read_text(encoding="utf-8"))["steps"][3]["commits"]
+            assert built == 0 and len(picks) == sum(r.author in ("dev1", "dev2") for r in records[1:])
         return peak, log.stat().st_size
 
-    def test_a_command_reads_a_log_file_below_one_point_six_times_its_size(self, tmp_path):
-        """A command streams the log into the attribution and keeps only the parent graph and the claims; holding
-        every record as well, as :func:`cli._load_records` does, would take the peak to about 2.05x the file."""
-        peak, size = self.command_peak(tmp_path)
-        assert peak < 1.6 * size
-
-    def test_a_command_reads_a_log_file_below_one_point_one_five_times_its_size(self, tmp_path):
-        """The parent graph maps a commit with one parent to that parent's id, the string of an earlier commit:
-        the peak is about 1.03x the file (154 B per commit), where a one-element tuple per commit took 1.34x (201 B)."""
-        peak, size = self.command_peak(tmp_path)
+    @pytest.mark.parametrize("command", ["game", "plan"])
+    def test_a_command_reads_a_log_file_below_one_point_one_five_times_its_size(self, tmp_path, command):
+        """A command streams the log and keeps only the parent graph and, of each commit, the game its claims and
+        the plan its author. The graph maps a commit with one parent to that parent's id, the string of an earlier
+        commit: the game peaks at about 1.03x the file (154 B per commit), where a one-element tuple per commit
+        took 1.34x (201 B), and the plan at about 1.1x, where listing every record took 2.07x."""
+        peak, size = self.command_peak(tmp_path, command)
         assert peak < 1.15 * size
 
     def test_equal_authors_and_trailer_values_share_one_object(self, tmp_path):
-        text = render_commit_log(linear_history(2_000))
         path = tmp_path / "commits.log"
-        path.write_text(text, encoding="utf-8")
-        assert_streamed_as_listed(path, parse_file(path))
-        for records in (parse_commit_log(text), parse_file(path), stream_file(path)):
-            authors, pairs = {}, {}
-            for _, author, _, _, trailers in records:
-                assert authors.setdefault(author, author) is author
-                for pair in trailers:
-                    assert pairs.setdefault(pair, pair) is pair
-            assert len(authors) == 40 and sum(len(r[4]) for r in records) > len(pairs)  # repeats shared
+        path.write_text(render_commit_log(linear_history(2_000)), encoding="utf-8")
+        with open(path, "rb") as log:
+            records = list(parse_commit_log(log, {}))
+        assert {type(r) for r in records} == {tuple}
+        authors, pairs = {}, {}
+        for _, author, _, _, trailers in records:
+            assert authors.setdefault(author, author) is author
+            for pair in trailers:
+                assert pairs.setdefault(pair, pair) is pair
+        assert len(authors) == 40 and sum(len(r[4]) for r in records) > len(pairs)  # repeats shared
 
     def test_parent_ids_share_the_ids_of_earlier_commits(self):
-        records = parse_commit_log(MERGE_LOG)  # "root" is outside the log; "start" names a commit two records back
+        records = parse_records(MERGE_LOG)  # "root" is outside the log; "start" names a commit two records back
         ids = {r.commit_id: r.commit_id for r in records}
         assert [[parent is ids.get(parent) for parent in r.parents] for r in records] == [
             [False], [True], [True], [True], [True, True]
@@ -505,8 +475,7 @@ class TestReadLogFile:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CommitLogWarning)
             records = parse_file(path)
-            assert records and records == parse_commit_log(path.read_text(encoding="utf-8"))
-            assert_streamed_as_listed(path, records)
+            assert records and records == parse_records(path.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("bad", [b"\xff", b"caf\xe9", b"\xe2\x82", b"\xf0\x9f\x98"], ids=bytes.hex)
     @pytest.mark.parametrize("end", [b"\n", b""], ids=["line-end", "file-end"])
@@ -516,56 +485,59 @@ class TestReadLogFile:
         with pytest.raises(UnicodeDecodeError) as whole:
             data.decode("utf-8")
         with pytest.raises(UnicodeDecodeError) as error:
-            parse_commit_log(io.BytesIO(data))
+            parse_records(io.BytesIO(data))
         assert str(error.value) == str(whole.value)
         assert error.value.start > 2 * mining._PIECE_SIZE
 
     def test_a_content_error_is_raised_before_later_undecodable_bytes(self):
         data = b"commit: a\nbogus\n" + b"\n" * (2 * mining._PIECE_SIZE) + b"\xff\n"
         with pytest.raises(DocumentError, match="^line 2: malformed line 'bogus'"):
-            parse_commit_log(io.BytesIO(data))
+            parse_records(io.BytesIO(data))
 
-    def test_text_with_a_lone_surrogate_is_rejected_before_any_line(self):
-        """Text is read as the UTF-8 file holding it, and no UTF-8 file holds a lone surrogate."""
-        text = "commit: a\nbogus\n" + SIMPLE_LOG.replace("alice", "al\ud800ice")
-        with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
-            parse_commit_log(text)
+
+def log_game(tmp_path, text: str, aliases: dict):
+    """The three-fix game that ``cli.build_game`` builds from the log ``text`` and an alias file of ``aliases``."""
+    (tmp_path / "commits.log").write_text(text, encoding="utf-8")
+    (tmp_path / "aliases.json").write_text(json.dumps(aliases), encoding="utf-8")
+    source = {"type": "commit_log", "path": "commits.log", "aliases": "aliases.json"}
+    (tmp_path / "config.json").write_text(json.dumps({"source": source}), encoding="utf-8")
+    return cli.build_game(load_run_config(tmp_path / "config.json"), SimpleNamespace(tree=build_three_fix_tree()))
 
 
 class TestIdentities:
-    def test_alias_lookup(self):
-        records = parse_commit_log(SIMPLE_LOG.replace("alice", "alice@corp"))
+    """A command renames the log's authors by the alias file; an author that the file neither maps nor names stays
+    a provisional player under its own identity, and one warning names them all."""
+
+    def test_alias_lookup(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no identity is provisional
-            resolved = resolve_identities(records, {"alice@corp": "alice", "Alice L.": "alice"})
-        assert resolved[0].author == "alice"
+            aliases = {"alice@corp": "alice", "Alice L.": "alice"}
+            game = log_game(tmp_path, SIMPLE_LOG.replace("alice", "alice@corp"), aliases)
+        assert game.players.players == ("alice",)
 
-    def test_unmapped_identity_is_provisional_with_warning(self):
-        records = parse_commit_log(SIMPLE_LOG)
+    def test_unmapped_identity_is_provisional_with_warning(self, tmp_path):
         with pytest.warns(CommitLogWarning, match=r"provisional players: \['alice'\]$"):
-            resolved = resolve_identities(records, {"bob@corp": "bob"})
-        assert resolved[0].author == "alice"
+            game = log_game(tmp_path, SIMPLE_LOG, {"bob@corp": "bob"})
+        assert game.players.players == ("alice",)
 
-    def test_empty_alias_map_keeps_records(self):
-        records = parse_commit_log(FULL_LOG)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            resolved = resolve_identities(records, {})
-        assert resolved == records
+    def test_empty_alias_map_keeps_records(self, tmp_path):
+        with pytest.warns(CommitLogWarning, match=r"provisional players: \['lead', 'alice', 'bob', 'carol'\]$"):
+            game = log_game(tmp_path, FULL_LOG, {})
+        assert game.players.players == ("alice", "bob", "carol")
 
-    def test_canonical_ids_pass_through_silently(self):
-        records = parse_commit_log(SIMPLE_LOG)
+    def test_canonical_ids_pass_through_silently(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            resolved = resolve_identities(records, {"alice@corp": "alice"})
-        assert resolved == records
+            game = log_game(tmp_path, SIMPLE_LOG, {"alice@corp": "alice"})
+        assert game.players.players == ("alice",)
 
 
 class TestCycles:
+    """The window of a cycle, as ``derive_attribution`` finds it, and as ``cherry_pick_plan`` does for a
+    commit-bounded one."""
+
     def test_after_commit_excludes_base(self):
-        records = parse_commit_log(FULL_LOG)
-        window = select_cycle(records, Cycle(from_commit="base0"))
-        assert [r.commit_id for r in window] == [
+        assert commits_in_cycle(parse_records(FULL_LOG), Cycle(from_commit="base0")) == [
             "c-alice-1",
             "c-bob-1",
             "c-carol-1",
@@ -574,38 +546,41 @@ class TestCycles:
         ]
 
     def test_to_commit_is_inclusive(self):
-        records = parse_commit_log(FULL_LOG)
-        window = select_cycle(records, Cycle(from_commit="base0", to_commit="c-carol-1"))
-        assert [r.commit_id for r in window] == ["c-alice-1", "c-bob-1", "c-carol-1"]
+        window = commits_in_cycle(parse_records(FULL_LOG), Cycle(from_commit="base0", to_commit="c-carol-1"))
+        assert window == ["c-alice-1", "c-bob-1", "c-carol-1"]
 
     def test_unknown_boundary(self):
-        records = parse_commit_log(FULL_LOG)
         with pytest.raises(ValidationError, match="not found"):
-            select_cycle(records, Cycle(from_commit="nope"))
+            commits_in_cycle(parse_records(FULL_LOG), Cycle(from_commit="nope"))
 
     def test_time_window_inclusive(self):
-        records = parse_commit_log(FULL_LOG)
+        records = parse_records(FULL_LOG)
         t = {r.commit_id: r.timestamp for r in records}
-        window = select_cycle(records, Cycle(from_time=t["c-bob-1"], to_time=t["c-alice-2"]))
-        assert [r.commit_id for r in window] == ["c-bob-1", "c-carol-1", "c-alice-2"]
+        window = commits_in_cycle(records, Cycle(from_time=t["c-bob-1"], to_time=t["c-alice-2"]))
+        assert window == ["c-bob-1", "c-carol-1", "c-alice-2"]
 
     def test_time_window_ends_at_the_last_second_of_9999(self):
-        records = parse_commit_log(SIMPLE_LOG.replace("2023-01-10T09:00:00+00:00", "9999-12-31T23:59:59.999999Z"))
+        text = SIMPLE_LOG.replace("2023-01-10T09:00:00+00:00", "9999-12-31T23:59:59.999999Z")
         cycle = Cycle(from_time=253402300799, to_time=253402300799)
-        assert select_cycle(records, cycle) == records
-        assert derive_attribution(records, build_three_fix_tree(), cycle)["U-46365-1"] == {"alice"}
+        assert commits_in_cycle(parse_records(text), cycle) == ["aaa1"]
+        assert derive_attribution(stream(text), build_three_fix_tree(), cycle)["U-46365-1"] == {"alice"}
 
     def test_linear_log_window_is_positional(self):
-        records = parse_commit_log(FULL_LOG)
+        records = parse_records(FULL_LOG)
         ids = [r.commit_id for r in records]
+        everyone = {r.author for r in records}
         for start in range(len(ids)):
             for end in range(len(ids)):
                 cycle = Cycle(from_commit=ids[start], to_commit=ids[end])
                 if end > start:
-                    assert [r.commit_id for r in select_cycle(records, cycle)] == ids[start + 1 : end + 1]
+                    assert commits_in_cycle(records, cycle) == ids[start + 1 : end + 1]
+                    plan = cherry_pick_plan(records, ids[start], everyone, to_commit=ids[end])
+                    assert list(plan.picks) == ids[start + 1 : end + 1]
                 else:
                     with pytest.raises(ValidationError, match="precedes"):
-                        select_cycle(records, cycle)
+                        commits_in_cycle(records, cycle)
+                    with pytest.raises(ValidationError, match="precedes"):
+                        cherry_pick_plan(records, ids[start], everyone, to_commit=ids[end])
 
     @pytest.mark.parametrize(
         "cycle, expected",
@@ -619,7 +594,7 @@ class TestCycles:
         ],
     )
     def test_merge_window_follows_parents(self, cycle, expected):
-        assert [r.commit_id for r in select_cycle(parse_commit_log(MERGE_LOG), cycle)] == expected
+        assert commits_in_cycle(parse_records(MERGE_LOG), cycle) == expected
 
     def test_mixed_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -630,15 +605,15 @@ class TestCycles:
             Cycle(from_time=2000000000, to_time=1000000000)
 
     def test_one_instant_window_selects_its_commits(self):
-        records = parse_commit_log(FULL_LOG)
+        records = parse_records(FULL_LOG)
         t = records[1].timestamp
-        window = select_cycle(records, Cycle(from_time=t, to_time=t))
-        assert window and all(r.timestamp == t for r in window)
+        window = commits_in_cycle(records, Cycle(from_time=t, to_time=t))
+        assert window == [r.commit_id for r in records if r.timestamp == t] != []
 
 
 class TestAttribution:
     def test_three_fix_scenario(self):
-        records = parse_commit_log(FULL_LOG)
+        records = parse_records(FULL_LOG)
         attribution = derive_attribution(records, build_three_fix_tree(), Cycle(from_commit="base0"))
         assert attribution == {
             "U-46365-1": frozenset({"alice"}),
@@ -657,26 +632,26 @@ class TestAttribution:
             "date: 2023-01-07T09:00:00+00:00\nparent: c-carol-2\n"
             "trailer: Satisfies: U-46365-1\n---\n"
         )
-        records = parse_commit_log(text)
+        records = parse_records(text)
         attribution = derive_attribution(records, build_three_fix_tree())
         assert attribution["U-46365-1"] == frozenset({"alice"})
 
     def test_other_trailers_claim_nothing(self):
         text = SIMPLE_LOG.replace("trailer: Satisfies: U-46365-1", "trailer: Reviewed-by: U-46365-1")
         with pytest.warns(CommitLogWarning, match="Reviewed-by"):
-            records = parse_commit_log(text)
+            records = parse_records(text)
         assert derive_attribution(records, build_three_fix_tree())["U-46365-1"] == frozenset()
 
     def test_the_satisfies_key_matches_case_included(self):
         text = SIMPLE_LOG.replace("trailer: Satisfies: U-46365-1", "trailer: satisfies: U-46365-1")
         with pytest.warns(CommitLogWarning) as warned:
-            records = parse_commit_log(text)
+            records = parse_records(text)
         assert [str(w.message) for w in warned] == ["ignoring unknown trailer keys: ['satisfies']"]
         assert derive_attribution(records, build_three_fix_tree())["U-46365-1"] == frozenset()
 
     def test_unknown_leaf_lists_offenders(self):
         text = SIMPLE_LOG.replace("U-46365-1", "U-00000-9")
-        records = parse_commit_log(text)
+        records = parse_records(text)
         with pytest.raises(ValidationError, match="U-00000-9"):
             derive_attribution(records, build_three_fix_tree())
 
@@ -730,7 +705,7 @@ def listed_attribution(records, tree, cycle):
 
 def listed_game(config, tree):
     """The config's game with the log's records listed, and renamed by the alias file, before the cycle is applied."""
-    records = cli._load_records(config)
+    records = load_records(config)
     with documents.reading(config.source.path):
         attribution = listed_attribution(records, tree, config.source.cycle)
         players = cli._roster(config.source.players, (a for people in attribution.values() for a in people))
@@ -774,11 +749,11 @@ class TestStreamedAttribution:
         cycle, tree, text = Cycle(**bounds), build_three_fix_tree(), render_commit_log(records)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CommitLogWarning)
-            listed = parse_commit_log(text)
+            listed = parse_records(text)
             expected = outcome(lambda: listed_attribution(listed, tree, cycle))
             assert outcome(lambda: derive_attribution(iter(records), tree, cycle)) == expected
             log = io.BytesIO(text.encode("utf-8"))
-            assert outcome(lambda: derive_attribution(mining._records(log, {}), tree, cycle)) == expected
+            assert outcome(lambda: derive_attribution(parse_commit_log(log, {}), tree, cycle)) == expected
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(history=histories(), aliases=st.dictionaries(st.sampled_from(AUTHORS), st.sampled_from(["alice", "zed"])))
@@ -795,25 +770,69 @@ class TestStreamedAttribution:
         assert streamed == command_outcome(lambda: listed_game(config, model.tree))
 
 
+class TestStreamedPlan:
+    """``plan-cherry-pick`` streams the log once and prints what it printed when it listed every record first."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        history=histories(),
+        aliases=st.none() | st.dictionaries(st.sampled_from(AUTHORS), st.sampled_from(["alice", "zed", ""])),
+        subset=st.lists(st.sampled_from(AUTHORS + ("zed", "nobody")), max_size=3),
+        base=st.sampled_from(["c0", "c1", "c2", "missing"]),
+    )
+    def test_the_streamed_plan_prints_what_the_listed_plan_prints(self, tmp_path, capsys, history, aliases, subset,
+                                                                   base):
+        """Exit code, stdout and stderr: the plan, or the first error (an empty player id is the alias file's),
+        after the warnings in their order."""
+        records, bounds = history
+        (tmp_path / "commits.log").write_text(render_commit_log(records), encoding="utf-8")
+        cycle = {key: value for key, value in bounds.items() if key.endswith("_commit")}  # a plan's are commits
+        cycle.setdefault("from_commit", base)
+        source = {"type": "commit_log", "path": "commits.log", "cycle": cycle}
+        if aliases is not None:
+            (tmp_path / "aliases.json").write_text(json.dumps(aliases), encoding="utf-8")
+            source["aliases"] = "aliases.json"
+        doc = {"source": source, "risk_model": "unread.json"}  # a commit log needs a model; a plan never reads it
+        (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["plan-cherry-pick", "--config", str(tmp_path / "config.json"), "--subset", ",".join(subset)]
+        streamed = (cli.main(argv), *capsys.readouterr())
+        assert streamed == (listed_main(argv), *capsys.readouterr())
+
+
+#: Subsets whose ids collided or made invalid branch names when the ids were joined as they are, and their names.
+BRANCHES = [
+    ((), "coalition"),
+    (("empty",), "coalition-empty"),
+    (("a-b",), "coalition-a%2Db"),
+    (("a", "b"), "coalition-a-b"),
+    (("alice", "carol"), "coalition-alice-carol"),
+    (("Alice L.",), "coalition-Alice%20L%2E"),
+    (("Alice%20L%2E",), "coalition-Alice%2520L%252E"),
+    (("x.lock", "@", "a@{1}"), "coalition-x%2Elock-@-a@%7B1%7D"),
+    (("..", "~^:?*[\\", "/"), "coalition-%2E%2E-%7E%5E%3A%3F%2A%5B%5C-%2F"),
+    (("é", "\udcff"), "coalition-%C3%A9-%ED%B3%BF"),
+]
+
+
 class TestCherryPickPlan:
     def test_full_subset_picks_everything_in_order(self):
-        records = parse_commit_log(FULL_LOG)
+        records = stream(FULL_LOG)
         plan = cherry_pick_plan(records, "base0", {"alice", "bob", "carol"})
         assert plan.picks == ("c-alice-1", "c-bob-1", "c-carol-1", "c-alice-2", "c-carol-2")
 
     def test_excluded_author_never_appears(self):
-        records = parse_commit_log(FULL_LOG)
+        records = stream(FULL_LOG)
         plan = cherry_pick_plan(records, "base0", {"bob", "carol"})
         assert all("alice" not in c for c in plan.picks)
         assert plan.picks == ("c-bob-1", "c-carol-1", "c-carol-2")
 
     def test_interleaved_authors_keep_original_order(self):
-        records = parse_commit_log(FULL_LOG)
+        records = stream(FULL_LOG)
         plan = cherry_pick_plan(records, "base0", {"alice", "carol"})
         assert plan.picks == ("c-alice-1", "c-carol-1", "c-alice-2", "c-carol-2")
 
     def test_pick_lists_are_monotone_in_subset(self):
-        records = parse_commit_log(FULL_LOG)
+        records = parse_records(FULL_LOG)
         people = ("alice", "bob", "carol")
         for small_mask in range(8):
             for big_mask in range(8):
@@ -826,26 +845,40 @@ class TestCherryPickPlan:
                 assert picks_small <= picks_big
 
     def test_unknown_base_commit(self):
-        records = parse_commit_log(FULL_LOG)
+        records = stream(FULL_LOG)
         with pytest.raises(ValidationError):
             cherry_pick_plan(records, "missing", {"alice"})
 
     def test_empty_window_warns_in_plan(self):
-        records = parse_commit_log(FULL_LOG)
+        records = stream(FULL_LOG)
         plan = cherry_pick_plan(records, "c-carol-2", {"alice"})
         assert plan.picks == ()
         assert plan.warnings
 
     def test_merged_branch_commits_are_picked(self):
-        plan = cherry_pick_plan(parse_commit_log(MERGE_LOG), "start", {"feature-dev", "merge-dev"})
+        plan = cherry_pick_plan(stream(MERGE_LOG), "start", {"feature-dev", "merge-dev"})
         assert plan.picks == ("feature", "merge")
 
     def test_document_has_five_ordered_steps(self):
-        records = parse_commit_log(FULL_LOG)
+        records = stream(FULL_LOG)
         doc = cherry_pick_plan(records, "base0", {"alice"}).to_document()
         assert [step["step"] for step in doc["steps"]] == [1, 2, 3, 4, 5]
         assert doc["steps"][3]["action"] == "cherry-pick"
         assert doc["steps"][1]["commit"] == "base0"
+
+    def test_aliases_rename_the_authors_before_the_subset_is_matched(self):
+        text = FULL_LOG.replace("author: alice", "author: alice@corp")
+        plan = cherry_pick_plan(stream(text), "base0", {"alice", "bob"}, aliases={"alice@corp": "alice", "bob": "x"})
+        assert plan.picks == ("c-alice-1", "c-alice-2")
+        assert cherry_pick_plan(stream(text), "base0", {"alice"}).picks == ()
+
+    @pytest.mark.parametrize("subset, name", BRANCHES, ids=[name for _, name in BRANCHES])
+    def test_branch_names_are_valid_and_name_one_subset_each(self, subset, name):
+        assert CherryPickPlan("base", subset, ()).branch_name() == name
+        assert [other for other, same in BRANCHES if same == name] == [subset]
+        assert re.fullmatch(r"coalition(-[A-Za-z0-9_@%]+)*", name)
+        if shutil.which("git") is not None:
+            subprocess.run(["git", "check-ref-format", "--branch", name], check=True, capture_output=True)
 
 
 class TestSubsetResults:
@@ -962,7 +995,7 @@ def test_pathway_equivalence_at_random_sizes():
 
 def test_both_evidence_pathways_agree():
     """Trailer-derived coverage and rebuild results define the same game."""
-    records = parse_commit_log(FULL_LOG)
+    records = parse_records(FULL_LOG)
     tree = build_three_fix_tree()
     attribution = derive_attribution(records, tree, Cycle(from_commit="base0"))
     players = PlayerSet(("alice", "bob", "carol"))
