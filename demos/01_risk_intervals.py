@@ -103,7 +103,8 @@ def before_and_after(assessment):
 
 
 before, after = before_and_after(data_breach)
-delta = risk_delta([data_breach], scales)
+findings = []  # risk_delta appends a warning here for each threat whose difference it clamps at zero
+delta = risk_delta([data_breach], scales, findings=findings)
 print("\nsingle mitigated threat:")
 print("  risk before :", before)
 print("  risk after  :", after)
@@ -114,15 +115,16 @@ print("  avoided loss:", delta)
 web = ThreatAssessment("T-web", "medium", "high", "low", "medium")
 api = ThreatAssessment("T-api", "low", "medium", "none", "none")
 print("\ntwo partially mitigated threats:")
-print("  sum of deltas:", risk_delta([web, api], scales))
-print("  worst delta  :", risk_delta([web, api], scales, mode="max"))
+print("  sum of deltas:", risk_delta([web, api], scales, findings=findings))
+print("  worst delta  :", risk_delta([web, api], scales, mode="max", findings=findings))
 
 # The delta is computed threat-wise (before_i - after_i, then aggregate),
 # which is tighter and fairer than subtracting the aggregated intervals:
 (web_before, web_after), (api_before, api_after) = before_and_after(web), before_and_after(api)
 loose = interval_add(web_before, api_before).lo - interval_add(web_after, api_after).hi
 print("  aggregate-wise lower bound would be", loose, "(can even go negative)")
-print("  threat-wise lower bound stays at   ", risk_delta([web, api], scales).lo)
+print("  threat-wise lower bound stays at   ", risk_delta([web, api], scales, findings=findings).lo)
 
-assert risk_delta([data_breach], scales) == Interval(2_125_900, 15_622_700)
+assert delta == Interval(2_125_900, 15_622_700)
+assert findings == []  # no mitigation here adds risk, so no difference was clamped
 print("\nall narrative claims hold exactly")

@@ -30,7 +30,10 @@ model = load_risk_model(FIXTURES / "risk_model.json")
 validation = model.validate()
 assert validation.ok, [str(i) for i in validation.issues]
 
-delta = risk_delta(model.assessments, model.scales, mode="sum")
+findings = []  # a clamped threat would be reported here, as `riskshare payout` prints it on stderr
+delta = risk_delta(model.assessments, model.scales, mode="sum", findings=findings)
+for issue in findings:
+    print(issue)
 print("avoided loss:", delta, "USD")
 
 # Company policy: pay out 1% of the *most conservative* end of the range.

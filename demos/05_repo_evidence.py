@@ -8,7 +8,6 @@ coalition, and shows that the bundled rebuild evidence defines the exact same
 game.
 """
 
-import warnings
 from pathlib import Path
 
 from riskshare import (
@@ -26,22 +25,21 @@ from riskshare.documents import load_risk_model, load_subset_results
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "worked_example"
 
 
-def commits():
-    """The bundled log's records, read from the file as a stream of (id, author, time, parents, trailers)."""
+def commits(findings):
+    """The bundled log's records, read from the file as a stream of (id, author, time, parents, trailers); the
+    parser's warnings go to ``findings``."""
     with open(FIXTURES / "commits.log", "rb") as log:
-        yield from parse_commit_log(log, {})
+        yield from parse_commit_log(log, {}, findings=findings)
 
 
 # ---------------------------------------------------------------------------
 # 1. Parse the log and scope the appraisal cycle
 # ---------------------------------------------------------------------------
 
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    ids = [commit for commit, *_ in commits()]
-for w in caught:
-    print("parser note:", w.message)  # the release tag trailer is not attribution
-warnings.simplefilter("ignore")  # each later read of the log would repeat that note
+findings = []
+ids = [commit for commit, *_ in commits(findings)]
+for issue in findings:
+    print("parser note:", issue.message)  # the release tag trailer is not attribution
 
 base = ids[0]  # everything after the release tag counts
 cycle = Cycle(from_commit=base)
@@ -52,7 +50,7 @@ print(f"\n{len(ids)} commits parsed; appraising work after {base[:10]}...")
 # ---------------------------------------------------------------------------
 
 model = load_risk_model(FIXTURES / "risk_model.json")
-attribution = derive_attribution(commits(), model.tree, cycle)
+attribution = derive_attribution(commits([]), model.tree, cycle)  # its parser note was printed above
 print("\nattribution:")
 for leaf, authors in attribution.items():
     print(f"  {leaf}: {sorted(authors) or 'nobody yet'}")
@@ -71,7 +69,7 @@ for p in result.players:
 # To evaluate v({bob, carol}) empirically, replay only their commits on a
 # branch from the base, rebuild, and run the leaf checks. The plan is emitted
 # as a document; executing it (and judging broken builds) stays external.
-plan = cherry_pick_plan(commits(), base, {"bob", "carol"})
+plan = cherry_pick_plan(commits([]), base, {"bob", "carol"})
 print(f"\nplan for {plan.subset}: picks {len(plan.picks)} commit(s)")
 print(plan.to_json())
 

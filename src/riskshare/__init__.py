@@ -8,8 +8,6 @@ axiom audit attached to every report.
 
 from .errors import (
     CapacityError,
-    ClampWarning,
-    CommitLogWarning,
     DocumentError,
     GameDefinitionError,
     PayoutError,
@@ -76,9 +74,7 @@ __all__ = [
     "AxiomReport",
     "CapacityError",
     "CherryPickPlan",
-    "ClampWarning",
     "CoalitionGame",
-    "CommitLogWarning",
     "Control",
     "Cycle",
     "DocumentError",

@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -43,10 +42,6 @@ def _err(message: object):
     print(message, file=sys.stderr)
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    _err(f"warning: {category.__name__}: {message}")
-
-
 def _emit(text: str, path, what: str) -> int:
     """Write ``text`` to ``path`` and say so on stderr, or to stdout when there is no path."""
     if path:
@@ -60,21 +55,26 @@ def _emit(text: str, path, what: str) -> int:
 def _read_log(config: RunConfig, read: Callable) -> tuple:
     """``read(records, aliases)`` for the commit log, and each author of the log mapped to its player id.
 
-    ``records`` stream the log once, and ``read`` decides nothing before they end. When they end, the alias file
-    (if any) is read into ``aliases``, and one warning names the authors it leaves provisional. So errors and
-    warnings come in this order: the log's (its unknown trailer keys too), the alias file's, the provisional
-    identities, then ``read``'s own (a refused cycle, an unknown leaf), which name the log.
+    ``records`` stream the log once, and ``read`` decides nothing before they end. When they end, the log's
+    warning (its unknown trailer keys) prints, the alias file (if any) is read into ``aliases``, and one warning
+    names the authors it leaves provisional. So errors and warnings come in this order: the log's, the alias
+    file's, the provisional identities, then ``read``'s own (a refused cycle, an unknown leaf), which name the log.
     """
     source = config.source
     authors: dict[str, str] = {}  # every author of the log, in order of first appearance
     aliases: dict[str, str] = {}
 
     def records():
+        findings = []
         with documents.reading(source.path), open(source.path, "rb") as log:
-            yield from parse_commit_log(log, authors)  # read, decoded and parsed a piece at a time
+            yield from parse_commit_log(log, authors, findings=findings)  # read, decoded and parsed a piece at a time
+        for issue in findings:
+            _err(issue)
         if source.aliases_path is not None:
             aliases.update(documents.load_aliases(source.aliases_path))
-            _warn_provisional(authors, aliases)
+            provisional = _warn_provisional(authors, aliases)
+            if provisional:
+                _err(provisional)
 
     try:
         result = read(records(), aliases)
@@ -239,7 +239,10 @@ def cmd_shapley(args) -> int:
 def cmd_payout(args) -> int:
     config = _checked_config(args)
     model = _valid_model(config)
-    delta = risk_delta(model.assessments, model.scales, mode=config.mode)
+    findings = []
+    delta = risk_delta(model.assessments, model.scales, mode=config.mode, findings=findings)
+    for issue in findings:
+        _err(issue)
     point = config.budget.explicit_value  # set only with the explicit anchor, by the static checks
     if point is not None and not delta.contains(point):
         with documents.reading(args.config):
@@ -331,25 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning  # one line per warning, without a source location
-        try:
-            return args.func(args)
-        except DocumentError as exc:
-            _err(f"input error: {exc}")
-            return EXIT_INPUT
-        except CapacityError as exc:
-            _err(f"capacity error: {exc}")
-            return EXIT_CAPACITY
-        except ValidationError as exc:
-            _err(f"validation error: {exc}")
-            return EXIT_VALIDATION
-        except RiskshareError as exc:
-            _err(f"error: {exc}")
-            return EXIT_VALIDATION
-        except OSError as exc:
-            _err(f"io error: {exc}")
-            return EXIT_INPUT
+    try:
+        return args.func(args)
+    except DocumentError as exc:
+        _err(f"input error: {exc}")
+        return EXIT_INPUT
+    except CapacityError as exc:
+        _err(f"capacity error: {exc}")
+        return EXIT_CAPACITY
+    except ValidationError as exc:
+        _err(f"validation error: {exc}")
+        return EXIT_VALIDATION
+    except RiskshareError as exc:
+        _err(f"error: {exc}")
+        return EXIT_VALIDATION
+    except OSError as exc:
+        _err(f"io error: {exc}")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

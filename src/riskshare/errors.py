@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library; a non-fatal finding is a ``risk.ValidationIssue`` warning instead."""
 
 
 class RiskshareError(Exception):
@@ -33,10 +33,3 @@ class CapacityError(RiskshareError):
 class PayoutError(ValidationError):
     """A payout request violates its preconditions."""
 
-
-class ClampWarning(UserWarning):
-    """A threat's risk difference was clamped at zero."""
-
-
-class CommitLogWarning(UserWarning):
-    """Non-fatal oddity in commit-log evidence (unknown trailer key, unmapped identity, empty window)."""

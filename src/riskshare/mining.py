@@ -17,14 +17,13 @@ into a game.
 from __future__ import annotations
 
 import json
-import warnings
 from datetime import datetime, timezone
 from itertools import chain
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Set, Union
 
 from ._frozen import frozen
-from .errors import CommitLogWarning, DocumentError, ValidationError
-from .risk import ThreatTree
+from .errors import DocumentError, ValidationError
+from .risk import ThreatTree, ValidationIssue
 
 SATISFIES_KEY = "Satisfies"
 RECORD_SEPARATOR = "---"
@@ -57,7 +56,7 @@ def _file_pieces(log: BinaryIO) -> Iterator[str]:
         yield text
 
 
-def parse_commit_log(log: BinaryIO, authors: dict[str, str]) -> Iterator[_Fields]:
+def parse_commit_log(log: BinaryIO, authors: dict[str, str], *, findings: list[ValidationIssue]) -> Iterator[_Fields]:
     """The records of the line-oriented log in the binary file ``log``, read as UTF-8, in log order.
 
     Each record is a plain tuple ``(commit id, author, timestamp, parents, trailers)``, yielded once it is
@@ -70,7 +69,8 @@ def parse_commit_log(log: BinaryIO, authors: dict[str, str]) -> Iterator[_Fields
     value is ``Key: value``). Whitespace around keys and values, blank lines
     and CRLF line ends are ignored. Records end with a ``---`` line, the last
     one also with the end of the file. Unknown trailer keys are kept on the
-    record and named by one :class:`CommitLogWarning` after the last record.
+    record and named by one warning issue, appended to ``findings`` after the
+    last record.
     Structural problems (an empty commit id, author, parent, trailer key or
     trailer value among them) raise :class:`DocumentError` naming the offending
     line; a record's missing field or duplicate id is reported at its ``---``
@@ -164,26 +164,21 @@ def parse_commit_log(log: BinaryIO, authors: dict[str, str]) -> Iterator[_Fields
         parents = trailers = ()
 
     if unknown_keys:
-        warnings.warn(
-            f"ignoring unknown trailer keys: {sorted(unknown_keys)}",
-            CommitLogWarning,
-            stacklevel=3,
-        )
+        message = f"ignoring unknown trailer keys: {sorted(unknown_keys)}"
+        findings.append(ValidationIssue("CommitLogWarning", message, severity="warning"))
 
 
-def _warn_provisional(authors: Iterable[str], aliases: Mapping[str, str]) -> None:
-    """One :class:`CommitLogWarning` naming the ``authors`` that are neither an alias nor a canonical id.
+def _warn_provisional(authors: Iterable[str], aliases: Mapping[str, str]) -> Optional[ValidationIssue]:
+    """The warning issue naming the ``authors`` that are neither an alias nor a canonical id, or None.
 
     They stay players under their raw identity; each is named once, in order of first appearance.
     """
     canonical = set(aliases.values())
     provisional = [a for a in dict.fromkeys(authors) if a not in aliases and a not in canonical]
-    if provisional:
-        warnings.warn(
-            f"identities without alias entries kept as provisional players: {provisional}",
-            CommitLogWarning,
-            stacklevel=3,
-        )
+    if not provisional:
+        return None
+    message = f"identities without alias entries kept as provisional players: {provisional}"
+    return ValidationIssue("CommitLogWarning", message, severity="warning")
 
 
 # --------------------------------------------------------------------------

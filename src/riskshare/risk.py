@@ -8,11 +8,10 @@ stay convertible to money without ever committing to a point estimate.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable
 
 from ._frozen import frozen
-from .errors import ClampWarning, UnknownLabelError
+from .errors import UnknownLabelError
 from .intervals import ZERO, Interval, interval_add, interval_mul, interval_sub
 
 LIKELIHOOD = "likelihood"
@@ -297,7 +296,9 @@ def _aggregate(parts: list[Interval], mode: str) -> Interval:
     return Interval(max(p.lo for p in parts), max(p.hi for p in parts))
 
 
-def risk_delta(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM) -> Interval:
+def risk_delta(
+    assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: str = SUM, *, findings: list[ValidationIssue]
+) -> Interval:
     """Risk reduction achieved by mitigation, evaluated threat-wise.
 
     Each threat contributes ``before_i - after_i`` (interval subtraction),
@@ -307,8 +308,8 @@ def risk_delta(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: 
     which would double-count the spread across threats.
 
     A mitigation is assumed not to add risk: a difference whose lower end is
-    negative is raised to ``[0, max(hi, 0)]``, with a :class:`ClampWarning`
-    naming the threat, so inputs violating that stay visible.
+    negative is raised to ``[0, max(hi, 0)]``, and a warning issue naming the
+    threat is appended to ``findings``, so inputs violating that stay visible.
     """
     deltas = []
     for a in assessments:
@@ -317,7 +318,7 @@ def risk_delta(assessments: Iterable[ThreatAssessment], scales: ScaleSet, mode: 
         if delta.lo < 0:
             clamped = Interval(0, max(delta.hi, 0))
             message = f"threat {a.threat_id!r}: risk difference {delta} clamped to {clamped}"
-            warnings.warn(message, ClampWarning, stacklevel=2)
+            findings.append(ValidationIssue("ClampWarning", message, severity="warning"))
             delta = clamped
         deltas.append(delta)
     return _aggregate(deltas, mode)

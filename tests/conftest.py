@@ -103,11 +103,13 @@ class CommitRecord(NamedTuple):
     trailers: tuple[tuple[str, str], ...] = ()
 
 
-def parse_records(log) -> list[CommitRecord]:
-    """The records of a log, listed: ``log`` is a binary file, or text read as the UTF-8 file holding it."""
+def parse_records(log, findings=None) -> list[CommitRecord]:
+    """The records of a log, listed: ``log`` is a binary file, or text read as the UTF-8 file holding it. The
+    parser's warnings go to ``findings`` when it is given."""
     if isinstance(log, str):
         log = io.BytesIO(log.encode("utf-8"))
-    return [CommitRecord(*fields) for fields in parse_commit_log(log, {})]
+    findings = [] if findings is None else findings
+    return [CommitRecord(*fields) for fields in parse_commit_log(log, {}, findings=findings)]
 
 
 def commits_in_cycle(records, cycle: Cycle) -> list[str]:
@@ -126,8 +128,10 @@ def commits_in_cycle(records, cycle: Cycle) -> list[str]:
 
 
 def resolve_identities(records: list[CommitRecord], aliases) -> list[CommitRecord]:
-    """``records`` with each author the alias file maps renamed; one warning names the provisional identities."""
-    mining._warn_provisional((r.author for r in records), aliases)
+    """``records`` with each author the alias file maps renamed; one warning line names the provisional identities."""
+    provisional = mining._warn_provisional((r.author for r in records), aliases)
+    if provisional:
+        cli._err(provisional)
     return [r._replace(author=aliases[r.author]) if r.author in aliases else r for r in records]
 
 
@@ -141,9 +145,12 @@ def select_cycle(records: list[CommitRecord], cycle: Cycle) -> list[CommitRecord
 
 
 def load_records(config) -> list[CommitRecord]:
-    """The config's commit log, listed and renamed by its alias file."""
+    """The config's commit log, listed and renamed by its alias file; each warning prints as it arises."""
+    findings = []
     with documents.reading(config.source.path), open(config.source.path, "rb") as log:
-        records = parse_records(log)
+        records = parse_records(log, findings)
+    for issue in findings:
+        cli._err(issue)
     if config.source.aliases_path is not None:
         records = resolve_identities(records, documents.load_aliases(config.source.aliases_path))
     return records

@@ -17,6 +17,7 @@ from riskshare import (
     Money,
     PlayerSet,
     ShapleyResult,
+    ValidationIssue,
     check_axioms,
     compute_budget,
     derive_attribution,
@@ -74,8 +75,9 @@ def test_criterion_2_delta_and_budget():
     with criterion(2, "avoided-loss interval and budget", 1.0):
         model = load_risk_model(FIXTURES / "worked_example" / "risk_model.json")
         assert model.validate().ok
-        delta = risk_delta(model.assessments, model.scales, mode="sum")
-        assert delta == Interval(2125900, 15622700)
+        findings = []
+        delta = risk_delta(model.assessments, model.scales, mode="sum", findings=findings)
+        assert delta == Interval(2125900, 15622700) and findings == []  # no threat's difference is clamped
         budget = compute_budget(delta, Fraction(1, 100), "lower")
         assert budget == Money(2125900)  # $21,259.00 in cents
 
@@ -225,14 +227,16 @@ def test_criterion_7_pipeline_consistency():
     """Commit log -> attribution -> coverage game matches the count table, and
     the rebuild-evidence pathway produces the identical game."""
     with criterion(7, "evidence pipeline consistency", 1.0):
-        import warnings
-
         model = load_risk_model(FIXTURES / "worked_example" / "risk_model.json")
-        with warnings.catch_warnings(), open(FIXTURES / "worked_example" / "commits.log", "rb") as log:
-            warnings.simplefilter("ignore")  # fixture log carries a non-attribution trailer
+        findings = []
+        with open(FIXTURES / "worked_example" / "commits.log", "rb") as log:
             attribution = derive_attribution(
-                parse_commit_log(log, {}), model.tree, Cycle(from_commit="0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091")
+                parse_commit_log(log, {}, findings=findings), model.tree,
+                Cycle(from_commit="0f3a6d1c5b2e4a7f8c9d0e1f2a3b4c5d6e7f8091"),
             )
+        # the fixture log carries a non-attribution trailer
+        note = "ignoring unknown trailer keys: ['Release-Tag']"
+        assert findings == [ValidationIssue("CommitLogWarning", note, severity="warning")]
         players = PlayerSet(("alice", "bob", "carol"))
         via_trailers = leaf_coverage_game(model.tree, attribution, players)
 

@@ -180,7 +180,7 @@ class TestValidate:
 
 
 class TestRiskDiagnostics:
-    """A worsening mitigation is one validation warning, and its clamped difference one ClampWarning."""
+    """A worsening mitigation is one validation warning, and its clamped difference one ClampWarning line."""
 
     WORSENS = "warning: assessments[0]: mitigation worsens both likelihood (1/2 -> 1) and impact (35730 -> 15622700)"
     CLAMP = "warning: ClampWarning: threat 'T1': risk difference [-15622700, -2108035] clamped to [0, 0]"

@@ -99,7 +99,7 @@ class TestRiskModelDocument:
         model = load_risk_model(fixtures_dir / "worked_example" / "risk_model.json")
         assert model.validate().ok
         assert model.tree.leaf_count == 3
-        delta = risk_delta(model.assessments, model.scales)
+        delta = risk_delta(model.assessments, model.scales, findings=[])
         assert delta == Interval(2125900, 15622700)
 
     def test_missing_scales_key(self):

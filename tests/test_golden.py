@@ -11,6 +11,7 @@ A golden file changes only by hand, together with the output change it records.
 
 import importlib.util
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,31 @@ def test_fixture_config_output_is_pinned(config, tmp_path, monkeypatch, capsys):
 
     for name, expected, got in replay_golden.transcripts(config, GOLDEN, tmp_path, run):
         assert got == expected, name
+
+
+#: Golden runs whose stderr carries a warning finding of the commit-log reader or of the risk delta.
+WARNING_RUNS = [
+    "mixed_mitigation/payout_config/payout",
+    "worked_example/mining_config/validate",
+    "worked_example/mining_config/payout",
+    "worked_example/mining_config/plan",
+]
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+@pytest.mark.parametrize("run", WARNING_RUNS)
+def test_warning_filters_change_no_output(run, action, tmp_path, monkeypatch, capsys):
+    """A run prints its findings itself, so a Python warning filter that turns every warning into an error, or
+    drops every warning, leaves its exit code, stdout and stderr as the golden transcript holds them."""
+    expected = (GOLDEN / f"{run}.txt").read_text(encoding="utf-8")
+    argv = expected.splitlines()[0].split()[2:]  # after "$ riskshare"
+    shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert replay_golden.transcript(argv, code, captured.out, captured.err, {}) == expected
 
 
 def test_alias_map_pays_as_the_log_under_canonical_ids(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,6 @@ import re
 import shutil
 import subprocess
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 from riskshare import (
     CherryPickPlan,
-    CommitLogWarning,
     Control,
     Cycle,
     DocumentError,
@@ -24,6 +22,7 @@ from riskshare import (
     Threat,
     ThreatTree,
     ValidationError,
+    ValidationIssue,
     cherry_pick_plan,
     derive_attribution,
     game_from_subset_results,
@@ -129,8 +128,9 @@ class TestParse:
         text = SIMPLE_LOG.replace(
             "trailer: Satisfies: U-46365-1", "trailer: Reviewed-by: bob"
         )
-        with pytest.warns(CommitLogWarning, match="Reviewed-by"):
-            (record,) = parse_records(text)
+        findings = []
+        (record,) = parse_records(text, findings)
+        assert findings == [commit_log_warning("ignoring unknown trailer keys: ['Reviewed-by']")]
         assert record.trailers == (("Reviewed-by", "bob"),)
 
     def test_duplicate_commit_id_rejected(self):
@@ -282,11 +282,15 @@ def commit_records(draw):
     ]
 
 
+def commit_log_warning(message: str) -> ValidationIssue:
+    """The warning issue that the commit-log reader or the alias check gives with ``message``."""
+    return ValidationIssue("CommitLogWarning", message, severity="warning")
+
+
 def parse_with_warnings(text):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = parse_records(text)
-    return records, [str(w.message) for w in caught if w.category is CommitLogWarning]
+    findings = []
+    records = parse_records(text, findings)
+    return records, findings
 
 
 def parse_file(path) -> list[CommitRecord]:
@@ -297,7 +301,7 @@ def parse_file(path) -> list[CommitRecord]:
 
 def stream(text: str):
     """The stream of records that ``parse_commit_log`` reads from the UTF-8 file holding ``text``: plain tuples."""
-    return parse_commit_log(io.BytesIO(text.encode("utf-8")), {})
+    return parse_commit_log(io.BytesIO(text.encode("utf-8")), {}, findings=[])
 
 
 def parse_both_ways(text: str, tmp_path) -> list[CommitRecord]:
@@ -341,7 +345,7 @@ class TestParseLayout:
         text = rng.choice(["\n", "\r\n"]).join(lines)
 
         unknown = sorted({key for r in records for key, _ in r.trailers if key != "Satisfies"})
-        expected = [f"ignoring unknown trailer keys: {unknown}"] if unknown else []
+        expected = [commit_log_warning(f"ignoring unknown trailer keys: {unknown}")] if unknown else []
         assert parse_with_warnings(text) == (records, expected)
 
 
@@ -450,7 +454,7 @@ class TestParsePieces:
         path = tmp_path / "commits.log"
         path.write_text(render_commit_log(linear_history(2_000)), encoding="utf-8")
         with open(path, "rb") as log:
-            records = list(parse_commit_log(log, {}))
+            records = list(parse_commit_log(log, {}, findings=[]))
         assert {type(r) for r in records} == {tuple}
         authors, pairs = {}, {}
         for _, author, _, _, trailers in records:
@@ -472,10 +476,8 @@ class TestReadLogFile:
 
     @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*/*.log")), ids=lambda path: path.name)
     def test_fixture_logs_parse_alike_from_text_and_file(self, path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CommitLogWarning)
-            records = parse_file(path)
-            assert records and records == parse_records(path.read_text(encoding="utf-8"))
+        records = parse_file(path)
+        assert records and records == parse_records(path.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("bad", [b"\xff", b"caf\xe9", b"\xe2\x82", b"\xf0\x9f\x98"], ids=bytes.hex)
     @pytest.mark.parametrize("end", [b"\n", b""], ids=["line-end", "file-end"])
@@ -508,28 +510,28 @@ class TestIdentities:
     """A command renames the log's authors by the alias file; an author that the file neither maps nor names stays
     a provisional player under its own identity, and one warning names them all."""
 
-    def test_alias_lookup(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no identity is provisional
-            aliases = {"alice@corp": "alice", "Alice L.": "alice"}
-            game = log_game(tmp_path, SIMPLE_LOG.replace("alice", "alice@corp"), aliases)
-        assert game.players.players == ("alice",)
+    PROVISIONAL = "warning: CommitLogWarning: identities without alias entries kept as provisional players: {}\n"
 
-    def test_unmapped_identity_is_provisional_with_warning(self, tmp_path):
-        with pytest.warns(CommitLogWarning, match=r"provisional players: \['alice'\]$"):
-            game = log_game(tmp_path, SIMPLE_LOG, {"bob@corp": "bob"})
+    def test_alias_lookup(self, tmp_path, capsys):
+        aliases = {"alice@corp": "alice", "Alice L.": "alice"}
+        game = log_game(tmp_path, SIMPLE_LOG.replace("alice", "alice@corp"), aliases)
         assert game.players.players == ("alice",)
+        assert capsys.readouterr().err == ""  # no identity is provisional
 
-    def test_empty_alias_map_keeps_records(self, tmp_path):
-        with pytest.warns(CommitLogWarning, match=r"provisional players: \['lead', 'alice', 'bob', 'carol'\]$"):
-            game = log_game(tmp_path, FULL_LOG, {})
+    def test_unmapped_identity_is_provisional_with_warning(self, tmp_path, capsys):
+        game = log_game(tmp_path, SIMPLE_LOG, {"bob@corp": "bob"})
+        assert game.players.players == ("alice",)
+        assert capsys.readouterr().err == self.PROVISIONAL.format("['alice']")
+
+    def test_empty_alias_map_keeps_records(self, tmp_path, capsys):
+        game = log_game(tmp_path, FULL_LOG, {})
         assert game.players.players == ("alice", "bob", "carol")
+        assert capsys.readouterr().err == self.PROVISIONAL.format("['lead', 'alice', 'bob', 'carol']")
 
-    def test_canonical_ids_pass_through_silently(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            game = log_game(tmp_path, SIMPLE_LOG, {"alice@corp": "alice"})
+    def test_canonical_ids_pass_through_silently(self, tmp_path, capsys):
+        game = log_game(tmp_path, SIMPLE_LOG, {"alice@corp": "alice"})
         assert game.players.players == ("alice",)
+        assert capsys.readouterr().err == ""
 
 
 class TestCycles:
@@ -638,15 +640,16 @@ class TestAttribution:
 
     def test_other_trailers_claim_nothing(self):
         text = SIMPLE_LOG.replace("trailer: Satisfies: U-46365-1", "trailer: Reviewed-by: U-46365-1")
-        with pytest.warns(CommitLogWarning, match="Reviewed-by"):
-            records = parse_records(text)
+        findings = []
+        records = parse_records(text, findings)
+        assert findings == [commit_log_warning("ignoring unknown trailer keys: ['Reviewed-by']")]
         assert derive_attribution(records, build_three_fix_tree())["U-46365-1"] == frozenset()
 
     def test_the_satisfies_key_matches_case_included(self):
         text = SIMPLE_LOG.replace("trailer: Satisfies: U-46365-1", "trailer: satisfies: U-46365-1")
-        with pytest.warns(CommitLogWarning) as warned:
-            records = parse_records(text)
-        assert [str(w.message) for w in warned] == ["ignoring unknown trailer keys: ['satisfies']"]
+        findings = []
+        records = parse_records(text, findings)
+        assert findings == [commit_log_warning("ignoring unknown trailer keys: ['satisfies']")]
         assert derive_attribution(records, build_three_fix_tree())["U-46365-1"] == frozenset()
 
     def test_unknown_leaf_lists_offenders(self):
@@ -720,15 +723,15 @@ def outcome(build):
         return f"{type(exc).__name__}: {exc}"
 
 
-def command_outcome(build):
-    """``build()``'s game as ``(players, terms)``, and the stderr lines ``cli.main`` prints for its warnings and error."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            game, error = build(), []
-        except ValidationError as exc:
-            game, error = None, [f"validation error: {exc}"]
-    lines = [f"warning: {w.category.__name__}: {w.message}" for w in caught] + error
+def command_outcome(build, capsys):
+    """``build()``'s game as ``(players, terms)``, and the stderr lines it prints for its warnings and ``cli.main``
+    for its error."""
+    capsys.readouterr()
+    try:
+        game, error = build(), []
+    except ValidationError as exc:
+        game, error = None, [f"validation error: {exc}"]
+    lines = capsys.readouterr().err.splitlines() + error
     return (game.players.players, game.terms) if game else None, lines
 
 
@@ -747,17 +750,15 @@ class TestStreamedAttribution:
     def test_a_stream_attributes_as_the_listed_records(self, history):
         records, bounds = history
         cycle, tree, text = Cycle(**bounds), build_three_fix_tree(), render_commit_log(records)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CommitLogWarning)
-            listed = parse_records(text)
-            expected = outcome(lambda: listed_attribution(listed, tree, cycle))
-            assert outcome(lambda: derive_attribution(iter(records), tree, cycle)) == expected
-            log = io.BytesIO(text.encode("utf-8"))
-            assert outcome(lambda: derive_attribution(parse_commit_log(log, {}), tree, cycle)) == expected
+        listed = parse_records(text)
+        expected = outcome(lambda: listed_attribution(listed, tree, cycle))
+        assert outcome(lambda: derive_attribution(iter(records), tree, cycle)) == expected
+        log = io.BytesIO(text.encode("utf-8"))
+        assert outcome(lambda: derive_attribution(parse_commit_log(log, {}, findings=[]), tree, cycle)) == expected
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(history=histories(), aliases=st.dictionaries(st.sampled_from(AUTHORS), st.sampled_from(["alice", "zed"])))
-    def test_a_command_renames_the_streamed_authors_as_the_listed_records(self, tmp_path, history, aliases):
+    def test_a_command_renames_the_streamed_authors_as_the_listed_records(self, tmp_path, capsys, history, aliases):
         """The game, the warnings and the error of ``build_game`` are those of the records listed and renamed first."""
         records, bounds = history
         (tmp_path / "commits.log").write_text(render_commit_log(records), encoding="utf-8")
@@ -766,8 +767,8 @@ class TestStreamedAttribution:
         (tmp_path / "config.json").write_text(json.dumps({"source": source}), encoding="utf-8")
         config = load_run_config(tmp_path / "config.json")
         model = SimpleNamespace(tree=build_three_fix_tree())
-        streamed = command_outcome(lambda: cli.build_game(config, model))
-        assert streamed == command_outcome(lambda: listed_game(config, model.tree))
+        streamed = command_outcome(lambda: cli.build_game(config, model), capsys)
+        assert streamed == command_outcome(lambda: listed_game(config, model.tree), capsys)
 
 
 class TestStreamedPlan:

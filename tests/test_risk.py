@@ -1,5 +1,4 @@
 import re
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riskshare import (
-    ClampWarning,
     Interval,
     QualitativeScale,
     ScaleSet,
     ThreatAssessment,
     ThreatTree,
     UnknownLabelError,
+    ValidationIssue,
     interval_mul,
     risk_delta,
     validate_assessments,
@@ -111,36 +110,36 @@ class TestRiskAggregation:
         return ThreatAssessment("T", lb, "costly", la, "costly")
 
     def test_empty_list_gives_zero(self):
-        assert risk_delta([], self.scales) == Interval(0, 0)
-        assert risk_delta([], self.scales, mode="max") == Interval(0, 0)
+        assert risk_delta([], self.scales, findings=[]) == Interval(0, 0)
+        assert risk_delta([], self.scales, mode="max", findings=[]) == Interval(0, 0)
 
     def test_all_zero_likelihoods_give_zero(self):
         quiet = [self._assessment("none", "none") for _ in range(4)]
-        assert risk_delta(quiet, self.scales) == Interval(0, 0)
+        assert risk_delta(quiet, self.scales, findings=[]) == Interval(0, 0)
 
     def test_single_certain_threat(self):
         scales = build_unit_scales()
         a = build_full_mitigation_assessment()  # mitigated to none: the delta is the whole risk
-        assert risk_delta([a], scales) == Interval(2125900, 15622700)
+        assert risk_delta([a], scales, findings=[]) == Interval(2125900, 15622700)
 
     def test_two_threat_sum(self):
         a1 = self._assessment("frequent", "none")  # [0.5,0.7] x [100,200]
         a2 = self._assessment("occasional", "none")  # [0.1,0.2] x [100,200]
-        assert risk_delta([a1, a2], self.scales) == Interval(60, 180)
+        assert risk_delta([a1, a2], self.scales, findings=[]) == Interval(60, 180)
 
     def test_two_threat_max(self):
         a1 = self._assessment("frequent", "none")
         a2 = self._assessment("occasional", "none")
-        assert risk_delta([a1, a2], self.scales, mode="max") == Interval(50, 140)
+        assert risk_delta([a1, a2], self.scales, mode="max", findings=[]) == Interval(50, 140)
 
     def test_unknown_label_raises(self):
         bad = ThreatAssessment("T", "frequent", "nonexistent", "none", "none")
         with pytest.raises(UnknownLabelError, match="nonexistent"):
-            risk_delta([bad], self.scales)
+            risk_delta([bad], self.scales, findings=[])
 
     def test_unknown_aggregation_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            risk_delta([], self.scales, mode="median")
+            risk_delta([], self.scales, mode="median", findings=[])
 
 
 def certain_lookup_scales(before: Interval, after: Interval) -> ScaleSet:
@@ -151,25 +150,34 @@ def certain_lookup_scales(before: Interval, after: Interval) -> ScaleSet:
     )
 
 
-def delta_of(before: Interval, after: Interval) -> Interval:
-    """``risk_delta`` of one threat 'T1' whose risk goes from ``before`` to ``after``."""
+def delta_of(before: Interval, after: Interval) -> tuple[Interval, list[ValidationIssue]]:
+    """``risk_delta`` of one threat 'T1' whose risk goes from ``before`` to ``after``, and its findings."""
     a = ThreatAssessment("T1", "certain", "before", "certain", "after")
-    return risk_delta([a], certain_lookup_scales(before, after))
+    findings = []
+    return risk_delta([a], certain_lookup_scales(before, after), findings=findings), findings
+
+
+def clamp(message: str) -> ValidationIssue:
+    """The warning issue that ``risk_delta`` gives for one clamped threat."""
+    return ValidationIssue("ClampWarning", message, severity="warning")
 
 
 class TestRiskDelta:
     def test_worked_single_threat_delta(self):
         scales = build_unit_scales()
         a = build_full_mitigation_assessment()
-        assert risk_delta([a], scales) == Interval(2125900, 15622700)
+        findings = []
+        assert risk_delta([a], scales, findings=findings) == Interval(2125900, 15622700)
+        assert findings == []
 
     def test_no_improvement_is_zero_with_clamp(self):
         scales = build_unit_scales()
         a = ThreatAssessment("T1", "high", "critical", "high", "critical")
-        with pytest.warns(ClampWarning, match="threat 'T1'"):
-            delta = risk_delta([a], scales)
+        findings = []
+        delta = risk_delta([a], scales, findings=findings)
         # raw per-threat difference is [lo-hi, hi-lo]; clamping pins the lower end
         assert delta.lo == 0
+        assert findings == [clamp("threat 'T1': risk difference [-13496800, 13496800] clamped to [0, 13496800]")]
 
     def test_unclamped_subtraction(self):
         scales = ScaleSet(
@@ -183,7 +191,7 @@ class TestRiskDelta:
             ),
         )
         a = ThreatAssessment("T", "certain", "before", "certain", "after")
-        assert risk_delta([a], scales) == Interval(10, 130)
+        assert risk_delta([a], scales, findings=[]) == Interval(10, 130)
 
     def test_delta_is_threatwise_sum_of_differences(self):
         scales = ScaleSet(
@@ -203,10 +211,13 @@ class TestRiskDelta:
         a1 = ThreatAssessment("T1", "all", "big", "all", "small")
         a2 = ThreatAssessment("T2", "all", "small", "none", "none")
         # T1's raw difference [0, 140] - [0, 40] = [-40, 140] clamps to [0, 140]
-        with pytest.warns(ClampWarning, match=re.escape("threat 'T1': risk difference [-40, 140] clamped to [0, 140]")):
-            per_threat = [risk_delta([a], scales) for a in (a1, a2)]
-        with pytest.warns(ClampWarning, match="threat 'T1'"):
-            combined = risk_delta([a1, a2], scales)
+        expected = [clamp("threat 'T1': risk difference [-40, 140] clamped to [0, 140]")]
+        findings = []
+        per_threat = [risk_delta([a], scales, findings=findings) for a in (a1, a2)]
+        assert findings == expected
+        findings = []
+        combined = risk_delta([a1, a2], scales, findings=findings)
+        assert findings == expected
         assert combined == Interval(
             per_threat[0].lo + per_threat[1].lo, per_threat[0].hi + per_threat[1].hi
         )
@@ -214,25 +225,23 @@ class TestRiskDelta:
     def test_monotone_assessments_give_nonnegative_bounded_delta(self):
         scales = build_unit_scales()
         a = build_full_mitigation_assessment()
-        delta = risk_delta([a], scales)
+        delta = risk_delta([a], scales, findings=[])
         assert delta.lo >= 0
         likelihood, impact, _, _ = a.resolve(scales)
         assert delta.hi <= interval_mul(likelihood, impact).hi
 
     def test_clamp_raises_lower_endpoint_and_warns(self):
-        with pytest.warns(ClampWarning, match=re.escape("threat 'T1': risk difference [-20, 5] clamped to [0, 5]")):
-            result = delta_of(Interval(10, 20), Interval(15, 30))
-        assert result == Interval(0, 5)
+        assert delta_of(Interval(10, 20), Interval(15, 30)) == (
+            Interval(0, 5), [clamp("threat 'T1': risk difference [-20, 5] clamped to [0, 5]")]
+        )
 
     def test_clamp_fully_negative_collapses_to_zero(self):
-        with pytest.warns(ClampWarning, match=re.escape("threat 'T1': risk difference [-6, -4] clamped to [0, 0]")):
-            result = delta_of(Interval(0, 1), Interval(5, 6))
-        assert result == Interval(0, 0)
+        assert delta_of(Interval(0, 1), Interval(5, 6)) == (
+            Interval(0, 0), [clamp("threat 'T1': risk difference [-6, -4] clamped to [0, 0]")]
+        )
 
     def test_no_warning_without_clamping_need(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert delta_of(Interval(5, 9), Interval(1, 2)) == Interval(3, 8)
+        assert delta_of(Interval(5, 9), Interval(1, 2)) == (Interval(3, 8), [])
 
 
 def _product(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
@@ -252,7 +261,7 @@ threat_ranges = st.lists(st.tuples(likelihood_ranges, impact_ranges, likelihood_
 
 @given(threat_ranges, st.sampled_from(["sum", "max"]))
 def test_delta_matches_fraction_reference(threats, mode):
-    """Per threat, [b.lo - a.hi, b.hi - a.lo] clamped at 0, then summed or maxed; one warning per clamp."""
+    """Per threat, [b.lo - a.hi, b.hi - a.lo] clamped at 0, then summed or maxed; one warning issue per clamp."""
     zero = [("zero", Interval(0, 0))]  # a scale needs a category even when there are no threats
     likelihood, impact = list(zero), list(zero)
     for k, (lb, ib, la, ia) in enumerate(threats):
@@ -273,12 +282,11 @@ def test_delta_matches_fraction_reference(threats, mode):
     los, his = zip(*differences) if differences else ((0,), (0,))
     reference = Interval(combine(los), combine(his))
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        delta = risk_delta(assessments, scales, mode)
+    findings = []
+    delta = risk_delta(assessments, scales, mode, findings=findings)
     assert delta == reference
-    assert [str(w.message).split("'")[1] for w in caught if w.category is ClampWarning] == clamped
-    assert len(caught) == len(clamped)
+    assert [(issue.location, issue.severity) for issue in findings] == [("ClampWarning", "warning")] * len(clamped)
+    assert [issue.message.split("'")[1] for issue in findings] == clamped
 
 
 class TestThreatTree:
@@ -327,9 +335,7 @@ class TestValidateAssessments:
 
     def test_worsening_both_sides_warns(self):
         a = ThreatAssessment("T1", "low", "low", "high", "critical")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the issue is the only report: no Python warning
-            report = validate_assessments([a], build_unit_scales(), build_three_fix_tree())
+        report = validate_assessments([a], build_unit_scales(), build_three_fix_tree())  # the issue is the only report
         assert report.ok  # a warning, not an error
         assert [str(issue) for issue in report.warnings] == [
             "warning: assessments[0]: mitigation worsens both likelihood (1/2 -> 1) and impact (35730 -> 15622700)"

@@ -5,10 +5,12 @@
 ``riskshare.cli.main`` in one process. This tool replays the same transcripts
 with the same protocol (a fresh copy of ``fixtures/`` per config, commands run
 from its root in the same order, relative paths), but runs each command as its
-own ``<python> -m riskshare.cli`` process, under every interpreter given; both
-take the runs and the transcript format from :func:`transcripts`. A state
-that leaks from one call to the next in-process cannot pass here, and the
-transcripts are checked on interpreters that the test suite does not run on.
+own ``<python> -W error -m riskshare.cli`` process, under every interpreter
+given; both take the runs and the transcript format from :func:`transcripts`.
+A state that leaks from one call to the next in-process cannot pass here, and
+the transcripts are checked on interpreters that the test suite does not run
+on. Every Python warning is an error in the child, so a run whose output
+depends on the interpreter's warning filters fails here with its traceback.
 
 Usage (from anywhere; stdlib only)::
 
@@ -83,7 +85,8 @@ def replay(python: str, version: str, golden: Path) -> bool:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
 
     def run(argv):  # from ``work``, the copy of the config being replayed
-        done = subprocess.run([python, "-m", "riskshare.cli", *argv], cwd=work, env=env, capture_output=True)
+        done = subprocess.run([python, "-W", "error", "-m", "riskshare.cli", *argv], cwd=work, env=env,
+                              capture_output=True)
         return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
 
     for config in sorted(p.relative_to(golden).as_posix() for p in golden.glob("*/*") if p.is_dir()):
